@@ -12,9 +12,9 @@ import (
 	"livepoints/internal/warm"
 )
 
-// buildTestLibrary creates a small live-point library for one benchmark and
-// returns the design used plus the collected points (program order).
-func buildTestLibrary(t *testing.T, name string, scale float64, cfg uarch.Config, stride int, restricted bool) (*prog.Program, sampling.Design, []*LivePoint) {
+// testDesign generates a suite benchmark at the given scale and a
+// systematic sample design over it.
+func testDesign(t *testing.T, name string, scale float64, cfg uarch.Config, stride int) (*prog.Program, sampling.Design) {
 	t.Helper()
 	spec, err := prog.ByName(name)
 	if err != nil {
@@ -29,13 +29,21 @@ func buildTestLibrary(t *testing.T, name string, scale float64, cfg uarch.Config
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, design
+}
+
+// buildTestLibrary creates a small live-point library for one benchmark and
+// returns the design used plus the collected points (program order).
+func buildTestLibrary(t *testing.T, name string, scale float64, cfg uarch.Config, stride int, restricted bool) (*prog.Program, sampling.Design, []*LivePoint) {
+	t.Helper()
+	p, design := testDesign(t, name, scale, cfg, stride)
 	opts := CreateOpts{
 		MaxHier:    cfg.Hier,
 		Preds:      []bpred.Config{cfg.BP},
 		Restricted: restricted,
 	}
 	var points []*LivePoint
-	err = Create(p, design, opts, func(lp *LivePoint) error {
+	err := Create(p, design, opts, func(lp *LivePoint) error {
 		points = append(points, lp)
 		return nil
 	})

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"livepoints/internal/mrrl"
 	"livepoints/internal/uarch"
 )
 
@@ -62,15 +63,57 @@ func TestDecodeIntoReuseRoundTrip(t *testing.T) {
 	}
 }
 
+// buildAWLibrary creates architectural-only AW-MRRL checkpoints
+// (NoMicroarch + the MRRL analysis's per-window functional-warming
+// lengths): the points whose simulation warms cold structures through the
+// functional CPU before the detailed window.
+func buildAWLibrary(t *testing.T, name string, scale float64, cfg uarch.Config, stride int) []*LivePoint {
+	t.Helper()
+	p, design := testDesign(t, name, scale, cfg, stride)
+	an, err := mrrl.Analyze(p, design, mrrl.DefaultReuseProb, mrrl.DefaultGranularity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []*LivePoint
+	err = Create(p, design, CreateOpts{NoMicroarch: true, FuncWarmLens: an.WarmLens}, func(lp *LivePoint) error {
+		points = append(points, lp)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmed := 0
+	for _, lp := range points {
+		if lp.FuncWarm > 0 {
+			warmed++
+		}
+	}
+	if warmed < 2 {
+		t.Fatalf("AW-MRRL library has %d of %d points with FuncWarm > 0; the functional-warming branch would go unexercised", warmed, len(points))
+	}
+	return points
+}
+
 // TestArenaSimulateBitEqual pins the arena contract: reusing hierarchy,
 // predictor, text, overlay, and CPU across points must be bit-identical to
-// building them fresh, including the restricted-live-state garbage fill.
+// building them fresh — for full live-state, for the restricted-live-state
+// garbage fill, and for AW-MRRL checkpoints whose functional warming runs
+// on the arena's reused CPU. The three kinds are interleaved so every
+// point follows one of a different kind through the same arena.
 func TestArenaSimulateBitEqual(t *testing.T) {
 	cfg := uarch.Config8Way()
 	_, _, full := buildTestLibrary(t, "syn.gcc", 0.01, cfg, 30, false)
 	_, _, restricted := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 40, true)
+	aw := buildAWLibrary(t, "syn.mcf", 0.01, cfg, 40)
+	var points []*LivePoint
+	for i := 0; i < len(full) || i < len(restricted) || i < len(aw); i++ {
+		for _, lib := range [][]*LivePoint{full, restricted, aw} {
+			if i < len(lib) {
+				points = append(points, lib[i])
+			}
+		}
+	}
 	var arena SimArena
-	points := append(append([]*LivePoint{}, full...), restricted...)
 	for i, p := range points {
 		want, err := Simulate(p, cfg)
 		if err != nil {

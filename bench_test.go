@@ -660,24 +660,6 @@ func decodeBenchBlobs(b *testing.B) [][]byte {
 	return decodeBench
 }
 
-// BenchmarkDecodeAlloc is the pre-optimization decode path: a fresh
-// LivePoint (and all its backing storage) per blob. Kept as the baseline
-// the zero-allocation path is measured against (BENCH_9.json).
-func BenchmarkDecodeAlloc(b *testing.B) {
-	blobs := decodeBenchBlobs(b)
-	var bytes int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blob := blobs[i%len(blobs)]
-		if _, err := livepoint.Decode(blob); err != nil {
-			b.Fatal(err)
-		}
-		bytes += int64(len(blob))
-	}
-	b.SetBytes(bytes / int64(b.N))
-}
-
 // BenchmarkDecodeInto is the steady-state zero-allocation decode: one
 // reused LivePoint rotating through the library.
 func BenchmarkDecodeInto(b *testing.B) {
@@ -701,26 +683,8 @@ func BenchmarkDecodeInto(b *testing.B) {
 	b.SetBytes(bytes / int64(b.N))
 }
 
-// BenchmarkLoadPipelineAlloc is the pre-optimization blob→warmed-state
-// path: allocating decode plus allocating reconstruction, per point.
-func BenchmarkLoadPipelineAlloc(b *testing.B) {
-	blobs := decodeBenchBlobs(b)
-	cfg := uarch.Config8Way()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lp, err := livepoint.Decode(blobs[i%len(blobs)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := lp.Reconstruct(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLoadPipeline is the optimized blob→warmed-state path the
-// runners use: DecodeInto a reused point, reconstruct through a SimArena.
+// BenchmarkLoadPipeline is the blob→warmed-state path the runners use:
+// DecodeInto a reused point, reconstruct through a SimArena.
 func BenchmarkLoadPipeline(b *testing.B) {
 	blobs := decodeBenchBlobs(b)
 	cfg := uarch.Config8Way()

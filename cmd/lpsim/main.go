@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"livepoints"
+	"livepoints/internal/livepoint"
 	"livepoints/internal/lpcluster"
 	"livepoints/internal/lpserve"
 	"livepoints/internal/obs"
@@ -63,10 +64,7 @@ func main() {
 		cfg = livepoints.Config16Way()
 	}
 
-	// source opens a fresh stream over the chosen library; nil means run
-	// from the local file path (which auto-detects the format).
-	var source func() (livepoints.Source, error)
-	where := *lib
+	var src livepoints.Source
 	if *server != "" {
 		client, err := livepoints.Connect(*server)
 		if err != nil {
@@ -74,8 +72,12 @@ func main() {
 		}
 		stat := client.Stat()
 		log.Printf("connected to %s: %s, %d points in %d shards", *server, stat.Benchmark, stat.Points, stat.Shards)
-		source = func() (livepoints.Source, error) { return client.Source(), nil }
-		where = *server
+		src = client.Source()
+	} else {
+		var err error
+		if src, err = livepoint.OpenSource(*lib); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	if *matched {
@@ -95,20 +97,8 @@ func main() {
 			Z: livepoints.Z997, RelErr: *relErr / 2, NoImpactThreshold: 0.03,
 		}
 		t0 := time.Now()
-		var res *livepoints.MatchedResult
-		var err error
-		if source != nil {
-			var src livepoints.Source
-			if src, err = source(); err == nil {
-				defer src.Close()
-				res, err = livepoints.RunMatchedSource(src, opts)
-			}
-		} else {
-			res, err = livepoints.RunMatched(where, opts)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+		res, err := livepoints.RunMatchedSource(src, opts)
+		closeSource(src, err)
 		fmt.Printf("ΔCPI = %+.2f%% of baseline (base %.4f -> exp %.4f) from %d pairs in %v\n",
 			100*res.MP.RelDelta(), res.MP.Base.Mean(), res.MP.Exp.Mean(),
 			res.Processed, time.Since(t0).Round(time.Millisecond))
@@ -123,26 +113,26 @@ func main() {
 		Cfg: cfg, Z: livepoints.Z997, RelErr: *relErr, Parallel: *parallel,
 	}
 	t0 := time.Now()
-	var res *livepoints.RunResult
-	var err error
-	if source != nil {
-		var src livepoints.Source
-		if src, err = source(); err == nil {
-			defer src.Close()
-			res, err = livepoints.RunSource(src, opts)
-		}
-	} else {
-		res, err = livepoints.Run(where, opts)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	res, err := livepoints.RunSource(src, opts)
+	closeSource(src, err)
 	fmt.Printf("CPI = %.4f ±%.2f%% (99.7%% confidence) from %d live-points in %v\n",
 		res.Est.Mean(), 100*res.Est.RelCI(livepoints.Z997), res.Processed,
 		time.Since(t0).Round(time.Millisecond))
 	fmt.Printf("load %v, simulate %v; wrong-path unknown loads/window: %.3f (capture errors: %d)\n",
 		res.LoadTime.Round(time.Millisecond), res.SimTime.Round(time.Millisecond),
 		float64(res.UnknownLoads)/float64(res.Processed), res.CaptureErrors)
+}
+
+// closeSource closes the library and exits on the run's error or, when the
+// run succeeded, on the close error: a drained v1 stream verifies its
+// checksum trailer only at Close.
+func closeSource(src livepoints.Source, runErr error) {
+	if err := src.Close(); runErr == nil {
+		runErr = err
+	}
+	if runErr != nil {
+		log.Fatal(runErr)
+	}
 }
 
 // watchCluster polls a coordinator's run state until the fleet finishes,

@@ -73,19 +73,16 @@ func (sr *SetRecord) Reconstruct(target cache.Config) (*cache.Cache, error) {
 		return nil, err
 	}
 	c := cache.New(target)
-	// Install preserves the most recent Assoc blocks per target set; feed
-	// entries in any order and let recency-aware installation sort it out.
-	for _, e := range sr.Entries {
-		c.Install(cache.Line{Block: e.Block, Valid: true, Dirty: e.Dirty, Last: e.Last})
+	if err := sr.ReconstructInto(c, target); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
 // ReconstructInto is Reconstruct into a caller-owned cache: the cache is
 // reset to the target configuration (reusing its line array) and the
-// record's entries are installed. The resulting state is identical to
-// Reconstruct's — per-worker arenas use this to rebuild warmed caches
-// with no per-point allocation.
+// record's entries are installed — per-worker arenas use this to rebuild
+// warmed caches with no per-point allocation.
 func (sr *SetRecord) ReconstructInto(c *cache.Cache, target cache.Config) error {
 	if err := sr.CanReconstruct(target); err != nil {
 		return err
@@ -93,6 +90,8 @@ func (sr *SetRecord) ReconstructInto(c *cache.Cache, target cache.Config) error 
 	if err := c.ResetTo(target); err != nil {
 		return err
 	}
+	// Install preserves the most recent Assoc blocks per target set; feed
+	// entries in any order and let recency-aware installation sort it out.
 	for _, e := range sr.Entries {
 		c.Install(cache.Line{Block: e.Block, Valid: true, Dirty: e.Dirty, Last: e.Last})
 	}

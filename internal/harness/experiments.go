@@ -350,7 +350,7 @@ func (c *Context) RunFigure7(bench string, cfg uarch.Config) (*Figure7Result, er
 			blob, bd := livepoint.Encode(lp)
 			add(&sum, bd)
 			res.LPTotal += len(blob)
-			res.LPCompressed += gzipLen(blob)
+			res.LPCompressed += gzipCompressLen(blob)
 			res.Points++
 			return nil
 		})
@@ -370,7 +370,7 @@ func (c *Context) RunFigure7(bench string, cfg uarch.Config) (*Figure7Result, er
 	err = livepoint.Create(p, design, awOpts, func(lp *livepoint.LivePoint) error {
 		blob, _ := livepoint.Encode(lp)
 		res.AWTotal += len(blob)
-		res.AWCompressed += gzipLen(blob)
+		res.AWCompressed += gzipCompressLen(blob)
 		awPoints++
 		return nil
 	})
@@ -464,7 +464,7 @@ func (c *Context) RunFigure8(bench string) (*Figure8Result, error) {
 	}
 	awBytes, awMillis := 0, 0.0
 	for _, blob := range awBlobs {
-		awBytes += gzipLen(blob)
+		awBytes += gzipCompressLen(blob)
 		lp, err := livepoint.Decode(blob)
 		if err != nil {
 			return nil, err
@@ -492,7 +492,7 @@ func (c *Context) RunFigure8(bench string) (*Figure8Result, error) {
 		err := livepoint.Create(p, design, livepoint.CreateOpts{MaxHier: cfg.Hier, Preds: []bpred.Config{cfg.BP}},
 			func(lp *livepoint.LivePoint) error {
 				blob, _ := livepoint.Encode(lp)
-				lpBytes += gzipLen(blob)
+				lpBytes += gzipCompressLen(blob)
 				dec, err := livepoint.Decode(blob)
 				if err != nil {
 					return err
@@ -531,8 +531,4 @@ func (r *Figure8Result) String() string {
 			float64(row.LPBytes)/1024, float64(row.AWBytes)/1024, row.LPMillis, row.AWMillis)
 	}
 	return b.String()
-}
-
-func gzipLen(b []byte) int {
-	return gzipCompressLen(b)
 }

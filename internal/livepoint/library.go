@@ -186,15 +186,6 @@ func (r *Reader) Close() error {
 	return err
 }
 
-// Next decodes the next live-point, or io.EOF after the last.
-func (r *Reader) Next() (*LivePoint, error) {
-	blob, err := r.NextBlob()
-	if err != nil {
-		return nil, err
-	}
-	return Decode(blob)
-}
-
 // ReadElement reads one complete DER TLV element (tag, length, content)
 // from the stream, returning the full element bytes. Encoded live-points
 // are self-delimiting DER elements, so concatenated blobs — a v1 library

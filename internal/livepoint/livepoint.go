@@ -126,13 +126,6 @@ func (ts *textSource) fill(lp *LivePoint) {
 	}
 }
 
-// TextSource builds the simulator text source from the stored ranges.
-func (lp *LivePoint) TextSource() functional.TextSource {
-	ts := &textSource{insts: make(map[uint64]isa.Inst, 256)}
-	ts.fill(lp)
-	return ts
-}
-
 // TextInsts returns the number of stored instructions.
 func (lp *LivePoint) TextInsts() int {
 	n := 0

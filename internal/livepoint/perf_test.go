@@ -96,10 +96,11 @@ func buildAWLibrary(t *testing.T, name string, scale float64, cfg uarch.Config, 
 
 // TestArenaSimulateBitEqual pins the arena contract: reusing hierarchy,
 // predictor, text, overlay, and CPU across points must be bit-identical to
-// building them fresh — for full live-state, for the restricted-live-state
-// garbage fill, and for AW-MRRL checkpoints whose functional warming runs
-// on the arena's reused CPU. The three kinds are interleaved so every
-// point follows one of a different kind through the same arena.
+// building them fresh (Simulate, a throwaway arena per point) — for full
+// live-state, for the restricted-live-state garbage fill, and for AW-MRRL
+// checkpoints whose functional warming runs on the arena's reused CPU.
+// The three kinds are interleaved so every point follows one of a
+// different kind through the same arena.
 func TestArenaSimulateBitEqual(t *testing.T) {
 	cfg := uarch.Config8Way()
 	_, _, full := buildTestLibrary(t, "syn.gcc", 0.01, cfg, 30, false)
@@ -130,9 +131,8 @@ func TestArenaSimulateBitEqual(t *testing.T) {
 	}
 }
 
-// TestArenaSimulateReusesState checks the arena actually removes the
-// per-point fixed allocations rather than silently regressing to the
-// allocating path.
+// TestArenaSimulateReusesState checks that a kept arena actually removes
+// the per-point fixed allocations a throwaway one (Simulate) pays.
 func TestArenaSimulateReusesState(t *testing.T) {
 	cfg := uarch.Config8Way()
 	_, _, points := buildTestLibrary(t, "syn.gzip", 0.005, cfg, 40, false)
@@ -228,6 +228,16 @@ func TestCloseSurfacesTrailerCorruption(t *testing.T) {
 	}
 	if err := src.Close(); err == nil {
 		t.Fatal("Close silently dropped a corrupted gzip trailer")
+	}
+
+	// The file runners own the source, so they must hand the Close error
+	// back: a whole-library run drains the stream, and its estimate was
+	// folded from a library that failed verification.
+	if res, err := RunFile(path, RunOpts{Cfg: cfg}); err == nil {
+		t.Fatalf("RunFile returned an estimate from %d points and dropped the trailer corruption", res.Processed)
+	}
+	if res, err := RunMatchedFile(path, MatchedOpts{Base: cfg, Exp: cfg}); err == nil {
+		t.Fatalf("RunMatchedFile returned %d pairs and dropped the trailer corruption", res.Processed)
 	}
 }
 

@@ -63,18 +63,47 @@ func (r *RunResult) fold(wr warm.WindowResult, online *sampling.OnlineEstimator)
 	return online.Add(wr.UnitCPI)
 }
 
+// finish copies the folded estimate into the result.
+func (r *RunResult) finish(online *sampling.OnlineEstimator) {
+	r.Est = *online.Estimate()
+	r.History = online.History()
+}
+
 // RunFile runs a sampling experiment over a library file, auto-detecting
 // the format (sequential v1 stream or sharded v2 store). Points are
 // processed in read order; on a shuffled library this realizes the paper's
 // random-order online estimation (§6.1), so the run may stop at any point
 // with a statistically valid estimate.
 func RunFile(path string, opts RunOpts) (*RunResult, error) {
+	return runFile(path, func(src Source) (*RunResult, error) { return RunSource(src, opts) })
+}
+
+// runFile opens the library at path, runs over it and closes it. A run
+// that succeeded still fails when Close does: a drained v1 stream verifies
+// its gzip CRC trailer only there, and an estimate folded from a corrupt
+// library must not be reported as good.
+func runFile[R any](path string, run func(Source) (*R, error)) (*R, error) {
 	src, err := OpenSource(path)
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	return RunSource(src, opts)
+	res, err := run(src)
+	if cerr := src.Close(); err == nil && cerr != nil {
+		return nil, cerr
+	}
+	return res, err
+}
+
+// normalise applies the rules absolute and matched runs share: an unset
+// confidence level means Z997, and stopping early needs a shuffled library.
+func normalise(z *float64, relErr float64, src Source) error {
+	if *z == 0 {
+		*z = sampling.Z997
+	}
+	if relErr > 0 && !src.Meta().Shuffled {
+		return fmt.Errorf("livepoint: early stopping requires a shuffled library (ShuffleFile for v1 files, lpstore.Shuffle for v2 stores)")
+	}
+	return nil
 }
 
 // RunSource runs a sampling experiment over any live-point source: a local
@@ -86,337 +115,345 @@ func RunFile(path string, opts RunOpts) (*RunResult, error) {
 // correlated, and stopping early on such a prefix would bias the
 // estimate.
 func RunSource(src Source, opts RunOpts) (*RunResult, error) {
-	if opts.Z == 0 {
-		opts.Z = sampling.Z997
+	if err := normalise(&opts.Z, opts.RelErr, src); err != nil {
+		return nil, err
 	}
-	if opts.RelErr > 0 && !src.Meta().Shuffled {
-		return nil, fmt.Errorf("livepoint: early stopping requires a shuffled library (ShuffleFile for v1 files, lpstore.Shuffle for v2 stores)")
+	if opts.Parallel < 2 {
+		return runSerial(src, opts)
 	}
-	if opts.Parallel > 1 {
-		wholeLibrary := opts.RelErr <= 0 && opts.MaxPoints <= 0
-		if ss, ok := src.(ShardedSource); ok && ss.NumShards() > 1 && wholeLibrary {
-			return runSharded(ss, opts)
-		}
-		return runParallel(src, opts)
+	wholeLibrary := opts.RelErr <= 0 && opts.MaxPoints <= 0
+	if ss, ok := src.(ShardedSource); ok && ss.NumShards() > 1 && wholeLibrary {
+		return runPipeline(opts, func(p *pipeline) error { return p.loadShards(ss, opts.Parallel) })
 	}
-	return runSerial(src, opts)
+	return runPipeline(opts, func(p *pipeline) error { return p.loadStream(src, opts.Parallel, opts.MaxPoints) })
 }
 
+// pointKernel is the one place a live-point is simulated: its window runs
+// under each of k configurations (one for absolute runs; baseline and
+// experimental for matched pairs), each on its own arena so that none
+// reconfigures between geometries every point. It serves one goroutine.
+type pointKernel struct {
+	cfgs   []uarch.Config
+	arenas []SimArena
+	wrs    []warm.WindowResult // simulate's result slice, reused
+	lp     LivePoint           // the serial loop's decode target, reused
+}
+
+func newPointKernel(cfgs ...uarch.Config) *pointKernel {
+	return &pointKernel{cfgs: cfgs, arenas: make([]SimArena, len(cfgs)), wrs: make([]warm.WindowResult, len(cfgs))}
+}
+
+// simulate returns lp's window results, index-aligned with the kernel's
+// configurations and valid until the next call.
+func (k *pointKernel) simulate(lp *LivePoint) ([]warm.WindowResult, error) {
+	for i := range k.cfgs {
+		wr, err := k.arenas[i].Simulate(lp, k.cfgs[i])
+		if err != nil {
+			return nil, fmt.Errorf("livepoint: point %d, config %q: %w", lp.Index, k.cfgs[i].Name, err)
+		}
+		k.wrs[i] = wr
+	}
+	return k.wrs, nil
+}
+
+// decodeBlob is DecodeInto plus the decoded-bytes counter.
+func decodeBlob(lp *LivePoint, blob []byte) error {
+	mDecodedBytes.Add(uint64(len(blob)))
+	return DecodeInto(lp, blob)
+}
+
+// serial is the one serial loop: it pulls blobs from next until io.EOF,
+// decodes and simulates each in order, and hands the results to visit,
+// which folds them and reports whether to stop. Blob reads and decode are
+// added to *load, detailed simulation (under every configuration) to *sim.
+func (k *pointKernel) serial(next func() ([]byte, error), load, sim *time.Duration, visit func([]warm.WindowResult) (stop bool)) error {
+	for {
+		t0 := time.Now()
+		blob, err := next()
+		if err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = decodeBlob(&k.lp, blob)
+		}
+		if err != nil {
+			return err
+		}
+		t1 := time.Now()
+		*load += t1.Sub(t0)
+
+		wrs, err := k.simulate(&k.lp)
+		if err != nil {
+			return err
+		}
+		*sim += time.Since(t1)
+
+		if visit(wrs) {
+			return nil
+		}
+	}
+}
+
+// runSerial processes the source in read order on one goroutine, so the
+// processing order and the exact stopping point are deterministic.
 func runSerial(src Source, opts RunOpts) (*RunResult, error) {
 	res := &RunResult{}
 	online := sampling.NewOnline(opts.Z, opts.RelErr, opts.RecordHistory)
-	var lp LivePoint
-	var arena SimArena
-	for {
-		if opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints {
-			break
-		}
-		t0 := time.Now()
-		blob, err := src.NextBlob()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := DecodeInto(&lp, blob); err != nil {
-			return nil, err
-		}
-		mDecodedBytes.Add(uint64(len(blob)))
-		res.LoadTime += time.Since(t0)
-
-		t0 = time.Now()
-		wr, err := arena.Simulate(&lp, opts.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("livepoint: point %d: %w", lp.Index, err)
-		}
-		res.SimTime += time.Since(t0)
-
-		if res.fold(wr, online) && opts.RelErr > 0 {
-			break
-		}
+	err := newPointKernel(opts.Cfg).serial(src.NextBlob, &res.LoadTime, &res.SimTime, func(wrs []warm.WindowResult) bool {
+		satisfied := res.fold(wrs[0], online)
+		return satisfied && opts.RelErr > 0 || opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Est = *online.Estimate()
-	res.History = online.History()
+	res.finish(online)
 	return res, nil
 }
 
-// simOut carries one worker's simulation result to the folding loop.
+// simOut carries one simulation result, or a failure from any stage, to
+// the fold loop.
 type simOut struct {
 	wr  warm.WindowResult
 	err error
 }
 
-// collectOuts folds worker results into the estimate in completion order
-// until outs closes. stop is invoked exactly once: when the stopping rule
-// first fires (relErr > 0), on the first worker error (fail-fast — the
-// feeder must not decode and simulate the rest of the library just to
-// report an error that has already happened), or after the channel
-// drains. It returns the first worker error.
-func collectOuts(outs <-chan simOut, res *RunResult, online *sampling.OnlineEstimator, relErr float64, stop func()) error {
-	var firstErr error
-	stopped := false
-	for out := range outs {
-		if out.err != nil {
-			if firstErr == nil {
-				firstErr = out.err
-				if !stopped {
-					stopped = true
-					stop()
-				}
-			}
-			continue
-		}
-		if res.fold(out.wr, online) && relErr > 0 && !stopped {
-			stopped = true
-			stop()
-		}
-	}
-	if !stopped {
-		stop()
-	}
-	return firstErr
+// pipeline is the scaffold of a parallel run — the paper's parallel
+// live-point processing (§6):
+//
+//	load stage → lpc → simulation workers → outs → fold loop
+//
+// The load stage runs ahead of simulation through the bounded lpc, so
+// I/O, decompression and decode overlap detailed simulation. Results fold
+// in completion order, which is still an unbiased sample of a shuffled
+// library; unlike serial runs the exact stopping point depends on
+// scheduling. Parallel runs differ only in their load stage (loadStream,
+// loadShards), which sees the scaffold through this type.
+type pipeline struct {
+	lpc  chan *LivePoint
+	outs chan simOut
+	done chan struct{} // closed when the fold loop wants no more points
+
+	// The load/sim split, summed over each stage's goroutines: the serial
+	// loop's accounting, never wall-clock.
+	loadNS, simNS atomic.Int64
 }
 
-// decodeAhead returns the bound on decoded points buffered ahead of the
-// simulation workers: deep enough to ride out per-point sim-time variance,
-// shallow enough to cap fail-fast overshoot and resident LivePoints.
-func decodeAhead(parallel int) int { return 2 * parallel }
+func (p *pipeline) fail(err error) { p.outs <- simOut{err: err} }
 
-// simWorkers starts the simulation stage: parallel goroutines, each with
-// its own SimArena, draining decoded points from lpc into outs. It
-// returns a channel that closes when the stage has drained.
-func simWorkers(lpc <-chan *LivePoint, outs chan<- simOut, parallel int, cfg uarch.Config, simNS *atomic.Int64) <-chan struct{} {
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var arena SimArena
-			for lp := range lpc {
-				t0 := time.Now()
-				wr, err := arena.Simulate(lp, cfg)
-				simNS.Add(int64(time.Since(t0)))
-				if err != nil {
-					err = fmt.Errorf("livepoint: point %d: %w", lp.Index, err)
-				}
-				releaseLivePoint(lp)
-				outs <- simOut{wr: wr, err: err}
-			}
-		}()
+func (p *pipeline) loaded(since time.Time) { p.loadNS.Add(int64(time.Since(since))) }
+
+// decode queues one blob's live-point for simulation, in pooled storage.
+// The blob is not retained.
+func (p *pipeline) decode(blob []byte) {
+	t0 := time.Now()
+	lp := acquireLivePoint()
+	err := decodeBlob(lp, blob)
+	p.loaded(t0)
+	if err != nil {
+		releaseLivePoint(lp)
+		p.fail(err)
+		return
 	}
-	simDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(simDone)
-	}()
-	return simDone
+	p.lpc <- lp
+	mDecodeAheadDepth.Set(float64(len(p.lpc)))
 }
 
-// runParallel fans simulation out over worker goroutines — the paper's
-// parallel live-point processing (§6) — as a three-stage pipeline:
-//
-//	feeder (stream reads) → decoders (DecodeInto pooled points) → sim workers
-//
-// The decode stage runs ahead of simulation through the bounded lpc
-// channel, so stream I/O and decompression overlap detailed simulation
-// instead of serializing with it. Blobs are copied into pooled buffers
-// before crossing the first channel — Source.NextBlob's return is only
-// valid until the next call. The estimate folds results in completion
-// order, which is still an unbiased sample of a shuffled library; unlike
-// serial runs the exact stopping point is scheduling-dependent.
-func runParallel(src Source, opts RunOpts) (*RunResult, error) {
+// runPipeline runs the load stage against opts.Parallel simulation
+// workers, each with its own kernel, and folds until both have drained:
+// once the stopping rule or an error closes done, the points already
+// loaded are still simulated and folded, so no goroutine stays blocked.
+func runPipeline(opts RunOpts, load func(*pipeline) error) (*RunResult, error) {
 	res := &RunResult{}
 	online := sampling.NewOnline(opts.Z, opts.RelErr, opts.RecordHistory)
+	p := &pipeline{
+		// Decode-ahead deep enough to ride out per-point sim-time variance,
+		// shallow enough to cap fail-fast overshoot and resident points.
+		lpc:  make(chan *LivePoint, 2*opts.Parallel),
+		outs: make(chan simOut, opts.Parallel),
+		done: make(chan struct{}),
+	}
 
-	// Load/sim split, summed across all stages — the same accounting the
-	// serial path reports (stream reads and decode are load, detailed
-	// simulation is sim), never wall-clock.
-	var loadNS, simNS atomic.Int64
-
-	blobc := make(chan *[]byte, opts.Parallel)
-	lpc := make(chan *LivePoint, decodeAhead(opts.Parallel))
-	outs := make(chan simOut, opts.Parallel)
-
-	// Decode stage: a single stream feeds it, so half the sim width keeps
-	// the pipeline full while decode stays the cheap stage.
-	var dwg sync.WaitGroup
-	for w := 0; w < (opts.Parallel+1)/2; w++ {
-		dwg.Add(1)
+	go func() {
+		if err := load(p); err != nil {
+			p.fail(err)
+		}
+		close(p.lpc)
+	}()
+	var workers sync.WaitGroup
+	for w := 0; w < opts.Parallel; w++ {
+		workers.Add(1)
 		go func() {
-			defer dwg.Done()
-			for pb := range blobc {
+			defer workers.Done()
+			k := newPointKernel(opts.Cfg)
+			for lp := range p.lpc {
 				t0 := time.Now()
-				lp := acquireLivePoint()
-				err := DecodeInto(lp, *pb)
-				mDecodedBytes.Add(uint64(len(*pb)))
-				releaseBlobBuf(pb)
-				loadNS.Add(int64(time.Since(t0)))
+				wrs, err := k.simulate(lp)
+				p.simNS.Add(int64(time.Since(t0)))
+				releaseLivePoint(lp)
 				if err != nil {
-					releaseLivePoint(lp)
-					outs <- simOut{err: err}
-					continue
+					p.fail(err)
+				} else {
+					p.outs <- simOut{wr: wrs[0]}
 				}
-				lpc <- lp
-				mDecodeAheadDepth.Set(float64(len(lpc)))
 			}
 		}()
 	}
-	simDone := simWorkers(lpc, outs, opts.Parallel, opts.Cfg, &simNS)
-
-	done := make(chan struct{})
-	var feedErr error
 	go func() {
-		defer close(blobc)
-		sent := 0
-		for {
-			if opts.MaxPoints > 0 && sent >= opts.MaxPoints {
-				return
+		workers.Wait()
+		close(p.outs)
+	}()
+
+	// done closes when the stopping rule first fires or on the first error
+	// (fail-fast: the load stage must not read and decode the rest of the
+	// library just to report an error that has already happened).
+	var stop sync.Once
+	var firstErr error
+	for out := range p.outs {
+		if out.err != nil && firstErr == nil {
+			firstErr = out.err
+		}
+		if out.err != nil || res.fold(out.wr, online) && opts.RelErr > 0 {
+			stop.Do(func() { close(p.done) })
+		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	res.LoadTime = time.Duration(p.loadNS.Load())
+	res.SimTime = time.Duration(p.simNS.Load())
+	res.finish(online)
+	return res, nil
+}
+
+// fan is the shape both load stages share: feed offers items to n
+// goroutines running work, until it has no more or offer reports that the
+// fold loop wants none. fan returns once all of them have finished.
+func fan[T any](p *pipeline, n, buffer int, work func(T), feed func(offer func(T) bool) error) error {
+	items := make(chan T, buffer)
+	var workers sync.WaitGroup
+	for w := 0; w < n; w++ {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for item := range items {
+				work(item)
 			}
+		}()
+	}
+	defer workers.Wait()
+	defer close(items)
+	return feed(func(item T) bool {
+		select {
+		case items <- item:
+			return true
+		case <-p.done:
+			return false
+		}
+	})
+}
+
+// loadStream is the read-order load stage, the one every truncated run
+// uses: blobs come off the single stream, each copied into a pooled
+// buffer (NextBlob's return is only valid until the next call) for the
+// decoders. One stream feeds them, so half the simulation width keeps the
+// pipeline full while decode stays the cheap stage.
+func (p *pipeline) loadStream(src Source, parallel, maxPoints int) error {
+	decode := func(pb *[]byte) {
+		p.decode(*pb)
+		releaseBlobBuf(pb)
+	}
+	return fan(p, (parallel+1)/2, parallel, decode, func(offer func(*[]byte) bool) error {
+		for sent := 0; maxPoints <= 0 || sent < maxPoints; sent++ {
 			t0 := time.Now()
 			blob, err := src.NextBlob()
-			if err == io.EOF {
-				loadNS.Add(int64(time.Since(t0)))
-				return
-			}
 			if err != nil {
-				loadNS.Add(int64(time.Since(t0)))
-				feedErr = err
-				return
+				p.loaded(t0)
+				if err == io.EOF {
+					return nil
+				}
+				return err
 			}
 			pb := acquireBlobBuf(len(blob))
 			copy(*pb, blob)
-			loadNS.Add(int64(time.Since(t0)))
-			select {
-			case blobc <- pb:
-				sent++
-			case <-done:
+			p.loaded(t0)
+			if !offer(pb) {
 				releaseBlobBuf(pb)
-				return
+				return nil
 			}
 		}
-	}()
-	go func() {
-		dwg.Wait()
-		close(lpc)
-	}()
-	go func() {
-		<-simDone
-		close(outs)
-	}()
-
-	firstErr := collectOuts(outs, res, online, opts.RelErr, func() { close(done) })
-	res.LoadTime = time.Duration(loadNS.Load())
-	res.SimTime = time.Duration(simNS.Load())
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if feedErr != nil {
-		return nil, feedErr
-	}
-	res.Est = *online.Estimate()
-	res.History = online.History()
-	return res, nil
+		return nil
+	})
 }
 
-// runSharded is runParallel for whole-library passes over sharded
-// sources: instead of one feeder goroutine decompressing a shared stream,
-// decode workers claim whole shards and decompress them concurrently, so
-// load bandwidth scales with Parallel. Decoded points flow through the
-// same bounded decode-ahead channel into the simulation stage; no blob
-// copy is needed here because each decode worker calls DecodeInto before
-// its next NextBlob on the same shard stream. Every point is processed —
-// RunSource routes truncated runs (stopping rule or point cap) through
-// runParallel, because a shard-major prefix of physically consecutive
-// points is not an unbiased sample.
-func runSharded(ss ShardedSource, opts RunOpts) (*RunResult, error) {
-	res := &RunResult{}
-	online := sampling.NewOnline(opts.Z, opts.RelErr, opts.RecordHistory)
-
-	var loadNS, simNS atomic.Int64
-
-	shardc := make(chan int)
-	lpc := make(chan *LivePoint, decodeAhead(opts.Parallel))
-	outs := make(chan simOut, opts.Parallel)
-
-	// Decode stage at full sim width: shards are independent streams, so
-	// decompression bandwidth scales until the sim stage is the bottleneck.
-	var dwg sync.WaitGroup
-	for w := 0; w < opts.Parallel; w++ {
-		dwg.Add(1)
-		go func() {
-			defer dwg.Done()
-			for s := range shardc {
-				t0 := time.Now()
-				sub, err := ss.OpenShard(s)
-				loadNS.Add(int64(time.Since(t0)))
-				if err != nil {
-					// Report the failure but keep ranging over shardc:
-					// returning here would strand the feeder blocked on
-					// its next send forever (goroutine leak). The feeder
-					// stops on its own once collectOuts fires stop.
-					outs <- simOut{err: err}
-					continue
-				}
-				for {
-					t0 := time.Now()
-					blob, err := sub.NextBlob()
-					if err == io.EOF {
-						loadNS.Add(int64(time.Since(t0)))
-						break
-					}
-					if err != nil {
-						loadNS.Add(int64(time.Since(t0)))
-						outs <- simOut{err: err}
-						break
-					}
-					lp := acquireLivePoint()
-					derr := DecodeInto(lp, blob)
-					mDecodedBytes.Add(uint64(len(blob)))
-					loadNS.Add(int64(time.Since(t0)))
-					if derr != nil {
-						releaseLivePoint(lp)
-						outs <- simOut{err: derr}
-						continue
-					}
-					lpc <- lp
-					mDecodeAheadDepth.Set(float64(len(lpc)))
-				}
-				sub.Close()
-			}
-		}()
-	}
-	simDone := simWorkers(lpc, outs, opts.Parallel, opts.Cfg, &simNS)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(shardc)
-		for s := 0; s < ss.NumShards(); s++ {
-			select {
-			case shardc <- s:
-			case <-done:
-				return
-			}
+// loadShards is the whole-library load stage over a sharded source:
+// loaders claim whole shards and decompress them concurrently, so load
+// bandwidth scales with the simulation width. Every shard is loaded —
+// RunSource keeps truncated runs on loadStream, because a shard-major
+// prefix of physically consecutive points is not an unbiased sample.
+func (p *pipeline) loadShards(ss ShardedSource, parallel int) error {
+	load := func(s int) { p.loadShard(ss, s) }
+	return fan(p, parallel, 0, load, func(offer func(int) bool) error {
+		for s := 0; s < ss.NumShards() && offer(s); s++ {
 		}
-	}()
-	go func() {
-		dwg.Wait()
-		close(lpc)
-	}()
-	go func() {
-		<-simDone
-		close(outs)
-	}()
+		return nil
+	})
+}
 
-	firstErr := collectOuts(outs, res, online, 0, func() { close(done) })
-	res.LoadTime = time.Duration(loadNS.Load())
-	res.SimTime = time.Duration(simNS.Load())
-	if firstErr != nil {
-		return nil, firstErr
+// loadShard decodes one shard's points in its read order. A point that
+// fails to decode is reported and skipped; a read error ends the shard.
+// No blob copy is needed: each blob is decoded before the next NextBlob on
+// the same shard stream.
+func (p *pipeline) loadShard(ss ShardedSource, s int) {
+	t0 := time.Now()
+	sub, err := ss.OpenShard(s)
+	p.loaded(t0)
+	if err != nil {
+		p.fail(err)
+		return
 	}
-	res.Est = *online.Estimate()
-	res.History = online.History()
-	return res, nil
+	defer sub.Close()
+	for {
+		t0 := time.Now()
+		blob, err := sub.NextBlob()
+		p.loaded(t0)
+		if err != nil {
+			if err != io.EOF {
+				p.fail(err)
+			}
+			return
+		}
+		p.decode(blob)
+	}
+}
+
+// simBlobs is the serial loop over an in-memory batch: each
+// configuration's CPIs in input order, plus a RunResult aggregating the
+// timings and the first configuration's estimate and wrong-path counters.
+func simBlobs(blobs [][]byte, cfgs ...uarch.Config) ([][]float64, *RunResult, error) {
+	res := &RunResult{}
+	online := sampling.NewOnline(sampling.Z997, 0, false)
+	cpis := make([][]float64, len(cfgs))
+	for c := range cpis {
+		cpis[c] = make([]float64, 0, len(blobs))
+	}
+	next := func() ([]byte, error) {
+		if res.Processed == len(blobs) {
+			return nil, io.EOF
+		}
+		return blobs[res.Processed], nil
+	}
+	err := newPointKernel(cfgs...).serial(next, &res.LoadTime, &res.SimTime, func(wrs []warm.WindowResult) bool {
+		res.fold(wrs[0], online)
+		for c, wr := range wrs {
+			cpis[c] = append(cpis[c], wr.UnitCPI)
+		}
+		return false
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	res.finish(online)
+	return cpis, res, nil
 }
 
 // SimBlobs simulates each encoded live-point under cfg and returns the
@@ -425,71 +462,24 @@ func runSharded(ss ShardedSource, opts RunOpts) (*RunResult, error) {
 // a remote worker fetches a lease's blobs, runs SimBlobs, and posts the
 // CPIs back to the coordinator for folding.
 func SimBlobs(blobs [][]byte, cfg uarch.Config) ([]float64, *RunResult, error) {
-	res := &RunResult{}
-	online := sampling.NewOnline(sampling.Z997, 0, false)
-	cpis := make([]float64, 0, len(blobs))
-	var lp LivePoint
-	var arena SimArena
-	for _, blob := range blobs {
-		t0 := time.Now()
-		if err := DecodeInto(&lp, blob); err != nil {
-			return nil, nil, err
-		}
-		mDecodedBytes.Add(uint64(len(blob)))
-		res.LoadTime += time.Since(t0)
-
-		t0 = time.Now()
-		wr, err := arena.Simulate(&lp, cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("livepoint: point %d: %w", lp.Index, err)
-		}
-		res.SimTime += time.Since(t0)
-		res.fold(wr, online)
-		cpis = append(cpis, wr.UnitCPI)
+	cpis, res, err := simBlobs(blobs, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	res.Est = *online.Estimate()
-	return cpis, res, nil
+	return cpis[0], res, nil
 }
 
 // SimBlobsMatched is SimBlobs for matched-pair runs: every point is
 // simulated under both configurations and the paired CPIs are returned in
-// input order, plus a RunResult aggregating decode/simulation timings and
-// the baseline configuration's wrong-path counters — the same telemetry
-// the absolute path reports, so cluster workers post identical timing
-// fields in either mode.
+// input order. The RunResult carries the same telemetry as the absolute
+// path's (with the baseline configuration's wrong-path counters), so
+// cluster workers post identical timing fields in either mode.
 func SimBlobsMatched(blobs [][]byte, base, exp uarch.Config) (baseCPIs, expCPIs []float64, res *RunResult, err error) {
-	res = &RunResult{}
-	online := sampling.NewOnline(sampling.Z997, 0, false)
-	baseCPIs = make([]float64, 0, len(blobs))
-	expCPIs = make([]float64, 0, len(blobs))
-	var lp LivePoint
-	// One arena per configuration, so neither thrashes its structures
-	// reconfiguring between the two geometries every point.
-	var baseArena, expArena SimArena
-	for _, blob := range blobs {
-		t0 := time.Now()
-		if err := DecodeInto(&lp, blob); err != nil {
-			return nil, nil, nil, err
-		}
-		mDecodedBytes.Add(uint64(len(blob)))
-		res.LoadTime += time.Since(t0)
-
-		t0 = time.Now()
-		b, err := baseArena.Simulate(&lp, base)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("livepoint: base config, point %d: %w", lp.Index, err)
-		}
-		e, err := expArena.Simulate(&lp, exp)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("livepoint: experimental config, point %d: %w", lp.Index, err)
-		}
-		res.SimTime += time.Since(t0)
-		res.fold(b, online)
-		baseCPIs = append(baseCPIs, b.UnitCPI)
-		expCPIs = append(expCPIs, e.UnitCPI)
+	cpis, res, err := simBlobs(blobs, base, exp)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	res.Est = *online.Estimate()
-	return baseCPIs, expCPIs, res, nil
+	return cpis[0], cpis[1], res, nil
 }
 
 // MatchedOpts configures a matched-pair comparative experiment (§6.2).
@@ -523,64 +513,31 @@ type MatchedResult struct {
 // configurations must be reconstructible from the library's stored bounds.
 // The format is auto-detected, as in RunFile.
 func RunMatchedFile(path string, opts MatchedOpts) (*MatchedResult, error) {
-	src, err := OpenSource(path)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	return RunMatchedSource(src, opts)
+	return runFile(path, func(src Source) (*MatchedResult, error) { return RunMatchedSource(src, opts) })
 }
 
-// RunMatchedSource is RunMatchedFile over any live-point source.
+// RunMatchedSource is RunMatchedFile over any live-point source: the
+// serial loop over a two-configuration kernel.
 func RunMatchedSource(src Source, opts MatchedOpts) (*MatchedResult, error) {
-	if opts.RelErr > 0 && !src.Meta().Shuffled {
-		return nil, fmt.Errorf("livepoint: early stopping requires a shuffled library (ShuffleFile for v1 files, lpstore.Shuffle for v2 stores)")
+	if err := normalise(&opts.Z, opts.RelErr, src); err != nil {
+		return nil, err
 	}
-
 	res := &MatchedResult{}
-	var lp LivePoint
-	var baseArena, expArena SimArena
-	for {
-		if opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints {
-			break
-		}
-		t0 := time.Now()
-		blob, err := src.NextBlob()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := DecodeInto(&lp, blob); err != nil {
-			return nil, err
-		}
-		mDecodedBytes.Add(uint64(len(blob)))
-		res.LoadTime += time.Since(t0)
-
-		t0 = time.Now()
-		base, err := baseArena.Simulate(&lp, opts.Base)
-		if err != nil {
-			return nil, fmt.Errorf("livepoint: base config, point %d: %w", lp.Index, err)
-		}
-		exp, err := expArena.Simulate(&lp, opts.Exp)
-		if err != nil {
-			return nil, fmt.Errorf("livepoint: experimental config, point %d: %w", lp.Index, err)
-		}
-		res.SimTime += time.Since(t0)
-		res.MP.Add(base.UnitCPI, exp.UnitCPI)
+	err := newPointKernel(opts.Base, opts.Exp).serial(src.NextBlob, &res.LoadTime, &res.SimTime, func(wrs []warm.WindowResult) bool {
+		res.MP.Add(wrs[0].UnitCPI, wrs[1].UnitCPI)
 		res.Processed++
-
 		// The no-impact screen is checked first: a delta confidently
 		// within ±threshold is the §6.2 fast exit, even when the interval
 		// is also narrow enough to satisfy the precision target.
 		if opts.NoImpactThreshold > 0 && res.MP.NoImpact(opts.Z, opts.NoImpactThreshold) {
 			res.StoppedNoImpact = true
-			break
+			return true
 		}
-		if opts.RelErr > 0 && res.MP.DeltaSatisfied(opts.Z, opts.RelErr) {
-			break
-		}
+		return opts.RelErr > 0 && res.MP.DeltaSatisfied(opts.Z, opts.RelErr) ||
+			opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

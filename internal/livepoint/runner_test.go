@@ -3,11 +3,13 @@ package livepoint
 import (
 	"errors"
 	"io"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"livepoints/internal/sampling"
 	"livepoints/internal/uarch"
 )
 
@@ -132,10 +134,10 @@ func TestRunShardedOpenShardFailureNoLeak(t *testing.T) {
 	}
 }
 
-// TestRunParallelFailFast: the first worker error must stop the feeder.
-// Before the fix, collectOuts recorded the error but let the feeder pull
-// (and workers simulate) the entire remaining library before reporting
-// a failure that had already happened on blob one.
+// TestRunParallelFailFast: the first error must stop the feeder. A fold
+// loop that only records it lets the feeder pull (and workers simulate)
+// the entire remaining library before reporting a failure that had
+// already happened on blob one.
 func TestRunParallelFailFast(t *testing.T) {
 	cfg := uarch.Config8Way()
 	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
@@ -194,5 +196,43 @@ func TestParallelTimingSplit(t *testing.T) {
 	}
 	if mres.LoadTime <= 0 || mres.SimTime <= 0 {
 		t.Fatalf("matched run lost its load/sim split: load=%v sim=%v", mres.LoadTime, mres.SimTime)
+	}
+}
+
+// TestMatchedDefaultsZ: options are normalised in one place, so a matched
+// run with Z unset uses Z997 exactly as an absolute run does. With Z left
+// at zero the ±z·σ interval has zero width and any RelErr target is "met"
+// at the MinSampleSize floor — a tight interval around an unearned answer.
+func TestMatchedDefaultsZ(t *testing.T) {
+	cfg := uarch.Config8Way()
+	_, design, points := buildTestLibrary(t, "syn.gzip", 0.02, cfg, 9, false)
+	if len(points) < 40 {
+		t.Fatalf("library has %d points, need at least 40", len(points))
+	}
+	blobs := make([][]byte, 40)
+	for i := range blobs {
+		blobs[i], _ = Encode(points[i])
+	}
+	path := filepath.Join(t.TempDir(), "lib.lplib")
+	meta := Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	if _, err := WriteLibrary(path, meta, blobs); err != nil {
+		t.Fatal(err)
+	}
+	exp := cfg
+	exp.Hier.MemLat *= 2
+
+	unset, err := RunMatchedFile(path, MatchedOpts{Base: cfg, Exp: exp, RelErr: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unset.Processed != len(blobs) {
+		t.Fatalf("matched run with Z unset stopped at pair %d of %d on a ±0.01%% target", unset.Processed, len(blobs))
+	}
+	explicit, err := RunMatchedFile(path, MatchedOpts{Base: cfg, Exp: exp, Z: sampling.Z997, RelErr: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unset.MP != explicit.MP || unset.Processed != explicit.Processed {
+		t.Fatalf("Z unset: %d pairs, %+v; Z997: %d pairs, %+v", unset.Processed, unset.MP, explicit.Processed, explicit.MP)
 	}
 }

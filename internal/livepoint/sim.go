@@ -12,97 +12,22 @@ import (
 	"livepoints/internal/warm"
 )
 
-// Reconstruct builds warmed simulation structures for the target
-// configuration from the live-point's checkpointed state. Cache and TLB
-// geometries must be reconstructible from the stored maxima (§4.3); the
-// branch-predictor configuration must be one of the stored snapshots.
-func (lp *LivePoint) Reconstruct(cfg uarch.Config) (*cache.Hier, *bpred.Predictor, error) {
-	if len(lp.Caches) == 0 {
-		// Architectural-only (AW-MRRL) checkpoints carry no
-		// microarchitectural state: cold start, warmed functionally after
-		// load for lp.FuncWarm instructions.
-		return cache.NewHier(cfg.Hier), bpred.New(cfg.BP), nil
-	}
-	hier := cache.NewHier(cfg.Hier)
-	assign := []struct {
-		dst    **cache.Cache
-		target cache.Config
-	}{
-		{&hier.L1I, cfg.Hier.L1I},
-		{&hier.L1D, cfg.Hier.L1D},
-		{&hier.L2, cfg.Hier.L2},
-		{&hier.ITLB, cfg.Hier.ITLB},
-		{&hier.DTLB, cfg.Hier.DTLB},
-	}
-	for i, a := range assign {
-		sr, err := lp.FindCache(a.target.Name)
-		if err != nil {
-			return nil, nil, err
-		}
-		c, err := sr.Reconstruct(a.target)
-		if err != nil {
-			return nil, nil, fmt.Errorf("livepoint: %s: %w", a.target.Name, err)
-		}
-		if lp.Restricted {
-			// Restricted live-state dropped everything the correct path
-			// does not touch; the paper leaves that state "uninitialized
-			// (effectively random)". Materialize it as garbage lines so
-			// ways stay occupied but never hit.
-			c.FillInvalid(uint64(lp.Position)*31 + uint64(i) + 1)
-		}
-		*a.dst = c
-	}
-
-	ps, err := lp.FindPred(cfg.BP.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ps.Cfg != cfg.BP {
-		return nil, nil, fmt.Errorf("livepoint: stored predictor %q has different parameters than requested", cfg.BP.Name)
-	}
-	bp := bpred.New(cfg.BP)
-	if err := bp.Restore(ps.Data); err != nil {
-		return nil, nil, err
-	}
-	return hier, bp, nil
-}
-
 // Simulate runs the live-point's detailed window under the given
 // configuration and returns the measurement-interval CPI with the core's
-// statistics (including the wrong-path unknown-state counters of §5).
-//
-// For AW-MRRL checkpoints (FuncWarm > 0) the prescribed functional warming
-// runs first against the stored live-state, then the detailed window.
+// statistics (including the wrong-path unknown-state counters of §5), on
+// a throwaway arena. Callers simulating more than one point keep a
+// SimArena and call its Simulate instead.
 func Simulate(lp *LivePoint, cfg uarch.Config) (warm.WindowResult, error) {
-	text := lp.TextSource()
-	overlay := mem.NewOverlay(&lp.Mem)
-
-	hier, bp, err := lp.Reconstruct(cfg)
-	if err != nil {
-		return warm.WindowResult{}, err
-	}
-
-	arch := functional.State{PC: lp.Arch.PC, Regs: lp.Arch.Regs}
-	if lp.FuncWarm > 0 {
-		cpu := functional.New(text, overlay)
-		cpu.State = arch
-		cpu.Warm = &warm.Warmer{H: hier, BP: bp}
-		if n, err := cpu.Run(lp.FuncWarm); err != nil || n != lp.FuncWarm {
-			return warm.WindowResult{}, fmt.Errorf("livepoint: functional warming from checkpoint failed: %v", err)
-		}
-		arch = cpu.State
-	}
-
-	core := uarch.NewCore(cfg, text, overlay, arch, hier, bp)
-	return warm.RunWindow(core, lp.WarmLen, lp.UnitLen)
+	var a SimArena
+	return a.Simulate(lp, cfg)
 }
 
 // SimArena holds the reusable per-worker simulation state: a memory
 // hierarchy, a branch predictor, a text map, a copy-on-write overlay, and
-// a functional CPU. Reconstructing and simulating through an arena
-// produces bit-identical results to the allocating Reconstruct/Simulate
-// path — a structure reset to a configuration is indistinguishable from a
-// freshly built one — while reusing every backing array across points.
+// a functional CPU. A reused arena produces bit-identical results to a
+// fresh one — a structure reset to a configuration is indistinguishable
+// from a freshly built one — while reusing every backing array across
+// points.
 //
 // An arena serves one goroutine; runners keep one per worker. The zero
 // value is ready to use.
@@ -115,9 +40,13 @@ type SimArena struct {
 	warmer  warm.Warmer
 }
 
-// Reconstruct is LivePoint.Reconstruct into the arena's hierarchy and
-// predictor. The returned structures are owned by the arena and valid
-// until its next Reconstruct or Simulate call.
+// Reconstruct builds warmed simulation structures for the target
+// configuration from the live-point's checkpointed state, in the arena's
+// hierarchy and predictor. Cache and TLB geometries must be
+// reconstructible from the stored maxima (§4.3); the branch-predictor
+// configuration must be one of the stored snapshots. The returned
+// structures are owned by the arena and valid until its next Reconstruct
+// or Simulate call.
 func (a *SimArena) Reconstruct(lp *LivePoint, cfg uarch.Config) (*cache.Hier, *bpred.Predictor, error) {
 	if a.hier == nil {
 		a.hier = cache.NewHier(cfg.Hier)
@@ -132,8 +61,10 @@ func (a *SimArena) Reconstruct(lp *LivePoint, cfg uarch.Config) (*cache.Hier, *b
 		return nil, nil, err
 	}
 	if len(lp.Caches) == 0 {
-		// AW-MRRL checkpoint: cold structures, warmed functionally after
-		// load — exactly what ResetTo just produced.
+		// Architectural-only (AW-MRRL) checkpoints carry no
+		// microarchitectural state: cold structures — exactly what ResetTo
+		// just produced — warmed functionally after load for lp.FuncWarm
+		// instructions.
 		return a.hier, a.bp, nil
 	}
 	install := []struct {
@@ -155,8 +86,10 @@ func (a *SimArena) Reconstruct(lp *LivePoint, cfg uarch.Config) (*cache.Hier, *b
 			return nil, nil, fmt.Errorf("livepoint: %s: %w", t.target.Name, err)
 		}
 		if lp.Restricted {
-			// Same garbage-line materialization (and seed) as the
-			// allocating path, so restricted runs stay bit-equal.
+			// Restricted live-state dropped everything the correct path
+			// does not touch; the paper leaves that state "uninitialized
+			// (effectively random)". Materialize it as garbage lines so
+			// ways stay occupied but never hit.
 			t.dst.FillInvalid(uint64(lp.Position)*31 + uint64(i) + 1)
 		}
 	}
@@ -174,9 +107,11 @@ func (a *SimArena) Reconstruct(lp *LivePoint, cfg uarch.Config) (*cache.Hier, *b
 	return a.hier, a.bp, nil
 }
 
-// Simulate is the arena-backed Simulate: identical semantics and
-// bit-identical results, with the per-point fixed allocations (text map,
-// overlay, hierarchy, predictor, functional CPU) reused across calls.
+// Simulate runs the live-point's detailed window under cfg, reusing the
+// per-point fixed allocations (text map, overlay, hierarchy, predictor,
+// functional CPU) across calls. For AW-MRRL checkpoints (FuncWarm > 0)
+// the prescribed functional warming runs first against the stored
+// live-state, then the detailed window.
 func (a *SimArena) Simulate(lp *LivePoint, cfg uarch.Config) (warm.WindowResult, error) {
 	if a.text == nil {
 		a.text = &textSource{insts: make(map[uint64]isa.Inst, 256)}

@@ -279,28 +279,19 @@ func (w *Worker) simulate(ctx context.Context, l *Lease) (*Result, error) {
 	fetch := time.Since(t0)
 
 	res := &Result{LeaseID: l.ID, Epoch: l.Epoch, Worker: w.ID}
+	var rr *livepoint.RunResult
 	if w.matched {
-		baseCPIs, expCPIs, rr, err := livepoint.SimBlobsMatched(blobs, w.base, w.exp)
-		if err != nil {
-			return nil, err
-		}
-		res.BaseCPIs, res.ExpCPIs = baseCPIs, expCPIs
-		res.UnknownFetches = rr.UnknownFetches
-		res.UnknownLoads = rr.UnknownLoads
-		res.CaptureErrors = rr.CaptureErrors
-		res.LoadMillis = (fetch + rr.LoadTime).Milliseconds()
-		res.SimMillis = rr.SimTime.Milliseconds()
+		res.BaseCPIs, res.ExpCPIs, rr, err = livepoint.SimBlobsMatched(blobs, w.base, w.exp)
 	} else {
-		cpis, rr, err := livepoint.SimBlobs(blobs, w.base)
-		if err != nil {
-			return nil, err
-		}
-		res.CPIs = cpis
-		res.UnknownFetches = rr.UnknownFetches
-		res.UnknownLoads = rr.UnknownLoads
-		res.CaptureErrors = rr.CaptureErrors
-		res.LoadMillis = (fetch + rr.LoadTime).Milliseconds()
-		res.SimMillis = rr.SimTime.Milliseconds()
+		res.CPIs, rr, err = livepoint.SimBlobs(blobs, w.base)
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.UnknownFetches = rr.UnknownFetches
+	res.UnknownLoads = rr.UnknownLoads
+	res.CaptureErrors = rr.CaptureErrors
+	res.LoadMillis = (fetch + rr.LoadTime).Milliseconds()
+	res.SimMillis = rr.SimTime.Milliseconds()
 	return res, nil
 }

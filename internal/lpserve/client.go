@@ -143,7 +143,7 @@ func DialContext(ctx context.Context, baseURL string) (*Client, error) {
 
 // Refresh re-fetches and caches the server's /v1/stat.
 func (c *Client) Refresh(ctx context.Context) error {
-	return c.getJSON(ctx, "/v1/stat", &c.stat)
+	return c.DoJSON(ctx, http.MethodGet, "/v1/stat", nil, &c.stat)
 }
 
 // Stat returns the served library's metadata.
@@ -163,7 +163,7 @@ func (c *Client) Meta() livepoint.Meta {
 // Shards fetches the per-shard listing.
 func (c *Client) Shards() ([]ShardStat, error) {
 	var out []ShardStat
-	if err := c.getJSON(c.ctx, "/v1/shards", &out); err != nil {
+	if err := c.DoJSON(c.ctx, http.MethodGet, "/v1/shards", nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -278,18 +278,6 @@ func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
 	return c.do(ctx, http.MethodGet, path, nil, "")
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, v any) error {
-	resp, err := c.get(ctx, path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return fmt.Errorf("lpserve: GET %s: decoding response: %w", path, &ProtocolError{Err: err})
-	}
-	return nil
-}
-
 // DoJSON issues a JSON request under the client's timeout and retry
 // policy and decodes the JSON response into out (out == nil discards the
 // body). Cluster workers drive their coordinator through this.
@@ -328,78 +316,79 @@ func (c *Client) batchPoints() int {
 	return c.BatchPoints
 }
 
-// FetchBatch pulls the blobs at read-order positions [start, start+count)
-// and splits the concatenated DER response. The body is verified against
-// the server's integrity checksum (PointsCRCHeader) when present, and a
-// failure after the headers arrived — truncation, corruption, a DER
-// stream that does not split — is refetched under the client's retry
-// policy: the connection-level retry in do only covers failures up to the
-// status line, so without this loop one flipped bit in a response body
-// would either kill the caller or, worse, fold silently wrong data.
-func (c *Client) FetchBatch(ctx context.Context, start, count int) ([][]byte, error) {
-	reg := c.metrics()
-	var lastErr error
+// refetch runs once — one attempt at downloading and verifying a body —
+// until it succeeds, under the client's retry policy. The connection-level
+// retry in do only covers failures up to the status line; a failure after
+// the headers arrived (truncation, corruption, a checksum mismatch) lands
+// here, so that one flipped bit in a response body neither kills the
+// caller nor, worse, folds silently wrong data. A server verdict is
+// terminal (do already retried 5xx); what survives the retries is tagged a
+// *ProtocolError if the body was delivered but wrong, a *TransportError
+// otherwise. what names the fetch in errors.
+func (c *Client) refetch(ctx context.Context, what string, once func() ([][]byte, error)) ([][]byte, error) {
 	for attempt := 0; ; attempt++ {
-		blobs, err := c.fetchBatchOnce(ctx, start, count)
+		blobs, err := once()
 		if err == nil {
 			return blobs, nil
 		}
 		var se *StatusError
 		if errors.As(err, &se) {
-			return nil, err // a server verdict; do already retried 5xx
+			return nil, err
 		}
-		lastErr = err
 		if attempt >= c.Retry.Max {
 			var pe *ProtocolError
-			if !errors.As(lastErr, &pe) {
-				lastErr = &TransportError{Err: lastErr}
+			if !errors.As(err, &pe) {
+				err = &TransportError{Err: err}
 			}
-			return nil, fmt.Errorf("lpserve: batch [%d,%d) (after %d attempts): %w",
-				start, start+count, attempt+1, lastErr)
+			return nil, fmt.Errorf("lpserve: %s (after %d attempts): %w", what, attempt+1, err)
 		}
-		reg.Counter("lpserve_client_body_retries_total", "Responses refetched after a mid-body failure (truncation, corruption, checksum mismatch).").Inc()
+		c.metrics().Counter("lpserve_client_body_retries_total", "Responses refetched after a mid-body failure (truncation, corruption, checksum mismatch).").Inc()
 		select {
 		case <-ctx.Done():
-			return nil, fmt.Errorf("lpserve: batch [%d,%d): %w", start, start+count, ctx.Err())
+			return nil, fmt.Errorf("lpserve: %s: %w", what, ctx.Err())
 		case <-time.After(c.Retry.backoff(attempt)):
 		}
 	}
 }
 
-// fetchBatchOnce is one attempt at a ranged fetch: download, checksum,
-// split.
-func (c *Client) fetchBatchOnce(ctx context.Context, start, count int) ([][]byte, error) {
-	resp, err := c.get(ctx, fmt.Sprintf("/v1/points?start=%d&count=%d", start, count))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(bufio.NewReaderSize(resp.Body, 1<<20))
-	if err != nil {
-		return nil, fmt.Errorf("lpserve: batch [%d,%d): reading body: %w", start, start+count, err)
-	}
-	if h := resp.Header.Get(PointsCRCHeader); h != "" {
-		want, err := strconv.ParseUint(h, 16, 32)
+// FetchBatch pulls the blobs at read-order positions [start, start+count)
+// and splits the concatenated DER response. The body is verified against
+// the server's integrity checksum (PointsCRCHeader) when present, and
+// refetched when it fails to verify or split.
+func (c *Client) FetchBatch(ctx context.Context, start, count int) ([][]byte, error) {
+	return c.refetch(ctx, fmt.Sprintf("batch [%d,%d)", start, start+count), func() ([][]byte, error) {
+		resp, err := c.get(ctx, fmt.Sprintf("/v1/points?start=%d&count=%d", start, count))
 		if err != nil {
-			return nil, fmt.Errorf("lpserve: batch [%d,%d): bad %s header %q: %w",
-				start, start+count, PointsCRCHeader, h, &ProtocolError{Err: err})
+			return nil, err
 		}
-		if got := crc32.ChecksumIEEE(body); got != uint32(want) {
-			c.metrics().Counter("lpserve_client_integrity_failures_total", "Response bodies whose integrity checksum did not match.").Inc()
-			return nil, fmt.Errorf("lpserve: batch [%d,%d): %w", start, start+count,
-				&ProtocolError{Err: fmt.Errorf("body crc %08x, server sent %08x", got, want)})
-		}
-	}
-	br := bufio.NewReader(bytes.NewReader(body))
-	blobs := make([][]byte, 0, count)
-	for i := 0; i < count; i++ {
-		b, err := livepoint.ReadElement(br)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(bufio.NewReaderSize(resp.Body, 1<<20))
 		if err != nil {
-			return nil, fmt.Errorf("lpserve: batch [%d,%d): point %d: %w", start, start+count, i, err)
+			return nil, fmt.Errorf("lpserve: batch [%d,%d): reading body: %w", start, start+count, err)
 		}
-		blobs = append(blobs, b)
-	}
-	return blobs, nil
+		if h := resp.Header.Get(PointsCRCHeader); h != "" {
+			want, err := strconv.ParseUint(h, 16, 32)
+			if err != nil {
+				return nil, fmt.Errorf("lpserve: batch [%d,%d): bad %s header %q: %w",
+					start, start+count, PointsCRCHeader, h, &ProtocolError{Err: err})
+			}
+			if got := crc32.ChecksumIEEE(body); got != uint32(want) {
+				c.metrics().Counter("lpserve_client_integrity_failures_total", "Response bodies whose integrity checksum did not match.").Inc()
+				return nil, fmt.Errorf("lpserve: batch [%d,%d): %w", start, start+count,
+					&ProtocolError{Err: fmt.Errorf("body crc %08x, server sent %08x", got, want)})
+			}
+		}
+		br := bufio.NewReader(bytes.NewReader(body))
+		blobs := make([][]byte, 0, count)
+		for i := 0; i < count; i++ {
+			b, err := livepoint.ReadElement(br)
+			if err != nil {
+				return nil, fmt.Errorf("lpserve: batch [%d,%d): point %d: %w", start, start+count, i, err)
+			}
+			blobs = append(blobs, b)
+		}
+		return blobs, nil
+	})
 }
 
 // FetchRange pulls the blobs at read-order positions [start, start+count)
@@ -434,66 +423,37 @@ func (c *Client) FetchRange(ctx context.Context, start, count int) ([][]byte, er
 // and returns the shard's point blobs in read order. The gzip CRC trailer
 // verifies the shard bytes end to end; a body that fails to inflate or
 // checksum (connection lost mid-stream, bytes damaged en route) is
-// refetched under the client's retry policy rather than surfaced from a
-// single unlucky attempt.
+// refetched rather than surfaced from a single unlucky attempt.
 func (c *Client) ShardBlobs(ctx context.Context, sh int) ([][]byte, error) {
-	reg := c.metrics()
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		blobs, err := c.shardBlobsOnce(ctx, sh)
-		if err == nil {
-			return blobs, nil
-		}
-		var se *StatusError
-		if errors.As(err, &se) {
+	return c.refetch(ctx, fmt.Sprintf("shard %d", sh), func() ([][]byte, error) {
+		var spans []lpstore.Span
+		if err := c.DoJSON(ctx, http.MethodGet, fmt.Sprintf("/v1/shards/%d/index", sh), nil, &spans); err != nil {
 			return nil, err
 		}
-		lastErr = err
-		if attempt >= c.Retry.Max {
-			var pe *ProtocolError
-			if !errors.As(lastErr, &pe) {
-				lastErr = &TransportError{Err: lastErr}
+		resp, err := c.get(ctx, fmt.Sprintf("/v1/shards/%d", sh))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		gz, err := livepoint.AcquireGzipReader(resp.Body)
+		if err != nil {
+			return nil, fmt.Errorf("lpserve: shard %d: %w", sh, err)
+		}
+		defer livepoint.ReleaseGzipReader(gz)
+		data, err := io.ReadAll(gz)
+		if err != nil {
+			return nil, fmt.Errorf("lpserve: shard %d: inflating: %w", sh, err)
+		}
+		blobs := make([][]byte, len(spans))
+		for i, sp := range spans {
+			if sp.Off < 0 || sp.Off+int64(sp.Len) > int64(len(data)) {
+				return nil, fmt.Errorf("lpserve: shard %d: %w", sh, &ProtocolError{
+					Err: fmt.Errorf("span [%d,%d) exceeds shard length %d", sp.Off, sp.Off+int64(sp.Len), len(data))})
 			}
-			return nil, fmt.Errorf("lpserve: shard %d (after %d attempts): %w", sh, attempt+1, lastErr)
+			blobs[i] = data[sp.Off : sp.Off+int64(sp.Len)]
 		}
-		reg.Counter("lpserve_client_body_retries_total", "Responses refetched after a mid-body failure (truncation, corruption, checksum mismatch).").Inc()
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("lpserve: shard %d: %w", sh, ctx.Err())
-		case <-time.After(c.Retry.backoff(attempt)):
-		}
-	}
-}
-
-// shardBlobsOnce is one attempt at a whole-shard fetch.
-func (c *Client) shardBlobsOnce(ctx context.Context, sh int) ([][]byte, error) {
-	var spans []lpstore.Span
-	if err := c.getJSON(ctx, fmt.Sprintf("/v1/shards/%d/index", sh), &spans); err != nil {
-		return nil, err
-	}
-	resp, err := c.get(ctx, fmt.Sprintf("/v1/shards/%d", sh))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	gz, err := livepoint.AcquireGzipReader(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("lpserve: shard %d: %w", sh, err)
-	}
-	defer livepoint.ReleaseGzipReader(gz)
-	data, err := io.ReadAll(gz)
-	if err != nil {
-		return nil, fmt.Errorf("lpserve: shard %d: inflating: %w", sh, err)
-	}
-	blobs := make([][]byte, len(spans))
-	for i, sp := range spans {
-		if sp.Off < 0 || sp.Off+int64(sp.Len) > int64(len(data)) {
-			return nil, fmt.Errorf("lpserve: shard %d: %w", sh, &ProtocolError{
-				Err: fmt.Errorf("span [%d,%d) exceeds shard length %d", sp.Off, sp.Off+int64(sp.Len), len(data))})
-		}
-		blobs[i] = data[sp.Off : sp.Off+int64(sp.Len)]
-	}
-	return blobs, nil
+		return blobs, nil
+	})
 }
 
 // remoteSource streams the library sequentially through ranged batches and

@@ -30,6 +30,7 @@ package livepoints
 import (
 	"fmt"
 	"math/rand"
+	"os"
 
 	"livepoints/internal/bpred"
 	"livepoints/internal/livepoint"
@@ -203,8 +204,8 @@ func CreateLibraryLegacy(p *Program, design Design, opts CreateOpts, path string
 	if err != nil {
 		return LibraryInfo{}, err
 	}
-	if err := removeFile(tmp); err != nil {
-		return LibraryInfo{}, err
+	if err := os.Remove(tmp); err != nil {
+		return LibraryInfo{}, fmt.Errorf("livepoints: cleaning temporary library: %w", err)
 	}
 	return LibraryInfo{Path: path, Points: len(blobs), CompressedBytes: size, UncompressedBytes: uncompressed}, nil
 }
@@ -298,10 +299,3 @@ func RequiredSampleSize(cv, z, relErr float64) int {
 
 // Version identifies the reproduction.
 const Version = "livepoints-repro 1.0 (ISPASS 2006)"
-
-func removeFile(path string) error {
-	if err := osRemove(path); err != nil {
-		return fmt.Errorf("livepoints: cleaning temporary library: %w", err)
-	}
-	return nil
-}

@@ -11,6 +11,7 @@ import (
 	"livepoints/internal/csr"
 	"livepoints/internal/functional"
 	"livepoints/internal/livepoint"
+	"livepoints/internal/lpstore"
 	"livepoints/internal/prog"
 	"livepoints/internal/sampling"
 	"livepoints/internal/uarch"
@@ -126,14 +127,11 @@ func BenchmarkAblationGzip(b *testing.B) {
 		dir := b.TempDir()
 		path := dir + "/lib.lplib"
 		meta := livepoint.Meta{Benchmark: p.Name, UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-		if _, err := livepoint.WriteLibrary(path, meta, blobs); err != nil {
-			b.Fatal(err)
-		}
-		size, err := livepoint.FileSize(path)
+		info, err := lpstore.Write(path, meta, blobs, lpstore.WriteOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(raw)/float64(size), "gzip-ratio")
+		b.ReportMetric(float64(raw)/float64(info.CompressedBytes), "gzip-ratio")
 	}
 }
 

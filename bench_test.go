@@ -240,18 +240,19 @@ func BenchmarkScalingBehavior(b *testing.B) {
 	}
 }
 
-// storeBenchLib lazily builds one synthetic library pair (v1 sequential,
-// v2 sharded) shared by the BenchmarkStoreRead variants: 512 DER blobs of
-// ~32 KB of half-compressible content, the shape of real live-points.
+// storeBenchLib lazily builds one synthetic library shared by the
+// BenchmarkStore* variants: 512 DER blobs of ~32 KB of half-compressible
+// content, the shape of real live-points. (The v1 single-stream arms these
+// benchmarks once compared against went with the v1 writer; their numbers
+// stay in BENCH_9.json and bench/results/.)
 var (
 	storeBenchOnce  sync.Once
-	storeBenchV1    string
 	storeBenchV2    string
 	storeBenchBytes int64
 	storeBenchErr   error
 )
 
-func storeBenchSetup(b *testing.B) (v1, v2 string, bytes int64) {
+func storeBenchSetup(b *testing.B) (v2 string, bytes int64) {
 	b.Helper()
 	storeBenchOnce.Do(func() {
 		const points, blobLen = 512, 32 << 10
@@ -277,13 +278,8 @@ func storeBenchSetup(b *testing.B) (v1, v2 string, bytes int64) {
 			return
 		}
 		// The temp dir leaks for the process lifetime; benchmarks share it.
-		storeBenchV1 = filepath.Join(dir, "v1.lplib")
 		storeBenchV2 = filepath.Join(dir, "v2.lplib")
 		meta := livepoint.Meta{Benchmark: "syn.bench", Shuffled: true}
-		if _, err := livepoint.WriteLibrary(storeBenchV1, meta, blobs); err != nil {
-			storeBenchErr = err
-			return
-		}
 		if _, err := lpstore.Write(storeBenchV2, meta, blobs, lpstore.WriteOpts{ShardPoints: 32}); err != nil {
 			storeBenchErr = err
 		}
@@ -291,7 +287,7 @@ func storeBenchSetup(b *testing.B) (v1, v2 string, bytes int64) {
 	if storeBenchErr != nil {
 		b.Fatal(storeBenchErr)
 	}
-	return storeBenchV1, storeBenchV2, storeBenchBytes
+	return storeBenchV2, storeBenchBytes
 }
 
 // drainSeq reads every blob from a library sequentially.
@@ -368,21 +364,13 @@ func drainSharded(b *testing.B, path string, workers int) int {
 	return int(total.Load())
 }
 
-// BenchmarkStoreRead compares library read throughput: the v1 sequential
-// gzip stream (one decompressor, no matter how many workers) against the
-// v2 sharded store draining shards concurrently at Parallel ∈ {1, 4, 8}.
-// The parallel variants scale with available cores (decompression is the
-// cost); on a single-core host they only demonstrate no regression.
+// BenchmarkStoreRead measures library read throughput: one sequential
+// reader against the sharded store draining shards concurrently at
+// Parallel ∈ {1, 4, 8}. The parallel variants scale with available cores
+// (decompression is the cost); on a single-core host they only demonstrate
+// no regression.
 func BenchmarkStoreRead(b *testing.B) {
-	v1, v2, bytes := storeBenchSetup(b)
-	b.Run("v1-sequential", func(b *testing.B) {
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			if n := drainSeq(b, v1); n != 512 {
-				b.Fatalf("read %d points, want 512", n)
-			}
-		}
-	})
+	v2, bytes := storeBenchSetup(b)
 	b.Run("v2-sequential", func(b *testing.B) {
 		b.SetBytes(bytes)
 		for i := 0; i < b.N; i++ {
@@ -403,36 +391,12 @@ func BenchmarkStoreRead(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreRandomAccess reads 4 scattered points: v1 must stream
-// (and decompress) everything up to each target; v2 inflates only the
+// BenchmarkStoreRandomAccess reads 4 scattered points, inflating only the
 // shards that hold them. This is the access pattern of dynamic sample
 // allocation, where a scheduler asks for arbitrary subsets at runtime.
 func BenchmarkStoreRandomAccess(b *testing.B) {
-	v1, v2, _ := storeBenchSetup(b)
+	v2, _ := storeBenchSetup(b)
 	targets := []int{37, 205, 389, 500}
-	b.Run("v1-stream", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			src, err := livepoint.OpenSource(v1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			got, want := 0, 0
-			for pos := 0; pos <= targets[len(targets)-1]; pos++ {
-				blob, err := src.NextBlob()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if want < len(targets) && pos == targets[want] {
-					want++
-					got += len(blob)
-				}
-			}
-			src.Close()
-			if got == 0 {
-				b.Fatal("no bytes read")
-			}
-		}
-	})
 	b.Run("v2-pointblob", func(b *testing.B) {
 		st, err := lpstore.Open(v2)
 		if err != nil {
@@ -455,20 +419,11 @@ func BenchmarkStoreRandomAccess(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreShuffle compares reshuffling cost: v1 ShuffleFile
-// decompresses, permutes, and recompresses the whole library; v2 Shuffle
-// rewrites only the footer index.
+// BenchmarkStoreShuffle measures reshuffling cost: Shuffle rewrites only
+// the footer index.
 func BenchmarkStoreShuffle(b *testing.B) {
-	v1, v2, _ := storeBenchSetup(b)
+	v2, _ := storeBenchSetup(b)
 	dir := b.TempDir()
-	b.Run("v1-rewrite", func(b *testing.B) {
-		dst := filepath.Join(dir, "shuffled.lplib")
-		for i := 0; i < b.N; i++ {
-			if err := livepoint.ShuffleFile(v1, dst, int64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("v2-index-only", func(b *testing.B) {
 		// Shuffle in place on a scratch copy so v2 stays pristine.
 		raw, err := os.ReadFile(v2)

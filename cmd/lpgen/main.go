@@ -24,7 +24,6 @@ func main() {
 		points     = flag.Int("points", 500, "maximum live-points in the library")
 		configName = flag.String("config", "8way", "maximum configuration: 8way or 16way")
 		restricted = flag.Bool("restricted", false, "restricted live-state (Figure 5 ablation)")
-		format     = flag.String("format", "v2", "library format: v2 (sharded, random-access) or v1 (legacy sequential stream)")
 		out        = flag.String("o", "", "output library path (default <bench>.lplib)")
 	)
 	flag.Parse()
@@ -48,24 +47,12 @@ func main() {
 
 	t0 := time.Now()
 	opts := livepoints.CreateOpts{MaxHier: cfg.Hier, Preds: []livepoints.PredictorConfig{cfg.BP}, Restricted: *restricted}
-	var info livepoints.LibraryInfo
-	switch *format {
-	case "v2":
-		info, err = livepoints.CreateLibraryOpts(p, design, opts, path)
-	case "v1":
-		info, err = livepoints.CreateLibraryLegacy(p, design, opts, path)
-	default:
-		log.Fatalf("lpgen: unknown -format %q (want v1 or v2)", *format)
-	}
+	info, err := livepoints.CreateLibraryOpts(p, design, opts, path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	shards := fmt.Sprintf(" in %d shards", info.Shards)
-	if info.Shards == 0 { // legacy v1: one sequential stream, no shards
-		shards = ""
-	}
-	fmt.Printf("%s: %d live-points%s, %.1f MB compressed (%.1f KB/point, %.1fx gzip), created in %v\n",
-		info.Path, info.Points, shards,
+	fmt.Printf("%s: %d live-points in %d shards, %.1f MB compressed (%.1f KB/point, %.1fx gzip), created in %v\n",
+		info.Path, info.Points, info.Shards,
 		float64(info.CompressedBytes)/(1<<20),
 		float64(info.CompressedBytes)/1024/float64(info.Points),
 		float64(info.UncompressedBytes)/float64(info.CompressedBytes),

@@ -1,6 +1,5 @@
 // Command lpsim runs sampling experiments from a live-point library — a
-// local file (v1 or sharded v2, auto-detected) or a remote lpserved
-// instance.
+// local file or a remote lpserved instance.
 //
 //	lpsim -lib gcc.lplib                          # absolute CPI to ±3% @ 99.7%
 //	lpsim -lib gcc.lplib -parallel 8              # goroutine-parallel
@@ -124,8 +123,8 @@ func main() {
 }
 
 // closeSource closes the library and exits on the run's error or, when the
-// run succeeded, on the close error: a drained v1 stream verifies its
-// checksum trailer only at Close.
+// run succeeded, on the close error: a source may finish verifying what it
+// served only at Close.
 func closeSource(src livepoints.Source, runErr error) {
 	if err := src.Close(); runErr == nil {
 		runErr = err

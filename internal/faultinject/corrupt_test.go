@@ -47,6 +47,9 @@ func writeSynthLibrary(t *testing.T) (string, [][]byte) {
 	return path, out
 }
 
+// sweepSeeds is the number of single-byte flips tried per region.
+const sweepSeeds = 256
+
 // readAll opens a (possibly corrupted) library and reads every blob.
 func readAll(path string) ([][]byte, error) {
 	st, err := lpstore.Open(path)
@@ -70,14 +73,15 @@ func readAll(path string) ([][]byte, error) {
 // never produce successfully-decoded data that differs from the
 // original. An error is fine (detected); identical output is fine (the
 // flip hit a byte no decoder consults, like a gzip MTIME field);
-// different output is the one forbidden outcome.
+// different output is the one forbidden outcome. The sweep is wide enough
+// to land on every field of the footer index several times over: 24 seeds
+// used to pass while one index flip in sixteen went unnoticed.
 func TestCorruptFileNeverSilent(t *testing.T) {
 	src, want := writeSynthLibrary(t)
-	dir := t.TempDir()
+	dst := filepath.Join(t.TempDir(), "flipped.lplib")
 	detected := map[Region]int{}
 	for _, region := range []Region{RegionShard, RegionIndex, RegionTrailer} {
-		for seed := uint64(0); seed < 24; seed++ {
-			dst := filepath.Join(dir, fmt.Sprintf("%v-%d.lplib", region, seed))
+		for seed := uint64(0); seed < sweepSeeds; seed++ {
 			off, err := CorruptFile(src, dst, region, seed)
 			if err != nil {
 				t.Fatalf("region %v seed %d: %v", region, seed, err)
@@ -103,7 +107,7 @@ func TestCorruptFileNeverSilent(t *testing.T) {
 	// landing exclusively on dead bytes.
 	for _, region := range []Region{RegionShard, RegionIndex, RegionTrailer} {
 		if detected[region] == 0 {
-			t.Errorf("region %v: no seed of 24 produced a detected error; corruptor is not reaching live bytes", region)
+			t.Errorf("region %v: no seed of %d produced a detected error; corruptor is not reaching live bytes", region, sweepSeeds)
 		}
 	}
 }
@@ -120,9 +124,15 @@ func TestCorruptFilePinnedSeeds(t *testing.T) {
 	}{
 		{RegionShard, 0},
 		{RegionIndex, 0},
+		// A shard's uncompressed length made absurd: read as an allocation
+		// size, it killed the process (a 280 TB make) instead of erroring.
+		{RegionIndex, 30},
+		// A point's span moved within its shard: it selected the wrong
+		// bytes of an intact, checksum-verified stream, silently.
+		{RegionIndex, 57},
 		{RegionTrailer, 0},
 	} {
-		dst := filepath.Join(dir, fmt.Sprintf("pin-%v.lplib", tc.region))
+		dst := filepath.Join(dir, fmt.Sprintf("pin-%v-%d.lplib", tc.region, tc.seed))
 		if _, err := CorruptFile(src, dst, tc.region, tc.seed); err != nil {
 			t.Fatalf("region %v: %v", tc.region, err)
 		}

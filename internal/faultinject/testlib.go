@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"math/rand"
 	"path/filepath"
 
 	"livepoints/internal/bpred"
@@ -44,11 +43,9 @@ func GenLibrary(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	rng := rand.New(rand.NewSource(0x5EED))
-	rng.Shuffle(len(blobs), func(i, j int) { blobs[i], blobs[j] = blobs[j], blobs[i] })
-	meta := livepoint.Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	meta := livepoint.Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen}
 	path := filepath.Join(dir, "lib.lplib")
-	if _, err := lpstore.Write(path, meta, blobs, lpstore.WriteOpts{ShardPoints: 5}); err != nil {
+	if _, err := lpstore.WriteShuffled(path, meta, blobs, 0x5EED, lpstore.WriteOpts{ShardPoints: 5}); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -415,7 +415,7 @@ func (r *Figure7Result) String() string {
 type Figure8Row struct {
 	L2MB        int
 	BPredTables int
-	LPBytes     int     // compressed per-point
+	LPBytes     int     // compressed per-point: gzip of the point alone, no container (a library file adds ≈ 20 B/point of index)
 	AWBytes     int     // compressed per-point
 	LPMillis    float64 // load+simulate per point
 	AWMillis    float64

@@ -454,7 +454,7 @@ type Table3Result struct {
 	Fig4Unstitch  *BiasResult
 	Fig5          *BiasResult
 	Table2        *Table2Result
-	LibraryBytes  int64 // total compressed library size across the suite
+	LibraryBytes  int64 // total library file size across the suite (shards + footer index)
 	LibraryPoints int
 }
 

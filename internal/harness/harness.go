@@ -22,6 +22,7 @@ import (
 
 	"livepoints/internal/bpred"
 	"livepoints/internal/livepoint"
+	"livepoints/internal/lpstore"
 	"livepoints/internal/mrrl"
 	"livepoints/internal/prog"
 	"livepoints/internal/sampling"
@@ -318,7 +319,7 @@ func (k LibraryKind) String() string {
 type LibraryInfo struct {
 	Path              string
 	Points            int
-	CompressedBytes   int64
+	CompressedBytes   int64 // the whole file: shards plus the footer index (≈ 20 B/point)
 	UncompressedBytes int64
 	CreateSeconds     float64
 }
@@ -327,7 +328,10 @@ type LibraryInfo struct {
 // benchmark under the given maximum configuration. All predictor
 // configurations in preds are warmed and stored.
 func (c *Context) EnsureLibrary(name string, cfg uarch.Config, preds []bpred.Config, kind LibraryKind, offset int) (LibraryInfo, error) {
-	key := fmt.Sprintf("library/%s/%.4f/%s/%s/o%d/n%d", name, c.Scale, cfg.Name, kind, offset, c.MaxLibPoints)
+	// The cache key and the file name carry the container format: an output
+	// directory from a build that wrote another format rebuilds its
+	// libraries instead of handing the runner a file it refuses.
+	key := fmt.Sprintf("library-v2/%s/%.4f/%s/%s/o%d/n%d", name, c.Scale, cfg.Name, kind, offset, c.MaxLibPoints)
 	var info LibraryInfo
 	if c.cached(key, &info) {
 		if _, err := os.Stat(info.Path); err == nil {
@@ -359,9 +363,7 @@ func (c *Context) EnsureLibrary(name string, cfg uarch.Config, preds []bpred.Con
 	if err := os.MkdirAll(c.OutDir, 0o755); err != nil {
 		return info, err
 	}
-	base := fmt.Sprintf("%s-s%.3f-%s-%s-o%d", name, c.Scale, cfg.Name, kind, offset)
-	rawPath := filepath.Join(c.OutDir, base+".raw.lplib")
-	path := filepath.Join(c.OutDir, base+".lplib")
+	path := filepath.Join(c.OutDir, fmt.Sprintf("%s-s%.3f-%s-%s-o%d.v2.lplib", name, c.Scale, cfg.Name, kind, offset))
 
 	c.logf("library: creating %d %s live-points for %s (%s, offset %d)...",
 		design.Units(), kind, name, cfg.Name, offset)
@@ -376,25 +378,15 @@ func (c *Context) EnsureLibrary(name string, cfg uarch.Config, preds []bpred.Con
 		return info, err
 	}
 	meta := livepoint.Meta{Benchmark: name, UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	uncompressed, err := livepoint.WriteLibrary(rawPath, meta, blobs)
-	if err != nil {
-		return info, err
-	}
-	if err := livepoint.ShuffleFile(rawPath, path, 0x5EED+int64(offset)); err != nil {
-		return info, err
-	}
-	if err := os.Remove(rawPath); err != nil {
-		return info, err
-	}
-	size, err := livepoint.FileSize(path)
+	written, err := lpstore.WriteShuffled(path, meta, blobs, 0x5EED+int64(offset), lpstore.WriteOpts{})
 	if err != nil {
 		return info, err
 	}
 	info = LibraryInfo{
 		Path:              path,
-		Points:            len(blobs),
-		CompressedBytes:   size,
-		UncompressedBytes: uncompressed,
+		Points:            written.Points,
+		CompressedBytes:   written.CompressedBytes,
+		UncompressedBytes: written.UncompressedBytes,
 		CreateSeconds:     time.Since(t0).Seconds(),
 	}
 	return info, c.store(key, info)

@@ -1,10 +1,14 @@
 package harness
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"livepoints/internal/bpred"
+	"livepoints/internal/livepoint"
 	"livepoints/internal/uarch"
 )
 
@@ -106,6 +110,41 @@ func TestEnsureLibraryIdempotent(t *testing.T) {
 	}
 	if info1.Path != info2.Path || info2.CreateSeconds != info1.CreateSeconds {
 		t.Fatal("second EnsureLibrary did not reuse the cached library")
+	}
+}
+
+// TestEnsureLibraryRebuildsStaleFormat: an output directory left by a build
+// that wrote v1 libraries holds a cache entry pointing at a file the runner
+// now refuses. EnsureLibrary must build a fresh library beside it, not hand
+// the old one back.
+func TestEnsureLibraryRebuildsStaleFormat(t *testing.T) {
+	c := tinyContext(t)
+	cfg := uarch.Config8Way()
+	stale := filepath.Join(c.OutDir, fmt.Sprintf("syn.gzip-s%.3f-%s-full-o0.lplib", c.Scale, cfg.Name))
+	if err := os.WriteFile(stale, []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldKey := fmt.Sprintf("library/syn.gzip/%.4f/%s/full/o0/n%d", c.Scale, cfg.Name, c.MaxLibPoints)
+	if err := c.store(oldKey, LibraryInfo{Path: stale, Points: 14, CompressedBytes: 10}); err != nil {
+		t.Fatal(err)
+	}
+
+	info, err := c.EnsureLibrary("syn.gzip", cfg, []bpred.Config{cfg.BP}, LibFull, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Path == stale {
+		t.Fatal("EnsureLibrary returned the stale v1 library")
+	}
+	res, err := livepoint.RunFile(info.Path, livepoint.RunOpts{Cfg: cfg})
+	if err != nil {
+		t.Fatalf("running the rebuilt library: %v", err)
+	}
+	if res.Processed != info.Points {
+		t.Fatalf("ran %d of %d points", res.Processed, info.Points)
+	}
+	if st, err := os.Stat(info.Path); err != nil || st.Size() != info.CompressedBytes {
+		t.Fatalf("CompressedBytes %d is not the file's size (%v, %v)", info.CompressedBytes, st, err)
 	}
 }
 

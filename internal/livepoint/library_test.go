@@ -1,12 +1,23 @@
-package livepoint
+package livepoint_test
+
+// The decode-error cases of the v1 single-stream container. This package
+// used to read that format; it is now read only by lpstore.Migrate, which
+// these tests drive (an external test package, because lpstore imports
+// livepoint). What a v1 file must be refused for has not changed.
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"livepoints/internal/asn1der"
+	"livepoints/internal/livepoint"
+	"livepoints/internal/lpstore"
 )
 
 // gzipped compresses raw into a single gzip stream.
@@ -23,20 +34,25 @@ func gzipped(t *testing.T, raw []byte) []byte {
 	return buf.Bytes()
 }
 
-// validLibrary builds an in-memory v1 library with the given declared
-// count and actual blobs.
-func validLibrary(t *testing.T, declared int, blobs [][]byte) []byte {
-	t.Helper()
+// v1Header encodes a v1 library header declaring count points.
+func v1Header(magic string, count int) []byte {
 	b := asn1der.NewBuilder()
 	b.Sequence(func(b *asn1der.Builder) {
-		b.UTF8String(libMagic)
+		b.UTF8String(magic)
 		b.UTF8String("syn.err")
-		b.Uint64(uint64(declared))
+		b.Uint64(uint64(count))
 		b.Uint64(100)
 		b.Uint64(200)
 		b.Bool(false)
 	})
-	raw := b.Bytes()
+	return b.Bytes()
+}
+
+// validLibrary builds an in-memory v1 library with the given declared
+// count and actual blobs.
+func validLibrary(t *testing.T, declared int, blobs [][]byte) []byte {
+	t.Helper()
+	raw := v1Header("livepoint-library-v1", declared)
 	for _, blob := range blobs {
 		raw = append(raw, blob...)
 	}
@@ -53,49 +69,60 @@ func someBlobs(n int) [][]byte {
 	return blobs
 }
 
+// migrate imports lib, the bytes of a would-be v1 library, and returns the
+// points of the v2 store it produced.
+func migrate(t *testing.T, lib []byte) ([][]byte, error) {
+	t.Helper()
+	dir := t.TempDir()
+	src, dst := filepath.Join(dir, "v1.lplib"), filepath.Join(dir, "v2.lplib")
+	if err := os.WriteFile(src, lib, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lpstore.Migrate(src, dst, lpstore.WriteOpts{}); err != nil {
+		if _, serr := os.Stat(dst); serr == nil {
+			t.Errorf("failed import left %s behind", dst)
+		}
+		return nil, err
+	}
+	st, err := lpstore.Open(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	blobs, err := st.Blobs(0, st.Count())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blobs, nil
+}
+
 func TestNewReaderWrongMagic(t *testing.T) {
-	b := asn1der.NewBuilder()
-	b.Sequence(func(b *asn1der.Builder) {
-		b.UTF8String("not-a-livepoint-library")
-		b.UTF8String("bench")
-		b.Uint64(0)
-		b.Uint64(0)
-		b.Uint64(0)
-		b.Bool(false)
-	})
-	_, err := NewReader(bytes.NewReader(gzipped(t, b.Bytes())))
+	_, err := migrate(t, gzipped(t, v1Header("not-a-livepoint-library", 0)))
 	if err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("wrong magic should be rejected by name, got: %v", err)
 	}
 }
 
 func TestNewReaderNotGzip(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("plain text, not a library"))); err == nil {
-		t.Fatal("non-gzip input should fail to open")
+	if _, err := migrate(t, []byte("plain text, not a library")); err == nil {
+		t.Fatal("non-gzip input should fail to import")
 	}
 }
 
 // TestNewReaderOnV2Magic documents the cross-format error: a v2 sharded
-// library is not a gzip stream, so the v1 reader must refuse it at open.
+// library is not a gzip stream, so the v1 importer must refuse it.
 func TestNewReaderOnV2Magic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("LPLIBv2\nwhatever follows"))); err == nil {
-		t.Fatal("v2 library should be rejected by the v1 reader")
+	if _, err := migrate(t, []byte("LPLIBv2\nwhatever follows")); err == nil {
+		t.Fatal("v2 library should be rejected by the v1 importer")
 	}
 }
 
 func TestNewReaderTruncatedHeader(t *testing.T) {
 	lib := validLibrary(t, 2, someBlobs(2))
-	// Truncate inside the compressed stream: either gzip open or header
-	// read must fail, never succeed.
-	for _, cut := range []int{1, 5, len(lib) / 2} {
-		if cut >= len(lib) {
-			continue
-		}
-		r, err := NewReader(bytes.NewReader(lib[:cut]))
-		if err != nil {
-			continue
-		}
-		if _, err := r.NextBlob(); err == nil {
+	// Truncate inside the compressed stream: gzip open, header read or a
+	// point read must fail, never succeed.
+	for _, cut := range []int{1, 5, len(lib) / 2, len(lib) - 1} {
+		if _, err := migrate(t, lib[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d bytes went unnoticed", cut, len(lib))
 		}
 	}
@@ -105,103 +132,65 @@ func TestNewReaderTruncatedHeader(t *testing.T) {
 // body surfaces an error naming the point.
 func TestReaderTruncatedMidPoint(t *testing.T) {
 	blobs := someBlobs(3)
-	b := asn1der.NewBuilder()
-	b.Sequence(func(b *asn1der.Builder) {
-		b.UTF8String(libMagic)
-		b.UTF8String("syn.err")
-		b.Uint64(3)
-		b.Uint64(100)
-		b.Uint64(200)
-		b.Bool(false)
-	})
-	raw := b.Bytes()
+	raw := v1Header("livepoint-library-v1", 3)
 	raw = append(raw, blobs[0]...)
 	raw = append(raw, blobs[1][:10]...) // second point cut short
-	r, err := NewReader(bytes.NewReader(gzipped(t, raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.NextBlob(); err != nil {
-		t.Fatalf("first point should read cleanly: %v", err)
-	}
-	if _, err := r.NextBlob(); err == nil || !strings.Contains(err.Error(), "point 1") {
+	if _, err := migrate(t, gzipped(t, raw)); err == nil || !strings.Contains(err.Error(), "point 1") {
 		t.Fatalf("mid-point truncation should name point 1, got: %v", err)
 	}
 }
 
 // TestReaderCountOverrun checks a library declaring more points than it
-// contains fails on read rather than returning a clean EOF.
+// contains fails the import rather than yielding a short store.
 func TestReaderCountOverrun(t *testing.T) {
-	lib := validLibrary(t, 5, someBlobs(2))
-	r, err := NewReader(bytes.NewReader(lib))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Meta.Count != 5 {
-		t.Fatalf("declared count %d, want 5", r.Meta.Count)
-	}
-	var readErr error
-	n := 0
-	for i := 0; i < 5; i++ {
-		if _, err := r.NextBlob(); err != nil {
-			readErr = err
-			break
-		}
-		n++
-	}
-	if readErr == nil {
-		t.Fatal("declared-count overrun went unnoticed")
-	}
-	if n != 2 {
-		t.Fatalf("read %d points before the overrun error, want 2", n)
+	_, err := migrate(t, validLibrary(t, 5, someBlobs(2)))
+	if err == nil || !strings.Contains(err.Error(), "point 2") {
+		t.Fatalf("declared-count overrun should fail at point 2, got: %v", err)
 	}
 }
 
-// TestWriterCountMismatch checks both writer-side count violations.
+// TestWriterCountMismatch checks the other count violation the v1 writer
+// used to refuse to produce: more points in the stream than declared. The
+// importer must not drop them silently.
 func TestWriterCountMismatch(t *testing.T) {
-	blob := someBlobs(1)[0]
-
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Meta{Benchmark: "b", Count: 1})
-	if err != nil {
-		t.Fatal(err)
+	_, err := migrate(t, validLibrary(t, 1, someBlobs(2)))
+	if err == nil || !strings.Contains(err.Error(), "follow the last") {
+		t.Fatalf("points beyond the declared count should fail the import, got: %v", err)
 	}
-	if err := w.Add(blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Add(blob); err == nil {
-		t.Fatal("adding beyond the declared count should fail")
-	}
-
-	buf.Reset()
-	w, err = NewWriter(&buf, Meta{Benchmark: "b", Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Add(blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err == nil {
-		t.Fatal("closing short of the declared count should fail")
+	got, err := migrate(t, validLibrary(t, 2, someBlobs(2)))
+	if err != nil || len(got) != 2 {
+		t.Fatalf("matching count: %d points, %v", len(got), err)
 	}
 }
 
 // TestReadElementBadLength exercises the DER stream splitter's
-// length-of-length guard.
+// length-of-length guard, and its refusal to allocate a declared length
+// ahead of the bytes.
 func TestReadElementBadLength(t *testing.T) {
-	blobs := [][]byte{
+	for _, raw := range [][]byte{
 		{0x04, 0x85, 1, 2, 3, 4, 5}, // length-of-length 5 > 4
 		{0x04, 0x80},                // length-of-length 0 (indefinite, not DER)
-	}
-	for _, raw := range blobs {
-		lib := validLibrary(t, 1, [][]byte{raw})
-		r, err := NewReader(bytes.NewReader(lib))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.NextBlob(); err == nil || !strings.Contains(err.Error(), "length-of-length") {
+	} {
+		_, err := livepoint.ReadElement(bufio.NewReader(bytes.NewReader(raw)))
+		if err == nil || !strings.Contains(err.Error(), "length-of-length") {
 			t.Fatalf("bad length-of-length %#x should be rejected, got: %v", raw[1], err)
 		}
+	}
+
+	big := append([]byte{0x04, 0x84, 0xff, 0xff, 0xff, 0xff}, make([]byte, 3<<20)...) // 4 GiB declared, 3 MiB present
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := livepoint.ReadElement(bufio.NewReader(bytes.NewReader(big))); err == nil {
+		t.Fatal("short element should fail")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+		t.Fatalf("allocated %d MiB reading a 3 MiB stream that declares a 4 GiB element", got>>20)
+	}
+	whole := append([]byte{0x04, 0x83, 0x28, 0x00, 0x00}, bytes.Repeat([]byte{7}, 0x280000)...) // 2.5 MiB, grown in steps
+	got, err := livepoint.ReadElement(bufio.NewReader(bytes.NewReader(whole)))
+	if err != nil || !bytes.Equal(got, whole) {
+		t.Fatalf("multi-step element did not round-trip: %d bytes, %v", len(got), err)
 	}
 }
 
@@ -209,10 +198,10 @@ func TestReadElementBadLength(t *testing.T) {
 func TestDecodeMetaGarbage(t *testing.T) {
 	b := asn1der.NewBuilder()
 	b.OctetString([]byte("not a header sequence"))
-	if _, err := decodeMeta(b.Bytes()); err == nil {
+	if _, err := migrate(t, gzipped(t, b.Bytes())); err == nil {
 		t.Fatal("non-sequence header should fail to decode")
 	}
-	if _, err := decodeMeta(nil); err == nil {
+	if _, err := migrate(t, gzipped(t, nil)); err == nil {
 		t.Fatal("empty header should fail to decode")
 	}
 }

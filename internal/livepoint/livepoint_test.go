@@ -2,7 +2,7 @@ package livepoint
 
 import (
 	"math"
-	"path/filepath"
+	"math/rand"
 	"testing"
 
 	"livepoints/internal/bpred"
@@ -167,84 +167,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLibraryWriteReadShuffle checks the gzip library container and
-// shuffling.
-func TestLibraryWriteReadShuffle(t *testing.T) {
-	cfg := uarch.Config8Way()
-	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
-
-	dir := t.TempDir()
-	raw := filepath.Join(dir, "raw.lplib")
-	shuffled := filepath.Join(dir, "shuffled.lplib")
-
-	blobs := make([][]byte, len(points))
-	for i, lp := range points {
-		blobs[i], _ = Encode(lp)
-	}
-	meta := Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	if _, err := WriteLibrary(raw, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := ShuffleFile(raw, shuffled, 42); err != nil {
-		t.Fatal(err)
-	}
-
-	gotMeta, gotBlobs, err := ReadAllBlobs(shuffled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotMeta.Shuffled {
-		t.Fatal("shuffled library not marked shuffled")
-	}
-	if len(gotBlobs) != len(blobs) {
-		t.Fatalf("read %d blobs, want %d", len(gotBlobs), len(blobs))
-	}
-	// Same multiset of points, different order (with overwhelming
-	// probability for >10 points).
-	seen := map[int]bool{}
-	order := make([]int, 0, len(gotBlobs))
-	for _, b := range gotBlobs {
-		lp, err := Decode(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[lp.Index] {
-			t.Fatalf("duplicate point index %d after shuffle", lp.Index)
-		}
-		seen[lp.Index] = true
-		order = append(order, lp.Index)
-	}
-	inOrder := true
-	for i := 1; i < len(order); i++ {
-		if order[i] < order[i-1] {
-			inOrder = false
-		}
-	}
-	if inOrder && len(order) > 10 {
-		t.Fatal("shuffle left the library in program order")
-	}
-}
-
 // TestRunFileOnlineStopsEarly checks random-order online estimation stops
 // once confidence is reached and refuses unshuffled libraries.
 func TestRunFileOnlineStopsEarly(t *testing.T) {
 	cfg := uarch.Config8Way()
 	_, design, points := buildTestLibrary(t, "syn.swim", 0.02, cfg, 10, false)
 
-	dir := t.TempDir()
-	raw := filepath.Join(dir, "raw.lplib")
-	shuffled := filepath.Join(dir, "shuffled.lplib")
-	blobs := make([][]byte, len(points))
-	for i, lp := range points {
-		blobs[i], _ = Encode(lp)
-	}
-	meta := Meta{Benchmark: "syn.swim", UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	if _, err := WriteLibrary(raw, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := ShuffleFile(raw, shuffled, 7); err != nil {
-		t.Fatal(err)
-	}
+	const raw, shuffled = "raw.lplib", "shuffled.lplib"
+	blobs := encodeAll(points)
+	mixed := append([][]byte(nil), blobs...)
+	rand.New(rand.NewSource(7)).Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+	meta := Meta{Benchmark: "syn.swim", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen}
+	shuffledMeta := meta
+	shuffledMeta.Shuffled = true
+	openFiles(t, map[string]*fakeSharded{
+		raw:      {meta: meta, blobs: blobs},
+		shuffled: {meta: shuffledMeta, blobs: mixed},
+	})
 
 	// Early stopping on the unshuffled library must be refused.
 	if _, err := RunFile(raw, RunOpts{Cfg: cfg, Z: sampling.Z997, RelErr: 0.10}); err == nil {
@@ -272,16 +211,10 @@ func TestRunFileOnlineStopsEarly(t *testing.T) {
 func TestParallelMatchesSerialEstimate(t *testing.T) {
 	cfg := uarch.Config8Way()
 	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lib.lplib")
-	blobs := make([][]byte, len(points))
-	for i, lp := range points {
-		blobs[i], _ = Encode(lp)
-	}
-	meta := Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	if _, err := WriteLibrary(path, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
+	const path = "lib.lplib"
+	blobs := encodeAll(points)
+	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	openFiles(t, map[string]*fakeSharded{path: {meta: meta, blobs: blobs}})
 	serial, err := RunFile(path, RunOpts{Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,6 @@ import "livepoints/internal/obs"
 var (
 	mGzipPoolHits    = obs.Default.Counter("livepoint_pool_hits_total", "Pooled load-path object reuses by pool.", "pool", "gzip")
 	mGzipPoolMisses  = obs.Default.Counter("livepoint_pool_misses_total", "Pooled load-path object allocations by pool.", "pool", "gzip")
-	mBufioPoolHits   = obs.Default.Counter("livepoint_pool_hits_total", "Pooled load-path object reuses by pool.", "pool", "bufio")
-	mBufioPoolMisses = obs.Default.Counter("livepoint_pool_misses_total", "Pooled load-path object allocations by pool.", "pool", "bufio")
 	mPointPoolHits   = obs.Default.Counter("livepoint_pool_hits_total", "Pooled load-path object reuses by pool.", "pool", "livepoint")
 	mPointPoolMisses = obs.Default.Counter("livepoint_pool_misses_total", "Pooled load-path object allocations by pool.", "pool", "livepoint")
 	mBlobPoolHits    = obs.Default.Counter("livepoint_pool_hits_total", "Pooled load-path object reuses by pool.", "pool", "blob")

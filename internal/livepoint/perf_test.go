@@ -2,9 +2,7 @@ package livepoint
 
 import (
 	"bytes"
-	"io"
-	"os"
-	"path/filepath"
+	"errors"
 	"testing"
 
 	"livepoints/internal/mrrl"
@@ -164,16 +162,10 @@ func TestArenaSimulateReusesState(t *testing.T) {
 func TestSerialEstimateMatchesSimBlobs(t *testing.T) {
 	cfg := uarch.Config8Way()
 	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
-	blobs := make([][]byte, len(points))
-	for i, p := range points {
-		blobs[i], _ = Encode(p)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lib.lplib")
-	meta := Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	if _, err := WriteLibrary(path, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
+	blobs := encodeAll(points)
+	const path = "lib.lplib"
+	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	openFiles(t, map[string]*fakeSharded{path: {meta: meta, blobs: blobs}})
 	serial, err := RunFile(path, RunOpts{Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -188,85 +180,29 @@ func TestSerialEstimateMatchesSimBlobs(t *testing.T) {
 	}
 }
 
-// TestCloseSurfacesTrailerCorruption: gzip verifies its CRC only when the
-// deflate stream is read to end-of-stream, which blob-by-blob reads never
-// do on their own. Source.Close must drain and report the corruption
-// instead of silently dropping it (the old fileSource.Close only closed
-// the file descriptor).
+// closeFails is a source that serves its blobs and then fails to close —
+// where a source reports a check it could only finish after the last read.
+type closeFails struct{ fakeSharded }
+
+func (*closeFails) Close() error { return errors.New("stream trailer did not verify") }
+
+// TestCloseSurfacesTrailerCorruption: the file runners own the source they
+// open, so they must hand its Close error back. A whole-library run that
+// drained a source which then fails verification folded its estimate from
+// data that cannot be vouched for; reporting it as good is the one outcome
+// not allowed.
 func TestCloseSurfacesTrailerCorruption(t *testing.T) {
 	cfg := uarch.Config8Way()
 	_, design, points := buildTestLibrary(t, "syn.gzip", 0.005, cfg, 40, false)
-	blobs := make([][]byte, len(points))
-	for i, p := range points {
-		blobs[i], _ = Encode(p)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lib.lplib")
-	meta := Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	if _, err := WriteLibrary(path, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0xff // corrupt the gzip trailer (ISIZE)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, err := OpenSource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := src.NextBlob(); err != nil {
-			if err != io.EOF {
-				t.Fatalf("NextBlob: %v", err)
-			}
-			break
-		}
-	}
-	if err := src.Close(); err == nil {
-		t.Fatal("Close silently dropped a corrupted gzip trailer")
-	}
+	meta := Meta{Benchmark: "syn.gzip", Count: len(points), UnitLen: design.UnitLen, WarmLen: design.WarmLen}
+	setOpener(t, func(string) (Source, error) {
+		return &closeFails{fakeSharded{meta: meta, blobs: encodeAll(points), shards: 1}}, nil
+	})
 
-	// The file runners own the source, so they must hand the Close error
-	// back: a whole-library run drains the stream, and its estimate was
-	// folded from a library that failed verification.
-	if res, err := RunFile(path, RunOpts{Cfg: cfg}); err == nil {
-		t.Fatalf("RunFile returned an estimate from %d points and dropped the trailer corruption", res.Processed)
+	if res, err := RunFile("lib.lplib", RunOpts{Cfg: cfg}); err == nil {
+		t.Fatalf("RunFile returned an estimate from %d points and dropped the close error", res.Processed)
 	}
-	if res, err := RunMatchedFile(path, MatchedOpts{Base: cfg, Exp: cfg}); err == nil {
-		t.Fatalf("RunMatchedFile returned %d pairs and dropped the trailer corruption", res.Processed)
-	}
-}
-
-// TestReadAllBlobsReturnsStableCopies: the streaming Reader reuses its
-// blob buffer between NextBlob calls; ReadAllBlobs retains every blob, so
-// it must hand back stable copies.
-func TestReadAllBlobsReturnsStableCopies(t *testing.T) {
-	cfg := uarch.Config8Way()
-	_, design, points := buildTestLibrary(t, "syn.gzip", 0.005, cfg, 40, false)
-	blobs := make([][]byte, len(points))
-	for i, p := range points {
-		blobs[i], _ = Encode(p)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lib.lplib")
-	meta := Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	if _, err := WriteLibrary(path, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
-	_, got, err := ReadAllBlobs(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(blobs) {
-		t.Fatalf("read %d blobs, want %d", len(got), len(blobs))
-	}
-	for i := range blobs {
-		if !bytes.Equal(got[i], blobs[i]) {
-			t.Fatalf("blob %d was clobbered by the reader's buffer reuse", i)
-		}
+	if res, err := RunMatchedFile("lib.lplib", MatchedOpts{Base: cfg, Exp: cfg}); err == nil {
+		t.Fatalf("RunMatchedFile returned %d pairs and dropped the close error", res.Processed)
 	}
 }

@@ -1,7 +1,6 @@
 package livepoint
 
 import (
-	"bufio"
 	"compress/gzip"
 	"io"
 	"sync"
@@ -37,28 +36,6 @@ func AcquireGzipReader(r io.Reader) (*gzip.Reader, error) {
 func ReleaseGzipReader(gz *gzip.Reader) {
 	if gz != nil {
 		gzipReaders.Put(gz)
-	}
-}
-
-const streamBufSize = 1 << 20
-
-var bufReaders sync.Pool
-
-func acquireBufReader(r io.Reader) *bufio.Reader {
-	if v := bufReaders.Get(); v != nil {
-		mBufioPoolHits.Inc()
-		br := v.(*bufio.Reader)
-		br.Reset(r)
-		return br
-	}
-	mBufioPoolMisses.Inc()
-	return bufio.NewReaderSize(r, streamBufSize)
-}
-
-func releaseBufReader(br *bufio.Reader) {
-	if br != nil {
-		br.Reset(nil) // drop the underlying reader so the pool pins no stream
-		bufReaders.Put(br)
 	}
 }
 

@@ -69,8 +69,7 @@ func (r *RunResult) finish(online *sampling.OnlineEstimator) {
 	r.History = online.History()
 }
 
-// RunFile runs a sampling experiment over a library file, auto-detecting
-// the format (sequential v1 stream or sharded v2 store). Points are
+// RunFile runs a sampling experiment over a library file. Points are
 // processed in read order; on a shuffled library this realizes the paper's
 // random-order online estimation (§6.1), so the run may stop at any point
 // with a statistically valid estimate.
@@ -79,9 +78,9 @@ func RunFile(path string, opts RunOpts) (*RunResult, error) {
 }
 
 // runFile opens the library at path, runs over it and closes it. A run
-// that succeeded still fails when Close does: a drained v1 stream verifies
-// its gzip CRC trailer only there, and an estimate folded from a corrupt
-// library must not be reported as good.
+// that succeeded still fails when Close does: a source may finish verifying
+// what it served only there, and an estimate folded from a library that
+// failed verification must not be reported as good.
 func runFile[R any](path string, run func(Source) (*R, error)) (*R, error) {
 	src, err := OpenSource(path)
 	if err != nil {
@@ -101,7 +100,7 @@ func normalise(z *float64, relErr float64, src Source) error {
 		*z = sampling.Z997
 	}
 	if relErr > 0 && !src.Meta().Shuffled {
-		return fmt.Errorf("livepoint: early stopping requires a shuffled library (ShuffleFile for v1 files, lpstore.Shuffle for v2 stores)")
+		return fmt.Errorf("livepoint: early stopping requires a shuffled library (reshuffle its index with lpstore.Shuffle)")
 	}
 	return nil
 }
@@ -511,7 +510,6 @@ type MatchedResult struct {
 // RunMatchedFile measures the same live-points under two configurations and
 // builds a confidence interval directly on the per-unit CPI delta. Both
 // configurations must be reconstructible from the library's stored bounds.
-// The format is auto-detected, as in RunFile.
 func RunMatchedFile(path string, opts MatchedOpts) (*MatchedResult, error) {
 	return runFile(path, func(src Source) (*MatchedResult, error) { return RunMatchedSource(src, opts) })
 }

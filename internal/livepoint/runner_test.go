@@ -3,8 +3,8 @@ package livepoint
 import (
 	"errors"
 	"io"
-	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,7 +14,9 @@ import (
 )
 
 // fakeSharded serves in-memory blobs and records shard opens, so tests
-// can pin down which parallel path RunSource picked.
+// can pin down which parallel path RunSource picked. It is also these
+// tests' library: the container lives in internal/lpstore, which imports
+// this package, so runner semantics are tested over a slice of blobs.
 type fakeSharded struct {
 	meta   Meta
 	blobs  [][]byte
@@ -46,6 +48,36 @@ func (f *fakeSharded) OpenShard(s int) (Source, error) {
 		hi = len(f.blobs)
 	}
 	return &fakeSharded{meta: f.meta, blobs: f.blobs[lo:hi], shards: 1}, nil
+}
+
+// encodeAll encodes points as a library would hold them.
+func encodeAll(points []*LivePoint) [][]byte {
+	blobs := make([][]byte, len(points))
+	for i, lp := range points {
+		blobs[i], _ = Encode(lp)
+	}
+	return blobs
+}
+
+// openFiles makes RunFile and RunMatchedFile open path as a fresh
+// single-shard source over libs[path], for the rest of the test.
+func openFiles(t *testing.T, libs map[string]*fakeSharded) {
+	t.Helper()
+	setOpener(t, func(path string) (Source, error) {
+		lib, ok := libs[path]
+		if !ok {
+			return nil, errors.New("no such library: " + path)
+		}
+		return &fakeSharded{meta: lib.meta, blobs: lib.blobs, shards: 1}, nil
+	})
+}
+
+// setOpener installs open as the library-file opener until the test ends.
+func setOpener(t *testing.T, open func(path string) (Source, error)) {
+	t.Helper()
+	prev := opener
+	SetOpener(open)
+	t.Cleanup(func() { opener = prev })
 }
 
 // TestRunSourceShardDispatch checks the statistical-safety routing rule:
@@ -209,15 +241,10 @@ func TestMatchedDefaultsZ(t *testing.T) {
 	if len(points) < 40 {
 		t.Fatalf("library has %d points, need at least 40", len(points))
 	}
-	blobs := make([][]byte, 40)
-	for i := range blobs {
-		blobs[i], _ = Encode(points[i])
-	}
-	path := filepath.Join(t.TempDir(), "lib.lplib")
-	meta := Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	if _, err := WriteLibrary(path, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
+	blobs := encodeAll(points[:40])
+	const path = "lib.lplib"
+	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	openFiles(t, map[string]*fakeSharded{path: {meta: meta, blobs: blobs}})
 	exp := cfg
 	exp.Hier.MemLat *= 2
 
@@ -234,5 +261,14 @@ func TestMatchedDefaultsZ(t *testing.T) {
 	}
 	if unset.MP != explicit.MP || unset.Processed != explicit.Processed {
 		t.Fatalf("Z unset: %d pairs, %+v; Z997: %d pairs, %+v", unset.Processed, unset.MP, explicit.Processed, explicit.MP)
+	}
+}
+
+// TestOpenSourceWithoutOpener: a binary that never links internal/lpstore
+// has no container format; opening a library must say so, not panic.
+func TestOpenSourceWithoutOpener(t *testing.T) {
+	setOpener(t, nil)
+	if _, err := RunFile("lib.lplib", RunOpts{}); err == nil || !strings.Contains(err.Error(), "lpstore") {
+		t.Fatalf("RunFile with no opener installed: %v", err)
 	}
 }

@@ -1,13 +1,10 @@
 package livepoint
 
-import (
-	"os"
-)
+import "errors"
 
 // Source supplies encoded live-point blobs to experiment runners, one blob
-// per point in the library's read order. Implementations include the
-// sequential v1 single-stream file (this package), the random-access
-// sharded v2 store (internal/lpstore), and the remote streaming client
+// per point in the library's read order. Implementations are the sharded
+// store (internal/lpstore) and the remote streaming client
 // (internal/lpserve).
 type Source interface {
 	// Meta describes the library behind the source.
@@ -39,66 +36,22 @@ type ShardedSource interface {
 	OpenShard(s int) (Source, error)
 }
 
-// OpenerFunc inspects a library file. When it recognizes the format it
-// returns an open Source with ok=true; ok=false declines the file and
-// lets the next opener (ultimately the sequential v1 reader) try.
-type OpenerFunc func(path string) (src Source, ok bool, err error)
+// opener opens a library file. internal/lpstore installs it from its init,
+// the way an image format registers its decoder: this package cannot import
+// lpstore (lpstore builds on Source and Meta), and the container format is
+// lpstore's to know.
+var opener func(path string) (Source, error)
 
-// formatOpeners is consulted by OpenSource in registration order. All
-// registration happens from package init functions, so reads need no lock.
-var formatOpeners []OpenerFunc
+// SetOpener installs the library-file opener behind OpenSource, RunFile and
+// RunMatchedFile. It is called from an init function, so reads need no
+// lock.
+func SetOpener(fn func(path string) (Source, error)) { opener = fn }
 
-// RegisterFormat adds a library-format opener. It is intended to be called
-// from an init function, the way image formats self-register: importing
-// internal/lpstore teaches OpenSource the sharded v2 format without this
-// package depending on it.
-func RegisterFormat(fn OpenerFunc) { formatOpeners = append(formatOpeners, fn) }
-
-// OpenSource opens a library file as a Source, auto-detecting the format:
-// registered openers first, then the sequential v1 stream.
+// OpenSource opens a library file as a Source. The source it returns owns
+// the file: Close releases it.
 func OpenSource(path string) (Source, error) {
-	for _, fn := range formatOpeners {
-		src, ok, err := fn(path)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return src, nil
-		}
+	if opener == nil {
+		return nil, errors.New("livepoint: no library format linked in (import livepoints/internal/lpstore)")
 	}
-	return openFileSource(path)
-}
-
-// fileSource adapts the sequential v1 single-stream Reader to Source.
-type fileSource struct {
-	f *os.File
-	r *Reader
-}
-
-func openFileSource(path string) (*fileSource, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	r, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &fileSource{f: f, r: r}, nil
-}
-
-func (s *fileSource) Meta() Meta                { return s.r.Meta }
-func (s *fileSource) NextBlob() ([]byte, error) { return s.r.NextBlob() }
-
-// Close closes the decompressor before the file: on a fully drained
-// stream the reader's Close verifies the gzip CRC trailer, so corruption
-// there fails the run instead of vanishing with the file handle.
-func (s *fileSource) Close() error {
-	rerr := s.r.Close()
-	ferr := s.f.Close()
-	if rerr != nil {
-		return rerr
-	}
-	return ferr
+	return opener(path)
 }

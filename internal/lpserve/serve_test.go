@@ -61,31 +61,19 @@ func buildRealLibrary(t *testing.T, name string, scale float64, stride int) (liv
 }
 
 // TestServeParity is the subsystem's acceptance check: the same library
-// must produce a bit-equal Estimate whether simulated from the v1 file,
-// the migrated v2 store, or over lpserve on localhost.
+// must produce a bit-equal Estimate whether simulated from the local store
+// or over lpserve on localhost. (That a store migrated from a v1 file
+// reproduces the v1 runner's estimate is lpstore's TestMigrateGoldenV1.)
 func TestServeParity(t *testing.T) {
 	cfg := uarch.Config8Way()
 	meta, blobs := buildRealLibrary(t, "syn.gzip", 0.01, 20)
 
-	dir := t.TempDir()
-	v1raw := filepath.Join(dir, "raw.lplib")
-	v1 := filepath.Join(dir, "v1.lplib")
-	v2 := filepath.Join(dir, "v2.lplib")
-	if _, err := livepoint.WriteLibrary(v1raw, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := livepoint.ShuffleFile(v1raw, v1, 0x11E9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lpstore.Migrate(v1, v2, lpstore.WriteOpts{ShardPoints: 5}); err != nil {
+	v2 := filepath.Join(t.TempDir(), "v2.lplib")
+	if _, err := lpstore.WriteShuffled(v2, meta, blobs, 0x11E9, lpstore.WriteOpts{ShardPoints: 5}); err != nil {
 		t.Fatal(err)
 	}
 
 	opts := livepoint.RunOpts{Cfg: cfg}
-	fromV1, err := livepoint.RunFile(v1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fromV2, err := livepoint.RunFile(v2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -108,15 +96,11 @@ func TestServeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if fromV1.Processed != fromV2.Processed || fromV1.Processed != fromRemote.Processed {
-		t.Fatalf("processed: v1 %d, v2 %d, remote %d",
-			fromV1.Processed, fromV2.Processed, fromRemote.Processed)
+	if fromV2.Processed != len(blobs) || fromRemote.Processed != len(blobs) {
+		t.Fatalf("processed: local %d, remote %d, of %d points", fromV2.Processed, fromRemote.Processed, len(blobs))
 	}
-	if !reflect.DeepEqual(fromV1.Est, fromV2.Est) {
-		t.Fatalf("v2 estimate not bit-equal to v1: %.9f vs %.9f", fromV2.Est.Mean(), fromV1.Est.Mean())
-	}
-	if !reflect.DeepEqual(fromV1.Est, fromRemote.Est) {
-		t.Fatalf("remote estimate not bit-equal to v1: %.9f vs %.9f", fromRemote.Est.Mean(), fromV1.Est.Mean())
+	if !reflect.DeepEqual(fromV2.Est, fromRemote.Est) {
+		t.Fatalf("remote estimate not bit-equal to local: %.9f vs %.9f", fromRemote.Est.Mean(), fromV2.Est.Mean())
 	}
 
 	// Parallel runs fold in completion order: same set of points, mean
@@ -130,11 +114,11 @@ func TestServeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []*livepoint.RunResult{parV2, parRemote} {
-		if par.Processed != fromV1.Processed {
-			t.Fatalf("parallel processed %d, want %d", par.Processed, fromV1.Processed)
+		if par.Processed != fromV2.Processed {
+			t.Fatalf("parallel processed %d, want %d", par.Processed, fromV2.Processed)
 		}
-		if math.Abs(par.Est.Mean()-fromV1.Est.Mean()) > 1e-12 {
-			t.Fatalf("parallel mean %.12f differs from serial %.12f", par.Est.Mean(), fromV1.Est.Mean())
+		if math.Abs(par.Est.Mean()-fromV2.Est.Mean()) > 1e-12 {
+			t.Fatalf("parallel mean %.12f differs from serial %.12f", par.Est.Mean(), fromV2.Est.Mean())
 		}
 	}
 

@@ -1,0 +1,131 @@
+package lpstore
+
+import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"livepoints/internal/livepoint"
+)
+
+// FuzzOpen holds the store to its contract on arbitrary file bytes: Open
+// errors, or every read errors or hands back a blob the writer put in —
+// never a panic, never an allocation sized by the index alone. (Which
+// position a blob is read at, like the rest of the metadata, has no
+// checksum; the contract is about bytes.)
+func FuzzOpen(f *testing.F) {
+	path := writeTestStore(f, synthBlobs(10, 200), 4, false)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	st, err := Open(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	written := map[string]bool{}
+	for _, b := range drain(f, st.Source()) {
+		written[string(b)] = true
+	}
+	idxOff := int64(len(fileMagic)) + st.CompressedBytes()
+	st.Close()
+
+	f.Add(valid)
+	for _, tc := range hostileIndexes {
+		edited, err := os.ReadFile(withIndex(f, path, tc.edit))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(edited)
+	}
+	// faultinject.CorruptFile's move — one flipped byte — over the whole
+	// index and trailer, and sparsely over the shard streams.
+	for off := len(fileMagic); off < len(valid); off++ {
+		if int64(off) < idxOff && off%64 != 0 {
+			continue
+		}
+		flipped := bytes.Clone(valid)
+		flipped[off] ^= 0xFF
+		f.Add(flipped)
+	}
+	golden, err := os.ReadFile(goldenV1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+
+	file := filepath.Join(f.TempDir(), "fuzz.lplib")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(file)
+		if err != nil {
+			return
+		}
+		defer st.Close()
+		for s, sh := range st.shards {
+			if sh.uncompLen > maxInflate*int64(len(data)) {
+				t.Fatalf("shard %d would allocate %d bytes for a %d-byte file", s, sh.uncompLen, len(data))
+			}
+		}
+		check := func(how string, blobs [][]byte) {
+			for i, b := range blobs {
+				if !written[string(b)] {
+					t.Fatalf("%s: blob %d (%d bytes) is not one the writer stored", how, i, len(b))
+				}
+			}
+		}
+		if blobs, err := st.Blobs(0, st.Count()); err == nil {
+			check("Blobs", blobs)
+		}
+		for i := 0; i < st.Count(); i++ {
+			if b, err := st.PointBlob(i); err == nil {
+				check("PointBlob", [][]byte{b})
+			}
+		}
+		ss := st.Source().(livepoint.ShardedSource)
+		for s := 0; s < ss.NumShards(); s++ {
+			sub, err := ss.OpenShard(s)
+			if err != nil {
+				continue
+			}
+			for {
+				b, err := sub.NextBlob()
+				if err != nil {
+					if err != io.EOF {
+						t.Fatalf("shard %d failed after opening: %v", s, err)
+					}
+					break
+				}
+				check("OpenShard", [][]byte{b})
+			}
+		}
+	})
+}
+
+// FuzzReadV1 holds the retained v1 importer to the same contract on
+// arbitrary bytes: an error, or the declared number of blobs; never a
+// panic.
+func FuzzReadV1(f *testing.F) {
+	golden, err := os.ReadFile(goldenV1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	blobs := synthBlobs(3, 100)
+	f.Add(v1File(livepoint.Meta{Benchmark: "b", Count: 3}, blobs))
+	f.Add(v1File(livepoint.Meta{Benchmark: "b", Count: 5}, blobs))
+	f.Add(v1File(livepoint.Meta{Benchmark: "b", Count: 1 << 62}, blobs))
+	f.Add(v1File(livepoint.Meta{Benchmark: "b", Count: 1}, [][]byte{{0x04, 0x84, 0xff, 0xff, 0xff, 0xff}}))
+	f.Add([]byte(fileMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, blobs, err := readV1(bytes.NewReader(data))
+		if err == nil && len(blobs) != meta.Count {
+			t.Fatalf("read %d blobs of %d declared without an error", len(blobs), meta.Count)
+		}
+	})
+}

@@ -1,33 +1,18 @@
 package lpstore
 
-import (
-	"io"
-	"os"
+import "livepoints/internal/livepoint"
 
-	"livepoints/internal/livepoint"
-)
-
-// init teaches livepoint.OpenSource (and through it RunFile and
-// RunMatchedFile) the v2 format: any package that imports lpstore makes
-// every library path transparently accept sharded libraries.
+// init makes this package the opener behind livepoint.OpenSource (and
+// through it RunFile and RunMatchedFile): any binary that imports lpstore
+// can run library files. The source owns its store and closes it.
 func init() {
-	livepoint.RegisterFormat(func(path string) (livepoint.Source, bool, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, false, nil // let the fallback opener surface the error
-		}
-		var magic [8]byte
-		_, rerr := io.ReadFull(f, magic[:])
-		f.Close()
-		if rerr != nil || string(magic[:]) != fileMagic {
-			return nil, false, nil
-		}
+	livepoint.SetOpener(func(path string) (livepoint.Source, error) {
 		st, err := Open(path)
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
 		src := st.Source().(*storeSource)
 		src.ownStore = true
-		return src, true, nil
+		return src, nil
 	})
 }

@@ -1,11 +1,9 @@
-// Package lpstore implements the sharded live-point library format (v2)
-// and its random-access store.
-//
-// The v1 format (internal/livepoint) is one sequential gzip stream: random
-// access is impossible, shuffling rewrites the whole file, and parallel
-// runners funnel every worker through a single decompressor. Format v2
-// keeps the same DER point encoding but splits the library into N
-// independently-gzipped shards followed by an uncompressed footer index:
+// Package lpstore is the live-point library container: the one module that
+// knows what a library file looks like. Every library the repository writes
+// or runs is the sharded v2 format; the legacy v1 format (one sequential
+// gzip stream) is accepted only as input to Migrate (v1.go). A v2 library
+// is N independently-gzipped shards of DER-encoded points followed by an
+// uncompressed footer index:
 //
 //	offset 0   magic "LPLIBv2\n"
 //	           shard 0 gzip stream | shard 1 gzip stream | ...
@@ -19,19 +17,21 @@
 //
 //   - O(shard) random access to any point, O(1) to its location;
 //   - index-only shuffling: Shuffle permutes the footer and never touches
-//     point data (v1 ShuffleFile rewrites and recompresses everything);
+//     point data;
 //   - concurrent reads: shards decompress independently, so parallel
 //     runners scale their load bandwidth with worker count;
 //   - remote serving: internal/lpserve streams stored shard bytes to
 //     clients verbatim, with no server-side recompression.
 //
-// The store registers itself with livepoint.RegisterFormat, so
-// livepoint.RunFile and OpenSource transparently accept v2 files wherever
-// a v1 path was accepted before.
+// Within a shard the points' spans tile the uncompressed stream exactly, in
+// storage order; Open refuses an index that says otherwise, so a damaged
+// span cannot select the wrong bytes of an intact shard.
+//
+// The store installs itself as livepoint's file opener (register.go), so
+// livepoint.RunFile and OpenSource run v2 libraries.
 package lpstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -56,6 +56,10 @@ const (
 	trailerLen     = 16 // index length (8) + trailer magic (8)
 	shardRecordLen = 28 // dataOff u64 | compLen u64 | uncompLen u64 | points u32
 	pointRecordLen = 16 // shard u32 | off u64 | len u32
+
+	// maxInflate bounds what a DEFLATE stream can expand to: its longest
+	// match, 258 bytes, costs at least two bits.
+	maxInflate = 1032
 )
 
 // shardInfo locates one shard's compressed bytes and describes its
@@ -106,8 +110,7 @@ type Stat struct {
 // immutable after Open.
 type Store struct {
 	path string
-	f    *os.File // nil for in-memory (migrated-on-open v1) stores
-	mem  [][]byte // per-shard compressed bytes when f == nil
+	f    *os.File
 
 	meta         livepoint.Meta
 	uncompressed int64
@@ -119,22 +122,27 @@ type Store struct {
 	shardOrder     [][]uint32 // per shard: physical ids in read order
 }
 
-// IsV2 reports whether path begins with the v2 library magic.
+// sniff reads a file's leading magic: the one place a path's container
+// format is decided.
+func sniff(f *os.File) (magic [8]byte, v2 bool, err error) {
+	_, err = io.ReadFull(f, magic[:])
+	return magic, err == nil && string(magic[:]) == fileMagic, err
+}
+
+// IsV2 reports whether path begins with the v2 library magic. A file too
+// short to hold it is not v2, and not an error here.
 func IsV2(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return false, err
 	}
 	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return false, nil // too short to be v2; not an error here
-	}
-	return string(magic[:]) == fileMagic, nil
+	_, v2, _ := sniff(f)
+	return v2, nil
 }
 
 // Open opens a v2 library file. Opening a v1 file fails with a message
-// pointing at Migrate/OpenAny.
+// pointing at Migrate.
 func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -149,13 +157,13 @@ func Open(path string) (*Store, error) {
 }
 
 func openFile(f *os.File, path string) (*Store, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
+	magic, v2, err := sniff(f)
+	if err != nil {
 		return nil, fmt.Errorf("lpstore: %s: reading magic: %w", path, err)
 	}
-	if string(magic[:]) != fileMagic {
+	if !v2 {
 		if magic[0] == 0x1f && magic[1] == 0x8b {
-			return nil, fmt.Errorf("lpstore: %s is a v1 (sequential gzip) library; migrate it with lpstore.Migrate or open it with lpstore.OpenAny", path)
+			return nil, fmt.Errorf("lpstore: %s is a v1 (sequential gzip) library, which is no longer run directly; migrate it to v2 with livepoints.MigrateLibrary (lpserved does so on start-up)", path)
 		}
 		return nil, fmt.Errorf("lpstore: %s is not a live-point library (magic %q)", path, magic)
 	}
@@ -184,22 +192,16 @@ func openFile(f *os.File, path string) (*Store, error) {
 		return nil, fmt.Errorf("lpstore: %s: reading index: %w", path, err)
 	}
 	st := &Store{path: path, f: f}
-	if err := st.decodeIndex(idx); err != nil {
+	if err := st.decodeIndex(idx, idxOff); err != nil {
 		return nil, fmt.Errorf("lpstore: %s: %w", path, err)
 	}
 	return st, nil
 }
 
-// Close releases the store's file handle. In-memory stores are a no-op.
-func (st *Store) Close() error {
-	if st.f == nil {
-		return nil
-	}
-	return st.f.Close()
-}
+// Close releases the store's file handle.
+func (st *Store) Close() error { return st.f.Close() }
 
-// Path returns the file path the store was opened from ("" for in-memory
-// stores).
+// Path returns the file path the store was opened from.
 func (st *Store) Path() string { return st.path }
 
 // Meta returns the library metadata.
@@ -264,9 +266,6 @@ func (st *Store) ShardRaw(s int) (io.Reader, int64, error) {
 		return nil, 0, fmt.Errorf("lpstore: shard %d out of range [0,%d)", s, len(st.shards))
 	}
 	sh := st.shards[s]
-	if st.f == nil {
-		return bytes.NewReader(st.mem[s]), sh.compLen, nil
-	}
 	return io.NewSectionReader(st.f, sh.dataOff, sh.compLen), sh.compLen, nil
 }
 
@@ -288,8 +287,10 @@ func (st *Store) DecompressShard(s int) ([]byte, error) {
 	}
 	// Read to EOF so the gzip CRC trailer is actually verified: uncompLen
 	// bytes arriving intact does not prove the stream checksum matched.
-	if _, err := io.Copy(io.Discard, gz); err != nil {
+	if n, err := io.Copy(io.Discard, gz); err != nil {
 		return nil, fmt.Errorf("lpstore: shard %d: stream trailer: %w", s, err)
+	} else if n != 0 {
+		return nil, fmt.Errorf("lpstore: shard %d: inflates %d bytes past its indexed length %d", s, n, len(data))
 	}
 	return data, nil
 }
@@ -486,8 +487,6 @@ func (c *shardCache) get(s int) ([]byte, error) {
 
 // Shuffle rewrites a v2 library's read order in place, deterministically
 // from seed: only the footer index is rewritten; shard data is untouched.
-// Contrast with v1 ShuffleFile, which decompresses, permutes, and
-// recompresses the whole library.
 func Shuffle(path string, seed int64) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -585,9 +584,9 @@ func (st *Store) encodeIndex() []byte {
 	return b.Bytes()
 }
 
-// decodeIndex parses the footer index into the store and validates its
-// internal consistency.
-func (st *Store) decodeIndex(buf []byte) error {
+// decodeIndex parses the footer index, which starts at file offset idxOff,
+// into the store and validates it.
+func (st *Store) decodeIndex(buf []byte, idxOff int64) error {
 	d, err := asn1der.NewDecoder(buf).Sequence()
 	if err != nil {
 		return fmt.Errorf("index: %w", err)
@@ -668,31 +667,51 @@ func (st *Store) decodeIndex(buf []byte) error {
 	for i := range st.order {
 		st.order[i] = binary.LittleEndian.Uint32(orderBytes[i*4:])
 	}
-	return st.validate()
+	return st.validate(idxOff)
 }
 
-// validate cross-checks the decoded index.
-func (st *Store) validate() error {
+// validate cross-checks the decoded index, which is outside input: nothing
+// read from it is used as an offset, a length or an allocation size before
+// it has passed here. Shard streams must lie between the file magic and the
+// index and declare no more than their bytes could inflate to; within each
+// shard, the points' spans in storage order must tile [0, uncompLen) exactly
+// — the layout Write produces — so a damaged offset or length is refused
+// here instead of selecting the wrong bytes of an intact shard; and the read
+// order must be a permutation. Metadata (benchmark, unit and warming
+// lengths, the Shuffled flag) has no redundancy to check against.
+func (st *Store) validate(idxOff int64) error {
 	if len(st.points) != st.meta.Count {
 		return fmt.Errorf("index declares %d points, point table has %d", st.meta.Count, len(st.points))
 	}
 	if len(st.order) != st.meta.Count {
 		return fmt.Errorf("order table has %d entries for %d points", len(st.order), st.meta.Count)
 	}
+	for s, sh := range st.shards {
+		if sh.dataOff < int64(len(fileMagic)) || sh.compLen < 0 || sh.compLen > idxOff-sh.dataOff {
+			return fmt.Errorf("shard %d stream [%d,+%d) outside the data region [%d,%d)", s, sh.dataOff, sh.compLen, len(fileMagic), idxOff)
+		}
+		if sh.uncompLen < 0 || sh.uncompLen > maxInflate*sh.compLen {
+			return fmt.Errorf("shard %d declares %d bytes inflated from %d", s, sh.uncompLen, sh.compLen)
+		}
+	}
 	perShard := make([]int, len(st.shards))
+	end := make([]int64, len(st.shards)) // running end of each shard's spans
 	for i, p := range st.points {
 		if p.shard < 0 || p.shard >= len(st.shards) {
 			return fmt.Errorf("point %d in shard %d of %d", i, p.shard, len(st.shards))
 		}
-		if p.off < 0 || p.len < 0 || p.off+int64(p.len) > st.shards[p.shard].uncompLen {
-			return fmt.Errorf("point %d span [%d,%d) exceeds shard %d length %d",
-				i, p.off, p.off+int64(p.len), p.shard, st.shards[p.shard].uncompLen)
+		if p.off != end[p.shard] {
+			return fmt.Errorf("point %d starts at %d in shard %d, previous point ends at %d", i, p.off, p.shard, end[p.shard])
 		}
+		end[p.shard] += int64(p.len)
 		perShard[p.shard]++
 	}
-	for s, n := range perShard {
-		if n != st.shards[s].points {
-			return fmt.Errorf("shard %d declares %d points, point table has %d", s, st.shards[s].points, n)
+	for s, sh := range st.shards {
+		if perShard[s] != sh.points {
+			return fmt.Errorf("shard %d declares %d points, point table has %d", s, sh.points, perShard[s])
+		}
+		if end[s] != sh.uncompLen {
+			return fmt.Errorf("shard %d points cover %d bytes of %d", s, end[s], sh.uncompLen)
 		}
 	}
 	seen := make([]bool, st.meta.Count)

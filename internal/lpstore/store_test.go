@@ -2,11 +2,15 @@ package lpstore
 
 import (
 	"bytes"
+	"compress/gzip"
+	"errors"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"livepoints/internal/asn1der"
@@ -36,7 +40,7 @@ func synthBlobs(n, approxLen int) [][]byte {
 	return blobs
 }
 
-func writeTestStore(t *testing.T, blobs [][]byte, shardPoints int, shuffled bool) string {
+func writeTestStore(t testing.TB, blobs [][]byte, shardPoints int, shuffled bool) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "lib.lplib")
 	meta := livepoint.Meta{Benchmark: "syn.test", UnitLen: 1000, WarmLen: 2000, Shuffled: shuffled}
@@ -54,8 +58,39 @@ func writeTestStore(t *testing.T, blobs [][]byte, shardPoints int, shuffled bool
 	return path
 }
 
+// v1File builds the bytes of a v1 library whose header is meta (Count is
+// what the file declares, whatever blobs holds). Nothing outside the tests
+// writes v1 any more; this is the importer's fixture.
+func v1File(meta livepoint.Meta, blobs [][]byte) []byte {
+	b := asn1der.NewBuilder()
+	b.Sequence(func(b *asn1der.Builder) {
+		b.UTF8String(v1Magic)
+		b.UTF8String(meta.Benchmark)
+		b.Uint64(uint64(meta.Count))
+		b.Uint64(meta.UnitLen)
+		b.Uint64(meta.WarmLen)
+		b.Bool(meta.Shuffled)
+	})
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	gz.Write(b.Bytes())
+	for _, blob := range blobs {
+		gz.Write(blob)
+	}
+	gz.Close()
+	return buf.Bytes()
+}
+
+func writeV1(t *testing.T, path string, meta livepoint.Meta, blobs [][]byte) {
+	t.Helper()
+	meta.Count = len(blobs)
+	if err := os.WriteFile(path, v1File(meta, blobs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // drain reads a source to EOF.
-func drain(t *testing.T, src livepoint.Source) [][]byte {
+func drain(t testing.TB, src livepoint.Source) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for {
@@ -230,10 +265,8 @@ func TestMigratePreservesOrder(t *testing.T) {
 	dir := t.TempDir()
 	v1 := filepath.Join(dir, "v1.lplib")
 	v2 := filepath.Join(dir, "v2.lplib")
-	meta := livepoint.Meta{Benchmark: "syn.mig", UnitLen: 100, WarmLen: 200, Shuffled: true}
-	if _, err := livepoint.WriteLibrary(v1, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
+	meta := livepoint.Meta{Benchmark: "syn.mig", Count: 30, UnitLen: 100, WarmLen: 200, Shuffled: true}
+	writeV1(t, v1, meta, blobs)
 	info, err := Migrate(v1, v2, WriteOpts{ShardPoints: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -242,71 +275,23 @@ func TestMigratePreservesOrder(t *testing.T) {
 		t.Fatalf("migrate info %+v", info)
 	}
 
-	wantMeta, want, err := livepoint.ReadAllBlobs(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, err := Open(v2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.Meta() != wantMeta {
-		t.Fatalf("migrated meta %+v, want %+v", st.Meta(), wantMeta)
+	if st.Meta() != meta {
+		t.Fatalf("migrated meta %+v, want %+v", st.Meta(), meta)
 	}
 	got := drain(t, st.Source())
-	if len(got) != len(want) {
-		t.Fatalf("migrated store has %d points, want %d", len(got), len(want))
+	if len(got) != len(blobs) {
+		t.Fatalf("migrated store has %d points, want %d", len(got), len(blobs))
 	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
+	for i := range blobs {
+		if !bytes.Equal(got[i], blobs[i]) {
 			t.Fatalf("migrated blob %d differs from v1 read order", i)
 		}
 	}
-}
-
-// TestOpenAnyV1 checks the in-memory migration reader: a v1 file opens as
-// a fully functional store, including raw-shard access for serving.
-func TestOpenAnyV1(t *testing.T) {
-	blobs := synthBlobs(20, 400)
-	v1 := filepath.Join(t.TempDir(), "v1.lplib")
-	meta := livepoint.Meta{Benchmark: "syn.any", Shuffled: true}
-	if _, err := livepoint.WriteLibrary(v1, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenAny(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.Count() != 20 || st.NumShards() == 0 {
-		t.Fatalf("v1-backed store: count %d, shards %d", st.Count(), st.NumShards())
-	}
-	for i := range blobs {
-		got, err := st.PointBlob(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, blobs[i]) {
-			t.Fatalf("PointBlob(%d) mismatch on v1-backed store", i)
-		}
-	}
-	// Raw shard bytes must inflate back to the catenated blobs.
-	raw, n, err := st.ShardRaw(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n <= 0 {
-		t.Fatal("empty raw shard")
-	}
-	data, err := st.DecompressShard(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("empty decompressed shard")
-	}
-	_ = raw
 }
 
 // TestOpenRejectsV1AndGarbage covers the v1-file-opened-as-v2 error path
@@ -315,13 +300,11 @@ func TestOpenRejectsV1AndGarbage(t *testing.T) {
 	dir := t.TempDir()
 
 	v1 := filepath.Join(dir, "v1.lplib")
-	if _, err := livepoint.WriteLibrary(v1, livepoint.Meta{Benchmark: "b"}, synthBlobs(3, 100)); err != nil {
-		t.Fatal(err)
-	}
+	writeV1(t, v1, livepoint.Meta{Benchmark: "b"}, synthBlobs(3, 100))
 	if _, err := Open(v1); err == nil {
 		t.Fatal("Open(v1 file) should fail")
-	} else if got := err.Error(); !bytes.Contains([]byte(got), []byte("v1")) {
-		t.Fatalf("v1 error should name the format: %v", err)
+	} else if got := err.Error(); !strings.Contains(got, "v1") || !strings.Contains(got, "migrate") {
+		t.Fatalf("v1 error should name the format and the way out: %v", err)
 	}
 
 	junk := filepath.Join(dir, "junk")
@@ -347,8 +330,9 @@ func TestOpenRejectsV1AndGarbage(t *testing.T) {
 	}
 }
 
-// TestRegisteredOpener checks livepoint.OpenSource transparently opens v2
-// files via the registered format opener.
+// TestRegisteredOpener checks livepoint.OpenSource opens v2 files through
+// the opener this package installs, and that the opener's refusals — a v1
+// file, a missing file — reach the caller as they are.
 func TestRegisteredOpener(t *testing.T) {
 	blobs := synthBlobs(15, 300)
 	path := writeTestStore(t, blobs, 4, true)
@@ -362,6 +346,55 @@ func TestRegisteredOpener(t *testing.T) {
 	}
 	if got := drain(t, src); len(got) != len(blobs) {
 		t.Fatalf("drained %d blobs, want %d", len(got), len(blobs))
+	}
+
+	v1 := filepath.Join(t.TempDir(), "v1.lplib")
+	writeV1(t, v1, livepoint.Meta{Benchmark: "b"}, blobs)
+	if _, err := livepoint.OpenSource(v1); err == nil || !strings.Contains(err.Error(), "migrate") {
+		t.Fatalf("OpenSource(v1 file) should say to migrate it, got: %v", err)
+	}
+	if _, err := livepoint.OpenSource(v1 + ".absent"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenSource(missing file) = %v, want the open error", err)
+	}
+}
+
+// TestWriteShuffled checks the creation-time shuffle: the library is marked
+// shuffled, holds every blob once, in the order rand.Shuffle gives for the
+// seed, physically as well as in read order (so shard-major reads are
+// random too).
+func TestWriteShuffled(t *testing.T) {
+	blobs := synthBlobs(40, 300)
+	want := append([][]byte(nil), blobs...)
+	rand.New(rand.NewSource(42)).Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+	if bytes.Equal(want[0], blobs[0]) && bytes.Equal(want[1], blobs[1]) {
+		t.Fatal("seed 42 left the head of the library in place; pick another seed")
+	}
+
+	path := filepath.Join(t.TempDir(), "lib.lplib")
+	if _, err := WriteShuffled(path, livepoint.Meta{Benchmark: "syn.test"}, blobs, 42, WriteOpts{ShardPoints: 8}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if !st.Meta().Shuffled {
+		t.Fatal("library not marked shuffled")
+	}
+	for i, p := range st.Order() {
+		if p != i {
+			t.Fatalf("read position %d is physical point %d: the shuffle should be physical", i, p)
+		}
+	}
+	got := drain(t, st.Source())
+	if len(got) != len(want) {
+		t.Fatalf("read %d blobs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("read position %d is not the blob the seeded shuffle puts there", i)
+		}
 	}
 }
 
@@ -380,5 +413,85 @@ func TestEmptyLibrary(t *testing.T) {
 	}
 	if _, err := st.Source().NextBlob(); err != io.EOF {
 		t.Fatalf("empty source should EOF, got %v", err)
+	}
+}
+
+// withIndex copies the library at path with its footer index rewritten by
+// edit — a hand-built hostile index over intact shard data.
+func withIndex(t testing.TB, path string, edit func(st *Store)) string {
+	t.Helper()
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := raw[:int64(len(fileMagic))+st.CompressedBytes()]
+	edit(st)
+	out := filepath.Join(t.TempDir(), "edited.lplib")
+	if err := os.WriteFile(out, append(data, appendTrailer(st.encodeIndex())...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// hostileIndexes are index edits Open must refuse. Each one, accepted, either
+// hands back the wrong bytes of an intact shard, panics a slice expression,
+// or sizes an allocation from the index alone.
+var hostileIndexes = []struct {
+	name string
+	edit func(st *Store)
+}{
+	// off+len wraps negative, which a "span ends within the shard" check
+	// accepts; PointBlob then slices out of range.
+	{"wrapped span", func(st *Store) { st.points[3] = pointInfo{shard: st.points[3].shard, off: 1<<63 - 5, len: 100} }},
+	{"span shifted inside its shard", func(st *Store) { st.points[1].off-- }},
+	{"span shortened", func(st *Store) { st.points[1].len-- }},
+	{"shard length absurd", func(st *Store) { st.shards[0].uncompLen = 1 << 48 }},
+	{"shard length absurd, spans agree", func(st *Store) {
+		grow := int64(1<<32-1) - int64(st.points[3].len) // points 0..3 are shard 0
+		st.points[3].len += int(grow)
+		st.shards[0].uncompLen += grow
+	}},
+	{"shard stream inside the magic", func(st *Store) { st.shards[0].dataOff = 2 }},
+	{"shard stream past the index", func(st *Store) { st.shards[2].compLen += 1 << 20 }},
+	{"shard stream length wraps", func(st *Store) { st.shards[1].compLen = 1<<63 - 1 }},
+	{"order repeats a point", func(st *Store) { st.order[0] = st.order[1] }},
+}
+
+// TestOpenRefusesHostileIndex: the index is the only door into a library,
+// so everything it says is checked before it is used.
+func TestOpenRefusesHostileIndex(t *testing.T) {
+	path := writeTestStore(t, synthBlobs(10, 200), 4, false)
+	for _, tc := range hostileIndexes {
+		st, err := Open(withIndex(t, path, tc.edit))
+		if err == nil {
+			st.Close()
+			t.Errorf("%s: Open accepted the index", tc.name)
+		}
+	}
+	// The edit helper itself must round-trip, or the cases above prove nothing.
+	st, err := Open(withIndex(t, path, func(*Store) {}))
+	if err != nil {
+		t.Fatalf("unedited index refused: %v", err)
+	}
+	st.Close()
+}
+
+// TestDecompressShardExactLength: a shard stream that inflates past its
+// indexed length is an index/data mismatch, not trailing bytes to ignore.
+func TestDecompressShardExactLength(t *testing.T) {
+	path := writeTestStore(t, synthBlobs(10, 200), 4, false)
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.shards[0].uncompLen-- // behind validate's back
+	if _, err := st.DecompressShard(0); err == nil || !strings.Contains(err.Error(), "past its indexed length") {
+		t.Fatalf("over-long shard stream: %v", err)
 	}
 }

@@ -18,20 +18,16 @@
 //	})
 //	fmt.Printf("CPI = %.3f ±%.1f%%\n", res.Est.Mean(), 100*res.Est.RelCI(livepoints.Z997))
 //
-// Libraries are written in the sharded v2 format (internal/lpstore) and
-// can be served to remote workers over HTTP (internal/lpserve, cmd
-// lpserved); Run auto-detects v2 stores, legacy v1 single-stream files,
-// and — via RunSource and Connect — remote libraries.
+// Libraries are written and run in the sharded v2 format (internal/lpstore)
+// and can be served to remote workers over HTTP (internal/lpserve, cmd
+// lpserved); RunSource and Connect run remote libraries. A legacy v1
+// single-stream file must first be imported with MigrateLibrary.
 //
 // See DESIGN.md for the package layout and the storage/serving
 // architecture.
 package livepoints
 
 import (
-	"fmt"
-	"math/rand"
-	"os"
-
 	"livepoints/internal/bpred"
 	"livepoints/internal/livepoint"
 	"livepoints/internal/lpserve"
@@ -75,8 +71,8 @@ type (
 	PredictorConfig = bpred.Config
 	// WindowResult is the outcome of one simulated detailed window.
 	WindowResult = warm.WindowResult
-	// Source supplies encoded live-points to runners: a local file of
-	// either format, an open v2 store, or a remote serving client.
+	// Source supplies encoded live-points to runners: a local library
+	// file, an open store, or a remote serving client.
 	Source = livepoint.Source
 	// RemoteLibrary is a client connection to an lpserved instance.
 	RemoteLibrary = lpserve.Client
@@ -136,14 +132,12 @@ func NewDesignFor(p *Program, cfg Config, maxPoints int) (Design, error) {
 type LibraryInfo struct {
 	Path              string
 	Points            int
-	Shards            int // 0 for legacy v1 libraries
+	Shards            int
 	CompressedBytes   int64
 	UncompressedBytes int64
 }
 
-// shuffleSeed is the deterministic creation-time shuffle seed (§6.1); it
-// matches the seed the legacy ShuffleFile pipeline used, so estimates are
-// reproducible across format versions.
+// shuffleSeed is the deterministic creation-time shuffle seed (§6.1).
 const shuffleSeed = 0x11E9_0147
 
 // CreateLibrary runs the one-time creation pass for a benchmark and writes
@@ -167,10 +161,8 @@ func CreateLibraryOpts(p *Program, design Design, opts CreateOpts, path string) 
 	if err != nil {
 		return LibraryInfo{}, err
 	}
-	rng := rand.New(rand.NewSource(shuffleSeed))
-	rng.Shuffle(len(blobs), func(i, j int) { blobs[i], blobs[j] = blobs[j], blobs[i] })
-	meta := livepoint.Meta{Benchmark: p.Name, UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	info, err := lpstore.Write(path, meta, blobs, lpstore.WriteOpts{})
+	meta := livepoint.Meta{Benchmark: p.Name, UnitLen: design.UnitLen, WarmLen: design.WarmLen}
+	info, err := lpstore.WriteShuffled(path, meta, blobs, shuffleSeed, lpstore.WriteOpts{})
 	if err != nil {
 		return LibraryInfo{}, err
 	}
@@ -181,33 +173,6 @@ func CreateLibraryOpts(p *Program, design Design, opts CreateOpts, path string) 
 		CompressedBytes:   info.CompressedBytes,
 		UncompressedBytes: info.UncompressedBytes,
 	}, nil
-}
-
-// CreateLibraryLegacy writes a library in the sequential single-stream v1
-// format, for compatibility experiments and migration testing. New
-// libraries should use CreateLibraryOpts.
-func CreateLibraryLegacy(p *Program, design Design, opts CreateOpts, path string) (LibraryInfo, error) {
-	blobs, err := createBlobs(p, design, opts)
-	if err != nil {
-		return LibraryInfo{}, err
-	}
-	tmp := path + ".unshuffled"
-	meta := livepoint.Meta{Benchmark: p.Name, UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	uncompressed, err := livepoint.WriteLibrary(tmp, meta, blobs)
-	if err != nil {
-		return LibraryInfo{}, err
-	}
-	if err := livepoint.ShuffleFile(tmp, path, shuffleSeed); err != nil {
-		return LibraryInfo{}, err
-	}
-	size, err := livepoint.FileSize(path)
-	if err != nil {
-		return LibraryInfo{}, err
-	}
-	if err := os.Remove(tmp); err != nil {
-		return LibraryInfo{}, fmt.Errorf("livepoints: cleaning temporary library: %w", err)
-	}
-	return LibraryInfo{Path: path, Points: len(blobs), CompressedBytes: size, UncompressedBytes: uncompressed}, nil
 }
 
 func createBlobs(p *Program, design Design, opts CreateOpts) ([][]byte, error) {
@@ -228,8 +193,8 @@ func MigrateLibrary(src, dst string) error {
 	return err
 }
 
-// Run executes a sampling experiment over a library file of either format
-// (see RunOpts for stopping rules, parallelism and online history).
+// Run executes a sampling experiment over a library file (see RunOpts for
+// stopping rules, parallelism and online history).
 func Run(path string, opts RunOpts) (*RunResult, error) {
 	return livepoint.RunFile(path, opts)
 }
@@ -247,7 +212,7 @@ func Connect(baseURL string) (*RemoteLibrary, error) {
 }
 
 // RunMatched executes a matched-pair comparative experiment over a library
-// file of either format (§6.2).
+// file (§6.2).
 func RunMatched(path string, opts MatchedOpts) (*MatchedResult, error) {
 	return livepoint.RunMatchedFile(path, opts)
 }

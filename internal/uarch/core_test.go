@@ -17,12 +17,14 @@ func newTestCore(t *testing.T, name string, scale float64, cfg Config) (*Core, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := prog.Generate(spec, scale)
-	m := p.NewMemory()
+	return newTestCoreOver(prog.Generate(spec, scale), cfg)
+}
+
+// newTestCoreOver builds a core at the start of p with cold structures.
+func newTestCoreOver(p *prog.Program, cfg Config) (*Core, *prog.Program) {
 	h := cache.NewHier(cfg.Hier)
 	bp := bpred.New(cfg.BP)
-	core := NewCore(cfg, p, m, functional.State{}, h, bp)
-	return core, p
+	return NewCore(cfg, p, p.NewMemory(), functional.State{}, h, bp), p
 }
 
 // TestHandoffInvariant runs the detailed core for a fixed commit count and

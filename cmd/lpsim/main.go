@@ -6,6 +6,7 @@
 //	lpsim -server http://host:8147 -parallel 8    # pull from lpserved
 //	lpsim -lib gcc.lplib -matched -memlat 150     # matched-pair comparison
 //	lpsim -coord http://host:8147                 # watch a cluster run
+//	lpsim -lib gcc.lplib -cpuprofile cpu.prof     # profile the run (go tool pprof)
 //
 // Results and their confidence are reported online as the (shuffled)
 // library streams in; the run stops as soon as the target is met (§6.1).
@@ -21,6 +22,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"livepoints"
@@ -42,6 +44,7 @@ func main() {
 		memLat     = flag.Int("memlat", 0, "matched: override memory latency")
 		l2KB       = flag.Int("l2kb", 0, "matched: override L2 size (KB, must be within library max)")
 		ruu        = flag.Int("ruu", 0, "matched: override RUU size")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
 	modes := 0
@@ -62,6 +65,39 @@ func main() {
 	if *configName == "16way" {
 		cfg = livepoints.Config16Way()
 	}
+	exp := cfg
+	if *matched {
+		exp.Name = "experimental"
+		if *memLat > 0 {
+			exp.Hier.MemLat = *memLat
+		}
+		if *l2KB > 0 {
+			exp.Hier.L2.SizeBytes = int64(*l2KB) << 10
+		}
+		if *ruu > 0 {
+			exp.RUUSize = *ruu
+		}
+	}
+	// Refuse a machine that cannot be built before touching the library.
+	if err := exp.Validate(); err != nil {
+		log.Fatalf("lpsim: %v", err)
+	}
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatal(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				log.Print(err)
+			}
+		}()
+	}
 
 	var src livepoints.Source
 	if *server != "" {
@@ -80,17 +116,6 @@ func main() {
 	}
 
 	if *matched {
-		exp := cfg
-		exp.Name = "experimental"
-		if *memLat > 0 {
-			exp.Hier.MemLat = *memLat
-		}
-		if *l2KB > 0 {
-			exp.Hier.L2.SizeBytes = int64(*l2KB) << 10
-		}
-		if *ruu > 0 {
-			exp.RUUSize = *ruu
-		}
 		opts := livepoints.MatchedOpts{
 			Base: cfg, Exp: exp,
 			Z: livepoints.Z997, RelErr: *relErr / 2, NoImpactThreshold: 0.03,

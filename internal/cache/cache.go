@@ -27,10 +27,19 @@ func (c Config) Sets() int64 { return c.SizeBytes / (c.LineBytes * int64(c.Assoc
 // Lines returns the total number of lines.
 func (c Config) Lines() int64 { return c.SizeBytes / c.LineBytes }
 
-// Validate checks the geometry is usable (power-of-two sets and line size).
+// maxLines bounds a cache's line count: its arrays are allocated per line,
+// and a size that arrives as a flag or a run spec must be refused before
+// that allocation, not by it. 16M lines is a 2 GB cache of 128-byte lines.
+const maxLines = 1 << 24
+
+// Validate checks the geometry is usable (power-of-two sets and line size,
+// at most maxLines lines).
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Assoc <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("cache %s: non-positive geometry %+v", c.Name, c)
+	}
+	if c.Lines() > maxLines {
+		return fmt.Errorf("cache %s: size %d is %d lines, more than %d", c.Name, c.SizeBytes, c.Lines(), maxLines)
 	}
 	if c.SizeBytes%(c.LineBytes*int64(c.Assoc)) != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible by assoc*line", c.Name, c.SizeBytes)

@@ -19,6 +19,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "b", SizeBytes: 32 << 10, Assoc: 3, LineBytes: 32}, // non-pow2 sets
 		{Name: "c", SizeBytes: 32 << 10, Assoc: 2, LineBytes: 24}, // non-pow2 line
 		{Name: "d", SizeBytes: 1000, Assoc: 3, LineBytes: 32},     // not divisible
+		{Name: "e", SizeBytes: 1 << 50, Assoc: 2, LineBytes: 32},  // more lines than can be allocated
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -45,8 +45,10 @@ func (sb *StoreBuffer) drain(now uint64, fill func(addr uint64)) {
 		}
 	}
 	if i > 0 {
-		sb.addrs = sb.addrs[i:]
-		sb.readyAt = sb.readyAt[i:]
+		// Slide the survivors down rather than reslicing past the drained
+		// ones: a resliced buffer loses capacity and reallocates for ever.
+		sb.addrs = sb.addrs[:copy(sb.addrs, sb.addrs[i:])]
+		sb.readyAt = sb.readyAt[:copy(sb.readyAt, sb.readyAt[i:])]
 	}
 }
 

@@ -93,9 +93,15 @@ func runFile[R any](path string, run func(Source) (*R, error)) (*R, error) {
 	return res, err
 }
 
-// normalise applies the rules absolute and matched runs share: an unset
+// normalise applies the rules absolute and matched runs share: every
+// configuration must describe a machine the core can build, an unset
 // confidence level means Z997, and stopping early needs a shuffled library.
-func normalise(z *float64, relErr float64, src Source) error {
+func normalise(z *float64, relErr float64, src Source, cfgs ...uarch.Config) error {
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("livepoint: %w", err)
+		}
+	}
 	if *z == 0 {
 		*z = sampling.Z997
 	}
@@ -114,7 +120,7 @@ func normalise(z *float64, relErr float64, src Source) error {
 // correlated, and stopping early on such a prefix would bias the
 // estimate.
 func RunSource(src Source, opts RunOpts) (*RunResult, error) {
-	if err := normalise(&opts.Z, opts.RelErr, src); err != nil {
+	if err := normalise(&opts.Z, opts.RelErr, src, opts.Cfg); err != nil {
 		return nil, err
 	}
 	if opts.Parallel < 2 {
@@ -517,7 +523,7 @@ func RunMatchedFile(path string, opts MatchedOpts) (*MatchedResult, error) {
 // RunMatchedSource is RunMatchedFile over any live-point source: the
 // serial loop over a two-configuration kernel.
 func RunMatchedSource(src Source, opts MatchedOpts) (*MatchedResult, error) {
-	if err := normalise(&opts.Z, opts.RelErr, src); err != nil {
+	if err := normalise(&opts.Z, opts.RelErr, src, opts.Base, opts.Exp); err != nil {
 		return nil, err
 	}
 	res := &MatchedResult{}

@@ -264,6 +264,29 @@ func TestMatchedDefaultsZ(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUnbuildableMachine: a configuration the detailed core could
+// only crash on (a window it cannot allocate) or deadlock on (a pool of no
+// functional units) fails the run with the field named, before a point is
+// read.
+func TestRunRefusesUnbuildableMachine(t *testing.T) {
+	const path = "lib.lplib"
+	src := &fakeSharded{meta: Meta{Benchmark: "syn.gzip", Shuffled: true}}
+	openFiles(t, map[string]*fakeSharded{path: src})
+	huge, noALU := uarch.Config8Way(), uarch.Config8Way()
+	huge.RUUSize = 1 << 40
+	noALU.IntALU = 0
+
+	if _, err := RunFile(path, RunOpts{Cfg: huge}); err == nil || !strings.Contains(err.Error(), "RUUSize") {
+		t.Errorf("absolute run with RUUSize 1<<40: %v", err)
+	}
+	if _, err := RunFile(path, RunOpts{Cfg: noALU, Parallel: 2}); err == nil || !strings.Contains(err.Error(), "IntALU") {
+		t.Errorf("parallel run with no integer ALU: %v", err)
+	}
+	if _, err := RunMatchedFile(path, MatchedOpts{Base: uarch.Config8Way(), Exp: huge}); err == nil || !strings.Contains(err.Error(), "RUUSize") {
+		t.Errorf("matched run with experimental RUUSize 1<<40: %v", err)
+	}
+}
+
 // TestOpenSourceWithoutOpener: a binary that never links internal/lpstore
 // has no container format; opening a library must say so, not panic.
 func TestOpenSourceWithoutOpener(t *testing.T) {

@@ -23,11 +23,11 @@ func Simulate(lp *LivePoint, cfg uarch.Config) (warm.WindowResult, error) {
 }
 
 // SimArena holds the reusable per-worker simulation state: a memory
-// hierarchy, a branch predictor, a text map, a copy-on-write overlay, and
-// a functional CPU. A reused arena produces bit-identical results to a
-// fresh one — a structure reset to a configuration is indistinguishable
-// from a freshly built one — while reusing every backing array across
-// points.
+// hierarchy, a branch predictor, a text map, a copy-on-write overlay, a
+// functional CPU, and the detailed core. A reused arena produces
+// bit-identical results to a fresh one — a structure reset to a
+// configuration is indistinguishable from a freshly built one — while
+// reusing every backing array across points.
 //
 // An arena serves one goroutine; runners keep one per worker. The zero
 // value is ready to use.
@@ -38,6 +38,7 @@ type SimArena struct {
 	overlay *mem.Overlay
 	cpu     *functional.CPU
 	warmer  warm.Warmer
+	core    uarch.Core
 }
 
 // Reconstruct builds warmed simulation structures for the target
@@ -109,9 +110,9 @@ func (a *SimArena) Reconstruct(lp *LivePoint, cfg uarch.Config) (*cache.Hier, *b
 
 // Simulate runs the live-point's detailed window under cfg, reusing the
 // per-point fixed allocations (text map, overlay, hierarchy, predictor,
-// functional CPU) across calls. For AW-MRRL checkpoints (FuncWarm > 0)
-// the prescribed functional warming runs first against the stored
-// live-state, then the detailed window.
+// functional CPU, detailed core) across calls. For AW-MRRL checkpoints
+// (FuncWarm > 0) the prescribed functional warming runs first against the
+// stored live-state, then the detailed window.
 func (a *SimArena) Simulate(lp *LivePoint, cfg uarch.Config) (warm.WindowResult, error) {
 	if a.text == nil {
 		a.text = &textSource{insts: make(map[uint64]isa.Inst, 256)}
@@ -142,6 +143,6 @@ func (a *SimArena) Simulate(lp *LivePoint, cfg uarch.Config) (warm.WindowResult,
 		arch = a.cpu.State
 	}
 
-	core := uarch.NewCore(cfg, a.text, a.overlay, arch, hier, bp)
-	return warm.RunWindow(core, lp.WarmLen, lp.UnitLen)
+	a.core.Reset(cfg, a.text, a.overlay, arch, hier, bp)
+	return warm.RunWindow(&a.core, lp.WarmLen, lp.UnitLen)
 }

@@ -84,7 +84,8 @@ func (s RunSpec) withDefaults() RunSpec {
 }
 
 // Configs resolves the spec's baseline and (for matched mode)
-// experimental microarchitectural configurations.
+// experimental microarchitectural configurations, refusing overrides that
+// describe a machine no worker could build.
 func (s RunSpec) Configs() (base, exp uarch.Config, err error) {
 	switch s.Config {
 	case "", "8way":
@@ -106,6 +107,9 @@ func (s RunSpec) Configs() (base, exp uarch.Config, err error) {
 		if s.RUU > 0 {
 			exp.RUUSize = s.RUU
 		}
+	}
+	if err := exp.Validate(); err != nil {
+		return base, exp, fmt.Errorf("lpcluster: %w", err)
 	}
 	return base, exp, nil
 }

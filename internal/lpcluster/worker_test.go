@@ -8,10 +8,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"livepoints/internal/lpserve"
+	"livepoints/internal/lpstore"
 )
 
 // TestWorkerFatalOnGarbageBody: a 2xx response whose JSON body is
@@ -139,5 +141,34 @@ func TestWorkerReconnectBackoffOverride(t *testing.T) {
 	w.Run(ctx)
 	if w.Reconnects == 0 {
 		t.Fatal("no reconnect attempts despite a dead coordinator")
+	}
+}
+
+// TestRunSpecRefusesUnbuildableMachine: an override that describes a
+// machine no worker can build (the RUU is allocated per slot) is refused
+// where the run is defined, and again by a worker that is handed such a
+// spec by a coordinator that did not check — an error naming the field in
+// both places, not a dead worker process.
+func TestRunSpecRefusesUnbuildableMachine(t *testing.T) {
+	spec := RunSpec{Mode: ModeMatched, RUU: 1 << 40}
+	st, err := lpstore.Open(testLibrary(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := NewCoordinator(st, spec, Options{}); err == nil || !strings.Contains(err.Error(), "RUUSize") {
+		t.Fatalf("NewCoordinator accepted ruu=1<<40 (err %v)", err)
+	}
+
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, RunState{Spec: spec, Phase: PhaseRunning})
+	}))
+	defer ts.Close()
+	cl := lpserve.New(ts.URL)
+	defer cl.CloseIdle()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := NewWorker("careful", cl).Run(ctx); err == nil || !strings.Contains(err.Error(), "RUUSize") {
+		t.Fatalf("worker did not refuse ruu=1<<40 (err %v)", err)
 	}
 }

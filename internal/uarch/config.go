@@ -13,6 +13,8 @@
 package uarch
 
 import (
+	"fmt"
+
 	"livepoints/internal/bpred"
 	"livepoints/internal/cache"
 	"livepoints/internal/isa"
@@ -51,6 +53,42 @@ type Config struct {
 
 	Hier cache.HierConfig
 	BP   bpred.Config
+}
+
+// maxRUUSize bounds RUUSize. A consumer link holds a ring position in 30
+// bits; the bound sits far below that so that a window a request names is
+// also one a worker can allocate (a slot is a few hundred bytes).
+const maxRUUSize = 1 << 16
+
+// Validate reports the first field of c the core cannot be built from. A
+// configuration that passes it cannot deadlock the pipeline for want of a
+// resource: every width, queue, functional-unit pool and port has at least
+// one entry.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"FetchWidth", c.FetchWidth}, {"DecodeWidth", c.DecodeWidth},
+		{"IssueWidth", c.IssueWidth}, {"CommitWidth", c.CommitWidth},
+		{"IFQSize", c.IFQSize}, {"RUUSize", c.RUUSize}, {"LSQSize", c.LSQSize},
+		{"IntALU", c.IntALU}, {"IntMul", c.IntMul}, {"FPALU", c.FPALU}, {"FPMul", c.FPMul},
+		{"MemPorts", c.MemPorts}, {"PredsPerCycle", c.PredsPerCycle},
+	} {
+		if f.v < 1 || f.v > maxRUUSize {
+			return fmt.Errorf("uarch %s: %s %d outside 1..%d", c.Name, f.name, f.v, maxRUUSize)
+		}
+	}
+	if c.BranchPenalty < 0 || c.DetailedWarm < 0 {
+		return fmt.Errorf("uarch %s: negative BranchPenalty %d or DetailedWarm %d", c.Name, c.BranchPenalty, c.DetailedWarm)
+	}
+	if err := c.Hier.Validate(); err != nil {
+		return fmt.Errorf("uarch %s: %w", c.Name, err)
+	}
+	if err := c.BP.Validate(); err != nil {
+		return fmt.Errorf("uarch %s: %w", c.Name, err)
+	}
+	return nil
 }
 
 // latInfo is the latency/occupancy of one operation.

@@ -2,6 +2,8 @@ package uarch
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"livepoints/internal/bpred"
 	"livepoints/internal/cache"
@@ -38,42 +40,91 @@ func (s Stats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Committed)
 }
 
-// entry is one RUU (unified ROB/reservation-station) slot.
+// entry is one RUU (unified ROB/reservation-station) slot. The flags sit
+// together so that a slot, which dispatch writes whole, stays small.
 type entry struct {
-	seq   uint64
-	valid bool
+	seq  uint64
+	pc   uint64
+	inst isa.Inst
 
-	pc           uint64
-	inst         isa.Inst
-	wrongPath    bool
-	unknownFetch bool
-
-	dep  [3]uint64
-	nDep int
+	// Wake-up state. dep names the producers that were incomplete when this
+	// entry dispatched (two register sources and a forwarding store at
+	// most); pending counts those still incomplete. consumers heads this
+	// entry's list of waiting consumers, youngest first, and next[i]
+	// continues the list this entry joined for dep[i]. Only pending and the
+	// links drive the scheduler; dep is the record the invariant checker
+	// (checkSets, in the tests) recounts pending from.
+	dep       [3]uint64
+	next      [3]link
+	consumers link
+	nDep      uint8
+	pending   uint8
 
 	issued    bool
 	completed bool
-	doneAt    uint64
 
-	isLoad   bool
-	isStore  bool
+	wrongPath    bool
+	unknownFetch bool
+	isLoad       bool
+	isStore      bool
+	fwdStore     bool
+	isBranch     bool
+	actTaken     bool
+	doRecover    bool
+	writesReg    bool
+
+	doneAt   uint64
 	memAddr  uint64
-	fwdStore bool
-
-	isBranch  bool
-	predNext  uint64 // predicted next pc (sentinel badPC when unknown)
-	actTaken  bool
-	actNext   uint64
-	doRecover bool
-	bpSave    bpred.SpecLite
-
-	writesReg bool
-	rdVal     uint64
-	memVal    uint64
+	predNext uint64 // predicted next pc (sentinel badPC when unknown)
+	actNext  uint64
+	bpSave   bpred.SpecLite
+	rdVal    uint64
+	memVal   uint64
 }
 
 // badPC is the sentinel "unknown predicted target".
 const badPC = ^uint64(0)
+
+// link is one step of a producer's consumer list: the ring position of a
+// waiting entry and which of its dep slots waits on this producer, offset
+// by one so that zero ends the list. maxRUUSize keeps every position
+// within the encoding.
+type link uint32
+
+func mkLink(pos uint64, slot uint8) link { return link(pos<<2|uint64(slot)) + 1 }
+func (l link) pos() uint64               { return uint64(l-1) >> 2 }
+func (l link) slot() uint8               { return uint8(l-1) & 3 }
+
+// posSet is a set of ring positions, one bit each.
+type posSet []uint64
+
+func (s posSet) add(p uint64)    { s[p>>6] |= 1 << (p & 63) }
+func (s posSet) remove(p uint64) { s[p>>6] &^= 1 << (p & 63) }
+
+// firstIn returns the lowest member of s in [lo, hi).
+func (s posSet) firstIn(lo, hi uint64) (uint64, bool) {
+	for lo < hi {
+		if w := s[lo>>6] >> (lo & 63); w != 0 {
+			p := lo + uint64(bits.TrailingZeros64(w))
+			return p, p < hi
+		}
+		lo = (lo | 63) + 1
+	}
+	return 0, false
+}
+
+// lastIn returns the highest member of s in [lo, hi).
+func (s posSet) lastIn(lo, hi uint64) (uint64, bool) {
+	for lo < hi {
+		p := hi - 1
+		if w := s[p>>6] << (63 - p&63); w != 0 {
+			p -= uint64(bits.LeadingZeros64(w))
+			return p, p >= lo
+		}
+		hi = p &^ 63
+	}
+	return 0, false
+}
 
 // fetchRec is one fetched instruction waiting in the fetch queue.
 type fetchRec struct {
@@ -95,6 +146,15 @@ type fetchRec struct {
 // window memory; it is the authoritative architectural state, and must
 // match pure functional simulation instruction-for-instruction (the
 // handoff invariant tested in internal/warm).
+//
+// The RUU is a ring of a power-of-two number of slots, of which at most
+// cfg.RUUSize are occupied: sequence number s lives at position s&mask.
+// The scheduler never walks the window. Three sets of ring positions name
+// the entries each stage has work for — ready (dispatched, not issued, no
+// incomplete producer), inflight (issued, not completed) and stores — and a
+// completing producer wakes exactly the consumers linked to it. DESIGN.md
+// §2.1 gives the invariants and the ordering rules that keep this
+// cycle-for-cycle equal to a full scan.
 type Core struct {
 	cfg  Config
 	text functional.TextSource
@@ -108,10 +168,15 @@ type Core struct {
 	dispMem *mem.Overlay
 
 	ruu       []entry
+	mask      uint64
 	headSeq   uint64
 	tailSeq   uint64
 	lsqCount  int
-	createVec [isa.NumRegs]int64
+	createVec [isa.NumRegs]int64 // youngest in-window writer of each register, or -1
+
+	ready    posSet
+	inflight posSet
+	stores   posSet
 
 	fetchPC       uint64
 	fetchReadyAt  uint64
@@ -131,34 +196,69 @@ type Core struct {
 }
 
 // NewCore builds a core over the given text, memory and pre-warmed
-// microarchitectural structures. arch is the architectural starting state
-// (registers and PC); commitMem receives committed stores. The hierarchy's
-// transient cycle-domain state is reset; its cache/TLB contents are kept.
+// microarchitectural structures: Reset on a fresh Core.
 func NewCore(cfg Config, text functional.TextSource, commitMem functional.MemRW,
 	arch functional.State, h *cache.Hier, bp *bpred.Predictor) *Core {
-	c := &Core{
-		cfg:           cfg,
-		text:          text,
-		hier:          h,
-		bp:            bp,
-		commit:        arch,
-		commitMem:     commitMem,
-		disp:          arch,
-		dispMem:       mem.NewOverlay(commitMem),
-		ruu:           make([]entry, cfg.RUUSize),
+	c := new(Core)
+	c.Reset(cfg, text, commitMem, arch, h, bp)
+	return c
+}
+
+// Reset makes c a core over the given text, memory and pre-warmed
+// microarchitectural structures, indistinguishable from a newly built one
+// but reusing the ring, fetch queue, functional-unit tables and dispatch
+// overlay it already owns. arch is the architectural starting state
+// (registers and PC); commitMem receives committed stores. The hierarchy's
+// transient cycle-domain state is reset; its cache/TLB contents are kept.
+// cfg must validate.
+func (c *Core) Reset(cfg Config, text functional.TextSource, commitMem functional.MemRW,
+	arch functional.State, h *cache.Hier, bp *bpred.Predictor) {
+	size := 1 << bits.Len(uint(cfg.RUUSize-1)) // the power of two at or above RUUSize
+	words := (size + 63) / 64
+	dispMem := c.dispMem
+	if dispMem == nil {
+		dispMem = mem.NewOverlay(commitMem)
+	} else {
+		dispMem.Rebind(commitMem)
+	}
+	fuBusy := c.fuBusy
+	fuBusy[isa.ClassIntALU] = zeroed(fuBusy[isa.ClassIntALU], cfg.IntALU)
+	fuBusy[isa.ClassIntMul] = zeroed(fuBusy[isa.ClassIntMul], cfg.IntMul)
+	fuBusy[isa.ClassFPALU] = zeroed(fuBusy[isa.ClassFPALU], cfg.FPALU)
+	fuBusy[isa.ClassFPMul] = zeroed(fuBusy[isa.ClassFPMul], cfg.FPMul)
+	*c = Core{
+		cfg:       cfg,
+		text:      text,
+		hier:      h,
+		bp:        bp,
+		commit:    arch,
+		commitMem: commitMem,
+		disp:      arch,
+		dispMem:   dispMem,
+		// Slots outside headSeq..tailSeq are never read, so a reused ring
+		// needs no clearing: dispatch overwrites a slot before anything
+		// looks at it.
+		ruu:           slices.Grow(c.ruu[:0], size)[:size],
+		mask:          uint64(size - 1),
+		ready:         zeroed(c.ready, words),
+		inflight:      zeroed(c.inflight, words),
+		stores:        zeroed(c.stores, words),
 		fetchPC:       arch.PC,
 		lastFetchLine: badPC,
-		ifq:           make([]fetchRec, 0, cfg.IFQSize),
+		ifq:           slices.Grow(c.ifq[:0], cfg.IFQSize),
+		fuBusy:        fuBusy,
 	}
 	for i := range c.createVec {
 		c.createVec[i] = -1
 	}
-	c.fuBusy[isa.ClassIntALU] = make([]uint64, cfg.IntALU)
-	c.fuBusy[isa.ClassIntMul] = make([]uint64, cfg.IntMul)
-	c.fuBusy[isa.ClassFPALU] = make([]uint64, cfg.FPALU)
-	c.fuBusy[isa.ClassFPMul] = make([]uint64, cfg.FPMul)
 	h.ResetTransients()
-	return c
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage.
+func zeroed(s []uint64, n int) []uint64 {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // CommittedState returns the committed architectural state.
@@ -170,13 +270,39 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 // Halted reports whether a correct-path halt instruction committed.
 func (c *Core) Halted() bool { return c.halted }
 
-func (c *Core) slot(seq uint64) *entry { return &c.ruu[seq%uint64(len(c.ruu))] }
+func (c *Core) slot(seq uint64) *entry { return &c.ruu[seq&c.mask] }
 
-// live reports whether the producer identified by seq is still in flight
-// and incomplete.
-func (c *Core) depPending(seq uint64) bool {
-	e := c.slot(seq)
-	return e.valid && e.seq == seq && !e.completed
+// oldest returns the oldest member of set with sequence number at least
+// from. The live sequence numbers from..tailSeq-1 occupy ring positions
+// that wrap at most once.
+func (c *Core) oldest(set posSet, from uint64) (uint64, bool) {
+	lo, size := from&c.mask, c.mask+1
+	end := lo + c.tailSeq - from
+	if p, ok := set.firstIn(lo, min(end, size)); ok {
+		return from + p - lo, true
+	}
+	if end > size {
+		if p, ok := set.firstIn(0, end-size); ok {
+			return from + size - lo + p, true
+		}
+	}
+	return 0, false
+}
+
+// youngest returns the youngest member of set with sequence number below
+// before.
+func (c *Core) youngest(set posSet, before uint64) (uint64, bool) {
+	lo, size := c.headSeq&c.mask, c.mask+1
+	end := lo + before - c.headSeq
+	if end > size {
+		if p, ok := set.lastIn(0, end-size); ok {
+			return c.headSeq + size - lo + p, true
+		}
+	}
+	if p, ok := set.lastIn(lo, min(end, size)); ok {
+		return c.headSeq + p - lo, true
+	}
+	return 0, false
 }
 
 // Run simulates until n more instructions commit or the program halts,
@@ -191,16 +317,7 @@ func (c *Core) depPending(seq uint64) bool {
 func (c *Core) Run(n uint64) uint64 {
 	target := c.Stat.Committed + n
 	for c.Stat.Committed < target && !c.halted {
-		c.cycle++
-		active := 0
-		before := c.Stat.Committed
-		c.stageCommit(target)
-		active += int(c.Stat.Committed - before)
-		active += c.stageWriteback()
-		active += c.stageIssue()
-		active += c.stageDispatch()
-		active += c.stageFetch()
-		if active == 0 {
+		if !c.step(target) {
 			c.skipToNextEvent()
 		}
 		if c.cycle-c.lastCommitCycle > 1<<21 {
@@ -212,15 +329,28 @@ func (c *Core) Run(n uint64) uint64 {
 	return c.Stat.Committed - (target - n)
 }
 
+// step simulates one cycle, committing no further than target, and
+// reports whether any stage made progress.
+func (c *Core) step(target uint64) bool {
+	c.cycle++
+	before := c.Stat.Committed
+	c.stageCommit(target)
+	active := int(c.Stat.Committed - before)
+	active += c.stageWriteback()
+	active += c.stageIssue()
+	active += c.stageDispatch()
+	active += c.stageFetch()
+	return active > 0
+}
+
 // skipToNextEvent advances the cycle counter to just before the earliest
 // time-driven wake-up: an in-flight completion, the fetch restart time, or
 // a functional unit becoming free. Panics if the pipeline is provably
 // deadlocked (no pending event at all).
 func (c *Core) skipToNextEvent() {
 	next := badPC
-	for s := c.headSeq; s != c.tailSeq; s++ {
-		e := c.slot(s)
-		if e.valid && e.issued && !e.completed && e.doneAt < next {
+	for s, ok := c.oldest(c.inflight, c.headSeq); ok; s, ok = c.oldest(c.inflight, s+1) {
+		if e := c.slot(s); e.doneAt < next {
 			next = e.doneAt
 		}
 	}
@@ -251,7 +381,7 @@ func (c *Core) stageCommit(target uint64) {
 			return
 		}
 		e := c.slot(c.headSeq)
-		if !e.valid || !e.completed {
+		if !e.completed {
 			return
 		}
 		if e.wrongPath {
@@ -301,7 +431,12 @@ func (c *Core) retireHead(e *entry) {
 	if e.isLoad || e.isStore {
 		c.lsqCount--
 	}
-	e.valid = false
+	if e.isStore {
+		c.stores.remove(e.seq & c.mask)
+	}
+	if e.writesReg && c.createVec[e.inst.Rd] == int64(e.seq) {
+		c.createVec[e.inst.Rd] = -1
+	}
 	c.headSeq++
 	// Periodically compact the dispatch overlay so long correct-path runs
 	// (golden full-benchmark simulations) do not accumulate an unbounded
@@ -315,15 +450,14 @@ func (c *Core) retireHead(e *entry) {
 
 func (c *Core) stageWriteback() int {
 	done := 0
-	for s := c.headSeq; s != c.tailSeq; s++ {
+	for s, ok := c.oldest(c.inflight, c.headSeq); ok; s, ok = c.oldest(c.inflight, s+1) {
 		e := c.slot(s)
-		if !e.valid || !e.issued || e.completed {
-			continue
-		}
 		if e.doneAt > c.cycle {
 			continue
 		}
 		e.completed = true
+		c.inflight.remove(s & c.mask)
+		c.wake(e)
 		done++
 		if e.doRecover {
 			c.recover(e)
@@ -333,30 +467,51 @@ func (c *Core) stageWriteback() int {
 	return done
 }
 
+// wake tells the consumers waiting on the completed producer e that it is
+// done; one whose last producer this was becomes ready, in time for this
+// cycle's issue stage.
+func (c *Core) wake(e *entry) {
+	for l := e.consumers; l != 0; {
+		y := &c.ruu[l.pos()]
+		if y.pending--; y.pending == 0 {
+			c.ready.add(l.pos())
+		}
+		l = y.next[l.slot()]
+	}
+	e.consumers = 0
+}
+
 // recover squashes all entries younger than the mispredicted branch e,
 // restores the dispatch context and predictor speculative state, and
 // redirects fetch to the branch's actual target.
 func (c *Core) recover(e *entry) {
 	c.Stat.Recoveries++
+	// Take the squashed entries out of the sets before their slots can be
+	// dispatched into again.
 	for s := e.seq + 1; s != c.tailSeq; s++ {
-		y := c.slot(s)
-		if y.valid {
-			if y.isLoad || y.isStore {
-				c.lsqCount--
-			}
-			y.valid = false
+		y, p := c.slot(s), s&c.mask
+		if y.isLoad || y.isStore {
+			c.lsqCount--
 		}
+		c.ready.remove(p)
+		c.inflight.remove(p)
+		c.stores.remove(p)
 	}
 	c.tailSeq = e.seq + 1
 
-	// Rebuild the register rename view from surviving entries.
+	// Rebuild the register rename view from surviving entries, and unlink
+	// the squashed consumers from the producers that survive: a consumer
+	// list is youngest first, so they are its leading links.
 	for i := range c.createVec {
 		c.createVec[i] = -1
 	}
 	for s := c.headSeq; s != c.tailSeq; s++ {
 		y := c.slot(s)
-		if y.valid && y.writesReg {
+		if y.writesReg {
 			c.createVec[y.inst.Rd] = int64(y.seq)
+		}
+		for l := y.consumers; l != 0 && c.ruu[l.pos()].seq > e.seq; l = y.consumers {
+			y.consumers = c.ruu[l.pos()].next[l.slot()]
 		}
 	}
 
@@ -366,7 +521,7 @@ func (c *Core) recover(e *entry) {
 	c.rebuildDispatchMemory()
 	for s := c.headSeq; s != c.tailSeq; s++ {
 		y := c.slot(s)
-		if y.valid && y.writesReg {
+		if y.writesReg {
 			c.disp.SetReg(y.inst.Rd, y.rdVal)
 		}
 	}
@@ -385,14 +540,12 @@ func (c *Core) recover(e *entry) {
 }
 
 // rebuildDispatchMemory resets the dispatch overlay to the committed memory
-// plus all surviving in-flight stores.
+// plus all surviving in-flight stores, oldest first.
 func (c *Core) rebuildDispatchMemory() {
 	c.dispMem.Reset()
-	for s := c.headSeq; s != c.tailSeq; s++ {
+	for s, ok := c.oldest(c.stores, c.headSeq); ok; s, ok = c.oldest(c.stores, s+1) {
 		y := c.slot(s)
-		if y.valid && y.isStore {
-			c.dispMem.WriteWord(y.memAddr, y.memVal)
-		}
+		c.dispMem.WriteWord(y.memAddr, y.memVal)
 	}
 }
 
@@ -401,43 +554,27 @@ func (c *Core) rebuildDispatchMemory() {
 func (c *Core) stageIssue() int {
 	issued := 0
 	portsUsed := 0
-	for s := c.headSeq; s != c.tailSeq && issued < c.cfg.IssueWidth; s++ {
+	for s, ok := c.oldest(c.ready, c.headSeq); ok && issued < c.cfg.IssueWidth; s, ok = c.oldest(c.ready, s+1) {
 		e := c.slot(s)
-		if !e.valid || e.issued {
-			continue
-		}
-		ready := true
-		for i := 0; i < e.nDep; i++ {
-			if c.depPending(e.dep[i]) {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			continue
-		}
 		li := opLat[e.inst.Op]
+		// A structural hazard skips the entry without using issue width.
 		switch {
 		case e.isLoad && e.fwdStore:
 			// Store-to-load forwarding: one cycle after data is ready.
-			e.issued = true
 			e.doneAt = c.cycle + 1
 		case e.isLoad:
 			if portsUsed >= c.cfg.MemPorts {
 				continue
 			}
 			portsUsed++
-			e.issued = true
 			e.doneAt = c.hier.Load(e.memAddr, c.cycle)
 		case e.isStore:
 			if portsUsed >= c.cfg.MemPorts {
 				continue
 			}
 			portsUsed++
-			e.issued = true
 			e.doneAt = c.hier.StoreAddr(e.memAddr, c.cycle)
 		case li.class == isa.ClassNone:
-			e.issued = true
 			e.doneAt = c.cycle + 1
 		default:
 			fu := c.fuBusy[li.class]
@@ -452,9 +589,11 @@ func (c *Core) stageIssue() int {
 				continue
 			}
 			fu[slot] = c.cycle + uint64(li.interval)
-			e.issued = true
 			e.doneAt = c.cycle + uint64(li.latency)
 		}
+		e.issued = true
+		c.ready.remove(s & c.mask)
+		c.inflight.add(s & c.mask)
 		issued++
 	}
 	return issued
@@ -486,7 +625,6 @@ func (c *Core) stageDispatch() int {
 		e := c.slot(seq)
 		*e = entry{
 			seq:          seq,
-			valid:        true,
 			pc:           rec.pc,
 			inst:         rec.inst,
 			wrongPath:    c.specMode,
@@ -507,9 +645,8 @@ func (c *Core) stageDispatch() int {
 			if r == isa.RegZero {
 				continue
 			}
-			if ps := c.createVec[r]; ps >= 0 && c.depPending(uint64(ps)) {
-				e.dep[e.nDep] = uint64(ps)
-				e.nDep++
+			if ps := c.createVec[r]; ps >= 0 {
+				c.waitFor(e, uint64(ps))
 			}
 		}
 
@@ -525,6 +662,7 @@ func (c *Core) stageDispatch() int {
 			e.isStore = res.IsStore
 			if e.isStore {
 				e.memVal = c.disp.Reg(rec.inst.Rs2)
+				c.stores.add(seq & c.mask)
 			}
 			if e.isLoad {
 				if !res.LoadOK {
@@ -535,19 +673,17 @@ func (c *Core) stageDispatch() int {
 				}
 				// Store-to-load forwarding from the youngest older
 				// matching in-flight store.
-				for s := seq; s != c.headSeq; {
-					s--
-					y := c.slot(s)
-					if y.valid && y.isStore && y.memAddr == e.memAddr {
-						if !y.completed {
-							e.dep[e.nDep] = y.seq
-							e.nDep++
-						}
+				for s, ok := c.youngest(c.stores, seq); ok; s, ok = c.youngest(c.stores, s) {
+					if c.slot(s).memAddr == e.memAddr {
+						c.waitFor(e, s)
 						e.fwdStore = true
 						break
 					}
 				}
 			}
+		}
+		if e.pending == 0 {
+			c.ready.add(seq & c.mask)
 		}
 
 		if e.writesReg = rec.inst.WritesReg(); e.writesReg {
@@ -565,6 +701,20 @@ func (c *Core) stageDispatch() int {
 		}
 	}
 	return dispatched
+}
+
+// waitFor makes the dispatching entry e wait for the in-window producer
+// seq, unless that has already completed.
+func (c *Core) waitFor(e *entry, seq uint64) {
+	p := c.slot(seq)
+	if p.completed {
+		return
+	}
+	e.dep[e.nDep] = seq
+	e.next[e.nDep] = p.consumers
+	p.consumers = mkLink(e.seq&c.mask, e.nDep)
+	e.nDep++
+	e.pending++
 }
 
 // --- Fetch --------------------------------------------------------------------

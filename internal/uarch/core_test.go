@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"strings"
 	"testing"
 
 	"livepoints/internal/bpred"
@@ -17,14 +18,13 @@ func newTestCore(t *testing.T, name string, scale float64, cfg Config) (*Core, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTestCoreOver(prog.Generate(spec, scale), cfg)
+	p := prog.Generate(spec, scale)
+	return newTestCoreOver(p, cfg), p
 }
 
 // newTestCoreOver builds a core at the start of p with cold structures.
-func newTestCoreOver(p *prog.Program, cfg Config) (*Core, *prog.Program) {
-	h := cache.NewHier(cfg.Hier)
-	bp := bpred.New(cfg.BP)
-	return NewCore(cfg, p, p.NewMemory(), functional.State{}, h, bp), p
+func newTestCoreOver(p *prog.Program, cfg Config) *Core {
+	return NewCore(cfg, p, p.NewMemory(), functional.State{}, cache.NewHier(cfg.Hier), bpred.New(cfg.BP))
 }
 
 // TestHandoffInvariant runs the detailed core for a fixed commit count and
@@ -167,17 +167,56 @@ func Test16WayRunsAndIsFaster(t *testing.T) {
 	}
 }
 
-// TestConfigsValidate checks both Table 1 configurations are well-formed.
+// TestConfigsValidate checks the Table 1 configurations and the pinned
+// variants are well-formed, and that a configuration the core could only
+// crash or deadlock on is refused with the field named.
 func TestConfigsValidate(t *testing.T) {
-	for _, cfg := range []Config{Config8Way(), Config16Way()} {
-		if err := cfg.Hier.Validate(); err != nil {
-			t.Errorf("%s hierarchy: %v", cfg.Name, err)
-		}
-		if err := cfg.BP.Validate(); err != nil {
-			t.Errorf("%s predictor: %v", cfg.Name, err)
+	for _, cfg := range goldenConfigs() {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", cfg.Name, err)
 		}
 		if cfg.WindowLen() != cfg.DetailedWarm+MeasureLen {
 			t.Errorf("%s: window length arithmetic broken", cfg.Name)
+		}
+	}
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"RUUSize", func(c *Config) { c.RUUSize = 0 }},
+		{"RUUSize", func(c *Config) { c.RUUSize = maxRUUSize + 1 }},
+		{"RUUSize", func(c *Config) { c.RUUSize = 1 << 40 }},
+		{"LSQSize", func(c *Config) { c.LSQSize = 0 }},
+		{"IFQSize", func(c *Config) { c.IFQSize = -1 }},
+		{"FetchWidth", func(c *Config) { c.FetchWidth = 0 }},
+		{"DecodeWidth", func(c *Config) { c.DecodeWidth = 0 }},
+		{"IssueWidth", func(c *Config) { c.IssueWidth = 0 }},
+		{"CommitWidth", func(c *Config) { c.CommitWidth = 0 }},
+		{"IntALU", func(c *Config) { c.IntALU = 0 }},
+		{"IntMul", func(c *Config) { c.IntMul = 0 }},
+		{"FPALU", func(c *Config) { c.FPALU = 0 }},
+		{"FPMul", func(c *Config) { c.FPMul = 0 }},
+		{"MemPorts", func(c *Config) { c.MemPorts = 0 }},
+		{"PredsPerCycle", func(c *Config) { c.PredsPerCycle = 0 }},
+		{"BranchPenalty", func(c *Config) { c.BranchPenalty = -1 }},
+		{"cache l2", func(c *Config) { c.Hier.L2.SizeBytes = 3 << 10 }},
+		{"bpred", func(c *Config) { c.BP.TableSize = 1000 }},
+	} {
+		cfg := Config8Way()
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("bad %s: error %v does not name it", tc.field, err)
+		}
+	}
+	// The largest window allowed fits a consumer link.
+	widest := Config8Way()
+	widest.RUUSize = maxRUUSize
+	if err := widest.Validate(); err != nil {
+		t.Errorf("RUUSize at the bound refused: %v", err)
+	}
+	for slot := uint8(0); slot < 3; slot++ {
+		if l := mkLink(maxRUUSize-1, slot); l == 0 || l.pos() != maxRUUSize-1 || l.slot() != slot {
+			t.Errorf("link to position %d slot %d decodes as %d, %d", maxRUUSize-1, slot, l.pos(), l.slot())
 		}
 	}
 }

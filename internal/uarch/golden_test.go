@@ -35,7 +35,7 @@ func TestCoreStatsGolden(t *testing.T) {
 	for _, spec := range prog.Suite() {
 		p := prog.Generate(spec, 0.01)
 		for _, cfg := range goldenConfigs() {
-			core, _ := newTestCoreOver(p, cfg)
+			core := newTestCoreOver(p, cfg)
 			core.Run(commits)
 			got[spec.Name+"/"+cfg.Name] = core.Stat
 		}

@@ -8,6 +8,7 @@ import (
 	"livepoints/internal/functional"
 	"livepoints/internal/isa"
 	"livepoints/internal/mem"
+	"livepoints/internal/prog"
 )
 
 // sliceText adapts a raw instruction slice to the text-source interface.
@@ -216,33 +217,69 @@ func loopProgram(biased bool) []isa.Inst {
 	return a
 }
 
-// TestEventSkipEquivalence checks the cycle-skipping fast path produces the
-// same timing as it would without skips, by comparing a memory-stall-heavy
-// run against itself (determinism) and checking committed state.
+// runStepping is Run without the skip: every cycle is simulated, stalled or
+// not.
+func runStepping(c *Core, n uint64) {
+	target := c.Stat.Committed + n
+	for c.Stat.Committed < target && !c.halted {
+		c.step(target)
+	}
+	c.Stat.Cycles = c.cycle
+}
+
+// TestEventSkipEquivalence checks that skipping stalled cycles changes
+// nothing: a core stepped through every cycle and a core driven through
+// Run, which jumps to the next event whenever no stage made progress,
+// report the same statistics and committed state — on serial loads to
+// fresh pages (maximal stalls) and on a window of the memory-bound suite
+// benchmark.
 func TestEventSkipEquivalence(t *testing.T) {
 	cfg := Config8Way()
-	text := []isa.Inst{
+	chase := []isa.Inst{
 		{Op: isa.OpLui, Rd: 1, Imm: 0x2000000},
 	}
-	// Pointer-chase-like serial loads to fresh pages: maximal stalls.
 	for i := 0; i < 32; i++ {
-		text = append(text, isa.Inst{Op: isa.OpLoad, Rd: 2, Rs1: 1, Imm: int64(i) * 8192})
-		text = append(text, isa.Inst{Op: isa.OpAdd, Rd: 3, Rs1: 3, Rs2: 2})
+		chase = append(chase, isa.Inst{Op: isa.OpLoad, Rd: 2, Rs1: 1, Imm: int64(i) * 8192})
+		chase = append(chase, isa.Inst{Op: isa.OpAdd, Rd: 3, Rs1: 3, Rs2: 2})
 	}
-	text = append(text, isa.Inst{Op: isa.OpHalt})
-
-	c1 := newMicroCore(text, cfg)
-	c1.Run(1 << 22)
-	c2 := newMicroCore(text, cfg)
-	c2.Run(1 << 22)
-	if c1.Stat.Cycles != c2.Stat.Cycles {
-		t.Fatalf("non-deterministic stall timing: %d vs %d", c1.Stat.Cycles, c2.Stat.Cycles)
-	}
-	ref := functional.New(sliceText(text), mem.New())
-	if _, err := ref.RunToHalt(1 << 20); err != nil {
+	chase = append(chase, isa.Inst{Op: isa.OpHalt})
+	mcf, err := prog.ByName("syn.mcf")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.CommittedState().Regs != ref.Regs {
-		t.Fatal("stall-heavy program committed wrong state")
+	p := prog.Generate(mcf, 0.01)
+
+	for _, tc := range []struct {
+		name string
+		mk   func() *Core
+		n    uint64
+		text []isa.Inst // set when n runs the program to its halt
+	}{
+		{"pointer-chase", func() *Core { return newMicroCore(chase, cfg) }, 1 << 22, chase},
+		{"syn.mcf", func() *Core { return newTestCoreOver(p, cfg) }, 20_000, nil},
+	} {
+		stepped, skipped := tc.mk(), tc.mk()
+		runStepping(stepped, tc.n)
+		skipped.Run(tc.n)
+		if stepped.Stat != skipped.Stat {
+			t.Fatalf("%s: skipping changed the statistics:\n stepped %+v\n skipped %+v", tc.name, stepped.Stat, skipped.Stat)
+		}
+		if stepped.CommittedState() != skipped.CommittedState() {
+			t.Fatalf("%s: skipping changed the committed state", tc.name)
+		}
+		// The comparison is vacuous unless cycles were in fact skipped.
+		if stepped.Stat.Cycles < 2*stepped.Stat.Committed {
+			t.Fatalf("%s: only %d cycles for %d instructions: nothing stalled", tc.name, stepped.Stat.Cycles, stepped.Stat.Committed)
+		}
+		if tc.text == nil {
+			continue
+		}
+		ref := functional.New(sliceText(tc.text), mem.New())
+		if _, err := ref.RunToHalt(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		if skipped.CommittedState().Regs != ref.Regs {
+			t.Fatalf("%s: stall-heavy program committed wrong state", tc.name)
+		}
 	}
 }

@@ -22,6 +22,10 @@ import (
 // DefaultBatchPoints is the sequential client's ranged-fetch size.
 const DefaultBatchPoints = 64
 
+// maxInflate bounds what a DEFLATE stream can expand to: its longest
+// match, 258 bytes, costs at least two bits.
+const maxInflate = 1032
+
 // DefaultTimeout bounds one request attempt (connect + headers + body)
 // when Client.Timeout is unset.
 const DefaultTimeout = 30 * time.Second
@@ -440,10 +444,21 @@ func (c *Client) ShardBlobs(ctx context.Context, sh int) ([][]byte, error) {
 			return nil, fmt.Errorf("lpserve: shard %d: %w", sh, err)
 		}
 		defer livepoint.ReleaseGzipReader(gz)
-		data, err := io.ReadAll(gz)
-		if err != nil {
+		// The index says how long the shard inflates to, so the buffer starts
+		// at that length — io.ReadAll grows its way there through five times
+		// the bytes. Only a hint: a stream of another length is still read to
+		// its end and the spans checked against what arrived, and no index
+		// makes the hint longer than the body could inflate to.
+		var hint int64
+		for _, sp := range spans {
+			hint = max(hint, sp.Off+int64(sp.Len))
+		}
+		hint = min(hint, resp.ContentLength*maxInflate)
+		buf := bytes.NewBuffer(make([]byte, 0, max(hint, 0)+bytes.MinRead))
+		if _, err := buf.ReadFrom(gz); err != nil {
 			return nil, fmt.Errorf("lpserve: shard %d: inflating: %w", sh, err)
 		}
+		data := buf.Bytes()
 		blobs := make([][]byte, len(spans))
 		for i, sp := range spans {
 			if sp.Off < 0 || sp.Off+int64(sp.Len) > int64(len(data)) {

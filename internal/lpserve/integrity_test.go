@@ -3,17 +3,20 @@ package lpserve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
 
 	"livepoints/internal/asn1der"
+	"livepoints/internal/lpstore"
 	"livepoints/internal/obs"
 )
 
@@ -247,5 +250,66 @@ func TestShardBlobsCorruptGzipRefetched(t *testing.T) {
 	}
 	if v := c.Metrics.Counter("lpserve_client_body_retries_total", "").Value(); v < 1 {
 		t.Fatal("shard corruption did not take the body-retry path")
+	}
+}
+
+// TestShardBlobsIndexIsOnlyAHint: the shard index sizes the client's
+// inflate buffer, and nothing more. An index that undersells the shard
+// still gets every byte of the blobs it names; one that names a span
+// terabytes past the end is the protocol error it always was, without the
+// client first reserving what it claims.
+func TestShardBlobsIndexIsOnlyAHint(t *testing.T) {
+	st, _ := synthStore(t, 23, 4)
+	inner := NewServerWithMetrics(st, obs.NewRegistry()).Handler()
+	spans, err := st.ShardReadOrder(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := st.DecompressShard(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var index []lpstore.Span
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shards/1/index" {
+			json.NewEncoder(w).Encode(index)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	c.Retry = fastRetry
+	c.Metrics = obs.NewRegistry()
+
+	// The span that ends the stream is withheld: the hint is short.
+	last := 0
+	for i, sp := range spans {
+		if sp.Off > spans[last].Off {
+			last = i
+		}
+	}
+	index = append(append([]lpstore.Span{}, spans[:last]...), spans[last+1:]...)
+	blobs, err := c.ShardBlobs(context.Background(), 1)
+	if err != nil {
+		t.Fatalf("index one span short: %v", err)
+	}
+	for i, sp := range index {
+		if !bytes.Equal(blobs[i], data[sp.Off:sp.Off+int64(sp.Len)]) {
+			t.Fatalf("index one span short: blob %d differs", i)
+		}
+	}
+
+	index = append(append([]lpstore.Span{}, spans...), lpstore.Span{Off: 1 << 40, Len: 1 << 30})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err = c.ShardBlobs(context.Background(), 1)
+	runtime.ReadMemStats(&m1)
+	var pe *ProtocolError
+	if !errors.As(err, &pe) {
+		t.Fatalf("span past the shard's end: %v, want a ProtocolError", err)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 64<<20 {
+		t.Fatalf("the client allocated %d MB on the word of a lying index", got>>20)
 	}
 }

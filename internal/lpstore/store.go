@@ -272,6 +272,12 @@ func (st *Store) ShardRaw(s int) (io.Reader, int64, error) {
 // DecompressShard inflates one shard into memory and returns its
 // uncompressed bytes (every point blob, concatenated in storage order).
 func (st *Store) DecompressShard(s int) ([]byte, error) {
+	return st.inflateShard(s, nil)
+}
+
+// inflateShard is DecompressShard into buf's storage when the shard fits
+// it.
+func (st *Store) inflateShard(s int, buf []byte) ([]byte, error) {
 	raw, _, err := st.ShardRaw(s)
 	if err != nil {
 		return nil, err
@@ -281,7 +287,11 @@ func (st *Store) DecompressShard(s int) ([]byte, error) {
 		return nil, fmt.Errorf("lpstore: shard %d: %w", s, err)
 	}
 	defer livepoint.ReleaseGzipReader(gz)
-	data := make([]byte, st.shards[s].uncompLen)
+	n := st.shards[s].uncompLen
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	data := buf[:n]
 	if _, err := io.ReadFull(gz, data); err != nil {
 		return nil, fmt.Errorf("lpstore: shard %d: inflating: %w", s, err)
 	}
@@ -293,6 +303,28 @@ func (st *Store) DecompressShard(s int) ([]byte, error) {
 		return nil, fmt.Errorf("lpstore: shard %d: inflates %d bytes past its indexed length %d", s, n, len(data))
 	}
 	return data, nil
+}
+
+// shardBuf returns a buffer that holds any shard of the store: the free
+// list's last when that is long enough, else a new one. Release it with
+// releaseShardBuf.
+func (st *Store) shardBuf() []byte {
+	var longest int64
+	for _, sh := range st.shards {
+		longest = max(longest, sh.uncompLen)
+	}
+	var buf []byte
+	shardBufs.Lock()
+	if n := len(shardBufs.free); n > 0 {
+		buf = shardBufs.free[n-1]
+		shardBufs.free[n-1] = nil
+		shardBufs.free = shardBufs.free[:n-1]
+	}
+	shardBufs.Unlock()
+	if int64(cap(buf)) < longest {
+		buf = make([]byte, longest)
+	}
+	return buf
 }
 
 // buildShardOrder partitions the read-order permutation by shard, once.
@@ -411,7 +443,7 @@ func (s *storeSource) NextBlob() ([]byte, error) {
 }
 
 func (s *storeSource) Close() error {
-	s.cache = newShardCache(s.st, 4)
+	s.cache.release()
 	if s.ownStore {
 		return s.st.Close()
 	}
@@ -424,12 +456,40 @@ func (s *storeSource) OpenShard(sh int) (livepoint.Source, error) {
 	if sh < 0 || sh >= s.st.NumShards() {
 		return nil, fmt.Errorf("lpstore: shard %d out of range [0,%d)", sh, s.st.NumShards())
 	}
-	data, err := s.st.DecompressShard(sh)
+	data, err := s.st.inflateShard(sh, s.st.shardBuf())
 	if err != nil {
 		return nil, err
 	}
 	s.st.buildShardOrder()
 	return &shardSource{st: s.st, data: data, ids: s.st.shardOrder[sh]}, nil
+}
+
+// shardBufs is the free list behind the sources' inflated-shard buffers.
+// A shard is megabytes, and a fresh buffer for each is zeroing, page
+// faults and collector cycles that a run repeats for every shard it reads
+// and that cost a different amount every time; recycled, a run's load
+// stage touches the same warm memory shard after shard and run after run.
+// The list is bounded and, unlike a sync.Pool, survives collections: what
+// it pins is at most maxFreeShardBufs shards of the largest store read.
+// Buffers the public DecompressShard hands out belong to the caller and
+// never come here.
+var shardBufs struct {
+	sync.Mutex
+	free [][]byte
+}
+
+// maxFreeShardBufs covers a serial source's cache, or four loaders.
+const maxFreeShardBufs = 4
+
+func releaseShardBuf(buf []byte) {
+	if cap(buf) == 0 {
+		return
+	}
+	shardBufs.Lock()
+	defer shardBufs.Unlock()
+	if len(shardBufs.free) < maxFreeShardBufs {
+		shardBufs.free = append(shardBufs.free, buf)
+	}
 }
 
 // shardSource yields one decompressed shard's points in read order.
@@ -452,6 +512,7 @@ func (s *shardSource) NextBlob() ([]byte, error) {
 }
 
 func (s *shardSource) Close() error {
+	releaseShardBuf(s.data)
 	s.data = nil
 	return nil
 }
@@ -472,17 +533,32 @@ func (c *shardCache) get(s int) ([]byte, error) {
 	if data, ok := c.m[s]; ok {
 		return data, nil
 	}
-	data, err := c.st.DecompressShard(s)
-	if err != nil {
-		return nil, err
-	}
+	var buf []byte
 	if len(c.fifo) >= c.cap {
+		// The evicted shard's buffer takes the new one: no blob handed out
+		// is still valid, the caller having asked for the next.
+		buf = c.m[c.fifo[0]]
 		delete(c.m, c.fifo[0])
 		c.fifo = c.fifo[1:]
+	} else {
+		buf = c.st.shardBuf()
+	}
+	data, err := c.st.inflateShard(s, buf)
+	if err != nil {
+		return nil, err
 	}
 	c.m[s] = data
 	c.fifo = append(c.fifo, s)
 	return data, nil
+}
+
+// release empties the cache and recycles its buffers.
+func (c *shardCache) release() {
+	for s, data := range c.m {
+		releaseShardBuf(data)
+		delete(c.m, s)
+	}
+	c.fifo = c.fifo[:0]
 }
 
 // Shuffle rewrites a v2 library's read order in place, deterministically

@@ -101,7 +101,7 @@ func drain(t testing.TB, src livepoint.Source) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, b)
+		out = append(out, bytes.Clone(b)) // a blob is only valid until the next NextBlob
 	}
 }
 
@@ -493,5 +493,119 @@ func TestDecompressShardExactLength(t *testing.T) {
 	st.shards[0].uncompLen-- // behind validate's back
 	if _, err := st.DecompressShard(0); err == nil || !strings.Contains(err.Error(), "past its indexed length") {
 		t.Fatalf("over-long shard stream: %v", err)
+	}
+}
+
+// TestSourcesRecycleShardBuffers: a store's sources inflate into buffers
+// that outlive them, so reading a library again makes no shard-sized
+// allocation — and a recycled buffer still yields every blob byte for
+// byte, across cache evictions, an index-only reshuffle and per-shard
+// sources.
+func TestSourcesRecycleShardBuffers(t *testing.T) {
+	blobs := synthBlobs(90, 4000)
+	path := writeTestStore(t, blobs, 8, true) // 12 shards: three times the serial cache
+	if err := Shuffle(path, 7); err != nil {  // read order revisits shards
+		t.Fatal(err)
+	}
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	order := st.Order()
+
+	// Both readers return the buffers they inflated into, by first byte.
+	type buffers map[*byte]bool
+	serial := func() buffers {
+		src := st.Source().(*storeSource)
+		used := buffers{}
+		for i := 0; ; i++ {
+			b, err := src.NextBlob()
+			if err == io.EOF {
+				if i != len(blobs) {
+					t.Fatalf("source ended after %d of %d blobs", i, len(blobs))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, blobs[order[i]]) {
+				t.Fatalf("read position %d: blob differs", i)
+			}
+			for _, data := range src.cache.m {
+				used[&data[0]] = true
+			}
+		}
+		if err := src.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return used
+	}
+	sharded := func() buffers {
+		ss := st.Source().(livepoint.ShardedSource)
+		used := buffers{}
+		var seen int
+		for s := 0; s < ss.NumShards(); s++ {
+			sub, err := ss.OpenShard(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			used[&sub.(*shardSource).data[0]] = true
+			pos, err := st.ShardReadPositions(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pos {
+				b, err := sub.NextBlob()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b, blobs[order[p]]) {
+					t.Fatalf("shard %d, read position %d: blob differs", s, p)
+				}
+				seen++
+			}
+			if _, err := sub.NextBlob(); err != io.EOF {
+				t.Fatalf("shard %d: %v after its last blob, want io.EOF", s, err)
+			}
+			if err := sub.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.Close(); err != nil { // a second Close must not recycle twice
+				t.Fatal(err)
+			}
+		}
+		if seen != len(blobs) {
+			t.Fatalf("shard sources yielded %d of %d blobs", seen, len(blobs))
+		}
+		return used
+	}
+
+	first := serial()
+	if len(first) != 4 {
+		t.Fatalf("the serial source inflated 12 shards into %d buffers, want its cache's 4", len(first))
+	}
+	for name, read := range map[string]func() buffers{"serial": serial, "sharded": sharded} {
+		for buf := range read() {
+			if !first[buf] {
+				t.Errorf("%s re-read inflated into a new buffer: the first read's were not recycled", name)
+			}
+		}
+	}
+
+	// DecompressShard's buffer is the caller's: no source may write into it.
+	own, err := st.DecompressShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first[&own[0]] {
+		t.Fatal("DecompressShard handed out a source's buffer")
+	}
+	want := bytes.Clone(own)
+	serial()
+	sharded()
+	if !bytes.Equal(own, want) {
+		t.Fatal("a source inflated into a buffer DecompressShard had handed out")
 	}
 }

@@ -22,26 +22,38 @@ import (
 // any incarnation posts identical floats for the same coverage.
 func synthCPI(pos int) float64 { return 1 + 0.01*float64(pos) }
 
-// leaseResult builds the Result a well-behaved worker would post for l,
-// with CPIs derived from the lease's read-order positions.
-func leaseResult(t *testing.T, st *lpstore.Store, l *Lease) *Result {
+// leasePositions returns the read-order positions l covers.
+func leasePositions(t *testing.T, st *lpstore.Store, l *Lease) []int {
 	t.Helper()
-	var positions []int
 	if l.Kind == LeaseShard {
-		var err error
-		positions, err = st.ShardReadPositions(l.Shard)
+		positions, err := st.ShardReadPositions(l.Shard)
 		if err != nil {
 			t.Fatal(err)
 		}
-	} else {
-		positions = make([]int, l.Count)
-		for i := range positions {
-			positions[i] = l.Start + i
-		}
+		return positions
 	}
-	res := &Result{LeaseID: l.ID, Epoch: l.Epoch, Worker: "w", CPIs: make([]float64, len(positions))}
-	for i, pos := range positions {
-		res.CPIs[i] = synthCPI(pos)
+	positions := make([]int, l.Count)
+	for i := range positions {
+		positions[i] = l.Start + i
+	}
+	return positions
+}
+
+// leaseResult builds the Result a well-behaved worker would post for l,
+// with CPIs derived from the lease's read-order positions: synthCPI for an
+// absolute run, and for a matched run synthCPI as the baseline under an
+// experimental CPI some 5 % above it, jittered so the delta has variance.
+func leaseResult(t *testing.T, st *lpstore.Store, l *Lease, matched bool) *Result {
+	t.Helper()
+	res := &Result{LeaseID: l.ID, Epoch: l.Epoch, Worker: "w"}
+	for _, pos := range leasePositions(t, st, l) {
+		base := synthCPI(pos)
+		if matched {
+			res.BaseCPIs = append(res.BaseCPIs, base)
+			res.ExpCPIs = append(res.ExpCPIs, 1.05*base+0.002*float64(pos*7%11))
+		} else {
+			res.CPIs = append(res.CPIs, base)
+		}
 	}
 	return res
 }
@@ -50,6 +62,7 @@ func leaseResult(t *testing.T, st *lpstore.Store, l *Lease) *Result {
 // per-position CPIs for every lease it hands out.
 func drain(t *testing.T, c *Coordinator, st *lpstore.Store) {
 	t.Helper()
+	matched := c.Spec().Mode == ModeMatched
 	for i := 0; i < 10_000; i++ {
 		lr := c.Acquire("w")
 		if lr.Done {
@@ -58,7 +71,7 @@ func drain(t *testing.T, c *Coordinator, st *lpstore.Store) {
 		if lr.Lease == nil {
 			t.Fatalf("coordinator stalled with run unfinished: %+v", c.State())
 		}
-		if _, err := c.Result(leaseResult(t, st, lr.Lease)); err != nil {
+		if _, err := c.Result(leaseResult(t, st, lr.Lease, matched)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +122,7 @@ func TestJournalResumeParityShardMajor(t *testing.T) {
 		if lr.Lease.Kind != LeaseShard {
 			t.Fatalf("whole-library journaled run issued a %s lease", lr.Lease.Kind)
 		}
-		if _, err := c1.Result(leaseResult(t, st, lr.Lease)); err != nil {
+		if _, err := c1.Result(leaseResult(t, st, lr.Lease, false)); err != nil {
 			t.Fatal(err)
 		}
 		crashed += lr.Lease.Points
@@ -140,7 +153,7 @@ func TestJournalResumeParityShardMajor(t *testing.T) {
 
 	// The crashed incarnation's in-flight lease posts to the new one:
 	// stale epoch, 410 semantics, counted under reason="epoch".
-	if _, err := c2.Result(leaseResult(t, st, inflight.Lease)); err != ErrLeaseGone {
+	if _, err := c2.Result(leaseResult(t, st, inflight.Lease, false)); err != ErrLeaseGone {
 		t.Fatalf("stale-epoch result: %v, want ErrLeaseGone", err)
 	}
 	if got := reg.Counter("lpcluster_results_rejected_total", "", "reason", "epoch").Value(); got != 1 {
@@ -187,7 +200,7 @@ func TestJournalResumeRangeGaps(t *testing.T) {
 	}
 	// Fold a and c; b is lost with the crash, leaving a gap at [8,16).
 	for _, lr := range []LeaseResponse{la, lc} {
-		if _, err := c1.Result(leaseResult(t, st, lr.Lease)); err != nil {
+		if _, err := c1.Result(leaseResult(t, st, lr.Lease, false)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +239,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	lr := c1.Acquire("w")
-	if _, err := c1.Result(leaseResult(t, st, lr.Lease)); err != nil {
+	if _, err := c1.Result(leaseResult(t, st, lr.Lease, false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c1.Close(); err != nil {

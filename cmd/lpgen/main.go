@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"livepoints"
+	"livepoints/internal/uarch"
 )
 
 func main() {
@@ -28,9 +29,9 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := livepoints.Config8Way()
-	if *configName == "16way" {
-		cfg = livepoints.Config16Way()
+	cfg, err := uarch.ConfigByName(*configName)
+	if err != nil {
+		log.Fatal(err)
 	}
 	path := *out
 	if path == "" {

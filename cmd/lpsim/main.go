@@ -61,27 +61,24 @@ func main() {
 		return
 	}
 
-	cfg := livepoints.Config8Way()
-	if *configName == "16way" {
-		cfg = livepoints.Config16Way()
-	}
-	exp := cfg
+	// The flags describe a run the way a cluster's do. A local matched run
+	// halves the target (the half-width is on a delta) and always screens
+	// for no impact at 3 %; lpserved -cluster -matched does neither.
+	spec := lpcluster.RunSpec{Config: *configName, Z: livepoints.Z997, RelErr: *relErr}
 	if *matched {
-		exp.Name = "experimental"
-		if *memLat > 0 {
-			exp.Hier.MemLat = *memLat
-		}
-		if *l2KB > 0 {
-			exp.Hier.L2.SizeBytes = int64(*l2KB) << 10
-		}
-		if *ruu > 0 {
-			exp.RUUSize = *ruu
+		spec.Mode = lpcluster.ModeMatched
+		spec.RelErr, spec.NoImpactThreshold = *relErr/2, 0.03
+		spec.MemLat, spec.L2KB, spec.RUU = *memLat, *l2KB, *ruu
+		if *parallel > 1 {
+			log.Printf("lpsim: a matched run is serial; -parallel %d is ignored", *parallel)
 		}
 	}
 	// Refuse a machine that cannot be built before touching the library.
-	if err := exp.Validate(); err != nil {
+	cfg, exp, err := spec.Configs()
+	if err != nil {
 		log.Fatalf("lpsim: %v", err)
 	}
+	rule := spec.Rule()
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -109,7 +106,6 @@ func main() {
 		log.Printf("connected to %s: %s, %d points in %d shards", *server, stat.Benchmark, stat.Points, stat.Shards)
 		src = client.Source()
 	} else {
-		var err error
 		if src, err = livepoint.OpenSource(*lib); err != nil {
 			log.Fatal(err)
 		}
@@ -118,7 +114,7 @@ func main() {
 	if *matched {
 		opts := livepoints.MatchedOpts{
 			Base: cfg, Exp: exp,
-			Z: livepoints.Z997, RelErr: *relErr / 2, NoImpactThreshold: 0.03,
+			Z: rule.Z, RelErr: rule.RelErr, NoImpactThreshold: rule.NoImpact,
 		}
 		t0 := time.Now()
 		res, err := livepoints.RunMatchedSource(src, opts)
@@ -134,7 +130,7 @@ func main() {
 	}
 
 	opts := livepoints.RunOpts{
-		Cfg: cfg, Z: livepoints.Z997, RelErr: *relErr, Parallel: *parallel,
+		Cfg: cfg, Z: rule.Z, RelErr: rule.RelErr, Parallel: *parallel,
 	}
 	t0 := time.Now()
 	res, err := livepoints.RunSource(src, opts)
@@ -180,18 +176,7 @@ func watchCluster(url string) {
 	lastDone := -1
 	for st.Phase != lpcluster.PhaseDone {
 		if st.Done != lastDone {
-			kv := []any{
-				"done", st.Done, "total", st.Points,
-				"active", st.ActiveLeases, "reassigned", st.Reassigned,
-				"pointsPerSec", st.PointsPerSec,
-			}
-			if st.TargetRelErr > 0 {
-				kv = append(kv, "relCI", st.RelCI, "target", st.TargetRelErr)
-			}
-			if st.EtaMillis > 0 {
-				kv = append(kv, "eta", time.Duration(st.EtaMillis)*time.Millisecond)
-			}
-			logger.Info("fleet progress", kv...)
+			logger.Info("fleet progress", st.Progress()...)
 			lastDone = st.Done
 		}
 		time.Sleep(500 * time.Millisecond)

@@ -72,3 +72,34 @@ func TestCPUProfile(t *testing.T) {
 		t.Errorf("profile %s: %v, %d bytes, not gzip", prof, err, len(b))
 	}
 }
+
+// TestRefusesUnknownConfig: a machine name lpsim does not know is an error
+// naming it — not, as it used to be, a silent 8-way run — and it is raised
+// before the library is opened.
+func TestRefusesUnknownConfig(t *testing.T) {
+	_, stderr, err := lpsim("-lib", "does-not-exist.lplib", "-config", "bogus")
+	if _, exited := err.(*exec.ExitError); !exited {
+		t.Fatalf("lpsim -config bogus did not exit non-zero (err %v)", err)
+	}
+	if !strings.Contains(stderr, `"bogus"`) || strings.Contains(stderr, "does-not-exist") {
+		t.Errorf("stderr does not name the configuration, or the library was opened first:\n%s", stderr)
+	}
+}
+
+// TestMatchedSaysItIsSerial: -parallel has no effect on a matched run, and
+// lpsim says so instead of ignoring the flag in silence.
+func TestMatchedSaysItIsSerial(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		notice bool
+	}{
+		{[]string{"-matched", "-parallel", "4"}, true},
+		{[]string{"-matched"}, false},
+		{[]string{"-parallel", "4"}, false},
+	} {
+		_, stderr, _ := lpsim(append([]string{"-lib", "does-not-exist.lplib"}, tc.args...)...)
+		if got := strings.Contains(stderr, "serial"); got != tc.notice {
+			t.Errorf("lpsim %v: notice %v, want %v:\n%s", tc.args, got, tc.notice, stderr)
+		}
+	}
+}

@@ -158,17 +158,6 @@ func reportProgress(ctx context.Context, cl *lpserve.Client, logger *obs.Logger,
 		if st.Phase == lpcluster.PhaseDone {
 			return
 		}
-		kv := []any{
-			"done", st.Done, "total", st.Points,
-			"active", st.ActiveLeases, "reassigned", st.Reassigned,
-			"pointsPerSec", st.PointsPerSec,
-		}
-		if st.TargetRelErr > 0 {
-			kv = append(kv, "relCI", st.RelCI, "target", st.TargetRelErr)
-		}
-		if st.EtaMillis > 0 {
-			kv = append(kv, "eta", time.Duration(st.EtaMillis)*time.Millisecond)
-		}
-		logger.Info("fleet progress", kv...)
+		logger.Info("fleet progress", st.Progress()...)
 	}
 }

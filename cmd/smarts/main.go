@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"livepoints"
+	"livepoints/internal/uarch"
 )
 
 func main() {
@@ -25,9 +26,9 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := livepoints.Config8Way()
-	if *configName == "16way" {
-		cfg = livepoints.Config16Way()
+	cfg, err := uarch.ConfigByName(*configName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	p := livepoints.GenerateBenchmark(*bench, *scale)

@@ -168,9 +168,6 @@ func Over(buf []byte) Decoder { return Decoder{buf: buf} }
 // More reports whether undecoded bytes remain.
 func (d *Decoder) More() bool { return d.off < len(d.buf) }
 
-// Rest returns the number of undecoded bytes.
-func (d *Decoder) Rest() int { return len(d.buf) - d.off }
-
 // readHeader consumes an identifier octet and length, returning the tag and
 // content bounds.
 func (d *Decoder) readHeader() (tag byte, content []byte, err error) {

@@ -173,8 +173,7 @@ func (p *Predictor) predictDir(pc uint64) (pred, bimPred, gsPred bool) {
 // indirect jumps).
 //
 // Lookup speculatively updates the global history and the RAS exactly as a
-// real fetch engine would; the core must checkpoint with SaveSpec/
-// RestoreSpec around branches to recover from misprediction.
+// real fetch engine would.
 func (p *Predictor) Lookup(pc uint64, in isa.Inst) (taken bool, predTarget uint64, targetKnown bool) {
 	p.Stat.Lookups++
 	switch {
@@ -310,29 +309,6 @@ func (p *Predictor) btbInsert(pc, target uint64) {
 		}
 	}
 	set[vi] = btbEntry{pc: pc, target: target, valid: true, last: p.btbClk}
-}
-
-// --- Speculation checkpointing ------------------------------------------
-
-// SpecState is the fetch-time speculative state checkpointed per branch.
-type SpecState struct {
-	GHR    uint64
-	RASTop int
-	RAS    []uint64
-}
-
-// SaveSpec captures history and RAS state.
-func (p *Predictor) SaveSpec() SpecState {
-	s := SpecState{GHR: p.ghr, RASTop: p.rasTop, RAS: make([]uint64, len(p.ras))}
-	copy(s.RAS, p.ras)
-	return s
-}
-
-// RestoreSpec rolls back to a previously saved state.
-func (p *Predictor) RestoreSpec(s SpecState) {
-	p.ghr = s.GHR
-	p.rasTop = s.RASTop
-	copy(p.ras, s.RAS)
 }
 
 // --- Snapshot (checkpointed warming) --------------------------------------

@@ -189,17 +189,6 @@ func (c *Cache) VisitLines(fn func(Line)) {
 	}
 }
 
-// ValidLines returns the number of valid lines.
-func (c *Cache) ValidLines() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			n++
-		}
-	}
-	return n
-}
-
 // Install places a line into the cache, evicting LRU if the set is full.
 // It is used when reconstructing cache state from a checkpoint; Last values
 // must come from a single consistent clock domain. The cache's clock is

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"livepoints/internal/bpred"
 	"livepoints/internal/livepoint"
@@ -515,6 +514,3 @@ func (r *Table3Result) String() string {
 		100*awuAvg, 100*awuWorst)
 	return b.String()
 }
-
-// ensure referenced imports stay (time used in Figure 8 path).
-var _ = time.Now

@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -419,14 +418,6 @@ func (c *Context) forEachBench(fn func(name string) error) error {
 		}
 	}
 	return nil
-}
-
-// sortedCopy returns a sorted copy of xs.
-func sortedCopy(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	sort.Float64s(out)
-	return out
 }
 
 // spreadPositions picks up to n window positions from the later 60 % of the

@@ -6,7 +6,6 @@ import (
 
 	"livepoints/internal/asn1der"
 	"livepoints/internal/bpred"
-	"livepoints/internal/cache"
 	"livepoints/internal/csr"
 	"livepoints/internal/isa"
 )
@@ -393,7 +392,3 @@ func decodePredConfigInto(cfg *bpred.Config, d *asn1der.Decoder) error {
 	cfg.RASSize = int(vals[5])
 	return nil
 }
-
-// interface check: SetRecord round-trips preserve the cache.Config needed
-// for reconstruction bounds.
-var _ = cache.Config{}

@@ -152,11 +152,6 @@ type CreateOpts struct {
 	// executed instruction so that near-path wrong-path fetch finds its
 	// text (default 32).
 	TextPad int
-	// RunAhead extends the scouted capture this many instructions past
-	// the window end: the out-of-order pipeline dispatches (and reads
-	// state for) instructions beyond the final committed one, bounded by
-	// the RUU and fetch-queue depth (default 512).
-	RunAhead int
 	// NoMicroarch creates architectural-only checkpoints with a
 	// per-window functional-warming prescription: the AW-MRRL checkpoint
 	// of Figures 7 and 8. FuncWarmLens must then be set.
@@ -173,12 +168,11 @@ func (o *CreateOpts) textPad() int {
 	return o.TextPad
 }
 
-func (o *CreateOpts) runAhead() uint64 {
-	if o.RunAhead <= 0 {
-		return 512
-	}
-	return uint64(o.RunAhead)
-}
+// runAhead extends the scouted capture this many instructions past the
+// window end: the out-of-order pipeline dispatches (and reads state for)
+// instructions beyond the final committed one, bounded by the RUU and
+// fetch-queue depth.
+const runAhead = 512
 
 // Create runs the creation pass over a benchmark: one full-warming
 // functional simulation of the whole program (the one-time O(benchmark)
@@ -299,7 +293,7 @@ func capture(p *prog.Program, master *mem.Memory, arch functional.State,
 	var branches []bpred.BranchOutcome
 
 	pcs := make(map[uint64]bool, 1024)
-	scoutLen := winLen + opts.runAhead()
+	scoutLen := winLen + runAhead
 	for i := uint64(0); i < scoutLen; i++ {
 		if scout.Halted {
 			if i < winLen {

@@ -16,10 +16,10 @@ import (
 type RunOpts struct {
 	Cfg uarch.Config
 
-	// Z and RelErr define the stopping rule: the run terminates as soon
-	// as the estimate reaches ±RelErr at confidence z (never before
-	// sampling.MinSampleSize points). RelErr <= 0 processes the whole
-	// library.
+	// Z and RelErr define the stopping rule (sampling.Rule): the run
+	// terminates as soon as the estimate reaches ±RelErr at confidence z
+	// (never before sampling.MinSampleSize points). Without a positive
+	// RelErr it processes the whole library.
 	Z      float64
 	RelErr float64
 
@@ -33,6 +33,8 @@ type RunOpts struct {
 	// RecordHistory retains per-point snapshots for convergence plots.
 	RecordHistory bool
 }
+
+func (o RunOpts) rule() sampling.Rule { return sampling.Rule{Z: o.Z, RelErr: o.RelErr} }
 
 // RunResult is the outcome of a live-point sampling experiment.
 type RunResult struct {
@@ -52,9 +54,11 @@ type RunResult struct {
 // Satisfied reports whether the stopping rule was met (as opposed to
 // exhausting the library).
 func (r *RunResult) Satisfied(z, relErr float64) bool {
-	return relErr > 0 && r.Est.Satisfied(z, relErr)
+	return sampling.Rule{Z: z, RelErr: relErr}.Stop(&r.Est)
 }
 
+// fold adds one window to the result and reports whether the run's
+// stopping rule, which online carries, is now met.
 func (r *RunResult) fold(wr warm.WindowResult, online *sampling.OnlineEstimator) bool {
 	r.Processed++
 	r.UnknownFetches += wr.Stats.UnknownFetches
@@ -95,18 +99,18 @@ func runFile[R any](path string, run func(Source) (*R, error)) (*R, error) {
 
 // normalise applies the rules absolute and matched runs share: every
 // configuration must describe a machine the core can build, an unset
-// confidence level means Z997, and stopping early needs a shuffled library.
-func normalise(z *float64, relErr float64, src Source, cfgs ...uarch.Config) error {
+// confidence level means Z997, and a stopping rule needs a shuffled library.
+func normalise(rule *sampling.Rule, src Source, cfgs ...uarch.Config) error {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("livepoint: %w", err)
 		}
 	}
-	if *z == 0 {
-		*z = sampling.Z997
+	if rule.Z == 0 {
+		rule.Z = sampling.Z997
 	}
-	if relErr > 0 && !src.Meta().Shuffled {
-		return fmt.Errorf("livepoint: early stopping requires a shuffled library (reshuffle its index with lpstore.Shuffle)")
+	if err := rule.Check(src.Meta().Shuffled); err != nil {
+		return fmt.Errorf("livepoint: %w", err)
 	}
 	return nil
 }
@@ -120,13 +124,15 @@ func normalise(z *float64, relErr float64, src Source, cfgs ...uarch.Config) err
 // correlated, and stopping early on such a prefix would bias the
 // estimate.
 func RunSource(src Source, opts RunOpts) (*RunResult, error) {
-	if err := normalise(&opts.Z, opts.RelErr, src, opts.Cfg); err != nil {
+	rule := opts.rule()
+	if err := normalise(&rule, src, opts.Cfg); err != nil {
 		return nil, err
 	}
+	opts.Z = rule.Z
 	if opts.Parallel < 2 {
 		return runSerial(src, opts)
 	}
-	wholeLibrary := opts.RelErr <= 0 && opts.MaxPoints <= 0
+	wholeLibrary := !rule.Active() && opts.MaxPoints <= 0
 	if ss, ok := src.(ShardedSource); ok && ss.NumShards() > 1 && wholeLibrary {
 		return runPipeline(opts, func(p *pipeline) error { return p.loadShards(ss, opts.Parallel) })
 	}
@@ -205,8 +211,7 @@ func runSerial(src Source, opts RunOpts) (*RunResult, error) {
 	res := &RunResult{}
 	online := sampling.NewOnline(opts.Z, opts.RelErr, opts.RecordHistory)
 	err := newPointKernel(opts.Cfg).serial(src.NextBlob, &res.LoadTime, &res.SimTime, func(wrs []warm.WindowResult) bool {
-		satisfied := res.fold(wrs[0], online)
-		return satisfied && opts.RelErr > 0 || opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints
+		return res.fold(wrs[0], online) || opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints
 	})
 	if err != nil {
 		return nil, err
@@ -317,7 +322,7 @@ func runPipeline(opts RunOpts, load func(*pipeline) error) (*RunResult, error) {
 		if out.err != nil && firstErr == nil {
 			firstErr = out.err
 		}
-		if out.err != nil || res.fold(out.wr, online) && opts.RelErr > 0 {
+		if out.err != nil || res.fold(out.wr, online) {
 			stop.Do(func() { close(p.done) })
 		}
 	}
@@ -503,6 +508,10 @@ type MatchedOpts struct {
 	MaxPoints int
 }
 
+func (o MatchedOpts) rule() sampling.Rule {
+	return sampling.Rule{Z: o.Z, RelErr: o.RelErr, NoImpact: o.NoImpactThreshold}
+}
+
 // MatchedResult is the outcome of a matched-pair experiment.
 type MatchedResult struct {
 	MP        sampling.MatchedPair
@@ -523,22 +532,17 @@ func RunMatchedFile(path string, opts MatchedOpts) (*MatchedResult, error) {
 // RunMatchedSource is RunMatchedFile over any live-point source: the
 // serial loop over a two-configuration kernel.
 func RunMatchedSource(src Source, opts MatchedOpts) (*MatchedResult, error) {
-	if err := normalise(&opts.Z, opts.RelErr, src, opts.Base, opts.Exp); err != nil {
+	rule := opts.rule()
+	if err := normalise(&rule, src, opts.Base, opts.Exp); err != nil {
 		return nil, err
 	}
 	res := &MatchedResult{}
 	err := newPointKernel(opts.Base, opts.Exp).serial(src.NextBlob, &res.LoadTime, &res.SimTime, func(wrs []warm.WindowResult) bool {
 		res.MP.Add(wrs[0].UnitCPI, wrs[1].UnitCPI)
 		res.Processed++
-		// The no-impact screen is checked first: a delta confidently
-		// within ±threshold is the §6.2 fast exit, even when the interval
-		// is also narrow enough to satisfy the precision target.
-		if opts.NoImpactThreshold > 0 && res.MP.NoImpact(opts.Z, opts.NoImpactThreshold) {
-			res.StoppedNoImpact = true
-			return true
-		}
-		return opts.RelErr > 0 && res.MP.DeltaSatisfied(opts.Z, opts.RelErr) ||
-			opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints
+		var stop bool
+		stop, res.StoppedNoImpact = rule.StopPair(&res.MP)
+		return stop || opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints
 	})
 	if err != nil {
 		return nil, err

@@ -287,6 +287,33 @@ func TestRunRefusesUnbuildableMachine(t *testing.T) {
 	}
 }
 
+// TestStoppingRuleNeedsShuffledLibrary: every way a run can stop early — a
+// precision target, absolute or matched, or the matched no-impact screen on
+// its own — is refused on an unshuffled library with the one message of
+// sampling.Rule.Check, before a point is read. The screen on its own used to
+// slip through (normalise looked at RelErr only): lpsim -matched -err 0
+// stopped at pair 30 of an unshuffled library without complaint.
+func TestStoppingRuleNeedsShuffledLibrary(t *testing.T) {
+	cfg := uarch.Config8Way()
+	raw := func() Source { return &fakeSharded{meta: Meta{Benchmark: "syn.gzip"}} }
+	_, want := RunSource(raw(), RunOpts{Cfg: cfg, RelErr: 0.03})
+	if want == nil || !strings.Contains(want.Error(), "shuffled") {
+		t.Fatalf("absolute run with a target on an unshuffled library: %v", want)
+	}
+	for name, opts := range map[string]MatchedOpts{
+		"target": {Base: cfg, Exp: cfg, RelErr: 0.03},
+		"screen": {Base: cfg, Exp: cfg, NoImpactThreshold: 0.03},
+	} {
+		if _, err := RunMatchedSource(raw(), opts); err == nil || err.Error() != want.Error() {
+			t.Errorf("matched run with a %s on an unshuffled library: %v, want %v", name, err, want)
+		}
+	}
+	// No rule, no refusal: a whole-library run does not care about order.
+	if _, err := RunMatchedSource(raw(), MatchedOpts{Base: cfg, Exp: cfg}); err != nil {
+		t.Errorf("whole-library matched run on an unshuffled library: %v", err)
+	}
+}
+
 // TestOpenSourceWithoutOpener: a binary that never links internal/lpstore
 // has no container format; opening a library must say so, not panic.
 func TestOpenSourceWithoutOpener(t *testing.T) {

@@ -3,6 +3,7 @@ package lpcluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,6 +110,34 @@ func startCluster(t *testing.T, spec RunSpec, opt Options) (*Coordinator, *lpser
 	return coord, cl
 }
 
+// issuedKinds counts the leases the coordinator has issued, by kind.
+func issuedKinds(c *Coordinator) map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kinds := make(map[string]int)
+	for _, l := range c.leases.byID {
+		kinds[l.Kind]++
+	}
+	return kinds
+}
+
+// fakeClock is the time a test gives a lease table: it moves only when the
+// test advances it, so a lease expires on the line that says so and on no
+// other, however slow the machine.
+type fakeClock struct{ ns atomic.Int64 }
+
+func (k *fakeClock) now() time.Time          { return time.Unix(1_000_000, k.ns.Load()) }
+func (k *fakeClock) advance(d time.Duration) { k.ns.Add(int64(d)) }
+
+// withFakeClock puts c's leases on a fake clock.
+func withFakeClock(c *Coordinator) *fakeClock {
+	clock := new(fakeClock)
+	c.mu.Lock()
+	c.leases.now = clock.now
+	c.mu.Unlock()
+	return clock
+}
+
 // runWorkers drives n concurrent in-process workers to completion.
 func runWorkers(t *testing.T, cl *lpserve.Client, n int) {
 	t.Helper()
@@ -161,11 +191,8 @@ func TestClusterParity(t *testing.T) {
 		t.Fatal("whole-library run reported a stopping-rule stop")
 	}
 	// Whole-library runs must have leased shard-major (raw-gzip passthrough).
-	coord.mu.Lock()
-	shardLeased := coord.nextShard
-	coord.mu.Unlock()
-	if shardLeased == 0 {
-		t.Fatal("whole-library run issued no shard leases")
+	if kinds := issuedKinds(coord); kinds[LeaseShard] == 0 || kinds[LeaseRange] != 0 {
+		t.Fatalf("whole-library run issued leases %v, want shard leases only", kinds)
 	}
 }
 
@@ -207,16 +234,8 @@ func TestClusterOnlineStopping(t *testing.T) {
 		t.Fatalf("online stop processed the whole library (%d points)", total)
 	}
 	// Truncation bias rule: no shard-major lease may exist in a stopping run.
-	coord.mu.Lock()
-	shardLeased := coord.nextShard
-	for _, l := range coord.leases {
-		if l.kind != LeaseRange {
-			t.Errorf("stopping run issued a %s lease", l.kind)
-		}
-	}
-	coord.mu.Unlock()
-	if shardLeased != 0 {
-		t.Fatal("stopping run leased shard-major")
+	if kinds := issuedKinds(coord); kinds[LeaseRange] == 0 || len(kinds) != 1 {
+		t.Fatalf("stopping run issued leases %v, want range leases only", kinds)
 	}
 }
 
@@ -266,7 +285,9 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord, cl := startCluster(t, RunSpec{}, Options{LeaseTTL: 150 * time.Millisecond})
+	const ttl = time.Minute
+	coord, cl := startCluster(t, RunSpec{}, Options{LeaseTTL: ttl})
+	clock := withFakeClock(coord)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
@@ -279,8 +300,9 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 		t.Fatalf("crashed worker got no lease: %+v", lr)
 	}
 
-	// The surviving worker drains everything, including the reassigned
-	// lease once its TTL passes.
+	// The surviving worker drains everything, including the crashed
+	// worker's lease: its TTL passes before the survivor first asks.
+	clock.advance(ttl)
 	var logBuf bytes.Buffer
 	w := NewWorker("survivor", cl)
 	w.Log = obs.NewLogger(&logBuf, obs.LevelDebug, "worker")
@@ -303,7 +325,7 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 	}
 
 	// The crashed worker finally wakes up and posts: 410 Gone, no refold.
-	late := &Result{LeaseID: lr.Lease.ID, Worker: "crash", CPIs: make([]float64, lr.Lease.Points)}
+	late := &Result{LeaseID: lr.Lease.ID, Worker: "crash", Partial: Partial{CPIs: make([]float64, lr.Lease.Points)}}
 	err = cl.DoJSON(ctx, http.MethodPost, "/v1/results", late, nil)
 	if !lpserve.IsStatus(err, http.StatusGone) {
 		t.Fatalf("late post for revoked lease: %v, want 410", err)
@@ -352,15 +374,15 @@ func TestResultRejection(t *testing.T) {
 	}
 
 	// Wrong observation count.
-	if _, err := coord.Result(&Result{LeaseID: lr.Lease.ID, CPIs: []float64{1}}); err == nil {
+	if _, err := coord.Result(&Result{LeaseID: lr.Lease.ID, Partial: Partial{CPIs: []float64{1}}}); err == nil {
 		t.Fatal("short result accepted")
 	}
 	// Unknown lease.
-	if _, err := coord.Result(&Result{LeaseID: 999, CPIs: []float64{1}}); err != ErrLeaseGone {
+	if _, err := coord.Result(&Result{LeaseID: 999, Partial: Partial{CPIs: []float64{1}}}); err != ErrLeaseGone {
 		t.Fatalf("unknown lease: %v, want ErrLeaseGone", err)
 	}
 	// Correct result folds once...
-	good := &Result{LeaseID: lr.Lease.ID, CPIs: make([]float64, lr.Lease.Points)}
+	good := &Result{LeaseID: lr.Lease.ID, Partial: Partial{CPIs: make([]float64, lr.Lease.Points)}}
 	for i := range good.CPIs {
 		good.CPIs[i] = 1 + float64(i)
 	}
@@ -371,6 +393,70 @@ func TestResultRejection(t *testing.T) {
 	// ...and a duplicate is refused.
 	if _, err := coord.Result(good); err != ErrDuplicate {
 		t.Fatalf("duplicate: %v, want ErrDuplicate", err)
+	}
+}
+
+// TestResultsAreOutsideInput: what a worker posts is checked like any other
+// input before it can reach the journal or the estimate. CPIs that no
+// simulation produces — negative, or too large to square — and a body past
+// the size bound are refused with a 4xx, counted, journal nothing, fold
+// nothing, and leave the lease outstanding for the honest result. (All of
+// them used to be accepted=true; /v1/run then reported a mean of 8.99e307.)
+func TestResultsAreOutsideInput(t *testing.T) {
+	st := synthStore(t, 23, 4, true)
+	reg := obs.NewRegistry()
+	coord, err := NewJournaledCoordinator(st, RunSpec{}, Options{Metrics: reg}, filepath.Join(t.TempDir(), "run.waj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := lpserve.NewServerWithMetrics(st, obs.NewRegistry())
+	coord.Mount(srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	postTo := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	post := func(body string) int { t.Helper(); return postTo("/v1/results", body) }
+
+	l := coord.Acquire("w").Lease
+	result := func(cpi string) string {
+		return fmt.Sprintf(`{"leaseId":%d,"worker":"w","cpis":[%s]}`, l.ID, strings.TrimSuffix(strings.Repeat(cpi+",", l.Points), ","))
+	}
+	appends := reg.Counter("lpcluster_journal_appends_total", "").Value()
+	for _, cpi := range []string{"-3", "0", "1.7e308", "1.8e308"} {
+		if code := post(result(cpi)); code != http.StatusBadRequest {
+			t.Errorf("a lease of CPIs all %s: status %d, want 400", cpi, code)
+		}
+	}
+	// 1.8e308 is no float64 at all and dies in the decoder; the other three
+	// reach the check.
+	if got := reg.Counter("lpcluster_results_rejected_total", "", "reason", "mismatch").Value(); got != 3 {
+		t.Errorf("mismatch rejections %d, want 3", got)
+	}
+	// A body past the bound, however well formed: here, harmless padding.
+	if code := post(`{"worker":"` + strings.Repeat("w", maxResultBytes) + `",` + result("1.5")[1:]); code < 400 || code > 499 {
+		t.Errorf("oversized result: status %d, want 4xx", code)
+	}
+	if code := postTo("/v1/leases", `{"worker":"`+strings.Repeat("w", maxEnvelopeBytes)+`"}`); code < 400 || code > 499 {
+		t.Errorf("oversized lease request: status %d, want 4xx", code)
+	}
+
+	rs := coord.State()
+	if rs.Done != 0 || rs.ActiveLeases != 1 || reg.Counter("lpcluster_journal_appends_total", "").Value() != appends {
+		t.Fatalf("refused results left a mark: %+v", rs)
+	}
+	if code := post(result("1.5")); code != http.StatusOK {
+		t.Fatalf("the honest result after the refusals: status %d", code)
+	}
+	if rs := coord.State(); rs.Done != l.Points || rs.Mean != 1.5 {
+		t.Fatalf("after the honest result: %+v", rs)
 	}
 }
 
@@ -398,7 +484,7 @@ func TestStragglerAfterFinish(t *testing.T) {
 	for i := range cpis {
 		cpis[i] = 1
 	}
-	resp, err := coord.Result(&Result{LeaseID: la.Lease.ID, Worker: "w1", CPIs: cpis})
+	resp, err := coord.Result(&Result{LeaseID: la.Lease.ID, Worker: "w1", Partial: Partial{CPIs: cpis}})
 	if err != nil || !resp.Accepted || !resp.Done {
 		t.Fatalf("finishing result: %+v, %v", resp, err)
 	}
@@ -413,7 +499,7 @@ func TestStragglerAfterFinish(t *testing.T) {
 	// The straggler posts after the finish line: acknowledged but not
 	// folded, and accounted out of the active set.
 	bcpis := make([]float64, lb.Lease.Points)
-	resp, err = coord.Result(&Result{LeaseID: lb.Lease.ID, Worker: "w2", CPIs: bcpis})
+	resp, err = coord.Result(&Result{LeaseID: lb.Lease.ID, Worker: "w2", Partial: Partial{CPIs: bcpis}})
 	if err != nil {
 		t.Fatalf("straggler result: %v", err)
 	}
@@ -427,7 +513,7 @@ func TestStragglerAfterFinish(t *testing.T) {
 	if res.Est.N() != la.Lease.Points {
 		t.Fatalf("straggler was folded: n=%d, want %d", res.Est.N(), la.Lease.Points)
 	}
-	if _, err := coord.Result(&Result{LeaseID: lb.Lease.ID, Worker: "w2", CPIs: bcpis}); err != ErrDuplicate {
+	if _, err := coord.Result(&Result{LeaseID: lb.Lease.ID, Worker: "w2", Partial: Partial{CPIs: bcpis}}); err != ErrDuplicate {
 		t.Fatalf("straggler repost: %v, want ErrDuplicate", err)
 	}
 	if got := reg.Counter("lpcluster_straggler_results_total", "").Value(); got != 1 {
@@ -461,14 +547,19 @@ func TestOversizedLeaseClamp(t *testing.T) {
 // leave it active forever.
 func TestStateReclaimsExpiredLeases(t *testing.T) {
 	st := synthStore(t, 40, 8, true)
-	coord, err := NewCoordinator(st, RunSpec{}, Options{LeaseTTL: 30 * time.Millisecond, Metrics: obs.NewRegistry()})
+	coord, err := NewCoordinator(st, RunSpec{}, Options{LeaseTTL: time.Minute, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	clock := withFakeClock(coord)
 	if lr := coord.Acquire("crash"); lr.Lease == nil {
 		t.Fatalf("no lease: %+v", lr)
 	}
-	time.Sleep(60 * time.Millisecond)
+	clock.advance(time.Minute - time.Nanosecond)
+	if rs := coord.State(); rs.ActiveLeases != 1 || rs.PendingLeases != 0 {
+		t.Fatalf("lease reclaimed before its deadline: %+v", rs)
+	}
+	clock.advance(time.Nanosecond)
 	rs := coord.State()
 	if rs.ActiveLeases != 0 || rs.PendingLeases != 1 || rs.Reassigned != 1 {
 		t.Fatalf("State did not reclaim the expired lease: %+v", rs)
@@ -521,7 +612,7 @@ func TestRunStateProgress(t *testing.T) {
 		cpis[i] = 1 + float64(i%5)
 	}
 	if err := cl.DoJSON(ctx, http.MethodPost, "/v1/results",
-		&Result{LeaseID: lr.Lease.ID, Worker: "w", CPIs: cpis}, nil); err != nil {
+		&Result{LeaseID: lr.Lease.ID, Worker: "w", Partial: Partial{CPIs: cpis}}, nil); err != nil {
 		t.Fatal(err)
 	}
 

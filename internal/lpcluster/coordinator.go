@@ -3,7 +3,6 @@ package lpcluster
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -67,19 +66,6 @@ var (
 	ErrJournal = errors.New("lpcluster: journal append failed")
 )
 
-// lease is the coordinator's view of one assigned work unit.
-type lease struct {
-	id        uint64
-	kind      string
-	shard     int
-	start     int
-	positions []int // global read-order positions covered
-	worker    string
-	deadline  time.Time
-	done      bool
-	revoked   bool
-}
-
 // ClusterResult is the folded outcome of a cluster run.
 type ClusterResult struct {
 	Est             sampling.Estimate    // absolute mode
@@ -102,7 +88,8 @@ type ClusterResult struct {
 // is driven entirely by worker requests: Acquire hands out leases
 // (reclaiming expired ones first), Result folds posted partials and
 // applies the fleet-wide stopping rule. All methods are safe for
-// concurrent use.
+// concurrent use: one mutex covers the lease table (who holds which points
+// until when) and the fold (what the points came to).
 type Coordinator struct {
 	st   *lpstore.Store
 	spec RunSpec
@@ -116,33 +103,13 @@ type Coordinator struct {
 	jr    *Journal
 	epoch uint64
 
-	mu        sync.Mutex
-	nextID    uint64
-	nextPos   int // next unleased read-order position (range leases)
-	nextShard int // next unleased shard (shard leases)
-	leases    map[uint64]*lease
-	pending   []*lease // reclaimed, awaiting reassignment
-	active    int
-
-	values   []float64 // per read-order position: CPI (absolute mode)
-	baseVals []float64 // matched mode
-	expVals  []float64
-	done     int // positions completed
-
-	online sampling.Estimate    // completion-order fold of partials
-	mp     sampling.MatchedPair // matched-mode completion-order fold
-
-	started    bool
-	start      time.Time
-	elapsed    time.Duration // sealed at finalize
-	stopped    bool
-	noImpact   bool
-	finished   bool
-	reassigned int
-	doneCh     chan struct{}
-
-	unknownFetches, unknownLoads, captureErrors uint64
-	loadTime, simTime                           time.Duration
+	mu       sync.Mutex
+	leases   *leaseTable
+	fold     *fold
+	start    time.Time     // this incarnation's first lease; zero until then
+	elapsed  time.Duration // start to finish
+	finished bool
+	doneCh   chan struct{}
 
 	// Counters are resolved once at construction so hot paths touch only
 	// atomics while holding mu (registry lookups take the registry lock,
@@ -159,26 +126,22 @@ func NewCoordinator(st *lpstore.Store, spec RunSpec, opt Options) (*Coordinator,
 	if _, _, err := spec.Configs(); err != nil {
 		return nil, err
 	}
-	if spec.Mode != ModeAbsolute && spec.Mode != ModeMatched {
-		return nil, fmt.Errorf("lpcluster: unknown run mode %q", spec.Mode)
+	rule := spec.Rule()
+	if err := rule.Check(st.Meta().Shuffled); err != nil {
+		return nil, fmt.Errorf("lpcluster: %w", err)
 	}
-	stopping := spec.RelErr > 0 || (spec.Mode == ModeMatched && spec.NoImpactThreshold > 0)
-	if stopping && !st.Meta().Shuffled {
-		return nil, fmt.Errorf("lpcluster: online stopping requires a shuffled library (lpstore.Shuffle)")
+	opt = opt.withDefaults()
+	leases, err := newLeaseTable(st, rule, opt)
+	if err != nil {
+		return nil, err
 	}
 	c := &Coordinator{
 		st:     st,
 		spec:   spec,
-		opt:    opt.withDefaults(),
-		leases: make(map[uint64]*lease),
+		opt:    opt,
+		leases: leases,
+		fold:   newFold(st.Count(), spec.Mode == ModeMatched, rule),
 		doneCh: make(chan struct{}),
-	}
-	n := st.Count()
-	if spec.Mode == ModeMatched {
-		c.baseVals = make([]float64, n)
-		c.expVals = make([]float64, n)
-	} else {
-		c.values = make([]float64, n)
 	}
 	c.registerMetrics()
 	return c, nil
@@ -205,18 +168,18 @@ func (c *Coordinator) registerMetrics() {
 		return func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			c.reclaimLocked()
+			c.reclaim()
 			return f()
 		}
 	}
 	reg.GaugeFunc("lpcluster_leases_active", "Leases issued and not yet completed, expired, or revoked.",
-		locked(func() float64 { return float64(c.active) }))
+		locked(func() float64 { return float64(c.leases.active) }))
 	reg.GaugeFunc("lpcluster_leases_pending", "Reclaimed leases awaiting reassignment.",
-		locked(func() float64 { return float64(len(c.pending)) }))
+		locked(func() float64 { return float64(c.leases.pending) }))
 	reg.GaugeFunc("lpcluster_points_done", "Read-order positions with a folded result.",
-		locked(func() float64 { return float64(c.done) }))
+		locked(func() float64 { return float64(c.fold.res.Processed) }))
 	reg.GaugeFunc("lpcluster_progress_relci", "Current relative CI half-width of the fleet-wide estimate (0 until the fold starts).",
-		locked(func() float64 { return c.relCILocked() }))
+		locked(func() float64 { return c.fold.relCI() }))
 	reg.GaugeFunc("lpcluster_run_finished", "1 once the run has finished, else 0.",
 		locked(func() float64 {
 			if c.finished {
@@ -226,32 +189,6 @@ func (c *Coordinator) registerMetrics() {
 		}))
 	reg.Gauge("lpcluster_progress_target", "Online stopping target (relative error); 0 for whole-library runs.").Set(c.spec.RelErr)
 	reg.Gauge("lpcluster_points_total", "Read-order positions in the library.").Set(float64(c.st.Count()))
-}
-
-// relCILocked is the live stopping-rule signal: the relative confidence
-// half-width of whatever the fleet has folded so far (matched mode
-// measures the delta CI against the baseline mean, the §6.2 yardstick).
-// Before any fold the estimate is degenerate (RelCI is +Inf on a zero
-// mean); that renders as 0 so the value stays JSON-encodable downstream.
-func (c *Coordinator) relCILocked() float64 {
-	if c.spec.Mode == ModeMatched {
-		if c.mp.Base.Mean() == 0 {
-			return 0
-		}
-		return finite(c.mp.DeltaCI(c.spec.Z) / math.Abs(c.mp.Base.Mean()))
-	}
-	return finite(c.online.RelCI(c.spec.Z))
-}
-
-// finite maps NaN and ±Inf to 0. The degenerate corners of an empty or
-// single-observation estimate produce non-finite values, and
-// encoding/json refuses those outright — the whole /v1/run body would be
-// lost to report a confidence interval that carries no information.
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
 }
 
 // Spec returns the run specification (defaults resolved).
@@ -268,37 +205,12 @@ func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 // no teardown.
 func (c *Coordinator) Close() error { return c.jr.Close() }
 
-// stoppingActive reports whether an online stopping rule constrains lease
-// shape: truncated samples must be read-order prefixes (DESIGN §3.3), so
-// shard-major leases are off the table.
-func (c *Coordinator) stoppingActive() bool {
-	return c.spec.RelErr > 0 || (c.spec.Mode == ModeMatched && c.spec.NoImpactThreshold > 0)
-}
-
-// reclaimLocked revokes expired leases and queues their points for
-// reassignment under fresh lease ids. A late result for a revoked lease
-// is rejected (ErrLeaseGone), so every position folds exactly once. After
-// the run finishes nothing is reclaimed: outstanding leases resolve
-// through the straggler path in Result instead.
-func (c *Coordinator) reclaimLocked() {
-	if c.finished {
-		return
-	}
-	now := time.Now()
-	for _, l := range c.leases {
-		if l.done || l.revoked || now.Before(l.deadline) {
-			continue
-		}
-		l.revoked = true
-		c.active--
-		c.reassigned++
-		c.mReassigned.Inc()
-		c.pending = append(c.pending, &lease{
-			kind:      l.kind,
-			shard:     l.shard,
-			start:     l.start,
-			positions: l.positions,
-		})
+// reclaim queues expired leases' points for reassignment. After the run
+// finishes nothing is reclaimed: outstanding leases resolve through the
+// straggler path in Result instead.
+func (c *Coordinator) reclaim() {
+	if !c.finished {
+		c.mReassigned.Add(uint64(c.leases.reclaim()))
 	}
 }
 
@@ -309,62 +221,23 @@ func (c *Coordinator) reclaimLocked() {
 func (c *Coordinator) Acquire(worker string) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.reclaimLocked()
 	if c.finished {
 		return LeaseResponse{Done: true}
 	}
-	if !c.started {
-		c.started = true
-		c.start = time.Now()
+	c.reclaim()
+	if c.start.IsZero() {
+		c.start = c.leases.now()
 	}
-
-	var l *lease
-	switch {
-	case len(c.pending) > 0:
-		l = c.pending[0]
-		c.pending = c.pending[1:]
-	case !c.stoppingActive() && c.st.NumShards() > 1:
-		if c.nextShard < c.st.NumShards() {
-			positions, err := c.st.ShardReadPositions(c.nextShard)
-			if err != nil { // cannot happen on a validated store
-				return LeaseResponse{Wait: true, WaitMillis: c.opt.WaitHint.Milliseconds()}
-			}
-			l = &lease{kind: LeaseShard, shard: c.nextShard, positions: positions}
-			c.nextShard++
-		}
-	default:
-		if c.nextPos < c.st.Count() {
-			n := c.opt.LeasePoints
-			if c.nextPos+n > c.st.Count() {
-				n = c.st.Count() - c.nextPos
-			}
-			positions := make([]int, n)
-			for i := range positions {
-				positions[i] = c.nextPos + i
-			}
-			l = &lease{kind: LeaseRange, start: c.nextPos, positions: positions}
-			c.nextPos += n
-		}
-	}
+	l := c.leases.issue()
 	if l == nil {
 		return LeaseResponse{Wait: true, WaitMillis: c.opt.WaitHint.Milliseconds()}
 	}
-
-	c.nextID++
-	l.id = c.nextID
-	l.worker = worker
-	l.deadline = time.Now().Add(c.opt.LeaseTTL)
-	c.leases[l.id] = l
-	c.active++
 	c.mLeasesIssued.Inc()
 	return LeaseResponse{Lease: &Lease{
 		ID:        l.id,
 		Epoch:     c.epoch,
-		Kind:      l.kind,
-		Shard:     l.shard,
-		Start:     l.start,
-		Count:     len(l.positions),
-		Points:    len(l.positions),
+		Coverage:  l.Coverage,
+		Points:    l.Count,
 		TTLMillis: c.opt.LeaseTTL.Milliseconds(),
 	}}
 }
@@ -390,311 +263,67 @@ func (c *Coordinator) Result(res *Result) (ResultResponse, error) {
 		c.mRejEpoch.Inc()
 		return ResultResponse{}, ErrLeaseGone
 	}
-	l, ok := c.leases[res.LeaseID]
-	if !ok || l.revoked {
-		c.mRejGone.Inc()
-		return ResultResponse{}, ErrLeaseGone
-	}
-	if l.done {
-		c.mRejDuplicate.Inc()
-		return ResultResponse{}, ErrDuplicate
+	l, err := c.leases.outstanding(res.LeaseID)
+	if err != nil {
+		if err == ErrDuplicate {
+			c.mRejDuplicate.Inc()
+		} else {
+			c.mRejGone.Inc()
+		}
+		return ResultResponse{}, err
 	}
 	if c.finished {
 		// Straggler after the stopping rule fired: nothing to fold, but
 		// the lease is resolved — it must leave the active count and a
 		// second post must draw the usual 409, exactly as if the result
 		// had landed in time.
-		l.done = true
-		c.active--
+		c.leases.complete(l)
 		c.mStragglers.Inc()
 		return ResultResponse{Accepted: false, Done: true}, nil
 	}
-	n := len(l.positions)
-	matched := c.spec.Mode == ModeMatched
-	if matched {
-		if len(res.BaseCPIs) != n || len(res.ExpCPIs) != n {
-			c.mRejMismatch.Inc()
-			return ResultResponse{}, fmt.Errorf("lpcluster: lease %d: got %d/%d paired CPIs, want %d",
-				res.LeaseID, len(res.BaseCPIs), len(res.ExpCPIs), n)
-		}
-	} else if len(res.CPIs) != n {
+	positions, err := l.positions(c.st)
+	if err == nil {
+		err = res.check(c.fold.matched, len(positions))
+	}
+	if err != nil {
 		c.mRejMismatch.Inc()
-		return ResultResponse{}, fmt.Errorf("lpcluster: lease %d: got %d CPIs, want %d", res.LeaseID, len(res.CPIs), n)
+		return ResultResponse{}, fmt.Errorf("lpcluster: lease %d: %w", res.LeaseID, err)
 	}
 
 	// Write-ahead: the accepted result reaches disk before it reaches the
 	// estimate, so a crash at any later instant replays this fold.
 	if c.jr != nil {
-		rec := journalRecord{
-			T: recResult, Kind: l.kind, Shard: l.shard, Start: l.start, Count: n,
-			CPIs: res.CPIs, BaseCPIs: res.BaseCPIs, ExpCPIs: res.ExpCPIs,
-			UnknownFetches: res.UnknownFetches, UnknownLoads: res.UnknownLoads,
-			CaptureErrors: res.CaptureErrors, LoadMillis: res.LoadMillis, SimMillis: res.SimMillis,
-		}
+		rec := journalRecord{T: recResult, Coverage: l.Coverage, Partial: res.Partial}
 		if err := c.jr.append(rec); err != nil {
 			return ResultResponse{}, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
-
-	l.done = true
-	c.active--
-	c.foldLocked(l.positions, res)
+	c.leases.complete(l)
+	c.accept(positions, &res.Partial)
 	return ResultResponse{Accepted: true, Done: c.finished}, nil
 }
 
-// foldLocked advances the run state by one accepted partial: per-point
-// values recorded at their read-order positions (for the bit-equal
-// whole-library refold), the partial merged into the fleet-wide running
-// estimate (completion order), the §6.1 stopping rule evaluated, and the
-// run finalized when it stops or the library is exhausted. Both the live
-// Result path and journal replay run exactly this code, so a resumed
-// coordinator's floats are the ones the crashed incarnation would have
-// had.
-func (c *Coordinator) foldLocked(positions []int, res *Result) {
-	n := len(positions)
-	c.mPointsFolded.Add(uint64(n))
-	c.done += n
-	c.unknownFetches += res.UnknownFetches
-	c.unknownLoads += res.UnknownLoads
-	c.captureErrors += res.CaptureErrors
-	c.loadTime += time.Duration(res.LoadMillis) * time.Millisecond
-	c.simTime += time.Duration(res.SimMillis) * time.Millisecond
-
-	if c.spec.Mode == ModeMatched {
-		var part sampling.MatchedPair
-		for i, pos := range positions {
-			c.baseVals[pos] = res.BaseCPIs[i]
-			c.expVals[pos] = res.ExpCPIs[i]
-			part.Add(res.BaseCPIs[i], res.ExpCPIs[i])
-		}
-		c.mp.Merge(part)
-		// Mirror RunMatchedSource: the no-impact screen is checked first.
-		if c.spec.NoImpactThreshold > 0 && c.mp.NoImpact(c.spec.Z, c.spec.NoImpactThreshold) {
-			c.stopped, c.noImpact = true, true
-		} else if c.spec.RelErr > 0 && c.mp.DeltaSatisfied(c.spec.Z, c.spec.RelErr) {
-			c.stopped = true
-		}
-	} else {
-		var part sampling.Estimate
-		for i, pos := range positions {
-			c.values[pos] = res.CPIs[i]
-			part.Add(res.CPIs[i])
-		}
-		c.online.Merge(part)
-		if c.spec.RelErr > 0 && c.online.Satisfied(c.spec.Z, c.spec.RelErr) {
-			c.stopped = true
-		}
-	}
-
-	if c.stopped || c.done == c.st.Count() {
-		c.finalizeLocked()
+// accept advances the run by one checked partial and finishes it when the
+// fold says it is over. Both the live Result path and journal replay change
+// the estimate through exactly this code, so a resumed coordinator's floats
+// are the ones the crashed incarnation would have had.
+func (c *Coordinator) accept(positions []int, p *Partial) {
+	c.mPointsFolded.Add(uint64(len(positions)))
+	if c.fold.add(positions, p) {
+		c.finish()
 	}
 }
 
-// finalizeLocked seals the run. A whole-library run refolds the recorded
-// per-point values in read order, reproducing the serial local fold bit
-// for bit; a stopped run keeps the completion-order estimate (any prefix
-// of a shuffled library is a valid sub-sample, §6.1).
-func (c *Coordinator) finalizeLocked() {
-	if c.finished {
-		return
-	}
+// finish seals the run.
+func (c *Coordinator) finish() {
 	c.finished = true
-	if c.started {
-		// A run finalized during journal replay never issued a lease in
+	if !c.start.IsZero() {
+		// A run finished during journal replay never issued a lease in
 		// this incarnation; its wall clock stays zero.
-		c.elapsed = time.Since(c.start)
+		c.elapsed = c.leases.now().Sub(c.start)
 	}
-	if !c.stopped {
-		if c.spec.Mode == ModeMatched {
-			var mp sampling.MatchedPair
-			for i := range c.baseVals {
-				mp.Add(c.baseVals[i], c.expVals[i])
-			}
-			c.mp = mp
-		} else {
-			var est sampling.Estimate
-			for _, v := range c.values {
-				est.Add(v)
-			}
-			c.online = est
-		}
-	}
+	c.fold.seal()
 	close(c.doneCh)
-}
-
-// NewJournaledCoordinator is NewCoordinator with a crash-safe run
-// journal at path. An empty (or absent) journal starts a fresh run and
-// records its spec; a non-empty journal resumes the run it records: every
-// journaled result is refolded in its original acceptance order (the
-// resumed estimate is bit-equal to the crashed incarnation's), unfolded
-// points are queued for re-leasing, and the epoch is bumped so results
-// for leases issued before the restart are rejected with 410 instead of
-// double-counted. Resuming requires the same spec and the same library
-// the journal records; anything else is refused.
-func NewJournaledCoordinator(st *lpstore.Store, spec RunSpec, opt Options, path string) (*Coordinator, error) {
-	opt = opt.withDefaults()
-	jr, recs, err := openJournal(path, opt.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewCoordinator(st, spec, opt)
-	if err != nil {
-		jr.Close()
-		return nil, err
-	}
-	c.jr = jr
-	if len(recs) == 0 {
-		// Fresh run: journal the spec (and the library's identity) first,
-		// so a restart knows what it is resuming.
-		err := jr.append(journalRecord{
-			T: recRun, Spec: &c.spec, Benchmark: st.Meta().Benchmark, Points: st.Count(),
-		})
-		if err != nil {
-			jr.Close()
-			return nil, err
-		}
-		return c, nil
-	}
-	if err := c.replay(recs); err != nil {
-		jr.Close()
-		return nil, err
-	}
-	// Announce the new incarnation. From here on only current-epoch
-	// results fold.
-	if err := jr.append(journalRecord{T: recEpoch, Epoch: c.epoch}); err != nil {
-		jr.Close()
-		return nil, err
-	}
-	opt.Metrics.Gauge("lpcluster_run_epoch", "").Set(float64(c.epoch))
-	return c, nil
-}
-
-// replay rebuilds the coordinator's fold state from journal records and
-// queues the still-unfolded coverage as pending leases.
-func (c *Coordinator) replay(recs []journalRecord) error {
-	run := recs[0]
-	if run.T != recRun || run.Spec == nil {
-		return fmt.Errorf("lpcluster: journal does not start with a run record")
-	}
-	if *run.Spec != c.spec {
-		return fmt.Errorf("lpcluster: journal records a different run spec (%+v); refusing to resume with %+v",
-			*run.Spec, c.spec)
-	}
-	if run.Points != c.st.Count() || run.Benchmark != c.st.Meta().Benchmark {
-		return fmt.Errorf("lpcluster: journal records library %q (%d points), store is %q (%d points)",
-			run.Benchmark, run.Points, c.st.Meta().Benchmark, c.st.Count())
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	folded := make([]bool, c.st.Count())
-	var lastEpoch uint64
-	for _, rec := range recs[1:] {
-		switch rec.T {
-		case recEpoch:
-			if rec.Epoch > lastEpoch {
-				lastEpoch = rec.Epoch
-			}
-		case recResult:
-			positions, err := c.recordPositions(rec)
-			if err != nil {
-				return err
-			}
-			for _, pos := range positions {
-				if pos < 0 || pos >= len(folded) {
-					return fmt.Errorf("lpcluster: journaled result covers position %d of %d", pos, len(folded))
-				}
-				if folded[pos] {
-					return fmt.Errorf("lpcluster: journaled results fold position %d twice", pos)
-				}
-				folded[pos] = true
-			}
-			c.foldLocked(positions, &Result{
-				CPIs: rec.CPIs, BaseCPIs: rec.BaseCPIs, ExpCPIs: rec.ExpCPIs,
-				UnknownFetches: rec.UnknownFetches, UnknownLoads: rec.UnknownLoads,
-				CaptureErrors: rec.CaptureErrors, LoadMillis: rec.LoadMillis, SimMillis: rec.SimMillis,
-			})
-			c.jr.mReplayed.Inc()
-		default:
-			return fmt.Errorf("lpcluster: unknown journal record type %q", rec.T)
-		}
-	}
-	c.epoch = lastEpoch + 1
-	if !c.finished {
-		if err := c.rebuildPendingLocked(folded); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recordPositions re-derives the read-order positions a journaled result
-// covers: the journal stores lease coverage, not positions, because
-// shard membership and read order are properties of the store.
-func (c *Coordinator) recordPositions(rec journalRecord) ([]int, error) {
-	switch rec.Kind {
-	case LeaseShard:
-		return c.st.ShardReadPositions(rec.Shard)
-	case LeaseRange:
-		if rec.Start < 0 || rec.Count <= 0 || rec.Start+rec.Count > c.st.Count() {
-			return nil, fmt.Errorf("lpcluster: journaled range [%d,%d) exceeds library of %d points",
-				rec.Start, rec.Start+rec.Count, c.st.Count())
-		}
-		positions := make([]int, rec.Count)
-		for i := range positions {
-			positions[i] = rec.Start + i
-		}
-		return positions, nil
-	}
-	return nil, fmt.Errorf("lpcluster: journaled result has unknown lease kind %q", rec.Kind)
-}
-
-// rebuildPendingLocked queues every unfolded position for re-leasing
-// after a resume, in the shape the run's mode would have issued: whole
-// shards for shard-major runs (a shard folds atomically, so it is either
-// fully folded or fully pending), LeasePoints-sized read-order chunks
-// for range-lease runs (gaps appear wherever a crashed incarnation's
-// leases completed out of order). Fresh allocation is exhausted so
-// Acquire serves only the reconstructed queue.
-func (c *Coordinator) rebuildPendingLocked(folded []bool) error {
-	if !c.stoppingActive() && c.st.NumShards() > 1 {
-		c.nextShard = c.st.NumShards()
-		for s := 0; s < c.st.NumShards(); s++ {
-			positions, err := c.st.ShardReadPositions(s)
-			if err != nil {
-				return err
-			}
-			if len(positions) == 0 || folded[positions[0]] {
-				continue
-			}
-			c.pending = append(c.pending, &lease{kind: LeaseShard, shard: s, positions: positions})
-		}
-		return nil
-	}
-	c.nextPos = c.st.Count()
-	start := -1
-	for pos := 0; pos <= len(folded); pos++ {
-		unfolded := pos < len(folded) && !folded[pos]
-		if unfolded && start < 0 {
-			start = pos
-		}
-		if !unfolded && start >= 0 {
-			for lo := start; lo < pos; lo += c.opt.LeasePoints {
-				hi := lo + c.opt.LeasePoints
-				if hi > pos {
-					hi = pos
-				}
-				positions := make([]int, hi-lo)
-				for i := range positions {
-					positions[i] = lo + i
-				}
-				c.pending = append(c.pending, &lease{kind: LeaseRange, start: lo, positions: positions})
-			}
-			start = -1
-		}
-	}
-	return nil
 }
 
 // Final returns the folded run result once the run has finished.
@@ -704,84 +333,45 @@ func (c *Coordinator) Final() (*ClusterResult, bool) {
 	if !c.finished {
 		return nil, false
 	}
-	return &ClusterResult{
-		Est:             c.online,
-		MP:              c.mp,
-		Processed:       c.doneProcessedLocked(),
-		Stopped:         c.stopped,
-		StoppedNoImpact: c.noImpact,
-		Reassigned:      c.reassigned,
-		Elapsed:         c.elapsed,
-		LoadTime:        c.loadTime,
-		SimTime:         c.simTime,
-		UnknownFetches:  c.unknownFetches,
-		UnknownLoads:    c.unknownLoads,
-		CaptureErrors:   c.captureErrors,
-	}, true
-}
-
-// doneProcessedLocked is the number of observations in the final fold.
-func (c *Coordinator) doneProcessedLocked() int {
-	if c.spec.Mode == ModeMatched {
-		return c.mp.N()
-	}
-	return c.online.N()
+	res := c.fold.res
+	res.Elapsed, res.Reassigned = c.elapsed, c.leases.reassigned
+	return &res, true
 }
 
 // State snapshots the run for GET /v1/run. Expired leases are reclaimed
 // first, so ActiveLeases never counts a crashed worker whose points are
-// already queued for reassignment. The estimate fields (N, Mean, RelCI —
-// or the matched-pair set) are live in both phases: any prefix of a
-// shuffled library is a valid sub-sample (§6.1), so the mid-run fold is a
-// real estimate with a real confidence interval, not just a byte count.
+// already queued for reassignment.
 func (c *Coordinator) State() RunState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.reclaimLocked()
+	c.reclaim()
 	st := RunState{
 		Spec:          c.spec,
 		Points:        c.st.Count(),
 		Phase:         PhaseRunning,
 		Epoch:         c.epoch,
-		Done:          c.done,
-		ActiveLeases:  c.active,
-		PendingLeases: len(c.pending),
-		Reassigned:    c.reassigned,
+		ActiveLeases:  c.leases.active,
+		PendingLeases: c.leases.pending,
+		Reassigned:    c.leases.reassigned,
+		TargetRelErr:  c.spec.RelErr,
 	}
-	st.N = c.doneProcessedLocked()
-	if c.spec.Mode == ModeMatched {
-		st.BaseMean = finite(c.mp.Base.Mean())
-		st.ExpMean = finite(c.mp.Exp.Mean())
-		st.RelDelta = finite(c.mp.RelDelta())
-		st.DeltaCI = finite(c.mp.DeltaCI(c.spec.Z))
-	} else {
-		st.Mean = finite(c.online.Mean())
-		st.RelCI = finite(c.online.RelCI(c.spec.Z))
-	}
-	st.TargetRelErr = c.spec.RelErr
-	st.UnknownFetches = c.unknownFetches
-	st.UnknownLoads = c.unknownLoads
-	st.CaptureErrors = c.captureErrors
-	st.LoadMillis = c.loadTime.Milliseconds()
-	st.SimMillis = c.simTime.Milliseconds()
+	c.fold.render(&st)
 	if c.finished {
 		st.Phase = PhaseDone
-		st.Stopped = c.stopped
-		st.StoppedNoImpact = c.noImpact
 		st.ElapsedMillis = c.elapsed.Milliseconds()
 		return st
 	}
-	if c.started {
-		elapsed := time.Since(c.start)
-		st.ElapsedMillis = elapsed.Milliseconds()
-		if elapsed > 0 && c.done > 0 {
-			st.PointsPerSec = float64(c.done) / elapsed.Seconds()
-			// ETA is only honest for whole-library runs: a stopping rule
-			// may fire at any fold, so its finish time is unknowable.
-			if c.spec.RelErr <= 0 && !(c.spec.Mode == ModeMatched && c.spec.NoImpactThreshold > 0) {
-				remaining := float64(c.st.Count() - c.done)
-				st.EtaMillis = int64(remaining / st.PointsPerSec * 1000)
-			}
+	if c.start.IsZero() {
+		return st
+	}
+	elapsed := c.leases.now().Sub(c.start)
+	st.ElapsedMillis = elapsed.Milliseconds()
+	if elapsed > 0 && st.Done > 0 {
+		st.PointsPerSec = float64(st.Done) / elapsed.Seconds()
+		// ETA is only honest for whole-library runs: a stopping rule
+		// may fire at any fold, so its finish time is unknowable.
+		if !c.fold.rule.Active() {
+			st.EtaMillis = int64(float64(st.Points-st.Done) / st.PointsPerSec * 1000)
 		}
 	}
 	return st

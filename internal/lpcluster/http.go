@@ -38,19 +38,37 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Write(append(body, '\n'))
 }
 
+// Request bodies are outside input and are read through a bound. A lease
+// request holds a worker's name; a result holds that, ids and counters —
+// maxEnvelopeBytes is generous for both — plus its CPIs. No lease covers
+// more than lpserve.MaxBatchPoints points (newLeaseTable), a matched run
+// posts two CPIs a point, and a float64 is at most 24 bytes of JSON
+// ("-2.2250738585072014e-308") and a comma: 2 × 25 × 4096 = 204,800 bytes.
+const (
+	maxEnvelopeBytes = 4 << 10
+	maxResultBytes   = 2*25*lpserve.MaxBatchPoints + maxEnvelopeBytes
+)
+
+// readJSON decodes a request body of at most limit bytes into v, or answers
+// 400 and reports false.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err != nil {
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	}
+	return err == nil
+}
+
 func (c *Coordinator) handleLeases(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad lease request: "+err.Error(), http.StatusBadRequest)
-		return
+	if readJSON(w, r, maxEnvelopeBytes, &req) {
+		writeJSON(w, c.Acquire(req.Worker))
 	}
-	writeJSON(w, c.Acquire(req.Worker))
 }
 
 func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	var res Result
-	if err := json.NewDecoder(r.Body).Decode(&res); err != nil {
-		http.Error(w, "bad result: "+err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, maxResultBytes, &res) {
 		return
 	}
 	resp, err := c.Result(&res)

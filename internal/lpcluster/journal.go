@@ -3,11 +3,14 @@ package lpcluster
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"time"
 
+	"livepoints/internal/lpstore"
 	"livepoints/internal/obs"
 )
 
@@ -19,18 +22,18 @@ import (
 // Record types (the "t" field):
 //
 //	run     written once at creation: the resolved RunSpec plus the
-//	        library's identity (benchmark, point count) so a resume
-//	        against the wrong store or the wrong flags is refused.
+//	        library's identity (benchmark, point count, and the layout
+//	        fingerprint of layoutOf) so a resume against the wrong
+//	        flags, the wrong store, or the right store with its index
+//	        reshuffled since, is refused.
 //	epoch   appended once per restart. Leases carry the epoch of the
 //	        incarnation that issued them; a result posted against a
 //	        previous incarnation's lease is rejected with 410 (its points
 //	        were re-leased under the new epoch, so folding the stale copy
 //	        would double-count).
 //	result  appended for every accepted lease result, *before* it is
-//	        folded: the lease's coverage (kind + shard or start/count —
-//	        positions are re-derived from the store on replay) and the
-//	        per-point CPIs in lease read order, plus the worker's
-//	        aggregated counters and timings.
+//	        folded: the lease's Coverage (positions are re-derived from
+//	        the store on replay) and the posted Partial.
 //
 // Replay re-executes the result records in journal order — the original
 // acceptance order — through the same fold path Result uses, so the
@@ -60,30 +63,148 @@ type journalRecord struct {
 	Spec      *RunSpec `json:"spec,omitempty"`
 	Benchmark string   `json:"benchmark,omitempty"`
 	Points    int      `json:"points,omitempty"`
+	Layout    string   `json:"layout,omitempty"`
 
 	// recEpoch
 	Epoch uint64 `json:"epoch,omitempty"`
 
-	// recResult — lease coverage plus the posted partial.
-	Kind     string    `json:"kind,omitempty"`
-	Shard    int       `json:"shard"`
-	Start    int       `json:"start"`
-	Count    int       `json:"count,omitempty"`
-	CPIs     []float64 `json:"cpis,omitempty"`
-	BaseCPIs []float64 `json:"baseCpis,omitempty"`
-	ExpCPIs  []float64 `json:"expCpis,omitempty"`
+	// recResult: what the lease covered and what its worker posted.
+	Coverage
+	Partial
+}
 
-	UnknownFetches uint64 `json:"unknownFetches,omitempty"`
-	UnknownLoads   uint64 `json:"unknownLoads,omitempty"`
-	CaptureErrors  uint64 `json:"captureErrors,omitempty"`
-	LoadMillis     int64  `json:"loadMillis,omitempty"`
-	SimMillis      int64  `json:"simMillis,omitempty"`
+// layoutOf fingerprints everything Coverage.positions reads from st: the
+// read-order permutation and the positions each shard holds, CRC-32 over
+// each as fmt prints an []int. A journal stores CPIs by coverage, so it
+// holds only over the layout it was written over: after an lpstore.Shuffle
+// the same coverage names other points, and a replay onto them would fold
+// some points twice and others never.
+func layoutOf(st *lpstore.Store) (string, error) {
+	h := crc32.NewIEEE()
+	fmt.Fprint(h, st.Order())
+	for s := 0; s < st.NumShards(); s++ {
+		positions, err := st.ShardReadPositions(s)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprint(h, positions)
+	}
+	return fmt.Sprintf("%08x", h.Sum32()), nil
+}
+
+// NewJournaledCoordinator is NewCoordinator with a crash-safe run
+// journal at path. An empty (or absent) journal starts a fresh run and
+// records its spec; a non-empty journal resumes the run it records: every
+// journaled result is refolded in its original acceptance order (the
+// resumed estimate is bit-equal to the crashed incarnation's), unfolded
+// points are queued for re-leasing, and the epoch is bumped so results
+// for leases issued before the restart are rejected with 410 instead of
+// double-counted. Resuming requires the same spec and the same library,
+// in the same read order, that the journal records; anything else is
+// refused.
+func NewJournaledCoordinator(st *lpstore.Store, spec RunSpec, opt Options, path string) (*Coordinator, error) {
+	opt = opt.withDefaults()
+	jr, recs, err := openJournal(path, opt.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	c, err := NewCoordinator(st, spec, opt)
+	if err == nil {
+		c.jr = jr
+		err = c.openRun(recs)
+	}
+	if err != nil {
+		jr.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// openRun starts the journal of a fresh run, or resumes the run recs hold.
+func (c *Coordinator) openRun(recs []journalRecord) error {
+	layout, err := layoutOf(c.st)
+	if err != nil {
+		return err
+	}
+	// What this run is, as the first record of its journal says it: the
+	// spec, and the library down to its layout.
+	run := journalRecord{
+		T: recRun, Spec: &c.spec, Benchmark: c.st.Meta().Benchmark, Points: c.st.Count(), Layout: layout,
+	}
+	if len(recs) == 0 {
+		return c.jr.append(run)
+	}
+	was := recs[0]
+	if was.Layout == "" {
+		// Written before journals recorded the layout: it resumes on the
+		// benchmark and point count alone, as it always did.
+		run.Layout = ""
+	}
+	if was.T != recRun || was.Spec == nil || *was.Spec != c.spec ||
+		was.Benchmark != run.Benchmark || was.Points != run.Points || was.Layout != run.Layout {
+		a, _ := json.Marshal(was) // for the message only
+		b, _ := json.Marshal(run)
+		return fmt.Errorf("lpcluster: journal records run %s, this is run %s: refusing to resume under another spec "+
+			"or over another library (its layout changes when its index is reshuffled or rewritten)", a, b)
+	}
+	if err := c.replay(recs[1:]); err != nil {
+		return err
+	}
+	// Announce the new incarnation. From here on only current-epoch
+	// results fold.
+	if err := c.jr.append(journalRecord{T: recEpoch, Epoch: c.epoch}); err != nil {
+		return err
+	}
+	c.opt.Metrics.Gauge("lpcluster_run_epoch", "").Set(float64(c.epoch))
+	return nil
+}
+
+// replay rebuilds the coordinator's fold state from a journal's epoch and
+// result records and queues the still-unfolded coverage as pending leases.
+func (c *Coordinator) replay(recs []journalRecord) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	folded := make([]bool, c.st.Count())
+	var lastEpoch uint64
+	for _, rec := range recs {
+		switch rec.T {
+		case recEpoch:
+			lastEpoch = max(lastEpoch, rec.Epoch)
+		case recResult:
+			// The journal is input like any other: a record is checked as
+			// the result it holds was, and none follows the run's end.
+			positions, err := rec.positions(c.st)
+			if err == nil {
+				err = rec.check(c.fold.matched, len(positions))
+			}
+			if err == nil && c.finished {
+				err = errors.New("the run had already finished")
+			}
+			if err != nil {
+				return fmt.Errorf("lpcluster: journaled result: %w", err)
+			}
+			for _, pos := range positions {
+				if folded[pos] {
+					return fmt.Errorf("lpcluster: journaled results fold position %d twice", pos)
+				}
+				folded[pos] = true
+			}
+			c.accept(positions, &rec.Partial)
+			c.jr.mReplayed.Inc()
+		default:
+			return fmt.Errorf("lpcluster: unknown journal record type %q", rec.T)
+		}
+	}
+	c.epoch = lastEpoch + 1
+	if c.finished {
+		return nil
+	}
+	return c.leases.resume(c.st, folded)
 }
 
 // Journal is an append-only, fsync-per-record run log.
 type Journal struct {
-	f    *os.File
-	path string
+	f *os.File
 
 	mAppends  *obs.Counter
 	mBytes    *obs.Counter
@@ -116,7 +237,6 @@ func openJournal(path string, reg *obs.Registry) (*Journal, []journalRecord, err
 	}
 	j := &Journal{
 		f:         f,
-		path:      path,
 		mAppends:  reg.Counter("lpcluster_journal_appends_total", "Records appended to the run journal."),
 		mBytes:    reg.Counter("lpcluster_journal_bytes_total", "Bytes appended to the run journal."),
 		mReplayed: reg.Counter("lpcluster_journal_replayed_results_total", "Result records refolded from the journal on resume."),

@@ -2,10 +2,12 @@ package lpcluster
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,6 +284,39 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalIsCheckedAsInput: replay trusts a record no more than Result
+// trusts a worker. A result after the run's end, a position folded twice,
+// a CPI no simulation produces and coverage outside the library each
+// refuse the resume instead of bending the estimate.
+func TestJournalIsCheckedAsInput(t *testing.T) {
+	st := synthStore(t, 16, 8, true)
+	run := `{"t":"run","spec":{"mode":"absolute","config":"8way","z":3,"relErr":0},"benchmark":"syn.protocol","points":16}` + "\n"
+	shard := func(s int, cpi string) string {
+		return fmt.Sprintf(`{"t":"result","kind":"shard","shard":%d,"count":8,"cpis":[%s]}`+"\n", s, strings.TrimSuffix(strings.Repeat(cpi+",", 8), ","))
+	}
+	for name, tc := range map[string]struct{ journal, want string }{
+		"intact":        {run + shard(1, "1.5") + shard(0, "2"), ""},
+		"past the end":  {run + shard(0, "1.5") + shard(1, "1.5") + shard(1, "1.5"), "already finished"},
+		"folded twice":  {run + shard(0, "1.5") + shard(0, "1.5"), "twice"},
+		"negative CPI":  {run + shard(0, "-3"), "CPI -3"},
+		"short column":  {run + strings.Replace(shard(0, "1.5"), "1.5,", "", 1), "7 CPIs for 8 points"},
+		"no such shard": {run + shard(2, "1.5"), "shard 2"},
+		"range too far": {run + `{"t":"result","kind":"range","start":12,"count":8,"cpis":[1,1,1,1,1,1,1,1]}` + "\n", "exceeds"},
+	} {
+		path := filepath.Join(t.TempDir(), "run.waj")
+		if err := os.WriteFile(path, []byte(tc.journal), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewJournaledCoordinator(st, RunSpec{}, Options{Metrics: obs.NewRegistry()}, path)
+		if err == nil {
+			c.Close()
+		}
+		if (tc.want == "") != (err == nil) || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: resume gave %v, want an error mentioning %q", name, err, tc.want)
+		}
+	}
+}
+
 // TestJournalMismatchRefused: a journal resumes only the run it records —
 // different flags or a different library must be refused loudly, not
 // silently folded into a corrupt estimate.
@@ -303,6 +338,53 @@ func TestJournalMismatchRefused(t *testing.T) {
 	if _, err := NewJournaledCoordinator(other, RunSpec{}, Options{Metrics: obs.NewRegistry()}, path); err == nil {
 		t.Fatal("journal resumed against a different library")
 	}
+}
+
+// TestJournalPinsLibraryLayout: a journal stores CPIs by coverage, so it
+// holds only over the read order it was written over. Reshuffle the
+// library's index between crash and restart and [0,8) names eight other
+// points; the resume must be refused, naming both layouts. Before the run
+// record carried the layout this resumed, reported all 40 points, and had
+// folded 12 of them twice and 12 never.
+func TestJournalPinsLibraryLayout(t *testing.T) {
+	st := synthStore(t, 40, 8, true)
+	spec := RunSpec{RelErr: 1e-6} // range leases; never satisfied
+	opt := Options{LeasePoints: 8, Metrics: obs.NewRegistry()}
+	path := filepath.Join(t.TempDir(), "run.waj")
+	c1, err := NewJournaledCoordinator(st, spec, opt, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c1.Result(leaseResult(t, st, c1.Acquire("w").Lease, false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	was, err := layoutOf(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st = reshuffled(t, st, 99)
+	is, err := layoutOf(st)
+	if err != nil || is == was {
+		t.Fatalf("layout %s before the reshuffle, %s after (%v)", was, is, err)
+	}
+	_, err = NewJournaledCoordinator(st, spec, opt, path)
+	if err == nil || !strings.Contains(err.Error(), was) || !strings.Contains(err.Error(), is) {
+		t.Fatalf("resume over a reshuffled library: %v; want a refusal naming layouts %s and %s", err, was, is)
+	}
+	// Shuffling back restores the layout, and with it the journal.
+	// (lpstore.Shuffle permutes the current order, so only a rewrite of the
+	// original file can do that; a fresh store of the same arguments is one.)
+	c2, err := NewJournaledCoordinator(synthStore(t, 40, 8, true), spec, opt, path)
+	if err != nil {
+		t.Fatalf("resume over the original layout: %v", err)
+	}
+	c2.Close()
 }
 
 // TestClusterJournalRestartHTTP is the end-to-end crash drill: a

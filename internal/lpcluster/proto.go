@@ -13,28 +13,20 @@
 // pullers: fetch a lease, fetch the leased bytes through lpserve's raw
 // gzip endpoints, simulate locally, post per-point CPIs back, repeat.
 //
-// Lease shapes follow the bias rules of DESIGN.md §3.3:
-//
-//   - Whole-library runs (no stopping rule) issue shard-major leases, so
-//     workers ride the stored-gzip passthrough and every shard is
-//     decompressed exactly once, by exactly one worker.
-//   - Runs with an online stopping rule issue read-order range leases.
-//     A truncated shard-major prefix groups physically consecutive
-//     points, which on an index-reshuffled store is not an unbiased
-//     sample; a read-order prefix is.
-//
-// Whole-library cluster runs are bit-equal to the local RunFile path: the
-// coordinator records every per-point CPI at its read-order position and,
-// once the library is exhausted, refolds them in read order — the same
-// float operations, in the same order, as a serial local run. Online-
-// stopped runs fold partials in completion order (like local parallel
-// runs, the exact stopping point is scheduling-dependent but every prefix
-// is a valid random sub-sample).
+// The coordinator is four parts (DESIGN.md §3.5), and each rule of the
+// design is stated at the one that keeps it: the lease table (leases.go)
+// cuts the library into whole shards, or into read-order ranges under a
+// stopping rule; the fold (fold.go) merges partials in completion order,
+// stops by the local runners' sampling.Rule, and refolds a whole-library
+// run in read order, bit-equal to RunFile; the journal (journal.go) makes
+// the run outlive its coordinator; Coordinator composes them.
 package lpcluster
 
 import (
 	"fmt"
+	"time"
 
+	"livepoints/internal/lpstore"
 	"livepoints/internal/sampling"
 	"livepoints/internal/uarch"
 )
@@ -84,19 +76,18 @@ func (s RunSpec) withDefaults() RunSpec {
 }
 
 // Configs resolves the spec's baseline and (for matched mode)
-// experimental microarchitectural configurations, refusing overrides that
-// describe a machine no worker could build.
+// experimental microarchitectural configurations, refusing a mode or a
+// machine name it does not know and overrides that describe a machine no
+// worker could build.
 func (s RunSpec) Configs() (base, exp uarch.Config, err error) {
-	switch s.Config {
-	case "", "8way":
-		base = uarch.Config8Way()
-	case "16way":
-		base = uarch.Config16Way()
-	default:
-		return base, exp, fmt.Errorf("lpcluster: unknown configuration %q", s.Config)
+	s = s.withDefaults()
+	if base, err = uarch.ConfigByName(s.Config); err != nil {
+		return base, exp, fmt.Errorf("lpcluster: %w", err)
 	}
 	exp = base
-	if s.Mode == ModeMatched {
+	switch s.Mode {
+	case ModeAbsolute:
+	case ModeMatched:
 		exp.Name = "experimental"
 		if s.MemLat > 0 {
 			exp.Hier.MemLat = s.MemLat
@@ -107,6 +98,8 @@ func (s RunSpec) Configs() (base, exp uarch.Config, err error) {
 		if s.RUU > 0 {
 			exp.RUUSize = s.RUU
 		}
+	default:
+		return base, exp, fmt.Errorf("lpcluster: unknown run mode %q", s.Mode)
 	}
 	if err := exp.Validate(); err != nil {
 		return base, exp, fmt.Errorf("lpcluster: %w", err)
@@ -114,9 +107,52 @@ func (s RunSpec) Configs() (base, exp uarch.Config, err error) {
 	return base, exp, nil
 }
 
+// Rule returns the spec's stopping rule: the one the local runners stop
+// by. The no-impact screen belongs to matched runs alone.
+func (s RunSpec) Rule() sampling.Rule {
+	s = s.withDefaults()
+	rule := sampling.Rule{Z: s.Z, RelErr: s.RelErr}
+	if s.Mode == ModeMatched {
+		rule.NoImpact = s.NoImpactThreshold
+	}
+	return rule
+}
+
 // LeaseRequest asks the coordinator for work.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
+}
+
+// Coverage names the points of one lease: a whole shard, or a run of
+// read-order positions. It is what a Lease tells its worker to fetch, what
+// the coordinator keeps of an outstanding lease, and what the journal
+// records beside a result. Positions themselves are never sent or stored:
+// read order and shard membership are properties of the store.
+type Coverage struct {
+	Kind  string `json:"kind,omitempty"`  // LeaseShard or LeaseRange
+	Shard int    `json:"shard,omitempty"` // shard: which one
+	Start int    `json:"start,omitempty"` // range: first read-order position
+	Count int    `json:"count,omitempty"` // points covered (either kind)
+}
+
+// positions returns the read-order positions c covers in st, in the order
+// the lease's CPIs arrive: the shard's own read order, or ascending.
+func (c Coverage) positions(st *lpstore.Store) ([]int, error) {
+	switch c.Kind {
+	case LeaseShard:
+		return st.ShardReadPositions(c.Shard)
+	case LeaseRange:
+		if c.Start < 0 || c.Count <= 0 || c.Count > st.Count()-c.Start {
+			return nil, fmt.Errorf("lpcluster: range of %d points at %d exceeds library of %d points",
+				c.Count, c.Start, st.Count())
+		}
+		positions := make([]int, c.Count)
+		for i := range positions {
+			positions[i] = c.Start + i
+		}
+		return positions, nil
+	}
+	return nil, fmt.Errorf("lpcluster: unknown lease kind %q", c.Kind)
 }
 
 // Lease is one unit of assigned work. The worker must post its Result
@@ -129,14 +165,11 @@ type LeaseRequest struct {
 // collide with fresh ones — are rejected with 410 instead of folded
 // twice.
 type Lease struct {
-	ID        uint64 `json:"id"`
-	Epoch     uint64 `json:"epoch"`
-	Kind      string `json:"kind"` // LeaseShard or LeaseRange
-	Shard     int    `json:"shard,omitempty"`
-	Start     int    `json:"start,omitempty"` // range: first read-order position
-	Count     int    `json:"count,omitempty"` // range: number of positions
-	Points    int    `json:"points"`          // points covered (either kind)
-	TTLMillis int64  `json:"ttlMillis"`
+	ID    uint64 `json:"id"`
+	Epoch uint64 `json:"epoch"`
+	Coverage
+	Points    int   `json:"points"` // points covered: Count under the name older workers read
+	TTLMillis int64 `json:"ttlMillis"`
 }
 
 // LeaseResponse answers POST /v1/leases: a lease, a wait hint (work is
@@ -149,15 +182,11 @@ type LeaseResponse struct {
 	Done       bool   `json:"done,omitempty"`
 }
 
-// Result carries one completed lease's partial statistics back to the
-// coordinator: per-point CPIs in the lease's read order (both
-// configurations for matched mode) plus aggregated counters and timings.
-type Result struct {
-	LeaseID uint64 `json:"leaseId"`
-	// Epoch must echo the lease's Epoch; a stale epoch is rejected 410.
-	Epoch  uint64 `json:"epoch"`
-	Worker string `json:"worker"`
-
+// Partial is what one completed lease contributes to the run: per-point
+// CPIs in the lease's read order (both configurations for matched mode)
+// plus the worker's summed counters and timings. A Result carries it to the
+// coordinator and the journal records it as it arrived.
+type Partial struct {
 	CPIs     []float64 `json:"cpis,omitempty"`     // absolute mode
 	BaseCPIs []float64 `json:"baseCpis,omitempty"` // matched mode
 	ExpCPIs  []float64 `json:"expCpis,omitempty"`  // matched mode
@@ -167,6 +196,41 @@ type Result struct {
 	CaptureErrors  uint64 `json:"captureErrors,omitempty"`
 	LoadMillis     int64  `json:"loadMillis,omitempty"`
 	SimMillis      int64  `json:"simMillis,omitempty"`
+}
+
+// maxCPI bounds a believable CPI: a window's cycles are counted in a uint64
+// and it commits at least one instruction.
+const maxCPI = 1 << 64
+
+// check is the one test a partial passes before it is journaled or folded,
+// whether a worker posted it or a journal held it: the mode's columns have
+// one CPI for each of the lease's n points, and none is zero, negative,
+// NaN, or too large to believe (or to square into a variance).
+func (p *Partial) check(matched bool, n int) error {
+	cols := [][]float64{p.CPIs}
+	if matched {
+		cols = [][]float64{p.BaseCPIs, p.ExpCPIs}
+	}
+	for _, col := range cols {
+		if len(col) != n {
+			return fmt.Errorf("got %d CPIs for %d points", len(col), n)
+		}
+		for _, v := range col {
+			if !(v > 0 && v <= maxCPI) {
+				return fmt.Errorf("CPI %v is not a positive cycle count per instruction", v)
+			}
+		}
+	}
+	return nil
+}
+
+// Result carries one completed lease's Partial back to the coordinator.
+type Result struct {
+	LeaseID uint64 `json:"leaseId"`
+	// Epoch must echo the lease's Epoch; a stale epoch is rejected 410.
+	Epoch  uint64 `json:"epoch"`
+	Worker string `json:"worker"`
+	Partial
 }
 
 // ResultResponse answers POST /v1/results. Done tells the worker the run
@@ -223,4 +287,21 @@ type RunState struct {
 	LoadMillis     int64  `json:"loadMillis,omitempty"`
 	SimMillis      int64  `json:"simMillis,omitempty"`
 	ElapsedMillis  int64  `json:"elapsedMillis,omitempty"`
+}
+
+// Progress returns the run's live progress as logfmt key/value pairs: the
+// "fleet progress" line that lpsim -coord and lpworker both log.
+func (s *RunState) Progress() []any {
+	kv := []any{
+		"done", s.Done, "total", s.Points,
+		"active", s.ActiveLeases, "reassigned", s.Reassigned,
+		"pointsPerSec", s.PointsPerSec,
+	}
+	if s.Spec.Rule().Active() {
+		kv = append(kv, "relCI", s.RelCI, "target", s.TargetRelErr)
+	}
+	if s.EtaMillis > 0 {
+		kv = append(kv, "eta", time.Duration(s.EtaMillis)*time.Millisecond)
+	}
+	return kv
 }

@@ -9,8 +9,7 @@ import "math"
 // met (never before MinSampleSize observations).
 type OnlineEstimator struct {
 	est     Estimate
-	z       float64
-	relErr  float64
+	rule    Rule
 	history []Snapshot
 	keep    bool
 }
@@ -25,9 +24,9 @@ type Snapshot struct {
 }
 
 // NewOnline returns an online estimator targeting the given relative error
-// at confidence z.
+// at confidence z; with relErr <= 0 it has no target and is never satisfied.
 func NewOnline(z, relErr float64, recordHistory bool) *OnlineEstimator {
-	return &OnlineEstimator{z: z, relErr: relErr, keep: recordHistory}
+	return &OnlineEstimator{rule: Rule{Z: z, RelErr: relErr}, keep: recordHistory}
 }
 
 // Add folds in one observation and reports whether the confidence target
@@ -38,15 +37,15 @@ func (o *OnlineEstimator) Add(x float64) (satisfied bool) {
 		o.history = append(o.history, Snapshot{
 			N:      o.est.N(),
 			Mean:   o.est.Mean(),
-			RelCI:  o.est.RelCI(o.z),
-			Target: o.relErr,
+			RelCI:  o.est.RelCI(o.rule.Z),
+			Target: o.rule.RelErr,
 		})
 	}
 	return o.Satisfied()
 }
 
 // Satisfied reports whether the confidence target is met.
-func (o *OnlineEstimator) Satisfied() bool { return o.est.Satisfied(o.z, o.relErr) }
+func (o *OnlineEstimator) Satisfied() bool { return o.rule.Stop(&o.est) }
 
 // Estimate returns the current running estimate.
 func (o *OnlineEstimator) Estimate() *Estimate { return &o.est }

@@ -51,14 +51,6 @@ func (e *Estimate) Var() float64 {
 // Std returns the sample standard deviation.
 func (e *Estimate) Std() float64 { return math.Sqrt(e.Var()) }
 
-// CV returns the coefficient of variation (σ/μ); zero when the mean is zero.
-func (e *Estimate) CV() float64 {
-	if e.mean == 0 {
-		return 0
-	}
-	return math.Abs(e.Std() / e.mean)
-}
-
 // CIHalfWidth returns the confidence-interval half-width z·σ/√n.
 func (e *Estimate) CIHalfWidth(z float64) float64 {
 	if e.n == 0 {

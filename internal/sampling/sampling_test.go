@@ -383,3 +383,78 @@ func TestMatchedPairNegativeBaseline(t *testing.T) {
 		t.Fatalf("RelDelta on negative baseline %.6f, want +0.05", got)
 	}
 }
+
+// TestRule walks the stopping rule through the corners where a looser
+// statement of it has gone wrong before: the CLT floor, a mean of zero, a
+// negative baseline (the yardstick is its magnitude), a rule that is off,
+// and the order of the two matched-pair exits.
+func TestRule(t *testing.T) {
+	constant := func(n int, v float64) *Estimate {
+		var e Estimate
+		for i := 0; i < n; i++ {
+			e.Add(v)
+		}
+		return &e
+	}
+	// pairs of a baseline around base whose delta is d ± noise.
+	pairs := func(n int, base, d, noise float64) *MatchedPair {
+		rng := rand.New(rand.NewSource(17))
+		var mp MatchedPair
+		for i := 0; i < n; i++ {
+			b := base * (1 + 0.1*rng.NormFloat64())
+			mp.Add(b, b+d+noise*rng.NormFloat64())
+		}
+		return &mp
+	}
+	target, screen := Rule{Z: Z997, RelErr: 0.05}, Rule{Z: Z997, NoImpact: 0.03}
+	both := Rule{Z: Z997, RelErr: 0.05, NoImpact: 0.03}
+
+	for _, tc := range []struct {
+		name string
+		rule Rule
+		est  *Estimate
+		want bool
+	}{
+		{"one short of the CLT floor", target, constant(MinSampleSize-1, 1), false},
+		{"zero variance at the floor", target, constant(MinSampleSize, 1), true},
+		{"zero mean has no relative error", target, constant(100, 0), false},
+		{"negative mean, by magnitude", target, constant(100, -1), true},
+		{"no target never stops", Rule{Z: Z997}, constant(100, 1), false},
+		{"the screen is not an absolute rule", screen, constant(100, 1), false},
+	} {
+		if got := tc.rule.Stop(tc.est); got != tc.want {
+			t.Errorf("Stop, %s: %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	for _, tc := range []struct {
+		name           string
+		rule           Rule
+		mp             *MatchedPair
+		stop, noImpact bool
+	}{
+		{"one pair short of the CLT floor", both, pairs(MinSampleSize-1, 1, 0, 0), false, false},
+		{"negligible delta: the screen, asked first", both, pairs(100, 1, 0, 0.001), true, true},
+		{"negligible delta, no screen: the target", target, pairs(100, 1, 0, 0.001), true, false},
+		{"tight 50% delta: the target, not the screen", both, pairs(100, 1, 0.5, 0.001), true, false},
+		{"tight 50% delta, screen alone", screen, pairs(100, 1, 0.5, 0.001), false, false},
+		{"noisy delta", both, pairs(100, 1, 0, 2), false, false},
+		{"noisy delta, negative baseline", both, pairs(100, -1, 0, 2), false, false},
+		{"negligible delta, negative baseline", both, pairs(100, -1, 0, 0.001), true, true},
+		{"zero baseline has no yardstick", both, pairs(100, 0, 0, 0.001), false, false},
+		{"no rule never stops", Rule{Z: Z997}, pairs(100, 1, 0, 0), false, false},
+	} {
+		if stop, noImpact := tc.rule.StopPair(tc.mp); stop != tc.stop || noImpact != tc.noImpact {
+			t.Errorf("StopPair, %s: (%v, %v), want (%v, %v)", tc.name, stop, noImpact, tc.stop, tc.noImpact)
+		}
+	}
+
+	for _, r := range []Rule{target, screen, both} {
+		if !r.Active() || r.Check(false) == nil || r.Check(true) != nil {
+			t.Errorf("%+v: active %v, unshuffled %v, shuffled %v", r, r.Active(), r.Check(false), r.Check(true))
+		}
+	}
+	if off := (Rule{Z: Z997}); off.Active() || off.Check(false) != nil {
+		t.Errorf("the zero rule: active %v, unshuffled %v", off.Active(), off.Check(false))
+	}
+}

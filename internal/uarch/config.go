@@ -226,6 +226,18 @@ func Config16Way() Config {
 	}
 }
 
+// ConfigByName returns the Table 1 machine that a flag or a run spec names,
+// "8way" or "16way". Any other name is an error, never a default.
+func ConfigByName(name string) (Config, error) {
+	switch name {
+	case "8way":
+		return Config8Way(), nil
+	case "16way":
+		return Config16Way(), nil
+	}
+	return Config{}, fmt.Errorf("uarch: unknown configuration %q (want 8way or 16way)", name)
+}
+
 // MeasureLen is the paper's measurement-interval length in instructions.
 const MeasureLen = 1000
 

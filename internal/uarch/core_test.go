@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -206,6 +207,17 @@ func TestConfigsValidate(t *testing.T) {
 		tc.mutate(&cfg)
 		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("bad %s: error %v does not name it", tc.field, err)
+		}
+	}
+	// A name is one of the two Table 1 machines or an error, never a default.
+	for name, want := range map[string]string{"8way": "8-way", "16way": "16-way"} {
+		if cfg, err := ConfigByName(name); err != nil || cfg.Name != want {
+			t.Errorf("ConfigByName(%q): %q, %v", name, cfg.Name, err)
+		}
+	}
+	for _, name := range []string{"", "bogus", "8-way", "16WAY"} {
+		if _, err := ConfigByName(name); err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Errorf("ConfigByName(%q): error %v does not name it", name, err)
 		}
 	}
 	// The largest window allowed fits a consumer link.

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -191,6 +192,40 @@ func TestReadElementBadLength(t *testing.T) {
 	got, err := livepoint.ReadElement(bufio.NewReader(bytes.NewReader(whole)))
 	if err != nil || !bytes.Equal(got, whole) {
 		t.Fatalf("multi-step element did not round-trip: %d bytes, %v", len(got), err)
+	}
+}
+
+// TestSplitElementAgreesWithReadElement: the in-place splitter and the
+// stream reader delimit the same points and refuse the same headers — on
+// every prefix of a concatenation, whatever its length octets.
+func TestSplitElementAgreesWithReadElement(t *testing.T) {
+	var stream []byte
+	for _, n := range []int{0, 5, 0x7F, 0x80, 0x1234, 0x10000} {
+		b := asn1der.NewBuilder()
+		b.OctetString(bytes.Repeat([]byte{byte(n)}, n))
+		stream = append(stream, b.Bytes()...)
+	}
+	stream = append(stream, 0x04, 0x85, 1, 2, 3, 4, 5) // bad length-of-length last
+	for cut := 0; cut <= len(stream); cut += 1 + cut/7 {
+		br := bufio.NewReader(bytes.NewReader(stream[:cut]))
+		rest := stream[:cut]
+		for {
+			want, rerr := livepoint.ReadElement(br)
+			got, next, serr := livepoint.SplitElement(rest)
+			if (rerr == nil) != (serr == nil) {
+				t.Fatalf("cut %d at offset %d: ReadElement %v, SplitElement %v", cut, cut-len(rest), rerr, serr)
+			}
+			if rerr != nil {
+				if rerr == io.EOF && serr != io.EOF {
+					t.Fatalf("cut %d: clean end is %v, want io.EOF", cut, serr)
+				}
+				break
+			}
+			if !bytes.Equal(got, want) || cap(got) != len(got) {
+				t.Fatalf("cut %d at offset %d: split %d bytes (cap %d), read %d", cut, cut-len(rest), len(got), cap(got), len(want))
+			}
+			rest = next
+		}
 	}
 }
 

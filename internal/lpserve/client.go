@@ -1,7 +1,6 @@
 package lpserve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -356,43 +356,99 @@ func (c *Client) refetch(ctx context.Context, what string, once func() ([][]byte
 }
 
 // FetchBatch pulls the blobs at read-order positions [start, start+count)
-// and splits the concatenated DER response. The body is verified against
-// the server's integrity checksum (PointsCRCHeader) when present, and
-// refetched when it fails to verify or split.
+// and splits the concatenated DER response in place: the blobs are
+// sub-slices of one body buffer the caller owns. The body is verified
+// against the server's integrity checksum (PointsCRCHeader) when present,
+// and refetched when it fails to verify or split.
 func (c *Client) FetchBatch(ctx context.Context, start, count int) ([][]byte, error) {
-	return c.refetch(ctx, fmt.Sprintf("batch [%d,%d)", start, start+count), func() ([][]byte, error) {
+	return c.fetchBatch(ctx, start, count, &batch{})
+}
+
+// batch is one /v1/points response: the body as read, and the blobs split
+// from it. A remote source fetches every batch into the same one.
+type batch struct {
+	body  []byte
+	blobs [][]byte
+}
+
+// fetchBatch is FetchBatch into b's storage, which it grows when the
+// response needs more; what b held before is overwritten.
+func (c *Client) fetchBatch(ctx context.Context, start, count int, b *batch) ([][]byte, error) {
+	what := fmt.Sprintf("batch [%d,%d)", start, start+count)
+	return c.refetch(ctx, what, func() ([][]byte, error) {
 		resp, err := c.get(ctx, fmt.Sprintf("/v1/points?start=%d&count=%d", start, count))
 		if err != nil {
 			return nil, err
 		}
 		defer resp.Body.Close()
-		body, err := io.ReadAll(bufio.NewReaderSize(resp.Body, 1<<20))
+		if h := resp.Header.Get(pointsCountHeader); h != "" && h != strconv.Itoa(count) {
+			return nil, fmt.Errorf("lpserve: %s: %w", what,
+				&ProtocolError{Err: fmt.Errorf("server sent %s %q for %d points", pointsCountHeader, h, count)})
+		}
+		b.body, err = readBody(resp.Body, resp.ContentLength, b.body)
 		if err != nil {
-			return nil, fmt.Errorf("lpserve: batch [%d,%d): reading body: %w", start, start+count, err)
+			return nil, fmt.Errorf("lpserve: %s: reading body: %w", what, err)
 		}
 		if h := resp.Header.Get(PointsCRCHeader); h != "" {
 			want, err := strconv.ParseUint(h, 16, 32)
 			if err != nil {
-				return nil, fmt.Errorf("lpserve: batch [%d,%d): bad %s header %q: %w",
-					start, start+count, PointsCRCHeader, h, &ProtocolError{Err: err})
+				return nil, fmt.Errorf("lpserve: %s: bad %s header %q: %w",
+					what, PointsCRCHeader, h, &ProtocolError{Err: err})
 			}
-			if got := crc32.ChecksumIEEE(body); got != uint32(want) {
+			if got := crc32.ChecksumIEEE(b.body); got != uint32(want) {
 				c.metrics().Counter("lpserve_client_integrity_failures_total", "Response bodies whose integrity checksum did not match.").Inc()
-				return nil, fmt.Errorf("lpserve: batch [%d,%d): %w", start, start+count,
+				return nil, fmt.Errorf("lpserve: %s: %w", what,
 					&ProtocolError{Err: fmt.Errorf("body crc %08x, server sent %08x", got, want)})
 			}
 		}
-		br := bufio.NewReader(bytes.NewReader(body))
-		blobs := make([][]byte, 0, count)
+		b.blobs = b.blobs[:0]
+		rest := b.body
 		for i := 0; i < count; i++ {
-			b, err := livepoint.ReadElement(br)
-			if err != nil {
-				return nil, fmt.Errorf("lpserve: batch [%d,%d): point %d: %w", start, start+count, i, err)
+			var blob []byte
+			if blob, rest, err = livepoint.SplitElement(rest); err != nil {
+				return nil, fmt.Errorf("lpserve: %s: point %d: %w", what, i, &ProtocolError{Err: err})
 			}
-			blobs = append(blobs, b)
+			b.blobs = append(b.blobs, blob)
 		}
-		return blobs, nil
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("lpserve: %s: %w", what,
+				&ProtocolError{Err: fmt.Errorf("%d bytes after point %d", len(rest), count-1)})
+		}
+		return b.blobs, nil
 	})
+}
+
+// bodyChunk is how much of a declared Content-Length readBody believes up
+// front: a batch body past it is grown as its bytes arrive.
+const bodyChunk = 1 << 20
+
+// readBody reads a response body into buf's storage. The declared length
+// sizes the buffer, but only as a hint: up to bodyChunk it is trusted, past
+// that the buffer doubles as bytes arrive, so a length a short body does
+// not back cannot buy the allocation (the ReadElement rule). The buffer is
+// returned, grown or not, even on error.
+func readBody(r io.Reader, declared int64, buf []byte) ([]byte, error) {
+	size := bodyChunk
+	if declared >= 0 {
+		size = int(min(declared, bodyChunk))
+	}
+	if cap(buf) <= size { // one spare byte, so meeting EOF needs no growth
+		buf = make([]byte, 0, size+1)
+	}
+	b := buf[:0]
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, len(b))
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // FetchRange pulls the blobs at read-order positions [start, start+count)
@@ -472,38 +528,40 @@ func (c *Client) ShardBlobs(ctx context.Context, sh int) ([][]byte, error) {
 }
 
 // remoteSource streams the library sequentially through ranged batches and
-// exposes shards for parallel pulls.
+// exposes shards for parallel pulls. Every batch is fetched into the same
+// buffer: a blob is borrowed until the next NextBlob (DESIGN §3.8 rule 1),
+// and the next batch is fetched only once the last blob of this one has
+// been handed out.
 type remoteSource struct {
-	c   *Client
-	pos int // next read-order position to fetch
-	buf [][]byte
+	c     *Client
+	pos   int // next read-order position to fetch
+	batch batch
+	next  int // index in batch.blobs of the next blob to hand out
 }
 
 func (s *remoteSource) Meta() livepoint.Meta { return s.c.Meta() }
 
 func (s *remoteSource) NextBlob() ([]byte, error) {
-	if len(s.buf) == 0 {
+	if s.next == len(s.batch.blobs) {
 		if s.pos >= s.c.stat.Points {
 			return nil, io.EOF
 		}
-		n := s.c.batchPoints()
-		if s.pos+n > s.c.stat.Points {
-			n = s.c.stat.Points - s.pos
-		}
-		blobs, err := s.c.FetchBatch(s.c.ctx, s.pos, n)
-		if err != nil {
+		n := min(s.c.batchPoints(), s.c.stat.Points-s.pos)
+		s.next = 0
+		if _, err := s.c.fetchBatch(s.c.ctx, s.pos, n, &s.batch); err != nil {
+			s.batch.blobs = s.batch.blobs[:0]
 			return nil, err
 		}
-		s.buf = blobs
 		s.pos += n
 	}
-	b := s.buf[0]
-	s.buf = s.buf[1:]
+	b := s.batch.blobs[s.next]
+	s.next++
 	return b, nil
 }
 
 func (s *remoteSource) Close() error {
-	s.buf = nil
+	s.batch = batch{}
+	s.next = 0
 	s.c.hc.CloseIdleConnections()
 	return nil
 }

@@ -1,13 +1,23 @@
 package lpserve
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"livepoints/internal/asn1der"
+	"livepoints/internal/obs"
 )
 
 // fastRetry keeps the error-path tests quick without changing semantics.
@@ -132,5 +142,119 @@ func TestClientContextCancel(t *testing.T) {
 	}
 	if elapsed := time.Since(t0); elapsed > 2*time.Second {
 		t.Fatalf("retry loop ignored cancellation for %v", elapsed)
+	}
+}
+
+// batchServer answers every /v1/points request with body, the CRC header
+// over it, and the given extra headers.
+func batchServer(t *testing.T, body []byte, header map[string]string) *Client {
+	return testClient(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(PointsCRCHeader, fmt.Sprintf("%08x", crc32.ChecksumIEEE(body)))
+		for k, v := range header {
+			w.Header().Set(k, v)
+		}
+		w.Write(body)
+	})
+}
+
+// TestBatchContentLengthIsOnlyAHint: the declared length sizes the body
+// buffer, and nothing more. A terabyte declared over a short body is the
+// transport failure it is, without the client first reserving the
+// terabyte; a body longer than the trusted first chunk still arrives
+// whole.
+func TestBatchContentLengthIsOnlyAHint(t *testing.T) {
+	c := testClient(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.FormatInt(1<<40, 10))
+		w.Write(bytes.Join(derBlobs(2), nil))
+	})
+	c.Metrics = obs.NewRegistry()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := c.FetchBatch(context.Background(), 0, 2)
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatal("a body short of its Content-Length was accepted")
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 64<<20 {
+		t.Fatalf("the client allocated %d MB on the word of a Content-Length", got>>20)
+	}
+
+	var big [][]byte
+	for i := 0; i < 3; i++ {
+		b := asn1der.NewBuilder()
+		b.OctetString(bytes.Repeat([]byte{byte(i + 1)}, 3*bodyChunk/2))
+		big = append(big, b.Bytes())
+	}
+	c = batchServer(t, bytes.Join(big, nil), nil)
+	got, err := c.FetchBatch(context.Background(), 0, len(big))
+	if err != nil {
+		t.Fatalf("a body past the first chunk: %v", err)
+	}
+	for i := range big {
+		if !bytes.Equal(got[i], big[i]) {
+			t.Fatalf("a body past the first chunk: blob %d differs", i)
+		}
+	}
+}
+
+// TestBatchBodyMustHoldExactlyCount: a body with bytes after the last
+// point asked for, or whose point-count header disagrees with the
+// request, was answered for some other request: a ProtocolError, even
+// when the checksum covers it.
+func TestBatchBodyMustHoldExactlyCount(t *testing.T) {
+	blobs := derBlobs(3)
+	for name, c := range map[string]*Client{
+		"a third point":     batchServer(t, bytes.Join(blobs, nil), nil),
+		"a cut third point": batchServer(t, bytes.Join(blobs, nil)[:len(blobs[0])+len(blobs[1])+3], nil),
+		"count header 3":    batchServer(t, bytes.Join(blobs[:2], nil), map[string]string{pointsCountHeader: "3"}),
+		"count header junk": batchServer(t, bytes.Join(blobs[:2], nil), map[string]string{pointsCountHeader: "two"}),
+	} {
+		c.Metrics = obs.NewRegistry()
+		_, err := c.FetchBatch(context.Background(), 0, 2)
+		var pe *ProtocolError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: %v, want a ProtocolError", name, err)
+		}
+	}
+	c := batchServer(t, bytes.Join(blobs[:2], nil), map[string]string{pointsCountHeader: "2"})
+	if got, err := c.FetchBatch(context.Background(), 0, 2); err != nil || len(got) != 2 {
+		t.Fatalf("an exact batch: %d blobs, %v", len(got), err)
+	}
+}
+
+// TestRemoteSourceReusesItsBatch: a serial remote walk fetches every batch
+// into one buffer, replaced only by a batch it cannot hold — each blob a
+// slice of it, borrowed until the next NextBlob — and still yields every
+// point.
+func TestRemoteSourceReusesItsBatch(t *testing.T) {
+	st, blobs := synthStore(t, 40, 8)
+	ts := httptest.NewServer(NewServerWithMetrics(st, obs.NewRegistry()).Handler())
+	defer ts.Close()
+	cl, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Metrics = obs.NewRegistry()
+	cl.BatchPoints = 10
+	src := cl.Source().(*remoteSource)
+	defer src.Close()
+	var body []byte
+	for i := range blobs {
+		b, err := src.NextBlob()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, blobs[i]) {
+			t.Fatalf("read position %d differs", i)
+		}
+		if i%10 == 0 {
+			if i > 0 && &src.batch.body[0] != &body[0] && len(src.batch.body) <= cap(body) {
+				t.Fatalf("batch %d (%d bytes) was fetched into a new buffer, not the %d-byte one it fits", i/10, len(src.batch.body), cap(body))
+			}
+			body = src.batch.body
+		}
+	}
+	if _, err := src.NextBlob(); err != io.EOF {
+		t.Fatalf("after the last point: %v, want io.EOF", err)
 	}
 }

@@ -18,7 +18,7 @@
 //	GET /metrics              Prometheus text-format metrics (internal/obs)
 //
 // Point blobs are self-delimiting DER elements, so batch responses need no
-// framing; clients split them with livepoint.ReadElement.
+// framing; clients split them in place with livepoint.SplitElement.
 //
 // Every /v1 endpoint — including those a cluster coordinator mounts via
 // Extend — is instrumented: request counts by status, latency histograms,
@@ -61,6 +61,11 @@ const MaxBatchPoints = 4096
 // fold silently wrong data into the estimate. Clients verify when the
 // header is present (older servers simply omit it).
 const PointsCRCHeader = "X-Lplib-Crc32"
+
+// pointsCountHeader carries the number of points in a /v1/points response
+// body; a client that asked for another number has been answered for
+// another request.
+const pointsCountHeader = "X-Lplib-Points"
 
 // Server serves one live-point store over HTTP.
 type Server struct {
@@ -278,7 +283,7 @@ func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(n))
-	w.Header().Set("X-Lplib-Points", strconv.Itoa(count))
+	w.Header().Set(pointsCountHeader, strconv.Itoa(count))
 	w.Header().Set(PointsCRCHeader, fmt.Sprintf("%08x", crc.Sum32()))
 	for _, b := range blobs {
 		if _, err := w.Write(b); err != nil {

@@ -15,7 +15,9 @@
 // uncompressed stream; and the library read order as a permutation of
 // point ids. That buys:
 //
-//   - O(shard) random access to any point, O(1) to its location;
+//   - O(1) location of any point, and random access that inflates a shard
+//     once per store, into a cache every random-access reader shares
+//     (cache.go);
 //   - index-only shuffling: Shuffle permutes the footer and never touches
 //     point data;
 //   - concurrent reads: shards decompress independently, so parallel
@@ -37,6 +39,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 
 	"livepoints/internal/asn1der"
@@ -106,8 +109,9 @@ type Stat struct {
 }
 
 // Store is an open sharded live-point library. It is safe for concurrent
-// readers: file access uses positioned reads and shared metadata is
-// immutable after Open.
+// readers: file access uses positioned reads, shared metadata is
+// immutable after Open, and the inflated-shard cache behind Blobs has its
+// own lock.
 type Store struct {
 	path string
 	f    *os.File
@@ -120,6 +124,9 @@ type Store struct {
 
 	shardOrderOnce sync.Once
 	shardOrder     [][]uint32 // per shard: physical ids in read order
+	lastRead       []int      // per shard: the read position of its last point
+
+	shared sharedShards // Blobs' inflated shards (cache.go)
 }
 
 // sniff reads a file's leading magic: the one place a path's container
@@ -192,14 +199,19 @@ func openFile(f *os.File, path string) (*Store, error) {
 		return nil, fmt.Errorf("lpstore: %s: reading index: %w", path, err)
 	}
 	st := &Store{path: path, f: f}
+	st.shared.budget = shardCacheBudget
 	if err := st.decodeIndex(idx, idxOff); err != nil {
 		return nil, fmt.Errorf("lpstore: %s: %w", path, err)
 	}
 	return st, nil
 }
 
-// Close releases the store's file handle.
-func (st *Store) Close() error { return st.f.Close() }
+// Close releases the store's file handle and drops its inflated-shard
+// cache. Slices Blobs returned stay valid.
+func (st *Store) Close() error {
+	st.shared.close()
+	return st.f.Close()
+}
 
 // Path returns the file path the store was opened from.
 func (st *Store) Path() string { return st.path }
@@ -305,14 +317,20 @@ func (st *Store) inflateShard(s int, buf []byte) ([]byte, error) {
 	return data, nil
 }
 
-// shardBuf returns a buffer that holds any shard of the store: the free
-// list's last when that is long enough, else a new one. Release it with
-// releaseShardBuf.
-func (st *Store) shardBuf() []byte {
+// longestShard returns the largest uncompressed shard length.
+func (st *Store) longestShard() int64 {
 	var longest int64
 	for _, sh := range st.shards {
 		longest = max(longest, sh.uncompLen)
 	}
+	return longest
+}
+
+// shardBuf returns a buffer that holds any shard of the store: the free
+// list's last when that is long enough, else a new one. Release it with
+// releaseShardBuf.
+func (st *Store) shardBuf() []byte {
+	longest := st.longestShard()
 	var buf []byte
 	shardBufs.Lock()
 	if n := len(shardBufs.free); n > 0 {
@@ -327,13 +345,16 @@ func (st *Store) shardBuf() []byte {
 	return buf
 }
 
-// buildShardOrder partitions the read-order permutation by shard, once.
+// buildShardOrder partitions the read-order permutation by shard, and
+// finds where each shard is read for the last time, once.
 func (st *Store) buildShardOrder() {
 	st.shardOrderOnce.Do(func() {
 		st.shardOrder = make([][]uint32, len(st.shards))
-		for _, phys := range st.order {
+		st.lastRead = make([]int, len(st.shards))
+		for i, phys := range st.order {
 			s := st.points[phys].shard
 			st.shardOrder[s] = append(st.shardOrder[s], phys)
+			st.lastRead[s] = i
 		}
 	})
 }
@@ -371,40 +392,41 @@ func (st *Store) ShardReadPositions(s int) ([]int, error) {
 	return pos, nil
 }
 
-// PointBlob returns the encoded live-point at read-order position i. Cost
-// is one shard decompression; batch readers should prefer Blobs, Source,
-// or per-shard sources, which amortize it.
+// PointBlob returns the encoded live-point at read-order position i:
+// Blobs(i, 1), with its sharing rule.
 func (st *Store) PointBlob(i int) ([]byte, error) {
-	if i < 0 || i >= len(st.order) {
-		return nil, fmt.Errorf("lpstore: point %d out of range [0,%d)", i, len(st.order))
-	}
-	p := st.points[st.order[i]]
-	data, err := st.DecompressShard(p.shard)
+	blobs, err := st.Blobs(i, 1)
 	if err != nil {
 		return nil, err
 	}
-	return data[p.off : p.off+int64(p.len)], nil
+	return blobs[0], nil
 }
 
 // Blobs returns the encoded points at read-order positions [start,
-// start+count), decompressing each touched shard once.
+// start+count). Each touched shard comes from the store's shared cache of
+// inflated, verified shards, so a shard is inflated once per store rather
+// than once per call, and at most once within a call whatever the cache
+// evicts meanwhile. The slices are shared with every other reader of the
+// store: they must not be written. They stay valid after the cache
+// evicts their shard and after Close.
 func (st *Store) Blobs(start, count int) ([][]byte, error) {
-	if start < 0 || count < 0 || start+count > len(st.order) {
+	if start < 0 || count < 0 || start > len(st.order)-count {
 		return nil, fmt.Errorf("lpstore: range [%d,%d) out of [0,%d)", start, start+count, len(st.order))
 	}
-	cache := make(map[int][]byte)
+	held := make(map[int][]byte)
 	out := make([][]byte, count)
-	for i := 0; i < count; i++ {
+	for i := range out {
 		p := st.points[st.order[start+i]]
-		data, ok := cache[p.shard]
+		data, ok := held[p.shard]
 		if !ok {
 			var err error
-			if data, err = st.DecompressShard(p.shard); err != nil {
+			if data, err = st.shared.get(st, p.shard); err != nil {
 				return nil, err
 			}
-			cache[p.shard] = data
+			held[p.shard] = data
 		}
-		out[i] = data[p.off : p.off+int64(p.len)]
+		end := p.off + int64(p.len)
+		out[i] = data[p.off:end:end]
 	}
 	return out, nil
 }
@@ -414,12 +436,14 @@ func (st *Store) Blobs(start, count int) ([][]byte, error) {
 // so parallel runners pull shards concurrently. Closing it does not close
 // the store.
 func (st *Store) Source() livepoint.Source {
-	return &storeSource{st: st, cache: newShardCache(st, 4)}
+	st.buildShardOrder()
+	return &storeSource{st: st, cache: newShardCache(st)}
 }
 
-// storeSource walks the store in read order through a small decompressed-
-// shard cache (creation-time shuffled libraries read shard-major, so the
-// cache usually holds one live shard; index-reshuffled ones may revisit).
+// storeSource walks the store in read order through a cache of inflated
+// shards. A shard is freed as soon as the walk has passed its last point:
+// a creation-order walk holds one shard at a time, and an index-reshuffled
+// one inflates each shard once while the budget lasts.
 type storeSource struct {
 	st       *Store
 	pos      int
@@ -430,6 +454,13 @@ type storeSource struct {
 func (s *storeSource) Meta() livepoint.Meta { return s.st.meta }
 
 func (s *storeSource) NextBlob() ([]byte, error) {
+	if s.pos > 0 {
+		// The previous blob was borrowed until this call (DESIGN §3.8 rule
+		// 1); if it was its shard's last, the shard's buffer is free now.
+		if prev := s.st.points[s.st.order[s.pos-1]].shard; s.st.lastRead[prev] == s.pos-1 {
+			s.cache.free(prev)
+		}
+	}
 	if s.pos >= len(s.st.order) {
 		return nil, io.EOF
 	}
@@ -460,7 +491,6 @@ func (s *storeSource) OpenShard(sh int) (livepoint.Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.st.buildShardOrder()
 	return &shardSource{st: s.st, data: data, ids: s.st.shardOrder[sh]}, nil
 }
 
@@ -471,14 +501,15 @@ func (s *storeSource) OpenShard(sh int) (livepoint.Source, error) {
 // stage touches the same warm memory shard after shard and run after run.
 // The list is bounded and, unlike a sync.Pool, survives collections: what
 // it pins is at most maxFreeShardBufs shards of the largest store read.
-// Buffers the public DecompressShard hands out belong to the caller and
-// never come here.
+// Buffers the public DecompressShard hands out belong to the caller, and
+// the shards Blobs shares are the collector's; neither ever comes here.
 var shardBufs struct {
 	sync.Mutex
 	free [][]byte
 }
 
-// maxFreeShardBufs covers a serial source's cache, or four loaders.
+// maxFreeShardBufs covers four loaders; a creation-order serial walk
+// holds one buffer at a time.
 const maxFreeShardBufs = 4
 
 func releaseShardBuf(buf []byte) {
@@ -517,7 +548,9 @@ func (s *shardSource) Close() error {
 	return nil
 }
 
-// shardCache holds up to cap decompressed shards, FIFO-evicted.
+// shardCache holds a store source's inflated shards in recycled buffers:
+// as many as shardCacheBudget allows of the store's largest shard, the
+// oldest evicted first when a walk needs more.
 type shardCache struct {
 	st   *Store
 	cap  int
@@ -525,7 +558,8 @@ type shardCache struct {
 	fifo []int
 }
 
-func newShardCache(st *Store, capacity int) *shardCache {
+func newShardCache(st *Store) *shardCache {
+	capacity := max(1, int(shardCacheBudget/max(st.longestShard(), 1)))
 	return &shardCache{st: st, cap: capacity, m: make(map[int][]byte)}
 }
 
@@ -550,6 +584,17 @@ func (c *shardCache) get(s int) ([]byte, error) {
 	c.m[s] = data
 	c.fifo = append(c.fifo, s)
 	return data, nil
+}
+
+// free recycles shard s's buffer, if the cache holds it.
+func (c *shardCache) free(s int) {
+	data, ok := c.m[s]
+	if !ok {
+		return
+	}
+	delete(c.m, s)
+	c.fifo = slices.DeleteFunc(c.fifo, func(x int) bool { return x == s })
+	releaseShardBuf(data)
 }
 
 // release empties the cache and recycles its buffers.

@@ -497,13 +497,15 @@ func TestDecompressShardExactLength(t *testing.T) {
 }
 
 // TestSourcesRecycleShardBuffers: a store's sources inflate into buffers
-// that outlive them, so reading a library again makes no shard-sized
-// allocation — and a recycled buffer still yields every blob byte for
-// byte, across cache evictions, an index-only reshuffle and per-shard
-// sources.
+// that outlive them, so reading a library again recycles them — and a
+// recycled buffer still yields every blob byte for byte, across an
+// index-only reshuffle and per-shard sources. A serial walk holds no more
+// buffers than shards still ahead of it, keeps each shard from its first
+// read to its last (so a reshuffled walk inflates each once), and holds
+// none after Close; a creation-order walk holds one.
 func TestSourcesRecycleShardBuffers(t *testing.T) {
 	blobs := synthBlobs(90, 4000)
-	path := writeTestStore(t, blobs, 8, true) // 12 shards: three times the serial cache
+	path := writeTestStore(t, blobs, 8, true) // 12 shards
 	if err := Shuffle(path, 7); err != nil {  // read order revisits shards
 		t.Fatal(err)
 	}
@@ -516,8 +518,10 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 
 	// Both readers return the buffers they inflated into, by first byte.
 	type buffers map[*byte]bool
-	serial := func() buffers {
+	serial := func(st *Store, maxLive func(pos int) int) buffers {
 		src := st.Source().(*storeSource)
+		order := st.Order()
+		first := map[int]int{}
 		used := buffers{}
 		for i := 0; ; i++ {
 			b, err := src.NextBlob()
@@ -533,6 +537,17 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 			if !bytes.Equal(b, blobs[order[i]]) {
 				t.Fatalf("read position %d: blob differs", i)
 			}
+			if _, ok := first[st.points[order[i]].shard]; !ok {
+				first[st.points[order[i]].shard] = i
+			}
+			if live := len(src.cache.m); live > maxLive(i) {
+				t.Fatalf("read position %d: %d live shard buffers, want at most %d", i, live, maxLive(i))
+			}
+			for s, at := range first {
+				if _, held := src.cache.m[s]; !held && at < i && st.lastRead[s] >= i {
+					t.Fatalf("read position %d: shard %d let go between its reads at %d and %d", i, s, at, st.lastRead[s])
+				}
+			}
 			for _, data := range src.cache.m {
 				used[&data[0]] = true
 			}
@@ -540,7 +555,19 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		if err := src.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if len(src.cache.m) != 0 {
+			t.Fatalf("%d shard buffers held after Close", len(src.cache.m))
+		}
 		return used
+	}
+	ahead := func(pos int) int { // shards with a point still to be read at pos or later
+		n := 0
+		for _, last := range st.lastRead {
+			if last >= pos {
+				n++
+			}
+		}
+		return n
 	}
 	sharded := func() buffers {
 		ss := st.Source().(livepoint.ShardedSource)
@@ -582,15 +609,35 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		return used
 	}
 
-	first := serial()
-	if len(first) != 4 {
-		t.Fatalf("the serial source inflated 12 shards into %d buffers, want its cache's 4", len(first))
+	first := serial(st, ahead)
+	if len(first) < maxFreeShardBufs {
+		t.Fatalf("a reshuffled walk over 12 shards used %d buffers", len(first))
 	}
-	for name, read := range map[string]func() buffers{"serial": serial, "sharded": sharded} {
-		for buf := range read() {
-			if !first[buf] {
-				t.Errorf("%s re-read inflated into a new buffer: the first read's were not recycled", name)
-			}
+	for buf := range sharded() {
+		if !first[buf] {
+			t.Error("sharded re-read inflated into a new buffer: the serial read's were not recycled")
+		}
+	}
+	recycled := 0
+	again := serial(st, ahead)
+	for buf := range again {
+		if first[buf] {
+			recycled++
+		}
+	}
+	if recycled < maxFreeShardBufs {
+		t.Errorf("serial re-read reused %d of the first read's buffers, want the free list's %d", recycled, maxFreeShardBufs)
+	}
+
+	// In creation order a shard is done before the next is opened.
+	plain, err := Open(writeTestStore(t, blobs, 8, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	for buf := range serial(plain, func(int) int { return 1 }) {
+		if !first[buf] && !again[buf] {
+			t.Error("creation-order walk inflated into a new buffer: the reshuffled reads' were not recycled")
 		}
 	}
 
@@ -603,7 +650,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		t.Fatal("DecompressShard handed out a source's buffer")
 	}
 	want := bytes.Clone(own)
-	serial()
+	serial(st, ahead)
 	sharded()
 	if !bytes.Equal(own, want) {
 		t.Fatal("a source inflated into a buffer DecompressShard had handed out")

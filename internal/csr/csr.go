@@ -8,7 +8,9 @@
 package csr
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"livepoints/internal/cache"
@@ -32,12 +34,27 @@ type SetRecord struct {
 
 // Capture snapshots a cache's visible state into a SetRecord.
 func Capture(c *cache.Cache) *SetRecord {
-	sr := &SetRecord{Cfg: c.Config()}
+	sr := CaptureUnsorted(c)
+	sr.Sort()
+	return sr
+}
+
+// CaptureUnsorted is the first half of Capture: it copies the cache's
+// valid lines in the cache's own order, so the record no longer depends on
+// the cache, and leaves the sort to Sort. Creation copies on the goroutine
+// that owns the warming cache and sorts on another.
+func CaptureUnsorted(c *cache.Cache) *SetRecord {
+	sr := &SetRecord{Cfg: c.Config(), Entries: make([]Entry, 0, c.Config().Lines())}
 	c.VisitLines(func(l cache.Line) {
 		sr.Entries = append(sr.Entries, Entry{Block: l.Block, Last: l.Last, Dirty: l.Dirty})
 	})
-	sort.Slice(sr.Entries, func(i, j int) bool { return sr.Entries[i].Block < sr.Entries[j].Block })
 	return sr
+}
+
+// Sort orders the entries by block, the order Capture returns. A cache
+// holds a block at most once, so the order is unique.
+func (sr *SetRecord) Sort() {
+	slices.SortFunc(sr.Entries, func(a, b Entry) int { return cmp.Compare(a.Block, b.Block) })
 }
 
 // CanReconstruct reports whether the target geometry is exactly
@@ -99,9 +116,10 @@ func (sr *SetRecord) ReconstructInto(c *cache.Cache, target cache.Config) error 
 }
 
 // Restrict returns a copy of the record containing only blocks present in
-// keep (block addresses at this record's granularity). Used to build the
-// paper's "restricted live-state" ablation (§5, Figure 5), which drops
-// microarchitectural state not touched by the correct path.
+// keep (block addresses at this record's granularity), in the record's
+// order, so restricting then sorting equals sorting then restricting. Used
+// to build the paper's "restricted live-state" ablation (§5, Figure 5),
+// which drops microarchitectural state not touched by the correct path.
 func (sr *SetRecord) Restrict(keep map[uint64]bool) *SetRecord {
 	out := &SetRecord{Cfg: sr.Cfg}
 	for _, e := range sr.Entries {

@@ -20,8 +20,9 @@
 package livepoint
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"livepoints/internal/bpred"
 	"livepoints/internal/cache"
@@ -179,6 +180,16 @@ const runAhead = 512
 // cost the library amortizes, §4.3) that captures a live-point at every
 // window of the sample design. Each captured point is handed to emit in
 // program order; writers typically shuffle afterwards (§6.1).
+//
+// Creation is a two-stage pipeline. The calling goroutine warms to each
+// window, scouts it and copies the warmed cache, TLB and predictor state;
+// a second goroutine sorts the copied set records and calls emit. So emit
+// runs off the caller's goroutine, overlapping the warming of the next
+// window, but it is never called concurrently with itself, always sees
+// points in program order, and is never called after Create returns. The
+// first error from emit or from a capture stops the warming pass and is
+// returned; emit is not called again. A panic in emit is re-raised on the
+// caller's goroutine.
 func Create(p *prog.Program, design sampling.Design, opts CreateOpts, emit func(*LivePoint) error) error {
 	if opts.NoMicroarch && len(opts.FuncWarmLens) < design.Units() {
 		return fmt.Errorf("livepoint: NoMicroarch creation needs %d warming lengths, have %d",
@@ -188,6 +199,74 @@ func Create(p *prog.Program, design sampling.Design, opts CreateOpts, emit func(
 		return fmt.Errorf("livepoint: max hierarchy: %w", err)
 	}
 
+	points := make(chan *LivePoint, 1)
+	stop := make(chan struct{})
+	done := make(chan emitOutcome, 1)
+	go emitPoints(points, stop, done, emit)
+	err := warmAndCapture(p, design, opts, func(lp *LivePoint) bool {
+		select {
+		case points <- lp:
+			return true
+		case <-stop:
+			return false
+		}
+	})
+	close(points)
+	out := <-done
+	switch {
+	case out.aborted && out.panicked != nil:
+		panic(out.panicked)
+	case out.aborted:
+		return errors.New("livepoint: emit exited its goroutine without returning")
+	case out.err != nil:
+		return out.err // an earlier point than any capture error
+	}
+	return err
+}
+
+// emitOutcome is how Create's second stage ended: err is emit's error;
+// aborted means emit neither returned nor failed — it panicked (with
+// panicked as the value) or exited its goroutine.
+type emitOutcome struct {
+	err      error
+	aborted  bool
+	panicked any
+}
+
+// emitPoints is Create's second stage. It sorts each point's set records
+// and hands the point to emit, in the order the points arrive. At emit's
+// first error, or if emit does not return, it closes stop so the warming
+// pass ends at its next window. Its outcome goes to done exactly once.
+func emitPoints(points <-chan *LivePoint, stop chan<- struct{}, done chan<- emitOutcome, emit func(*LivePoint) error) {
+	out := emitOutcome{aborted: true}
+	defer func() {
+		if out.aborted {
+			out.panicked = recover()
+		}
+		if out.aborted || out.err != nil {
+			close(stop)
+		}
+		done <- out
+	}()
+	for lp := range points {
+		for _, sr := range lp.Caches {
+			sr.Sort()
+		}
+		for _, sr := range lp.TLBs {
+			sr.Sort()
+		}
+		if err := emit(lp); err != nil {
+			out = emitOutcome{err: err}
+			return
+		}
+	}
+	out = emitOutcome{}
+}
+
+// warmAndCapture is Create's first stage: the warming pass. It captures
+// each window's point with unsorted set records and passes it to send,
+// stopping when send returns false.
+func warmAndCapture(p *prog.Program, design sampling.Design, opts CreateOpts, send func(*LivePoint) bool) error {
 	m := p.NewMemory()
 	cpu := functional.New(p, m)
 
@@ -226,8 +305,8 @@ func Create(p *prog.Program, design sampling.Design, opts CreateOpts, emit func(
 		if err != nil {
 			return fmt.Errorf("livepoint: window %d: %w", j, err)
 		}
-		if err := emit(lp); err != nil {
-			return err
+		if !send(lp) {
+			return nil
 		}
 	}
 	return nil
@@ -259,7 +338,7 @@ func (w *createWarmer) WarmBranch(addr uint64, in isa.Inst, taken bool, target u
 }
 
 // capture scouts the window ahead with a forked functional context and
-// assembles the live-point.
+// assembles the live-point, its set records not yet sorted.
 func capture(p *prog.Program, master *mem.Memory, arch functional.State,
 	hier *cache.Hier, preds []*bpred.Predictor, opts CreateOpts,
 	index int, design sampling.Design, funcWarm uint64) (*LivePoint, error) {
@@ -334,12 +413,14 @@ func capture(p *prog.Program, master *mem.Memory, arch functional.State,
 }
 
 // captureCaches snapshots the warmed long-history structures, applying the
-// restricted-live-state filter when requested.
+// restricted-live-state filter when requested. The set records are left
+// unsorted (Create's second stage sorts them); Restrict keeps order, so a
+// restricted record is filtered first and only what is kept is sorted.
 func captureCaches(lp *LivePoint, hier *cache.Hier, preds []*bpred.Predictor,
 	opts CreateOpts, touchedData, touchedText map[uint64]bool, branches []bpred.BranchOutcome) {
 
 	capOne := func(c *cache.Cache, touched map[uint64]bool) *csr.SetRecord {
-		sr := csr.Capture(c)
+		sr := csr.CaptureUnsorted(c)
 		if !opts.Restricted {
 			return sr
 		}
@@ -388,7 +469,7 @@ func buildTextRanges(p *prog.Program, pcs map[uint64]bool, pad int) []TextRange 
 	for pc := range pcs {
 		sorted = append(sorted, pc)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 
 	textLen := uint64(p.TextLen())
 	var ranges []TextRange

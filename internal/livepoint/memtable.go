@@ -1,7 +1,8 @@
 package livepoint
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"livepoints/internal/mem"
 )
@@ -57,7 +58,7 @@ func (t *MemTable) ensureSorted() {
 	if !t.unsorted {
 		return
 	}
-	sort.SliceStable(t.entries, func(i, j int) bool { return t.entries[i].Addr < t.entries[j].Addr })
+	slices.SortStableFunc(t.entries, func(a, b MemEntry) int { return cmp.Compare(a.Addr, b.Addr) })
 	out := t.entries[:0]
 	for _, e := range t.entries {
 		if n := len(out); n > 0 && out[n-1].Addr == e.Addr {

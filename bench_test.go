@@ -242,9 +242,7 @@ func BenchmarkScalingBehavior(b *testing.B) {
 
 // storeBenchLib lazily builds one synthetic library shared by the
 // BenchmarkStore* variants: 512 DER blobs of ~32 KB of half-compressible
-// content, the shape of real live-points. (The v1 single-stream arms these
-// benchmarks once compared against went with the v1 writer; their numbers
-// stay in BENCH_9.json and bench/results/.)
+// content, the shape of real live-points.
 var (
 	storeBenchOnce  sync.Once
 	storeBenchV2    string

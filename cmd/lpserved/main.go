@@ -24,11 +24,11 @@
 //
 //	lpserved -lib gcc.lplib -cluster -err 0.03 -journal run.waj
 //
-// Legacy v1 (sequential gzip) libraries are migrated to the sharded v2
-// format on startup — written next to the source by default — so every
-// served library supports random access, ranged batch fetch, and raw-shard
-// passthrough (stored gzip bytes stream to clients verbatim; the server
-// never recompresses). SIGINT/SIGTERM drain in-flight requests before
+// The library must be the sharded v2 format, so every served library
+// supports random access, ranged batch fetch, and raw-shard passthrough
+// (stored gzip bytes stream to clients verbatim; the server never
+// recompresses). Any other file is refused at start-up with the lpgen
+// command that rebuilds it. SIGINT/SIGTERM drain in-flight requests before
 // exit.
 package main
 
@@ -50,11 +50,9 @@ import (
 
 func main() {
 	var (
-		lib         = flag.String("lib", "", "live-point library path, v1 or v2 (required)")
-		addr        = flag.String("addr", ":8147", "listen address")
-		migrateOut  = flag.String("migrate-out", "", "where to write the v2 migration of a v1 library (default <lib>.v2)")
-		shardPoints = flag.Int("shard-points", 0, "points per shard when migrating (default 64)")
-		drainWait   = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
+		lib       = flag.String("lib", "", "live-point library path, v2 format (required)")
+		addr      = flag.String("addr", ":8147", "listen address")
+		drainWait = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 
 		cluster     = flag.Bool("cluster", false, "also coordinate a distributed sampling run over this library")
 		configName  = flag.String("config", "8way", "cluster: simulated configuration, 8way or 16way")
@@ -76,27 +74,7 @@ func main() {
 		log.Fatal("lpserved: -journal requires -cluster")
 	}
 
-	path := *lib
-	v2, err := lpstore.IsV2(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !v2 {
-		dst := *migrateOut
-		if dst == "" {
-			dst = path + ".v2"
-		}
-		log.Printf("%s is a v1 library; migrating to %s...", path, dst)
-		info, err := lpstore.Migrate(path, dst, lpstore.WriteOpts{ShardPoints: *shardPoints})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("migrated %d points into %d shards (%.1f MB)", info.Points, info.Shards,
-			float64(info.CompressedBytes)/(1<<20))
-		path = dst
-	}
-
-	st, err := lpstore.Open(path)
+	st, err := lpstore.Open(*lib)
 	if err != nil {
 		log.Fatal(err)
 	}

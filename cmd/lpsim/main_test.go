@@ -103,3 +103,19 @@ func TestMatchedSaysItIsSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusesNonV2Library: a library in an older container (a v1 file is
+// one gzip stream) is refused with the lpgen command that rebuilds it.
+func TestRefusesNonV2Library(t *testing.T) {
+	lib := filepath.Join(t.TempDir(), "old.lplib")
+	if err := os.WriteFile(lib, []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, err := lpsim("-lib", lib, "-err", "0")
+	if _, exited := err.(*exec.ExitError); !exited {
+		t.Fatalf("lpsim did not exit non-zero (err %v)", err)
+	}
+	if !strings.Contains(stderr, "a v1 (sequential gzip) library") || !strings.Contains(stderr, "lpgen -bench <benchmark> -o "+lib) {
+		t.Errorf("stderr does not name the format and the rebuild command:\n%s", stderr)
+	}
+}

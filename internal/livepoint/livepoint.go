@@ -69,7 +69,7 @@ type LivePoint struct {
 
 	Arch ArchState
 	// Mem holds the live-state words (word address -> first-read value) as
-	// an address-sorted table; use Mem.Map() for a map view.
+	// an address-sorted table.
 	Mem  MemTable
 	Text []TextRange
 

@@ -123,9 +123,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Mem.Len() != lp.Mem.Len() {
 		t.Fatalf("memory words: %d vs %d", got.Mem.Len(), lp.Mem.Len())
 	}
-	for a, v := range lp.Mem.Map() {
-		if gv, ok := got.Mem.Get(a); !ok || gv != v {
-			t.Fatalf("memory word %#x: %#x vs %#x", a, gv, v)
+	for _, e := range lp.Mem.Entries() {
+		if gv, ok := got.Mem.Get(e.Addr); !ok || gv != e.Val {
+			t.Fatalf("memory word %#x: %#x vs %#x", e.Addr, gv, e.Val)
 		}
 	}
 	if got.TextInsts() != lp.TextInsts() {

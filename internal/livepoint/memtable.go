@@ -103,17 +103,6 @@ func (t *MemTable) Entries() []MemEntry {
 	return t.entries
 }
 
-// Map returns the live-state as a freshly allocated address→value map —
-// the compatibility accessor for callers that predate the sorted table.
-// Hot paths should use Get/Entries instead.
-func (t *MemTable) Map() map[uint64]uint64 {
-	m := make(map[uint64]uint64, len(t.entries))
-	for _, e := range t.entries {
-		m[e.Addr] = e.Val
-	}
-	return m
-}
-
 // setMem replaces the table's contents with the packed (addr, value)
 // pairs of a live-point memory section, reusing the backing array. The
 // encoder emits pairs address-sorted; a sort is deferred until first

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -569,64 +570,88 @@ func TestStateReclaimsExpiredLeases(t *testing.T) {
 // TestRunStateProgress covers GET /v1/run mid-run: the zero-fold state
 // must round-trip JSON (regression: an empty estimate's relative CI is
 // +Inf, which encoding/json refuses — the response body came back empty),
-// and after one partial the live estimate and fold rate must be visible.
+// and after one partial the live estimate, its stopping-rule signal and
+// the fold rate must be visible — in a matched run too, where the signal
+// is the delta's half-width against the baseline mean.
 func TestRunStateProgress(t *testing.T) {
-	st := synthStore(t, 60, 8, true)
-	coord, err := NewCoordinator(st, RunSpec{RelErr: 0.01}, Options{LeasePoints: 20, Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := lpserve.NewServerWithMetrics(st, obs.NewRegistry())
-	coord.Mount(srv)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	cl, err := lpserve.Dial(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
+	for _, spec := range []RunSpec{
+		{Mode: ModeAbsolute, RelErr: 0.01},
+		{Mode: ModeMatched, MemLat: 200, RelErr: 0.01},
+	} {
+		t.Run(spec.Mode, func(t *testing.T) {
+			matched := spec.Mode == ModeMatched
+			st := synthStore(t, 60, 8, true)
+			coord, err := NewCoordinator(st, spec, Options{LeasePoints: 20, Metrics: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := lpserve.NewServerWithMetrics(st, obs.NewRegistry())
+			coord.Mount(srv)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			cl, err := lpserve.Dial(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
 
-	var rs RunState
-	if err := cl.DoJSON(ctx, http.MethodGet, "/v1/run", nil, &rs); err != nil {
-		t.Fatalf("zero-fold /v1/run failed to round-trip: %v", err)
-	}
-	if rs.Phase != PhaseRunning || rs.N != 0 || rs.RelCI != 0 || rs.Mean != 0 {
-		t.Fatalf("zero-fold state %+v", rs)
-	}
-	if rs.TargetRelErr != 0.01 {
-		t.Fatalf("TargetRelErr %v, want 0.01", rs.TargetRelErr)
-	}
+			var rs RunState
+			if err := cl.DoJSON(ctx, http.MethodGet, "/v1/run", nil, &rs); err != nil {
+				t.Fatalf("zero-fold /v1/run failed to round-trip: %v", err)
+			}
+			if rs.Phase != PhaseRunning || rs.N != 0 || rs.RelCI != 0 || rs.Mean != 0 {
+				t.Fatalf("zero-fold state %+v", rs)
+			}
+			if rs.TargetRelErr != 0.01 {
+				t.Fatalf("TargetRelErr %v, want 0.01", rs.TargetRelErr)
+			}
 
-	// Fold one partial with real variance (far from the 1% target, and
-	// below MinSampleSize, so the run keeps going).
-	var lr LeaseResponse
-	if err := cl.DoJSON(ctx, http.MethodPost, "/v1/leases", LeaseRequest{Worker: "w"}, &lr); err != nil {
-		t.Fatal(err)
-	}
-	if lr.Lease == nil {
-		t.Fatalf("no lease: %+v", lr)
-	}
-	cpis := make([]float64, lr.Lease.Points)
-	for i := range cpis {
-		cpis[i] = 1 + float64(i%5)
-	}
-	if err := cl.DoJSON(ctx, http.MethodPost, "/v1/results",
-		&Result{LeaseID: lr.Lease.ID, Worker: "w", Partial: Partial{CPIs: cpis}}, nil); err != nil {
-		t.Fatal(err)
-	}
+			// Fold one partial with real variance (far from the 1% target,
+			// and below MinSampleSize, so the run keeps going).
+			var lr LeaseResponse
+			if err := cl.DoJSON(ctx, http.MethodPost, "/v1/leases", LeaseRequest{Worker: "w"}, &lr); err != nil {
+				t.Fatal(err)
+			}
+			if lr.Lease == nil {
+				t.Fatalf("no lease: %+v", lr)
+			}
+			cpis := make([]float64, lr.Lease.Points)
+			for i := range cpis {
+				cpis[i] = 1 + float64(i%5)
+			}
+			part := Partial{CPIs: cpis}
+			if matched {
+				exp := make([]float64, len(cpis))
+				for i, c := range cpis {
+					exp[i] = 1.1*c + 0.05*float64(i%3)
+				}
+				part = Partial{BaseCPIs: cpis, ExpCPIs: exp}
+			}
+			if err := cl.DoJSON(ctx, http.MethodPost, "/v1/results",
+				&Result{LeaseID: lr.Lease.ID, Worker: "w", Partial: part}, nil); err != nil {
+				t.Fatal(err)
+			}
 
-	if err := cl.DoJSON(ctx, http.MethodGet, "/v1/run", nil, &rs); err != nil {
-		t.Fatal(err)
-	}
-	if rs.Phase != PhaseRunning {
-		t.Fatalf("run finished prematurely: %+v", rs)
-	}
-	if rs.N != lr.Lease.Points || rs.Mean <= 0 || rs.RelCI <= 0 {
-		t.Fatalf("mid-run estimate not live: %+v", rs)
-	}
-	if rs.PointsPerSec <= 0 {
-		t.Fatalf("mid-run fold rate missing: %+v", rs)
+			if err := cl.DoJSON(ctx, http.MethodGet, "/v1/run", nil, &rs); err != nil {
+				t.Fatal(err)
+			}
+			if rs.Phase != PhaseRunning {
+				t.Fatalf("run finished prematurely: %+v", rs)
+			}
+			if rs.N != lr.Lease.Points || rs.RelCI <= 0 {
+				t.Fatalf("mid-run estimate not live: %+v", rs)
+			}
+			if !matched && rs.Mean <= 0 {
+				t.Fatalf("mid-run mean not live: %+v", rs)
+			}
+			if matched && (rs.BaseMean <= 0 || rs.RelCI != rs.DeltaCI/math.Abs(rs.BaseMean)) {
+				t.Fatalf("matched relCI %v is not deltaCI/|baseMean| = %v/%v", rs.RelCI, rs.DeltaCI, rs.BaseMean)
+			}
+			if rs.PointsPerSec <= 0 {
+				t.Fatalf("mid-run fold rate missing: %+v", rs)
+			}
+		})
 	}
 }
 

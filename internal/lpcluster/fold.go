@@ -113,8 +113,8 @@ func (f *fold) render(st *RunState) {
 		st.DeltaCI = finite(r.MP.DeltaCI(f.rule.Z))
 	} else {
 		st.Mean = finite(r.Est.Mean())
-		st.RelCI = f.relCI()
 	}
+	st.RelCI = f.relCI()
 	st.Stopped, st.StoppedNoImpact = r.Stopped, r.StoppedNoImpact
 	st.UnknownFetches, st.UnknownLoads, st.CaptureErrors = r.UnknownFetches, r.UnknownLoads, r.CaptureErrors
 	st.LoadMillis, st.SimMillis = r.LoadTime.Milliseconds(), r.SimTime.Milliseconds()

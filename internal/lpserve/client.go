@@ -425,8 +425,9 @@ const bodyChunk = 1 << 20
 // readBody reads a response body into buf's storage. The declared length
 // sizes the buffer, but only as a hint: up to bodyChunk it is trusted, past
 // that the buffer doubles as bytes arrive, so a length a short body does
-// not back cannot buy the allocation (the ReadElement rule). The buffer is
-// returned, grown or not, even on error.
+// not back cannot buy the allocation: a declared length is never
+// allocated ahead of its bytes. The buffer is returned, grown or not, even
+// on error.
 func readBody(r io.Reader, declared int64, buf []byte) ([]byte, error) {
 	size := bodyChunk
 	if declared >= 0 {

@@ -62,8 +62,7 @@ func buildRealLibrary(t *testing.T, name string, scale float64, stride int) (liv
 
 // TestServeParity is the subsystem's acceptance check: the same library
 // must produce a bit-equal Estimate whether simulated from the local store
-// or over lpserve on localhost. (That a store migrated from a v1 file
-// reproduces the v1 runner's estimate is lpstore's TestMigrateGoldenV1.)
+// or over lpserve on localhost.
 func TestServeParity(t *testing.T) {
 	cfg := uarch.Config8Way()
 	meta, blobs := buildRealLibrary(t, "syn.gzip", 0.01, 20)

@@ -50,11 +50,7 @@ func FuzzOpen(f *testing.F) {
 		flipped[off] ^= 0xFF
 		f.Add(flipped)
 	}
-	golden, err := os.ReadFile(goldenV1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(golden)
+	f.Add(gzipHeader)
 
 	file := filepath.Join(f.TempDir(), "fuzz.lplib")
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -102,30 +98,6 @@ func FuzzOpen(f *testing.F) {
 				}
 				check("OpenShard", [][]byte{b})
 			}
-		}
-	})
-}
-
-// FuzzReadV1 holds the retained v1 importer to the same contract on
-// arbitrary bytes: an error, or the declared number of blobs; never a
-// panic.
-func FuzzReadV1(f *testing.F) {
-	golden, err := os.ReadFile(goldenV1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(golden)
-	f.Add(golden[:len(golden)/2])
-	blobs := synthBlobs(3, 100)
-	f.Add(v1File(livepoint.Meta{Benchmark: "b", Count: 3}, blobs))
-	f.Add(v1File(livepoint.Meta{Benchmark: "b", Count: 5}, blobs))
-	f.Add(v1File(livepoint.Meta{Benchmark: "b", Count: 1 << 62}, blobs))
-	f.Add(v1File(livepoint.Meta{Benchmark: "b", Count: 1}, [][]byte{{0x04, 0x84, 0xff, 0xff, 0xff, 0xff}}))
-	f.Add([]byte(fileMagic))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		meta, blobs, err := readV1(bytes.NewReader(data))
-		if err == nil && len(blobs) != meta.Count {
-			t.Fatalf("read %d blobs of %d declared without an error", len(blobs), meta.Count)
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package lpstore is the live-point library container: the one module that
 // knows what a library file looks like. Every library the repository writes
-// or runs is the sharded v2 format; the legacy v1 format (one sequential
-// gzip stream) is accepted only as input to Migrate (v1.go). A v2 library
+// or runs is the sharded v2 format, and Open reads nothing else: a library
+// in any other container is rebuilt by lpgen, never migrated. A v2 library
 // is N independently-gzipped shards of DER-encoded points followed by an
 // uncompressed footer index:
 //
@@ -129,27 +129,8 @@ type Store struct {
 	shared sharedShards // Blobs' inflated shards (cache.go)
 }
 
-// sniff reads a file's leading magic: the one place a path's container
-// format is decided.
-func sniff(f *os.File) (magic [8]byte, v2 bool, err error) {
-	_, err = io.ReadFull(f, magic[:])
-	return magic, err == nil && string(magic[:]) == fileMagic, err
-}
-
-// IsV2 reports whether path begins with the v2 library magic. A file too
-// short to hold it is not v2, and not an error here.
-func IsV2(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	_, v2, _ := sniff(f)
-	return v2, nil
-}
-
-// Open opens a v2 library file. Opening a v1 file fails with a message
-// pointing at Migrate.
+// Open opens a v2 library file. Any other file is refused with the lpgen
+// command that rebuilds it.
 func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -164,15 +145,16 @@ func Open(path string) (*Store, error) {
 }
 
 func openFile(f *os.File, path string) (*Store, error) {
-	magic, v2, err := sniff(f)
-	if err != nil {
+	var magic [len(fileMagic)]byte
+	if _, err := io.ReadFull(f, magic[:]); err != nil {
 		return nil, fmt.Errorf("lpstore: %s: reading magic: %w", path, err)
 	}
-	if !v2 {
+	if string(magic[:]) != fileMagic {
+		found := fmt.Sprintf("a file with magic %q", magic)
 		if magic[0] == 0x1f && magic[1] == 0x8b {
-			return nil, fmt.Errorf("lpstore: %s is a v1 (sequential gzip) library, which is no longer run directly; migrate it to v2 with livepoints.MigrateLibrary (lpserved does so on start-up)", path)
+			found = "a v1 (sequential gzip) library"
 		}
-		return nil, fmt.Errorf("lpstore: %s is not a live-point library (magic %q)", path, magic)
+		return nil, fmt.Errorf("lpstore: %s is %s, not a v2 library; rebuild it with: lpgen -bench <benchmark> -o %s", path, found, path)
 	}
 	fi, err := f.Stat()
 	if err != nil {

@@ -2,7 +2,6 @@ package lpstore
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"io"
 	"io/fs"
@@ -58,36 +57,9 @@ func writeTestStore(t testing.TB, blobs [][]byte, shardPoints int, shuffled bool
 	return path
 }
 
-// v1File builds the bytes of a v1 library whose header is meta (Count is
-// what the file declares, whatever blobs holds). Nothing outside the tests
-// writes v1 any more; this is the importer's fixture.
-func v1File(meta livepoint.Meta, blobs [][]byte) []byte {
-	b := asn1der.NewBuilder()
-	b.Sequence(func(b *asn1der.Builder) {
-		b.UTF8String(v1Magic)
-		b.UTF8String(meta.Benchmark)
-		b.Uint64(uint64(meta.Count))
-		b.Uint64(meta.UnitLen)
-		b.Uint64(meta.WarmLen)
-		b.Bool(meta.Shuffled)
-	})
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	gz.Write(b.Bytes())
-	for _, blob := range blobs {
-		gz.Write(blob)
-	}
-	gz.Close()
-	return buf.Bytes()
-}
-
-func writeV1(t *testing.T, path string, meta livepoint.Meta, blobs [][]byte) {
-	t.Helper()
-	meta.Count = len(blobs)
-	if err := os.WriteFile(path, v1File(meta, blobs), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
+// gzipHeader is the start of a gzip stream: the leading bytes of a v1
+// (sequential gzip) library, which Open must refuse by name.
+var gzipHeader = []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}
 
 // drain reads a source to EOF.
 func drain(t testing.TB, src livepoint.Source) [][]byte {
@@ -258,52 +230,18 @@ func TestShuffleIsIndexOnly(t *testing.T) {
 	}
 }
 
-// TestMigratePreservesOrder checks v1→v2 migration yields the same blobs
-// in the same read order, so experiment results carry over bit-equal.
-func TestMigratePreservesOrder(t *testing.T) {
-	blobs := synthBlobs(30, 600)
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "v1.lplib")
-	v2 := filepath.Join(dir, "v2.lplib")
-	meta := livepoint.Meta{Benchmark: "syn.mig", Count: 30, UnitLen: 100, WarmLen: 200, Shuffled: true}
-	writeV1(t, v1, meta, blobs)
-	info, err := Migrate(v1, v2, WriteOpts{ShardPoints: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Points != 30 || info.Shards != 5 {
-		t.Fatalf("migrate info %+v", info)
-	}
-
-	st, err := Open(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.Meta() != meta {
-		t.Fatalf("migrated meta %+v, want %+v", st.Meta(), meta)
-	}
-	got := drain(t, st.Source())
-	if len(got) != len(blobs) {
-		t.Fatalf("migrated store has %d points, want %d", len(got), len(blobs))
-	}
-	for i := range blobs {
-		if !bytes.Equal(got[i], blobs[i]) {
-			t.Fatalf("migrated blob %d differs from v1 read order", i)
-		}
-	}
-}
-
 // TestOpenRejectsV1AndGarbage covers the v1-file-opened-as-v2 error path
 // and corrupt inputs.
 func TestOpenRejectsV1AndGarbage(t *testing.T) {
 	dir := t.TempDir()
 
-	v1 := filepath.Join(dir, "v1.lplib")
-	writeV1(t, v1, livepoint.Meta{Benchmark: "b"}, synthBlobs(3, 100))
+	v1 := filepath.Join(dir, "old.lplib")
+	if err := os.WriteFile(v1, gzipHeader, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Open(v1); err == nil {
 		t.Fatal("Open(v1 file) should fail")
-	} else if got := err.Error(); !strings.Contains(got, "v1") || !strings.Contains(got, "migrate") {
+	} else if got := err.Error(); !strings.Contains(got, "v1") || !strings.Contains(got, "lpgen -bench <benchmark> -o "+v1) {
 		t.Fatalf("v1 error should name the format and the way out: %v", err)
 	}
 
@@ -313,6 +251,8 @@ func TestOpenRejectsV1AndGarbage(t *testing.T) {
 	}
 	if _, err := Open(junk); err == nil {
 		t.Fatal("Open(garbage) should fail")
+	} else if got := err.Error(); !strings.Contains(got, `"neither "`) || !strings.Contains(got, "lpgen -bench") {
+		t.Fatalf("garbage error should name the magic found and the way out: %v", err)
 	}
 
 	// Truncating the trailer must be detected.
@@ -348,10 +288,12 @@ func TestRegisteredOpener(t *testing.T) {
 		t.Fatalf("drained %d blobs, want %d", len(got), len(blobs))
 	}
 
-	v1 := filepath.Join(t.TempDir(), "v1.lplib")
-	writeV1(t, v1, livepoint.Meta{Benchmark: "b"}, blobs)
-	if _, err := livepoint.OpenSource(v1); err == nil || !strings.Contains(err.Error(), "migrate") {
-		t.Fatalf("OpenSource(v1 file) should say to migrate it, got: %v", err)
+	v1 := filepath.Join(t.TempDir(), "old.lplib")
+	if err := os.WriteFile(v1, gzipHeader, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := livepoint.OpenSource(v1); err == nil || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "lpgen -bench") {
+		t.Fatalf("OpenSource(v1 file) should say how to rebuild it, got: %v", err)
 	}
 	if _, err := livepoint.OpenSource(v1 + ".absent"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("OpenSource(missing file) = %v, want the open error", err)

@@ -214,20 +214,3 @@ func WriteShuffled(path string, meta livepoint.Meta, blobs [][]byte, seed int64,
 	meta.Shuffled = true
 	return Write(path, meta, blobs, opts)
 }
-
-// Migrate imports a legacy v1 library (see v1.go) as a v2 one, preserving
-// metadata and read order: sequential reads of dst yield the same points in
-// the same order as src held them, so experiment results are bit-equal
-// across the migration.
-func Migrate(src, dst string, opts WriteOpts) (Info, error) {
-	f, err := os.Open(src)
-	if err != nil {
-		return Info{}, err
-	}
-	defer f.Close()
-	meta, blobs, err := readV1(f)
-	if err != nil {
-		return Info{}, fmt.Errorf("lpstore: migrating %s: %w", src, err)
-	}
-	return Write(dst, meta, blobs, opts)
-}

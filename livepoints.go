@@ -20,8 +20,9 @@
 //
 // Libraries are written and run in the sharded v2 format (internal/lpstore)
 // and can be served to remote workers over HTTP (internal/lpserve, cmd
-// lpserved); RunSource and Connect run remote libraries. A legacy v1
-// single-stream file must first be imported with MigrateLibrary.
+// lpserved); RunSource and Connect run remote libraries. Only v2 is read:
+// a library in an older container is rebuilt with lpgen, byte for byte
+// what the same recipe always writes.
 //
 // See DESIGN.md for the package layout and the storage/serving
 // architecture.
@@ -183,14 +184,6 @@ func createBlobs(p *Program, design Design, opts CreateOpts) ([][]byte, error) {
 		return nil
 	})
 	return blobs, err
-}
-
-// MigrateLibrary converts a legacy v1 library into the sharded v2 format,
-// preserving read order: estimates from the migrated library are bit-equal
-// to the original's.
-func MigrateLibrary(src, dst string) error {
-	_, err := lpstore.Migrate(src, dst, lpstore.WriteOpts{})
-	return err
 }
 
 // Run executes a sampling experiment over a library file (see RunOpts for

@@ -1,19 +1,18 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (see DESIGN.md §4 for the index). Each benchmark
-// regenerates its experiment at a reduced scale suitable for `go test
-// -bench`; the cmd/experiments tool runs the same experiments at full
-// experiment scale and EXPERIMENTS.md records paper-vs-measured values.
+// Benchmark harness: BenchmarkArtifacts regenerates every table and figure
+// of the paper's evaluation (harness.Artifacts; DESIGN.md §4 is the index),
+// one sub-benchmark each, at a reduced scale suitable for `go test -bench`;
+// cmd/experiments runs the same ledger at experiment scale.
 //
-// Custom metrics use testing.B.ReportMetric, so benchmark output carries
-// the experiment's headline numbers (bias %, speedups, KB/point) alongside
-// wall-clock.
+// Each table's headline numbers (bias %, speedups, KB/point) are reported
+// through testing.B.ReportMetric, so benchmark output carries them
+// alongside wall-clock. The store, cluster and decode benchmarks below
+// measure the storage and load paths directly.
 package livepoints_test
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http/httptest"
 	"os"
@@ -64,179 +63,22 @@ func benchContext(b *testing.B) *harness.Context {
 	return ctx
 }
 
-// BenchmarkTable1Configs exercises configuration construction and
-// validation (Table 1).
-func BenchmarkTable1Configs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if harness.Table1() == "" {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFigure1WarmingShare measures the SMARTS runtime split (Figure 1):
-// the fraction of time functional warming consumes.
-func BenchmarkFigure1WarmingShare(b *testing.B) {
+// BenchmarkArtifacts regenerates each entry of the ledger and reports its
+// headline numbers under their metric names.
+func BenchmarkArtifacts(b *testing.B) {
 	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		res, err := c.RunFigure1(uarch.Config8Way())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var w, d float64
-		for _, row := range res.Rows {
-			w += row.WarmSeconds
-			d += row.DetSeconds
-		}
-		b.ReportMetric(100*w/(w+d), "warm-%")
-	}
-}
-
-// BenchmarkFigure4AdaptiveBias regenerates the AW-MRRL additional-bias
-// experiment (Figure 4).
-func BenchmarkFigure4AdaptiveBias(b *testing.B) {
-	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		res, err := c.RunFigure4(uarch.Config8Way(), true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _, add := res.Avg()
-		_, worst := res.Worst()
-		b.ReportMetric(100*add, "avg-add-bias-%")
-		b.ReportMetric(100*worst, "worst-add-bias-%")
-	}
-}
-
-// BenchmarkFigure5RestrictedBias regenerates the restricted-live-state
-// ablation (Figure 5).
-func BenchmarkFigure5RestrictedBias(b *testing.B) {
-	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		res, err := c.RunFigure5(uarch.Config8Way())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _, add := res.Avg()
-		b.ReportMetric(100*add, "avg-add-bias-%")
-	}
-}
-
-// BenchmarkFigure7Breakdown regenerates the live-point size breakdown
-// (Figure 7).
-func BenchmarkFigure7Breakdown(b *testing.B) {
-	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		res, err := c.RunFigure7("syn.gcc", uarch.Config8Way())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.LPTotal)/1024, "KB/point")
-		b.ReportMetric(float64(res.LPCompressed)/1024, "gzKB/point")
-	}
-}
-
-// BenchmarkFigure8Sweep regenerates the max-cache sweep (Figure 8).
-func BenchmarkFigure8Sweep(b *testing.B) {
-	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		res, err := c.RunFigure8("syn.mcf")
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Rows[len(res.Rows)-1]
-		b.ReportMetric(float64(last.LPBytes)/1024, "KB/point@16MB")
-		b.ReportMetric(last.AWMillis/math.Max(last.LPMillis, 1e-9), "AW/LP-time")
-	}
-}
-
-// BenchmarkTable2Runtimes regenerates the per-technique runtime comparison
-// (Table 2, 8-way).
-func BenchmarkTable2Runtimes(b *testing.B) {
-	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		res, err := c.RunTable2(uarch.Config8Way())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, sm, _ := res.MinAvgMax(func(r harness.Table2Row) float64 { return r.SMARTS })
-		_, lp, _ := res.MinAvgMax(func(r harness.Table2Row) float64 { return r.LivePoints })
-		b.ReportMetric(sm/math.Max(lp, 1e-9), "speedup-vs-SMARTS")
-	}
-}
-
-// BenchmarkTable3Summary regenerates the summary table (Table 3) from its
-// component experiments.
-func BenchmarkTable3Summary(b *testing.B) {
-	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		cfg := uarch.Config8Way()
-		fig4, err := c.RunFigure4(cfg, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig4u, err := c.RunFigure4(cfg, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig5, err := c.RunFigure5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t2, err := c.RunTable2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.RunTable3(fig4, fig4u, fig5, t2, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAccuracyHeadline regenerates the ±3 % @ 99.7 % headline check.
-func BenchmarkAccuracyHeadline(b *testing.B) {
-	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		res, err := c.RunAccuracy(uarch.Config8Way())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var worst float64
-		for _, row := range res.Rows {
-			worst = math.Max(worst, math.Abs(row.Err))
-		}
-		b.ReportMetric(100*worst, "worst-err-%")
-	}
-}
-
-// BenchmarkMatchedPair regenerates the §6.2 sensitivity study.
-func BenchmarkMatchedPair(b *testing.B) {
-	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		res, err := c.RunMatchedPair("syn.gcc", uarch.Config8Way())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var maxRed float64
-		for _, row := range res.Rows {
-			maxRed = math.Max(maxRed, row.Reduction)
-		}
-		b.ReportMetric(maxRed, "max-reduction-x")
-	}
-}
-
-// BenchmarkScalingBehavior regenerates the O(B)-vs-O(sample) turnaround
-// sweep (§7.2 / Table 3 scaling rows).
-func BenchmarkScalingBehavior(b *testing.B) {
-	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		res, err := c.RunScaling("syn.gzip", uarch.Config8Way(), []float64{0.02, 0.04, 0.08})
-		if err != nil {
-			b.Fatal(err)
-		}
-		first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-		b.ReportMetric(last.SMARTS/math.Max(first.SMARTS, 1e-9), "smarts-growth-x")
-		b.ReportMetric(last.LivePoints/math.Max(first.LivePoints, 1e-9), "lp-growth-x")
+	for _, a := range harness.Artifacts {
+		b.Run(a.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := a.Run(c)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, h := range t.Headlines {
+					b.ReportMetric(h.Value, h.Metric)
+				}
+			}
+		})
 	}
 }
 
@@ -439,21 +281,6 @@ func BenchmarkStoreShuffle(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkOnlineConvergence regenerates the §6.1 online-reporting demo.
-func BenchmarkOnlineConvergence(b *testing.B) {
-	c := benchContext(b)
-	for i := 0; i < b.N; i++ {
-		res, err := c.RunOnlineDemo("syn.gcc", uarch.Config8Way())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.History) == 0 {
-			b.Fatal("no history")
-		}
-		b.ReportMetric(100*res.Final.RelCI(3.0), "final-CI-%")
-	}
 }
 
 // clusterBenchLib lazily builds one small simulatable shuffled v2 library

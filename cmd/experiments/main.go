@@ -1,4 +1,6 @@
-// Command experiments regenerates the paper's tables and figures.
+// Command experiments regenerates the paper's tables and figures: the
+// entries of harness.Artifacts that -exp selects, each printed with its
+// headline numbers beside the paper's.
 //
 // Usage:
 //
@@ -6,9 +8,8 @@
 //	experiments -exp table2 -bench syn.mcf     # one experiment, one benchmark
 //	experiments -exp fig4,fig5 -scale 0.1      # quick pass at reduced scale
 //
-// Each experiment prints the same rows/series the paper reports; see
-// DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured results.
+// See DESIGN.md §4 for the experiment index. An unknown -exp name is an
+// error (exit 2) that lists the known ones.
 package main
 
 import (
@@ -18,12 +19,11 @@ import (
 	"strings"
 
 	"livepoints/internal/harness"
-	"livepoints/internal/uarch"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiments: table1,fig1,fig4,fig5,fig7,fig8,table2,table3,accuracy,matched,scaling,online,all")
+		exp      = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(harness.Keys(), ",")+",all")
 		out      = flag.String("out", "out", "output directory for libraries and caches")
 		scale    = flag.Float64("scale", 0.5, "benchmark length scale factor")
 		benches  = flag.String("bench", "", "comma-separated benchmark subset (default: full suite)")
@@ -34,6 +34,11 @@ func main() {
 	)
 	flag.Parse()
 
+	artifacts, err := harness.Select(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 	ctx := harness.NewContext(*out, *scale)
 	ctx.MaxLibPoints = *maxLib
 	ctx.Offsets = *offsets
@@ -44,127 +49,12 @@ func main() {
 	if *verbose {
 		ctx.Log = os.Stderr
 	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-
-	cfg8 := uarch.Config8Way()
-	cfg16 := uarch.Config16Way()
-
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-		os.Exit(1)
-	}
-	section := func(s string) { fmt.Printf("\n%s\n%s\n", s, strings.Repeat("=", len(s))) }
-
-	if all || want["table1"] {
-		section("Table 1")
-		fmt.Print(harness.Table1())
-	}
-	if all || want["fig1"] {
-		section("Figure 1")
-		r, err := ctx.RunFigure1(cfg8)
+	for _, a := range artifacts {
+		t, err := a.Run(ctx)
 		if err != nil {
-			fail("fig1", err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", a.Name, err)
+			os.Exit(1)
 		}
-		fmt.Print(r)
-	}
-
-	var fig4, fig4u, fig5 *harness.BiasResult
-	var err error
-	if all || want["fig4"] || want["table3"] {
-		section("Figure 4")
-		if fig4, err = ctx.RunFigure4(cfg8, true); err != nil {
-			fail("fig4", err)
-		}
-		fmt.Print(fig4)
-		if fig4u, err = ctx.RunFigure4(cfg8, false); err != nil {
-			fail("fig4-unstitched", err)
-		}
-		fmt.Println()
-		fmt.Print(fig4u)
-	}
-	if all || want["fig5"] || want["table3"] {
-		section("Figure 5")
-		if fig5, err = ctx.RunFigure5(cfg8); err != nil {
-			fail("fig5", err)
-		}
-		fmt.Print(fig5)
-	}
-	if all || want["fig7"] {
-		section("Figure 7")
-		r, err := ctx.RunFigure7("syn.gcc", cfg8)
-		if err != nil {
-			fail("fig7", err)
-		}
-		fmt.Print(r)
-	}
-	if all || want["fig8"] {
-		section("Figure 8")
-		r, err := ctx.RunFigure8("syn.mcf")
-		if err != nil {
-			fail("fig8", err)
-		}
-		fmt.Print(r)
-	}
-
-	var t2 *harness.Table2Result
-	if all || want["table2"] || want["table3"] {
-		section("Table 2 (8-way)")
-		if t2, err = ctx.RunTable2(cfg8); err != nil {
-			fail("table2", err)
-		}
-		fmt.Print(t2)
-		if all || want["table2"] {
-			section("Table 2 (16-way)")
-			t216, err := ctx.RunTable2(cfg16)
-			if err != nil {
-				fail("table2-16", err)
-			}
-			fmt.Print(t216)
-		}
-	}
-	if all || want["table3"] {
-		section("Table 3")
-		r, err := ctx.RunTable3(fig4, fig4u, fig5, t2, cfg8)
-		if err != nil {
-			fail("table3", err)
-		}
-		fmt.Print(r)
-	}
-	if all || want["accuracy"] {
-		section("Accuracy headline")
-		r, err := ctx.RunAccuracy(cfg8)
-		if err != nil {
-			fail("accuracy", err)
-		}
-		fmt.Print(r)
-	}
-	if all || want["matched"] {
-		section("Matched-pair comparison (§6.2)")
-		r, err := ctx.RunMatchedPair("syn.gcc", cfg8)
-		if err != nil {
-			fail("matched", err)
-		}
-		fmt.Print(r)
-	}
-	if all || want["scaling"] {
-		section("Scaling with benchmark length")
-		r, err := ctx.RunScaling("syn.gzip", cfg8, []float64{0.2, 0.4, 0.8, 1.6})
-		if err != nil {
-			fail("scaling", err)
-		}
-		fmt.Print(r)
-	}
-	if all || want["online"] {
-		section("Online results (§6.1)")
-		r, err := ctx.RunOnlineDemo("syn.gcc", cfg8)
-		if err != nil {
-			fail("online", err)
-		}
-		fmt.Print(r)
+		fmt.Printf("\n%s", t)
 	}
 }

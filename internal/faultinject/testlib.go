@@ -34,18 +34,8 @@ func GenLibrary(dir string) (string, error) {
 		return "", err
 	}
 	opts := livepoint.CreateOpts{MaxHier: cfg.Hier, Preds: []bpred.Config{cfg.BP}}
-	var blobs [][]byte
-	err = livepoint.Create(p, design, opts, func(lp *livepoint.LivePoint) error {
-		b, _ := livepoint.Encode(lp)
-		blobs = append(blobs, b)
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	meta := livepoint.Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen}
 	path := filepath.Join(dir, "lib.lplib")
-	if _, err := lpstore.WriteShuffled(path, meta, blobs, 0x5EED, lpstore.WriteOpts{ShardPoints: 5}); err != nil {
+	if _, err := lpstore.Create(path, p, design, opts, 0x5EED, lpstore.WriteOpts{ShardPoints: 5}); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -5,11 +5,10 @@ import (
 	"compress/gzip"
 	"fmt"
 	"math"
-	"strings"
+	"slices"
 
 	"livepoints/internal/bpred"
 	"livepoints/internal/livepoint"
-	"livepoints/internal/mrrl"
 	"livepoints/internal/sampling"
 	"livepoints/internal/uarch"
 	"livepoints/internal/warm"
@@ -25,248 +24,127 @@ func gzipCompressLen(b []byte) int {
 
 // --- Table 2: runtimes per technique -------------------------------------------
 
-// Table2Row is one benchmark's wall-clock per technique, in seconds.
-type Table2Row struct {
-	Bench      string
-	Complete   float64 // complete detailed simulation (sim-outorder)
-	SMARTS     float64 // full warming
-	AWMRRL     float64 // adaptive warming (warming + detailed, FF excluded)
-	LivePoints float64 // load + simulate until target confidence
-	LPPoints   int     // points processed by the live-point run
-	LPRelCI    float64 // achieved confidence
-}
-
-// Table2Result is the Table 2 reproduction for one configuration.
-type Table2Result struct {
-	Cfg  string
-	Rows []Table2Row
-}
-
-// RunTable2 measures per-benchmark wall-clock for all four techniques. The
-// live-point runs use the online stopping rule (target RelErr at confidence
-// Z) against the shuffled library; the other techniques traverse the full
-// sample design.
-func (c *Context) RunTable2(cfg uarch.Config) (*Table2Result, error) {
-	res := &Table2Result{Cfg: cfg.Name}
-	rows := make(map[string]Table2Row)
-	err := c.forEachBench(func(name string) error {
-		p, err := c.Program(name)
-		if err != nil {
-			return err
-		}
+// table2 measures per-benchmark wall-clock, in seconds, for all four
+// techniques: complete detailed simulation (sim-outorder), SMARTS (full
+// warming), AW-MRRL (warming + detailed, fast-forward excluded) and
+// live-points (load + simulate). The live-point runs use the online
+// stopping rule (target RelErr at confidence Z) against the shuffled
+// library; the other techniques traverse the full sample design.
+func (c *Context) table2(cfg uarch.Config) (*Table, error) {
+	rows, err := perBench(c, func(name string) (Row, error) {
 		golden, err := c.GoldenCPI(name, cfg)
 		if err != nil {
-			return err
+			return Row{}, err
 		}
-		design, err := c.LibraryDesign(name, cfg, 0)
+		sm, aw, err := c.warmingRuns(name, cfg, 0, true)
 		if err != nil {
-			return err
+			return Row{}, err
 		}
-		sm, err := warm.RunSMARTS(cfg, p, design, warm.SMARTSOpts{})
+		lr, err := c.estimate(name, cfg)
 		if err != nil {
-			return err
+			return Row{}, err
 		}
-		lens, _, err := c.MRRLWarmLens(name, cfg, 0)
-		if err != nil {
-			return err
-		}
-		aw, err := mrrl.RunAW(cfg, p, design, analysisFor(lens), mrrl.AWOpts{Stitched: true})
-		if err != nil {
-			return err
-		}
-		lib, err := c.EnsureLibrary(name, cfg, []bpred.Config{cfg.BP}, LibFull, 0)
-		if err != nil {
-			return err
-		}
-		lr, err := livepoint.RunFile(lib.Path, livepoint.RunOpts{Cfg: cfg, Z: c.Z, RelErr: c.RelErr})
-		if err != nil {
-			return err
-		}
-		row := Table2Row{
-			Bench:      name,
-			Complete:   golden.Seconds,
-			SMARTS:     (sm.FuncWarmTime + sm.DetailedTime).Seconds(),
-			AWMRRL:     (aw.WarmTime + aw.DetailedTime).Seconds(),
-			LivePoints: (lr.LoadTime + lr.SimTime).Seconds(),
-			LPPoints:   lr.Processed,
-			LPRelCI:    lr.Est.RelCI(c.Z),
-		}
-		c.mu.Lock()
-		rows[name] = row
-		c.mu.Unlock()
-		return nil
+		return Row{name, []Cell{
+			num("%.2f", golden.Seconds),
+			num("%.2f", (sm.FuncWarmTime + sm.DetailedTime).Seconds()),
+			num("%.2f", (aw.WarmTime + aw.DetailedTime).Seconds()),
+			num("%.3f", (lr.LoadTime + lr.SimTime).Seconds()),
+			num("%.0f", float64(lr.Processed)),
+			num("%.1f%%", 100*lr.Est.RelCI(c.Z)),
+		}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range c.BenchNames() {
-		res.Rows = append(res.Rows, rows[name])
+	t := &Table{
+		Title:   fmt.Sprintf("Table 2 — runtimes (%s), seconds of wall-clock on this host", cfg.Name),
+		Columns: []string{"benchmark", "complete", "SMARTS", "AW-MRRL", "live-points", "points", "±CI"},
+		Rows:    rows,
 	}
-	return res, nil
+	for _, col := range t.Columns[1:5] {
+		xs := t.column(col)
+		t.Notes = append(t.Notes, fmt.Sprintf("%-12s min %.3fs  avg %.3fs  max %.3fs", col, slices.Min(xs), mean(xs), slices.Max(xs)))
+	}
+	speedup := mean(t.column("SMARTS")) / math.Max(mean(t.column("live-points")), 1e-9)
+	t.Headlines = []Headline{{"speedup-vs-SMARTS", speedup, "~277x at full SPEC2K length; grows with benchmark length"}}
+	return c.keep("table2-"+cfg.Name, t), nil
 }
 
-// MinAvgMax summarizes one technique column.
-func (r *Table2Result) MinAvgMax(get func(Table2Row) float64) (mn, avg, mx float64) {
-	if len(r.Rows) == 0 {
-		return
+// estimate runs the benchmark's full live-point library under cfg until the
+// confidence target (Z, RelErr) is met.
+func (c *Context) estimate(name string, cfg uarch.Config) (*livepoint.RunResult, error) {
+	lib, err := c.EnsureLibrary(name, cfg, []bpred.Config{cfg.BP}, LibFull, 0)
+	if err != nil {
+		return nil, err
 	}
-	mn = math.Inf(1)
-	for _, row := range r.Rows {
-		v := get(row)
-		mn = math.Min(mn, v)
-		mx = math.Max(mx, v)
-		avg += v
-	}
-	avg /= float64(len(r.Rows))
-	return
-}
-
-// String renders the runtimes table.
-func (r *Table2Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2 — runtimes (%s), seconds of wall-clock on this host\n", r.Cfg)
-	fmt.Fprintf(&b, "%-14s %12s %12s %12s %14s %8s %8s\n",
-		"benchmark", "complete", "SMARTS", "AW-MRRL", "live-points", "points", "±CI")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-14s %12.2f %12.2f %12.2f %14.3f %8d %7.1f%%\n",
-			row.Bench, row.Complete, row.SMARTS, row.AWMRRL, row.LivePoints, row.LPPoints, 100*row.LPRelCI)
-	}
-	line := func(label string, get func(Table2Row) float64, format string) {
-		mn, avg, mx := r.MinAvgMax(get)
-		fmt.Fprintf(&b, "%-14s min "+format+"  avg "+format+"  max "+format+"\n", label, mn, avg, mx)
-	}
-	line("complete", func(x Table2Row) float64 { return x.Complete }, "%10.2fs")
-	line("SMARTS", func(x Table2Row) float64 { return x.SMARTS }, "%10.2fs")
-	line("AW-MRRL", func(x Table2Row) float64 { return x.AWMRRL }, "%10.2fs")
-	line("live-points", func(x Table2Row) float64 { return x.LivePoints }, "%10.3fs")
-	_, a1, _ := r.MinAvgMax(func(x Table2Row) float64 { return x.SMARTS })
-	_, a2, _ := r.MinAvgMax(func(x Table2Row) float64 { return x.LivePoints })
-	if a2 > 0 {
-		fmt.Fprintf(&b, "speedup of live-points over SMARTS (avg): %.0fx (paper: ~277x at full SPEC2K length; grows with benchmark length)\n", a1/a2)
-	}
-	return b.String()
+	return livepoint.RunFile(lib.Path, livepoint.RunOpts{Cfg: cfg, Z: c.Z, RelErr: c.RelErr})
 }
 
 // --- accuracy headline -----------------------------------------------------------
 
-// AccuracyRow is one benchmark's live-point estimate versus complete
-// simulation.
-type AccuracyRow struct {
-	Bench        string
-	GoldenCPI    float64
-	Estimate     float64
-	Err          float64 // signed relative error
-	RelCI        float64 // achieved half-width
-	Points       int
-	UnknownLoads float64 // per window (paper: < 1)
-}
-
-// AccuracyResult is the headline ±3 % at 99.7 % confidence check.
-type AccuracyResult struct {
-	Cfg  string
-	Rows []AccuracyRow
-}
-
-// RunAccuracy estimates every benchmark's CPI from its live-point library
-// with the paper's confidence target and compares with complete simulation.
-func (c *Context) RunAccuracy(cfg uarch.Config) (*AccuracyResult, error) {
-	res := &AccuracyResult{Cfg: cfg.Name}
-	rows := make(map[string]AccuracyRow)
-	err := c.forEachBench(func(name string) error {
+// accuracy estimates every benchmark's CPI from its live-point library with
+// the paper's confidence target and compares it with complete simulation.
+func (c *Context) accuracy() (*Table, error) {
+	cfg := uarch.Config8Way()
+	rows, err := perBench(c, func(name string) (Row, error) {
 		golden, err := c.GoldenCPI(name, cfg)
 		if err != nil {
-			return err
+			return Row{}, err
 		}
-		lib, err := c.EnsureLibrary(name, cfg, []bpred.Config{cfg.BP}, LibFull, 0)
+		lr, err := c.estimate(name, cfg)
 		if err != nil {
-			return err
-		}
-		lr, err := livepoint.RunFile(lib.Path, livepoint.RunOpts{Cfg: cfg, Z: c.Z, RelErr: c.RelErr})
-		if err != nil {
-			return err
+			return Row{}, err
 		}
 		if lr.CaptureErrors > 0 {
-			return fmt.Errorf("harness: %s: %d capture errors", name, lr.CaptureErrors)
+			return Row{}, fmt.Errorf("harness: %s: %d capture errors", name, lr.CaptureErrors)
 		}
-		c.mu.Lock()
-		rows[name] = AccuracyRow{
-			Bench:        name,
-			GoldenCPI:    golden.CPI,
-			Estimate:     lr.Est.Mean(),
-			Err:          (lr.Est.Mean() - golden.CPI) / golden.CPI,
-			RelCI:        lr.Est.RelCI(c.Z),
-			Points:       lr.Processed,
-			UnknownLoads: float64(lr.UnknownLoads) / float64(lr.Processed),
-		}
-		c.mu.Unlock()
-		return nil
+		est := lr.Est.Mean()
+		return Row{name, []Cell{
+			num("%.4f", golden.CPI),
+			num("%.4f", est),
+			num("%+.2f%%", 100*(est-golden.CPI)/golden.CPI),
+			num("%.2f%%", 100*lr.Est.RelCI(c.Z)),
+			num("%.0f", float64(lr.Processed)),
+			num("%.3f", float64(lr.UnknownLoads)/float64(lr.Processed)),
+		}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range c.BenchNames() {
-		res.Rows = append(res.Rows, rows[name])
+	t := &Table{
+		Title:   fmt.Sprintf("Accuracy — live-point CPI estimates vs complete simulation (%s, target ±3%% @ 99.7%%)", cfg.Name),
+		Columns: []string{"benchmark", "true CPI", "estimate", "error", "±CI", "points", "unknown loads/window"},
+		Rows:    rows,
 	}
-	return res, nil
-}
-
-// String renders the accuracy table.
-func (r *AccuracyResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Accuracy — live-point CPI estimates vs complete simulation (%s, target ±3%% @ 99.7%%)\n", r.Cfg)
-	fmt.Fprintf(&b, "%-14s %10s %10s %9s %9s %8s %12s\n", "benchmark", "true CPI", "estimate", "error", "±CI", "points", "unk loads/w")
-	within := 0
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-14s %10.4f %10.4f %+8.2f%% %8.2f%% %8d %12.3f\n",
-			row.Bench, row.GoldenCPI, row.Estimate, 100*row.Err, 100*row.RelCI, row.Points, row.UnknownLoads)
-		if math.Abs(row.Err) <= row.RelCI+0.03 {
+	errs, cis := t.column("error"), t.column("±CI")
+	within, worst := 0, 0.0
+	for i, e := range errs {
+		if math.Abs(e) <= cis[i]+3 {
 			within++
 		}
+		worst = max(worst, math.Abs(e))
 	}
-	fmt.Fprintf(&b, "%d/%d benchmarks within CI+3%% of truth\n", within, len(r.Rows))
-	return b.String()
+	t.Headlines = []Headline{
+		{"worst-err-%", worst, "±3 % at 99.7 % confidence"},
+		{"unknown-loads/w", slices.Max(t.column("unknown loads/window")), "< 1"},
+	}
+	t.Notes = []string{fmt.Sprintf("%d/%d benchmarks within CI+3%% of truth", within, len(rows))}
+	return t, nil
 }
 
 // --- matched-pair comparison (§6.2) ----------------------------------------------
 
-// MatchedRow is one design-change sensitivity result.
-type MatchedRow struct {
-	Change    string
-	RelDelta  float64 // estimated CPI change
-	Reduction float64 // matched-pair sample-size reduction factor
-	PairsUsed int
-	NoImpact  bool
-}
-
-// MatchedResult is the §6.2 reproduction.
-type MatchedResult struct {
-	Bench string
-	Rows  []MatchedRow
-}
-
 // DesignChanges returns the experimental variants of the baseline used for
 // the sensitivity study (latencies, queue sizes, functional-unit mix —
 // §6.2), all reconstructible from a baseline-maximum library.
-func DesignChanges(base uarch.Config) []struct {
-	Name string
-	Cfg  uarch.Config
-} {
-	mk := func(name string, mod func(*uarch.Config)) struct {
-		Name string
-		Cfg  uarch.Config
-	} {
+func DesignChanges(base uarch.Config) []uarch.Config {
+	mk := func(name string, mod func(*uarch.Config)) uarch.Config {
 		cfg := base
 		mod(&cfg)
 		cfg.Name = name
-		return struct {
-			Name string
-			Cfg  uarch.Config
-		}{name, cfg}
+		return cfg
 	}
-	return []struct {
-		Name string
-		Cfg  uarch.Config
-	}{
+	return []uarch.Config{
 		mk("mem-lat+50%", func(c *uarch.Config) { c.Hier.MemLat = 150 }),
 		mk("L2-half", func(c *uarch.Config) { c.Hier.L2.SizeBytes /= 2 }),
 		mk("L1D-half", func(c *uarch.Config) { c.Hier.L1D.SizeBytes /= 2 }),
@@ -280,77 +158,62 @@ func DesignChanges(base uarch.Config) []struct {
 	}
 }
 
-// RunMatchedPair measures each design change with matched-pair comparison
-// over one benchmark's library, reporting the sample-size reduction factor
-// versus an absolute measurement (paper: 3.5–150x).
-func (c *Context) RunMatchedPair(bench string, base uarch.Config) (*MatchedResult, error) {
+// matched measures each design change with matched-pair comparison over
+// syn.gcc's library, reporting the sample-size reduction factor versus an
+// absolute measurement.
+func (c *Context) matched() (*Table, error) {
+	const bench = "syn.gcc"
+	base := uarch.Config8Way()
 	lib, err := c.EnsureLibrary(bench, base, []bpred.Config{base.BP}, LibFull, 0)
 	if err != nil {
 		return nil, err
 	}
-	res := &MatchedResult{Bench: bench}
-	for _, ch := range DesignChanges(base) {
+	t := &Table{
+		Title:   fmt.Sprintf("Matched-pair comparison (§6.2) on %s: sample-size reduction vs absolute estimates", bench),
+		Columns: []string{"change", "ΔCPI", "reduction", "pairs", "no-impact"},
+	}
+	for _, exp := range DesignChanges(base) {
 		mr, err := livepoint.RunMatchedFile(lib.Path, livepoint.MatchedOpts{
 			Base:              base,
-			Exp:               ch.Cfg,
+			Exp:               exp,
 			Z:                 c.Z,
 			RelErr:            c.RelErr / 2,
 			NoImpactThreshold: 0.03,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("harness: matched pair %s: %w", ch.Name, err)
+			return nil, fmt.Errorf("harness: matched pair %s: %w", exp.Name, err)
 		}
-		res.Rows = append(res.Rows, MatchedRow{
-			Change:    ch.Name,
-			RelDelta:  mr.MP.RelDelta(),
-			Reduction: mr.MP.SampleSizeReduction(),
-			PairsUsed: mr.Processed,
-			NoImpact:  mr.StoppedNoImpact,
-		})
+		t.Rows = append(t.Rows, Row{exp.Name, []Cell{
+			num("%+.2f%%", 100*mr.MP.RelDelta()),
+			num("%.1fx", mr.MP.SampleSizeReduction()),
+			num("%.0f", float64(mr.Processed)),
+			text(fmt.Sprint(mr.StoppedNoImpact)),
+		}})
 	}
-	return res, nil
-}
-
-// String renders the sensitivity table.
-func (r *MatchedResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Matched-pair comparison (§6.2) on %s: sample-size reduction vs absolute estimates\n", r.Bench)
-	fmt.Fprintf(&b, "%-14s %12s %12s %8s %10s\n", "change", "ΔCPI", "reduction", "pairs", "no-impact")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-14s %+11.2f%% %11.1fx %8d %10v\n",
-			row.Change, 100*row.RelDelta, row.Reduction, row.PairsUsed, row.NoImpact)
-	}
-	return b.String()
+	t.Headlines = []Headline{{"max-reduction-x", slices.Max(t.column("reduction")), "3.5-150x"}}
+	return t, nil
 }
 
 // --- scaling with benchmark length (Table 3 / §7.2) ---------------------------
 
-// ScalingRow is one benchmark-length point.
-type ScalingRow struct {
-	Scale      float64
-	BenchLen   uint64
-	SMARTS     float64 // seconds
-	LivePoints float64 // seconds
-}
-
-// ScalingResult demonstrates O(benchmark) SMARTS versus O(sample)
-// live-points.
-type ScalingResult struct {
-	Bench string
-	Rows  []ScalingRow
-}
-
-// RunScaling sweeps benchmark length and measures SMARTS versus live-point
-// turnaround (library creation excluded, as in the paper's methodology:
-// creation is amortized across experiments).
-func (c *Context) RunScaling(bench string, cfg uarch.Config, scales []float64) (*ScalingResult, error) {
-	res := &ScalingResult{Bench: bench}
-	for _, s := range scales {
-		sub := NewContext(c.OutDir, s)
+// scaling sweeps syn.gzip's length over {0.4, 0.8, 1.6, 3.2} × Scale and
+// measures SMARTS versus live-point turnaround in seconds (library creation
+// excluded, as in the paper's methodology: creation is amortized across
+// experiments).
+func (c *Context) scaling() (*Table, error) {
+	const bench = "syn.gzip"
+	cfg := uarch.Config8Way()
+	t := &Table{
+		Title:   fmt.Sprintf("Scaling — turnaround vs benchmark length (%s): SMARTS is O(B), live-points O(sample)", bench),
+		Columns: []string{"scale", "instructions", "SMARTS", "live-points"},
+	}
+	for _, m := range []float64{0.4, 0.8, 1.6, 3.2} {
+		sub := NewContext(c.OutDir, m*c.Scale)
 		// Hold the sample size constant across lengths: the paper's claim
 		// is that live-point turnaround depends on sample size alone,
 		// while SMARTS turnaround tracks benchmark length.
 		sub.MaxLibPoints = 100
+		sub.Z, sub.RelErr = c.Z, c.RelErr
 		sub.Log = c.Log
 		benchLen, err := sub.BenchLen(bench)
 		if err != nil {
@@ -368,53 +231,35 @@ func (c *Context) RunScaling(bench string, cfg uarch.Config, scales []float64) (
 		if err != nil {
 			return nil, err
 		}
-		lib, err := sub.EnsureLibrary(bench, cfg, []bpred.Config{cfg.BP}, LibFull, 0)
+		lr, err := sub.estimate(bench, cfg)
 		if err != nil {
 			return nil, err
 		}
-		lr, err := livepoint.RunFile(lib.Path, livepoint.RunOpts{Cfg: cfg, Z: c.Z, RelErr: c.RelErr})
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, ScalingRow{
-			Scale:      s,
-			BenchLen:   benchLen,
-			SMARTS:     (sm.FuncWarmTime + sm.DetailedTime).Seconds(),
-			LivePoints: (lr.LoadTime + lr.SimTime).Seconds(),
-		})
+		t.Rows = append(t.Rows, Row{fmt.Sprintf("%g", sub.Scale), []Cell{
+			num("%.0f", float64(benchLen)),
+			num("%.2f", (sm.FuncWarmTime + sm.DetailedTime).Seconds()),
+			num("%.3f", (lr.LoadTime + lr.SimTime).Seconds()),
+		}})
 	}
-	return res, nil
-}
-
-// String renders the scaling sweep.
-func (r *ScalingResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scaling — turnaround vs benchmark length (%s): SMARTS is O(B), live-points O(sample)\n", r.Bench)
-	fmt.Fprintf(&b, "%8s %14s %12s %14s\n", "scale", "instructions", "SMARTS", "live-points")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8.2f %14d %11.2fs %13.3fs\n", row.Scale, row.BenchLen, row.SMARTS, row.LivePoints)
+	growth := func(col string) float64 {
+		xs := t.column(col)
+		return xs[len(xs)-1] / math.Max(xs[0], 1e-9)
 	}
-	if n := len(r.Rows); n >= 2 {
-		g := r.Rows[n-1]
-		s := r.Rows[0]
-		fmt.Fprintf(&b, "length grew %.1fx; SMARTS time grew %.1fx; live-point time grew %.1fx\n",
-			float64(g.BenchLen)/float64(s.BenchLen), g.SMARTS/s.SMARTS, g.LivePoints/s.LivePoints)
+	t.Headlines = []Headline{
+		{"length-growth-x", growth("instructions"), ""},
+		{"smarts-growth-x", growth("SMARTS"), "grows with length, O(B)"},
+		{"lp-growth-x", growth("live-points"), "flat, O(sample)"},
 	}
-	return b.String()
+	return t, nil
 }
 
 // --- online convergence demo (§6.1) ----------------------------------------------
 
-// OnlineResult captures a convergence history.
-type OnlineResult struct {
-	Bench   string
-	History []sampling.Snapshot
-	Final   sampling.Estimate
-}
-
-// RunOnlineDemo processes one shuffled library recording the running
+// online processes syn.gcc's shuffled library recording the running
 // estimate after every point (§6.1's online reporting).
-func (c *Context) RunOnlineDemo(bench string, cfg uarch.Config) (*OnlineResult, error) {
+func (c *Context) online() (*Table, error) {
+	const bench = "syn.gcc"
+	cfg := uarch.Config8Way()
 	lib, err := c.EnsureLibrary(bench, cfg, []bpred.Config{cfg.BP}, LibFull, 0)
 	if err != nil {
 		return nil, err
@@ -423,94 +268,77 @@ func (c *Context) RunOnlineDemo(bench string, cfg uarch.Config) (*OnlineResult, 
 	if err != nil {
 		return nil, err
 	}
-	return &OnlineResult{Bench: bench, History: lr.History, Final: lr.Est}, nil
-}
-
-// String renders convergence checkpoints.
-func (r *OnlineResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Online results (§6.1) — %s: estimate and confidence while simulation runs\n", r.Bench)
-	fmt.Fprintf(&b, "%8s %12s %10s\n", "points", "CPI", "±CI")
-	marks := []int{10, 30, 50, 100, 200, 400, 800, 1600}
-	for _, m := range marks {
-		if m-1 < len(r.History) {
-			s := r.History[m-1]
-			fmt.Fprintf(&b, "%8d %12.4f %9.2f%%\n", s.N, s.Mean, 100*s.RelCI)
+	t := &Table{
+		Title:   fmt.Sprintf("Online results (§6.1) — %s: estimate and confidence while simulation runs", bench),
+		Columns: []string{"points", "CPI", "±CI"},
+	}
+	row := func(label string, s sampling.Snapshot) {
+		t.Rows = append(t.Rows, Row{label, []Cell{num("%.4f", s.Mean), num("%.2f%%", 100*s.RelCI)}})
+	}
+	for _, m := range []int{10, 30, 50, 100, 200, 400, 800, 1600} {
+		if m <= len(lr.History) {
+			row(fmt.Sprint(m), lr.History[m-1])
 		}
 	}
-	if n := len(r.History); n > 0 {
-		s := r.History[n-1]
-		fmt.Fprintf(&b, "%8d %12.4f %9.2f%%  (final)\n", s.N, s.Mean, 100*s.RelCI)
+	if n := len(lr.History); n > 0 {
+		row(fmt.Sprintf("%d (final)", n), lr.History[n-1])
 	}
-	return b.String()
+	t.Headlines = []Headline{{"final-CI-%", 100 * lr.Est.RelCI(c.Z), ""}}
+	return t, nil
 }
 
 // --- Table 3: summary --------------------------------------------------------------
 
-// Table3Result is the summary assembled from the other experiments.
-type Table3Result struct {
-	Fig4          *BiasResult // AW stitched
-	Fig4Unstitch  *BiasResult
-	Fig5          *BiasResult
-	Table2        *Table2Result
-	LibraryBytes  int64 // total library file size across the suite (shards + footer index)
-	LibraryPoints int
-}
-
-// RunTable3 aggregates bias, runtime and storage into the paper's summary
-// table. The component results must come from the same Context.
-func (c *Context) RunTable3(fig4, fig4u, fig5 *BiasResult, t2 *Table2Result, cfg uarch.Config) (*Table3Result, error) {
-	res := &Table3Result{Fig4: fig4, Fig4Unstitch: fig4u, Fig5: fig5, Table2: t2}
+// table3 assembles bias, runtime and storage into the paper's summary
+// table from this Context's Figure 4, Figure 5 and 8-way Table 2.
+func (c *Context) table3() (*Table, error) {
+	cfg := uarch.Config8Way()
+	fig4, err := c.kept("fig4-stitched", func() (*Table, error) { return c.figure4(true) })
+	if err != nil {
+		return nil, err
+	}
+	fig4u, err := c.kept("fig4-unstitched", func() (*Table, error) { return c.figure4(false) })
+	if err != nil {
+		return nil, err
+	}
+	fig5, err := c.kept("fig5", c.figure5)
+	if err != nil {
+		return nil, err
+	}
+	t2, err := c.kept("table2-"+cfg.Name, func() (*Table, error) { return c.table2(cfg) })
+	if err != nil {
+		return nil, err
+	}
+	// The whole library files: shards plus the footer index.
+	var libBytes int64
+	var libPoints int
 	for _, name := range c.BenchNames() {
 		lib, err := c.EnsureLibrary(name, cfg, []bpred.Config{cfg.BP}, LibFull, 0)
 		if err != nil {
 			return nil, err
 		}
-		res.LibraryBytes += lib.CompressedBytes
-		res.LibraryPoints += lib.Points
+		libBytes += lib.CompressedBytes
+		libPoints += lib.Points
 	}
-	return res, nil
-}
 
-// String renders the summary.
-func (r *Table3Result) String() string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Table 3 — summary of simulation sampling warming methods")
-	_, fullAvg, _ := 0.0, 0.0, 0.0
-	var fullWorst float64
-	for _, row := range r.Fig4.Rows {
-		fullAvg += row.BaselineBias
-		fullWorst = math.Max(fullWorst, row.BaselineBias)
-	}
-	fullAvg /= float64(len(r.Fig4.Rows))
-	_, awAvg, _ := r.Fig4.Avg()
-	awWorst, _ := r.Fig4.Worst()
-	_, awuAvg, _ := r.Fig4Unstitch.Avg()
-	awuWorst, _ := r.Fig4Unstitch.Worst()
+	full, aw, awu := fig4.column("full warming"), fig4.column("AW-MRRL"), fig4u.column("AW-MRRL")
 	// For live-points, the Figure 5 baseline column IS full live-state.
-	var lpAvg, lpWorst float64
-	for _, row := range r.Fig5.Rows {
-		lpAvg += row.BaselineBias
-		lpWorst = math.Max(lpWorst, row.BaselineBias)
-	}
-	lpAvg /= float64(len(r.Fig5.Rows))
-
-	fmt.Fprintf(&b, "%-28s %-22s %-22s %-22s\n", "", "Full warming (SMARTS)", "AW-MRRL", "Live-points")
-	fmt.Fprintf(&b, "%-28s %-22s %-22s %-22s\n", "Avg (worst) CPI bias",
-		fmt.Sprintf("%.2f%% (%.2f%%)", 100*fullAvg, 100*fullWorst),
-		fmt.Sprintf("%.2f%% (%.2f%%)*", 100*awAvg, 100*awWorst),
-		fmt.Sprintf("%.2f%% (%.2f%%)", 100*lpAvg, 100*lpWorst))
-	_, sAvg, _ := r.Table2.MinAvgMax(func(x Table2Row) float64 { return x.SMARTS })
-	_, aAvg, _ := r.Table2.MinAvgMax(func(x Table2Row) float64 { return x.AWMRRL })
-	_, lAvg, _ := r.Table2.MinAvgMax(func(x Table2Row) float64 { return x.LivePoints })
-	fmt.Fprintf(&b, "%-28s %-22s %-22s %-22s\n", "Avg benchmark runtime",
-		fmt.Sprintf("%.1fs", sAvg), fmt.Sprintf("%.1fs", aAvg), fmt.Sprintf("%.2fs", lAvg))
-	fmt.Fprintf(&b, "%-28s %-22s %-22s %-22s\n", "Scaling behaviour", "O(B)", "O(1)", "O(C)")
-	fmt.Fprintf(&b, "%-28s %-22s %-22s %-22s\n", "Independent checkpoints", "n/a", "no*", "yes")
-	fmt.Fprintf(&b, "%-28s %-22s %-22s %-22s\n", "Suite library size", "n/a", "-",
-		fmt.Sprintf("%.1f MB / %d pts", float64(r.LibraryBytes)/(1<<20), r.LibraryPoints))
-	fmt.Fprintf(&b, "%-28s %-22s %-22s %-22s\n", "Fixed parameters", "none", "none", "max cache/TLB, bpred set")
-	fmt.Fprintf(&b, "* unstitched AW-MRRL: avg %.2f%%, worst %.2f%% bias (independent checkpoints)\n",
-		100*awuAvg, 100*awuWorst)
-	return b.String()
+	lp := fig5.column("full live-state")
+	pct := func(v float64) Cell { return num("%.2f%%", v) }
+	runtime := func(col, format string) Cell { return num(format, mean(t2.column(col))) }
+	return &Table{
+		Title:   "Table 3 — summary of simulation sampling warming methods",
+		Columns: []string{"", "Full warming (SMARTS)", "AW-MRRL", "Live-points"},
+		Rows: []Row{
+			{"Avg CPI bias", []Cell{pct(mean(full)), pct(mean(aw)), pct(mean(lp))}},
+			{"Worst CPI bias", []Cell{pct(slices.Max(full)), pct(slices.Max(aw)), pct(slices.Max(lp))}},
+			{"Avg benchmark runtime (s)", []Cell{runtime("SMARTS", "%.1f"), runtime("AW-MRRL", "%.1f"), runtime("live-points", "%.2f")}},
+			{"Scaling behaviour", []Cell{text("O(B)"), text("O(1)"), text("O(C)")}},
+			{"Independent checkpoints", []Cell{text("n/a"), text("no*"), text("yes")}},
+			{"Suite library MB", []Cell{text("n/a"), text("-"), num("%.1f", float64(libBytes)/(1<<20))}},
+			{"Suite library points", []Cell{text("n/a"), text("-"), num("%.0f", float64(libPoints))}},
+			{"Fixed parameters", []Cell{text("none"), text("none"), text("max cache/TLB, bpred set")}},
+		},
+		Notes: []string{fmt.Sprintf("* unstitched AW-MRRL: avg %.2f%%, worst %.2f%% bias (independent checkpoints)", mean(awu), slices.Max(awu))},
+	}, nil
 }

@@ -53,9 +53,10 @@ type Context struct {
 
 	Log io.Writer
 
-	mu    sync.Mutex
-	cache map[string]json.RawMessage
-	progs map[string]*prog.Program
+	mu     sync.Mutex
+	cache  map[string]json.RawMessage
+	progs  map[string]*prog.Program
+	tables map[string]*Table // see kept
 }
 
 // NewContext returns a context with the paper-equivalent defaults at the
@@ -74,6 +75,7 @@ func NewContext(outDir string, scale float64) *Context {
 		Parallel:     8,
 		Log:          io.Discard,
 		progs:        map[string]*prog.Program{},
+		tables:       map[string]*Table{},
 	}
 }
 
@@ -254,42 +256,51 @@ func (c *Context) LibraryDesign(name string, cfg uarch.Config, offset int) (samp
 
 // MRRLWarmLens returns (computing and caching) the per-window MRRL warming
 // lengths for a benchmark's library design.
-func (c *Context) MRRLWarmLens(name string, cfg uarch.Config, offset int) ([]uint64, float64, error) {
-	design, err := c.LibraryDesign(name, cfg, offset)
-	if err != nil {
-		return nil, 0, err
-	}
+func (c *Context) MRRLWarmLens(name string, cfg uarch.Config, offset int) ([]uint64, error) {
 	key := fmt.Sprintf("mrrl/%s/%.4f/%s/o%d", name, c.Scale, cfg.Name, offset)
 	var lens []uint64
-	if !c.cached(key, &lens) {
-		p, err := c.Program(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		c.logf("mrrl: analysis pass for %s (%s, offset %d)...", name, cfg.Name, offset)
-		an, err := mrrl.Analyze(p, design, mrrl.DefaultReuseProb, mrrl.DefaultGranularity)
-		if err != nil {
-			return nil, 0, err
-		}
-		lens = an.WarmLens
-		if err := c.store(key, lens); err != nil {
-			return nil, 0, err
-		}
+	if c.cached(key, &lens) {
+		return lens, nil
 	}
-	var sum uint64
-	for _, w := range lens {
-		sum += w
+	design, err := c.LibraryDesign(name, cfg, offset)
+	if err != nil {
+		return nil, err
 	}
-	avg := 0.0
-	if len(lens) > 0 {
-		avg = float64(sum) / float64(len(lens))
+	p, err := c.Program(name)
+	if err != nil {
+		return nil, err
 	}
-	return lens, avg, nil
+	c.logf("mrrl: analysis pass for %s (%s, offset %d)...", name, cfg.Name, offset)
+	an, err := mrrl.Analyze(p, design, mrrl.DefaultReuseProb, mrrl.DefaultGranularity)
+	if err != nil {
+		return nil, err
+	}
+	return an.WarmLens, c.store(key, an.WarmLens)
 }
 
-// analysisFor rebuilds an mrrl.Analysis from cached lengths.
-func analysisFor(lens []uint64) *mrrl.Analysis {
-	return &mrrl.Analysis{ReuseProb: mrrl.DefaultReuseProb, Granularity: mrrl.DefaultGranularity, WarmLens: lens}
+// warmingRuns runs SMARTS (full warming) and AW-MRRL (adaptive warming,
+// from the cached MRRL analysis) over the benchmark's library design at
+// offset.
+func (c *Context) warmingRuns(name string, cfg uarch.Config, offset int, stitched bool) (*warm.SMARTSResult, *mrrl.AWResult, error) {
+	p, err := c.Program(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	design, err := c.LibraryDesign(name, cfg, offset)
+	if err != nil {
+		return nil, nil, err
+	}
+	sm, err := warm.RunSMARTS(cfg, p, design, warm.SMARTSOpts{})
+	if err != nil {
+		return nil, nil, err
+	}
+	lens, err := c.MRRLWarmLens(name, cfg, offset)
+	if err != nil {
+		return nil, nil, err
+	}
+	an := &mrrl.Analysis{ReuseProb: mrrl.DefaultReuseProb, Granularity: mrrl.DefaultGranularity, WarmLens: lens}
+	aw, err := mrrl.RunAW(cfg, p, design, an, mrrl.AWOpts{Stitched: stitched})
+	return sm, aw, err
 }
 
 // --- live-point libraries ------------------------------------------------------
@@ -352,7 +363,7 @@ func (c *Context) EnsureLibrary(name string, cfg uarch.Config, preds []bpred.Con
 		opts.Restricted = true
 	case LibAW:
 		opts.NoMicroarch = true
-		lens, _, err := c.MRRLWarmLens(name, cfg, offset)
+		lens, err := c.MRRLWarmLens(name, cfg, offset)
 		if err != nil {
 			return info, err
 		}
@@ -367,57 +378,43 @@ func (c *Context) EnsureLibrary(name string, cfg uarch.Config, preds []bpred.Con
 	c.logf("library: creating %d %s live-points for %s (%s, offset %d)...",
 		design.Units(), kind, name, cfg.Name, offset)
 	t0 := time.Now()
-	var blobs [][]byte
-	err = livepoint.Create(p, design, opts, func(lp *livepoint.LivePoint) error {
-		blob, _ := livepoint.Encode(lp)
-		blobs = append(blobs, blob)
-		return nil
-	})
-	if err != nil {
-		return info, err
-	}
-	meta := livepoint.Meta{Benchmark: name, UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	written, err := lpstore.WriteShuffled(path, meta, blobs, 0x5EED+int64(offset), lpstore.WriteOpts{})
+	written, err := lpstore.Create(path, p, design, opts, 0x5EED+int64(offset), lpstore.WriteOpts{})
 	if err != nil {
 		return info, err
 	}
 	info = LibraryInfo{
-		Path:              path,
-		Points:            written.Points,
-		CompressedBytes:   written.CompressedBytes,
-		UncompressedBytes: written.UncompressedBytes,
-		CreateSeconds:     time.Since(t0).Seconds(),
+		Path:            path,
+		Points:          written.Points,
+		CompressedBytes: written.CompressedBytes,
+		CreateSeconds:   time.Since(t0).Seconds(),
 	}
 	return info, c.store(key, info)
 }
 
-// forEachBench runs fn for every selected benchmark with bounded
-// parallelism, collecting the first error.
-func (c *Context) forEachBench(fn func(name string) error) error {
+// perBench measures every selected benchmark, at most Parallel at a time,
+// and returns the measurements in suite order, or the first error.
+func perBench[T any](c *Context, measure func(name string) (T, error)) ([]T, error) {
 	names := c.BenchNames()
-	par := c.Parallel
-	if par < 1 {
-		par = 1
-	}
-	sem := make(chan struct{}, par)
+	out := make([]T, len(names))
 	errs := make([]error, len(names))
+	sem := make(chan struct{}, max(c.Parallel, 1))
 	var wg sync.WaitGroup
 	for i, name := range names {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, name string) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = fn(name)
-		}(i, name)
+			out[i], errs[i] = measure(name)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // spreadPositions picks up to n window positions from the later 60 % of the

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +27,7 @@ func tinyContext(t *testing.T) *Context {
 }
 
 func TestTable1Renders(t *testing.T) {
-	s := Table1()
+	s := Table1().String()
 	for _, want := range []string{"RUU/LSQ", "128/64", "256/128", "1MB 4-way L2", "4MB 8-way L2"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table 1 missing %q", want)
@@ -150,23 +152,24 @@ func TestEnsureLibraryRebuildsStaleFormat(t *testing.T) {
 
 func TestRunFigure1Tiny(t *testing.T) {
 	c := tinyContext(t)
-	res, err := c.RunFigure1(uarch.Config8Way())
+	tab, err := c.figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("%d rows", len(res.Rows))
+	if len(tab.Rows) != 2 {
+		t.Fatalf("%d rows", len(tab.Rows))
 	}
-	for _, row := range res.Rows {
-		if row.WarmInsts == 0 || row.DetailedInsts == 0 {
-			t.Fatalf("row %+v has zero counts", row)
+	for _, name := range c.BenchNames() {
+		w, okW := tab.Value(name, "warm insts")
+		d, okD := tab.Value(name, "detail insts")
+		if !okW || !okD || w == 0 || d == 0 {
+			t.Fatalf("%s: warm %v (%v), detail %v (%v)", name, w, okW, d, okD)
 		}
-		if row.WarmInsts < row.DetailedInsts {
-			t.Errorf("%s: warming (%d) should cover more instructions than detail (%d)",
-				row.Bench, row.WarmInsts, row.DetailedInsts)
+		if w < d {
+			t.Errorf("%s: warming (%v) should cover more instructions than detail (%v)", name, w, d)
 		}
 	}
-	if !strings.Contains(res.String(), "Figure 1") {
+	if !strings.Contains(tab.String(), "Figure 1") {
 		t.Fatal("render broken")
 	}
 }
@@ -174,18 +177,119 @@ func TestRunFigure1Tiny(t *testing.T) {
 func TestRunAccuracyTiny(t *testing.T) {
 	c := tinyContext(t)
 	c.Benches = []string{"syn.gzip"}
-	res, err := c.RunAccuracy(uarch.Config8Way())
+	tab, err := c.accuracy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := res.Rows[0]
-	if row.GoldenCPI <= 0 || row.Estimate <= 0 {
-		t.Fatalf("bad row %+v", row)
+	golden, _ := tab.Value("syn.gzip", "true CPI")
+	est, _ := tab.Value("syn.gzip", "estimate")
+	if golden <= 0 || est <= 0 {
+		t.Fatalf("bad row %+v", tab.Rows[0])
 	}
 	// At tiny scale the CI is loose; the estimate must still be in the
 	// right ballpark of the truth.
-	if row.Err > 0.5 || row.Err < -0.5 {
-		t.Fatalf("estimate %.4f wildly off truth %.4f", row.Estimate, row.GoldenCPI)
+	if e, _ := tab.Value("syn.gzip", "error"); math.Abs(e) > 50 {
+		t.Fatalf("estimate %.4f wildly off truth %.4f", est, golden)
+	}
+}
+
+// TestArtifactsTiny runs the whole ledger at tiny scale: every key, a row
+// per benchmark where the artifact has one, every number finite, every
+// title rendered. It asserts none of the paper's values, which do not hold
+// at this scale.
+func TestArtifactsTiny(t *testing.T) {
+	wantKeys := []string{"table1", "fig1", "fig4", "fig5", "fig7", "fig8", "table2", "table3", "accuracy", "matched", "scaling", "online"}
+	if got := Keys(); !slices.Equal(got, wantKeys) {
+		t.Fatalf("ledger keys %v, want %v", got, wantKeys)
+	}
+	perBench := map[string]bool{"fig1": true, "fig4": true, "fig5": true, "table2": true, "accuracy": true}
+	c := tinyContext(t)
+	names := map[string]bool{}
+	for _, a := range Artifacts {
+		if names[a.Name] {
+			t.Errorf("entry name %s used twice", a.Name)
+		}
+		names[a.Name] = true
+		tab, err := a.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		if perBench[a.Key] {
+			var labels []string
+			for _, r := range tab.Rows {
+				labels = append(labels, r.Label)
+			}
+			want := slices.Clone(c.BenchNames())
+			slices.Sort(labels)
+			slices.Sort(want)
+			if !slices.Equal(labels, want) {
+				t.Errorf("%s: rows %v, want one per benchmark %v", a.Name, labels, want)
+			}
+		}
+		if len(tab.Rows) == 0 {
+			t.Errorf("%s: no rows", a.Name)
+		}
+		for _, r := range tab.Rows {
+			if len(r.Cells) != len(tab.Columns)-1 {
+				t.Errorf("%s: row %q has %d cells for %d columns", a.Name, r.Label, len(r.Cells), len(tab.Columns))
+			}
+			for i, cell := range r.Cells {
+				if cell.Fmt != "" && (math.IsNaN(cell.V) || math.IsInf(cell.V, 0)) {
+					t.Errorf("%s: row %q column %q is %v", a.Name, r.Label, tab.Columns[i+1], cell.V)
+				}
+			}
+		}
+		metrics := map[string]bool{}
+		for _, h := range tab.Headlines {
+			if math.IsNaN(h.Value) || math.IsInf(h.Value, 0) {
+				t.Errorf("%s: headline %s is %v", a.Name, h.Metric, h.Value)
+			}
+			if h.Metric == "" || strings.ContainsAny(h.Metric, " \t\n") || metrics[h.Metric] {
+				t.Errorf("%s: headline metric %q is empty, holds a space or repeats", a.Name, h.Metric)
+			}
+			metrics[h.Metric] = true
+		}
+		if !strings.Contains(tab.String(), tab.Title) {
+			t.Errorf("%s: title %q not rendered", a.Name, tab.Title)
+		}
+		if a.Key == "fig5" {
+			if want := []string{"benchmark", "full live-state", "restricted", "additional"}; !slices.Equal(tab.Columns, want) {
+				t.Errorf("Figure 5 columns %q, want %q", tab.Columns, want)
+			}
+			if s := tab.String(); !strings.Contains(s, "full live-state") || strings.Contains(s, "full-warm") {
+				t.Errorf("Figure 5 header not drawn as full live-state / restricted:\n%s", s)
+			}
+		}
+	}
+}
+
+func TestSelect(t *testing.T) {
+	got, err := Select("fig4")
+	if err != nil || len(got) != 2 || got[0].Name != "fig4-stitched" || got[1].Name != "fig4-unstitched" {
+		t.Fatalf("Select(fig4) = %v, %v; want the stitched and unstitched tables", got, err)
+	}
+	if _, err := Select("fig9,tabel2"); err == nil || !strings.Contains(err.Error(), `"fig9"`) || !strings.Contains(err.Error(), "table2") {
+		t.Fatalf("Select(fig9,tabel2) error %v; want one naming fig9 and listing the keys", err)
+	}
+	if got, err := Select("all"); err != nil || len(got) != len(Artifacts) {
+		t.Fatalf("Select(all) = %d entries, %v; want %d", len(got), err, len(Artifacts))
+	}
+}
+
+// TestBiasWorstIsTheLargestRow: with every additional bias negative, the
+// worst additional bias is the larger of them, not zero.
+func TestBiasWorstIsTheLargestRow(t *testing.T) {
+	tab := biasTable("bias", "full live-state", "restricted", []Row{
+		biasRow("syn.gzip", 0.1154, 0.0641),
+		biasRow("syn.mcf", 0.0112, 0.0051),
+	}, "", "")
+	want, _ := tab.Value("syn.mcf", "additional")
+	i := slices.IndexFunc(tab.Headlines, func(h Headline) bool { return h.Metric == "worst-add-bias-%" })
+	if i < 0 || tab.Headlines[i].Value != want || want >= 0 {
+		t.Fatalf("worst additional bias in %+v, want %v", tab.Headlines, want)
+	}
+	if tab.Rows[0].Label != "syn.mcf" {
+		t.Fatalf("rows not sorted by additional bias, largest first: %q first", tab.Rows[0].Label)
 	}
 }
 
@@ -224,14 +328,14 @@ func TestDesignChangesAreValid(t *testing.T) {
 			t.Errorf("duplicate change %s", ch.Name)
 		}
 		seen[ch.Name] = true
-		if err := ch.Cfg.Hier.Validate(); err != nil {
+		if err := ch.Hier.Validate(); err != nil {
 			t.Errorf("%s: invalid hierarchy: %v", ch.Name, err)
 		}
 		// Every change must stay reconstructible from a baseline-max
 		// library: no structure may grow.
-		if ch.Cfg.Hier.L2.SizeBytes > base.Hier.L2.SizeBytes ||
-			ch.Cfg.Hier.L1D.SizeBytes > base.Hier.L1D.SizeBytes ||
-			ch.Cfg.BP != base.BP {
+		if ch.Hier.L2.SizeBytes > base.Hier.L2.SizeBytes ||
+			ch.Hier.L1D.SizeBytes > base.Hier.L1D.SizeBytes ||
+			ch.BP != base.BP {
 			t.Errorf("%s: exceeds library maxima", ch.Name)
 		}
 	}

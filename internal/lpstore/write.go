@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 
 	"livepoints/internal/livepoint"
+	"livepoints/internal/prog"
+	"livepoints/internal/sampling"
 )
 
 // WriteOpts configures v2 library writing.
@@ -213,4 +215,22 @@ func WriteShuffled(path string, meta livepoint.Meta, blobs [][]byte, seed int64,
 	rand.New(rand.NewSource(seed)).Shuffle(len(blobs), func(i, j int) { blobs[i], blobs[j] = blobs[j], blobs[i] })
 	meta.Shuffled = true
 	return Write(path, meta, blobs, opts)
+}
+
+// Create is the one creation recipe: it captures p's live-points over
+// design with opts (livepoint.Create), encodes them, and writes them as a
+// library shuffled from seed (WriteShuffled). The same arguments give the
+// same bytes.
+func Create(path string, p *prog.Program, design sampling.Design, opts livepoint.CreateOpts, seed int64, wopts WriteOpts) (Info, error) {
+	var blobs [][]byte
+	err := livepoint.Create(p, design, opts, func(lp *livepoint.LivePoint) error {
+		blob, _ := livepoint.Encode(lp)
+		blobs = append(blobs, blob)
+		return nil
+	})
+	if err != nil {
+		return Info{}, err
+	}
+	meta := livepoint.Meta{Benchmark: p.Name, UnitLen: design.UnitLen, WarmLen: design.WarmLen}
+	return WriteShuffled(path, meta, blobs, seed, wopts)
 }

@@ -158,12 +158,7 @@ func CreateLibrary(p *Program, design Design, cfg Config, path string) (LibraryI
 // order) and the footer index supports O(1) random access, index-only
 // reshuffling (lpstore.Shuffle), and concurrent per-shard reads.
 func CreateLibraryOpts(p *Program, design Design, opts CreateOpts, path string) (LibraryInfo, error) {
-	blobs, err := createBlobs(p, design, opts)
-	if err != nil {
-		return LibraryInfo{}, err
-	}
-	meta := livepoint.Meta{Benchmark: p.Name, UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	info, err := lpstore.WriteShuffled(path, meta, blobs, shuffleSeed, lpstore.WriteOpts{})
+	info, err := lpstore.Create(path, p, design, opts, shuffleSeed, lpstore.WriteOpts{})
 	if err != nil {
 		return LibraryInfo{}, err
 	}
@@ -174,16 +169,6 @@ func CreateLibraryOpts(p *Program, design Design, opts CreateOpts, path string) 
 		CompressedBytes:   info.CompressedBytes,
 		UncompressedBytes: info.UncompressedBytes,
 	}, nil
-}
-
-func createBlobs(p *Program, design Design, opts CreateOpts) ([][]byte, error) {
-	var blobs [][]byte
-	err := livepoint.Create(p, design, opts, func(lp *LivePoint) error {
-		blob, _ := livepoint.Encode(lp)
-		blobs = append(blobs, blob)
-		return nil
-	})
-	return blobs, err
 }
 
 // Run executes a sampling experiment over a library file (see RunOpts for

@@ -99,9 +99,9 @@ func share(w, d float64) float64 {
 
 // --- Figures 4 and 5: bias experiments ----------------------------------------
 
-// biasTable draws one row per benchmark — the baseline's and the
-// technique's CPI bias against complete simulation, and the difference —
-// sorted by additional bias, largest first (paper style).
+// biasTable is a Figure 4/5 table: a row per benchmark (biasRow) holding the
+// baseline's and the technique's CPI bias against complete simulation and
+// the difference, sorted by additional bias, largest first (paper style).
 func biasTable(title, baseline, technique string, rows []Row, paperAvg, paperWorst string) *Table {
 	t := &Table{Title: title, Columns: []string{"benchmark", baseline, technique, "additional"}, Rows: rows}
 	slices.SortStableFunc(t.Rows, func(a, b Row) int { return cmp.Compare(b.Cells[2].V, a.Cells[2].V) })

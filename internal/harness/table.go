@@ -181,11 +181,12 @@ func Keys() []string {
 // ledger order; "all" names every entry. A key the ledger does not have is
 // an error that lists the keys it has.
 func Select(list string) ([]Artifact, error) {
+	keys := append(Keys(), "all")
 	want := map[string]bool{}
 	for _, k := range strings.Split(list, ",") {
 		k = strings.TrimSpace(k)
-		if k != "all" && !slices.Contains(Keys(), k) {
-			return nil, fmt.Errorf("unknown experiment %q (have %s,all)", k, strings.Join(Keys(), ","))
+		if !slices.Contains(keys, k) {
+			return nil, fmt.Errorf("unknown experiment %q (have %s)", k, strings.Join(keys, ","))
 		}
 		want[k] = true
 	}

@@ -14,6 +14,11 @@
 //	lpserved -lib gcc.lplib -cluster -err 0.03      # coordinate to ±3%
 //	lpserved -lib gcc.lplib -cluster -matched -memlat 150
 //
+// The run flags (-config -err -matched -memlat -l2kb -ruu) are lpsim's
+// (lpcluster.SpecFlags) and mean the same run: a matched run targets
+// ±err/2 on the delta and screens for no impact at ±err, and -err 0 (the
+// default here) runs the whole library.
+//
 // With -journal the cluster run is crash-safe: the run spec and every
 // accepted result are appended (and fsynced) to a write-ahead journal
 // before they are folded. If the coordinator is killed mid-run —
@@ -55,13 +60,7 @@ func main() {
 		drainWait = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 
 		cluster     = flag.Bool("cluster", false, "also coordinate a distributed sampling run over this library")
-		configName  = flag.String("config", "8way", "cluster: simulated configuration, 8way or 16way")
-		relErr      = flag.Float64("err", 0, "cluster: online stopping target (0 = whole library)")
-		matched     = flag.Bool("matched", false, "cluster: matched-pair comparison against a modified configuration")
-		memLat      = flag.Int("memlat", 0, "cluster matched: override memory latency")
-		l2KB        = flag.Int("l2kb", 0, "cluster matched: override L2 size (KB)")
-		ruu         = flag.Int("ruu", 0, "cluster matched: override RUU size")
-		noImpact    = flag.Float64("noimpact", 0, "cluster matched: no-impact screen threshold (e.g. 0.03)")
+		spec        = lpcluster.SpecFlags(flag.CommandLine, 0)
 		leasePoints = flag.Int("lease-points", 0, "cluster: points per range lease (default 64)")
 		leaseTTL    = flag.Duration("lease-ttl", 0, "cluster: lease expiry; crashed workers' leases reassign after this (default 60s)")
 		journal     = flag.String("journal", "", "cluster: write-ahead run journal; an existing journal resumes its run")
@@ -91,14 +90,6 @@ func main() {
 
 	srv := lpserve.NewServer(st)
 	if *cluster {
-		spec := lpcluster.RunSpec{Config: *configName, RelErr: *relErr}
-		if *matched {
-			spec.Mode = lpcluster.ModeMatched
-			spec.MemLat = *memLat
-			spec.L2KB = *l2KB
-			spec.RUU = *ruu
-			spec.NoImpactThreshold = *noImpact
-		}
 		opt := lpcluster.Options{
 			LeasePoints: *leasePoints,
 			LeaseTTL:    *leaseTTL,
@@ -106,9 +97,9 @@ func main() {
 		var coord *lpcluster.Coordinator
 		var err error
 		if *journal != "" {
-			coord, err = lpcluster.NewJournaledCoordinator(st, spec, opt, *journal)
+			coord, err = lpcluster.NewJournaledCoordinator(st, spec(), opt, *journal)
 		} else {
-			coord, err = lpcluster.NewCoordinator(st, spec, opt)
+			coord, err = lpcluster.NewCoordinator(st, spec(), opt)
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -116,7 +107,7 @@ func main() {
 		defer coord.Close()
 		coord.Mount(srv)
 		log.Printf("coordinating a %s cluster run (err target %v); point lpworker -coord at this address",
-			coord.Spec().Mode, *relErr)
+			coord.Spec().Mode, coord.Spec().RelErr)
 		if epoch := coord.Epoch(); epoch > 0 {
 			rs := coord.State()
 			log.Printf("resumed run from journal %s: epoch %d, %d/%d points already folded (phase %s)",

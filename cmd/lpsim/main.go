@@ -10,6 +10,10 @@
 //
 // Results and their confidence are reported online as the (shuffled)
 // library streams in; the run stops as soon as the target is met (§6.1).
+// The run flags (-config -err -matched -memlat -l2kb -ruu) are
+// lpcluster.SpecFlags, shared with lpserved -cluster: a matched run
+// targets ±err/2 on the delta and screens for no impact at ±err, and
+// -err 0 runs the whole library.
 // With -coord, the simulation happens on an lpworker fleet instead:
 // lpsim polls the coordinator (lpserved -cluster) and reports the
 // fleet-wide result when the run completes.
@@ -37,13 +41,8 @@ func main() {
 		lib        = flag.String("lib", "", "live-point library path")
 		server     = flag.String("server", "", "lpserved base URL (e.g. http://host:8147); alternative to -lib")
 		coord      = flag.String("coord", "", "cluster coordinator base URL; report the fleet-wide run instead of simulating locally")
-		configName = flag.String("config", "8way", "simulated configuration: 8way or 16way")
-		relErr     = flag.Float64("err", 0.03, "relative error target (0 = process whole library)")
+		spec       = lpcluster.SpecFlags(flag.CommandLine, 0.03)
 		parallel   = flag.Int("parallel", 1, "simulation workers")
-		matched    = flag.Bool("matched", false, "matched-pair comparison against a modified configuration")
-		memLat     = flag.Int("memlat", 0, "matched: override memory latency")
-		l2KB       = flag.Int("l2kb", 0, "matched: override L2 size (KB, must be within library max)")
-		ruu        = flag.Int("ruu", 0, "matched: override RUU size")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
@@ -61,24 +60,17 @@ func main() {
 		return
 	}
 
-	// The flags describe a run the way a cluster's do. A local matched run
-	// halves the target (the half-width is on a delta) and always screens
-	// for no impact at 3 %; lpserved -cluster -matched does neither.
-	spec := lpcluster.RunSpec{Config: *configName, Z: livepoints.Z997, RelErr: *relErr}
-	if *matched {
-		spec.Mode = lpcluster.ModeMatched
-		spec.RelErr, spec.NoImpactThreshold = *relErr/2, 0.03
-		spec.MemLat, spec.L2KB, spec.RUU = *memLat, *l2KB, *ruu
-		if *parallel > 1 {
-			log.Printf("lpsim: a matched run is serial; -parallel %d is ignored", *parallel)
-		}
+	// The flags describe a run exactly as lpserved -cluster's do.
+	run := spec()
+	if run.Mode == lpcluster.ModeMatched && *parallel > 1 {
+		log.Printf("lpsim: a matched run is serial; -parallel %d is ignored", *parallel)
 	}
 	// Refuse a machine that cannot be built before touching the library.
-	cfg, exp, err := spec.Configs()
+	cfgs, err := run.Configs()
 	if err != nil {
 		log.Fatalf("lpsim: %v", err)
 	}
-	rule := spec.Rule()
+	rule := run.Rule()
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -111,36 +103,36 @@ func main() {
 		}
 	}
 
-	if *matched {
-		opts := livepoints.MatchedOpts{
-			Base: cfg, Exp: exp,
-			Z: rule.Z, RelErr: rule.RelErr, NoImpactThreshold: rule.NoImpact,
-		}
-		t0 := time.Now()
-		res, err := livepoints.RunMatchedSource(src, opts)
+	t0 := time.Now()
+	if len(cfgs) == 2 {
+		res, err := livepoints.RunMatchedSource(src, livepoints.MatchedOpts{
+			Base: cfgs[0], Exp: cfgs[1], Z: rule.Z, RelErr: rule.RelErr, NoImpactThreshold: rule.NoImpact,
+		})
 		closeSource(src, err)
 		fmt.Printf("ΔCPI = %+.2f%% of baseline (base %.4f -> exp %.4f) from %d pairs in %v\n",
 			100*res.MP.RelDelta(), res.MP.Base.Mean(), res.MP.Exp.Mean(),
 			res.Processed, time.Since(t0).Round(time.Millisecond))
+		printTally(res.Tally)
 		fmt.Printf("matched-pair sample-size reduction vs absolute: %.1fx\n", res.MP.SampleSizeReduction())
 		if res.StoppedNoImpact {
-			fmt.Println("verdict: no appreciable impact (<3% CPI change), screened early")
+			fmt.Printf("verdict: no appreciable impact (<%g%% CPI change), screened early\n", 100*rule.NoImpact)
 		}
 		return
 	}
 
-	opts := livepoints.RunOpts{
-		Cfg: cfg, Z: rule.Z, RelErr: rule.RelErr, Parallel: *parallel,
-	}
-	t0 := time.Now()
-	res, err := livepoints.RunSource(src, opts)
+	res, err := livepoints.RunSource(src, livepoints.RunOpts{Cfg: cfgs[0], Z: rule.Z, RelErr: rule.RelErr, Parallel: *parallel})
 	closeSource(src, err)
 	fmt.Printf("CPI = %.4f ±%.2f%% (99.7%% confidence) from %d live-points in %v\n",
 		res.Est.Mean(), 100*res.Est.RelCI(livepoints.Z997), res.Processed,
 		time.Since(t0).Round(time.Millisecond))
+	printTally(res.Tally)
+}
+
+// printTally prints an absolute or matched run's load/sim split and counters.
+func printTally(t livepoint.Tally) {
 	fmt.Printf("load %v, simulate %v; wrong-path unknown loads/window: %.3f (capture errors: %d)\n",
-		res.LoadTime.Round(time.Millisecond), res.SimTime.Round(time.Millisecond),
-		float64(res.UnknownLoads)/float64(res.Processed), res.CaptureErrors)
+		t.LoadTime.Round(time.Millisecond), t.SimTime.Round(time.Millisecond),
+		float64(t.UnknownLoads)/float64(t.Processed), t.CaptureErrors)
 }
 
 // closeSource closes the library and exits on the run's error or, when the

@@ -162,17 +162,17 @@ func (o *SoakOptions) spec() lpcluster.RunSpec {
 // localBaseline computes the undisturbed single-process reference.
 func localBaseline(opt SoakOptions) (*baseline, error) {
 	spec := opt.spec()
-	base, exp, err := spec.Configs()
+	cfgs, err := spec.Configs()
 	if err != nil {
 		return nil, err
 	}
 	bl := &baseline{}
 	if spec.Mode == lpcluster.ModeMatched {
 		bl.matched, err = livepoint.RunMatchedFile(opt.Library,
-			livepoint.MatchedOpts{Base: base, Exp: exp, Z: sampling.Z997, RelErr: opt.RelErr})
+			livepoint.MatchedOpts{Base: cfgs[0], Exp: cfgs[1], Z: sampling.Z997, RelErr: opt.RelErr})
 		return bl, err
 	}
-	bl.abs, err = livepoint.RunFile(opt.Library, livepoint.RunOpts{Cfg: base, RelErr: opt.RelErr})
+	bl.abs, err = livepoint.RunFile(opt.Library, livepoint.RunOpts{Cfg: cfgs[0], RelErr: opt.RelErr})
 	return bl, err
 }
 

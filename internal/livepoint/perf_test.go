@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"livepoints/internal/mrrl"
+	"livepoints/internal/sampling"
 	"livepoints/internal/uarch"
+	"livepoints/internal/warm"
 )
 
 // TestDecodeIntoSteadyStateZeroAllocs is the allocation-regression gate on
@@ -36,6 +38,30 @@ func TestDecodeIntoSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state DecodeInto allocates %.1f objects per point, want 0", allocs)
+	}
+}
+
+// TestPassAddZeroAllocs: a pass's per-point fold (counters, the k CPIs
+// into sampling.Columns, the rule's verdict) allocates nothing, under one
+// configuration or a matched pair.
+func TestPassAddZeroAllocs(t *testing.T) {
+	cfg := uarch.Config8Way()
+	for _, cfgs := range [][]uarch.Config{{cfg}, {cfg, cfg}} {
+		k := len(cfgs)
+		rule := sampling.Rule{Z: sampling.Z997, RelErr: 1e-9, NoImpact: 1e-9}
+		p := &pass{cfgs: cfgs, rule: rule, cols: sampling.NewColumns(k, rule, false), row: make([]float64, k)}
+		wrs := make([]warm.WindowResult, k)
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			for j := range wrs {
+				wrs[j].UnitCPI = 1 + 0.01*float64((i+j)%7)
+			}
+			i++
+			p.add(wrs)
+		})
+		if allocs != 0 {
+			t.Fatalf("k=%d: pass.add allocates %.1f objects per point, want 0", k, allocs)
+		}
 	}
 }
 

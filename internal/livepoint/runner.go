@@ -34,43 +34,25 @@ type RunOpts struct {
 	RecordHistory bool
 }
 
-func (o RunOpts) rule() sampling.Rule { return sampling.Rule{Z: o.Z, RelErr: o.RelErr} }
-
 // RunResult is the outcome of a live-point sampling experiment.
 type RunResult struct {
-	Est       sampling.Estimate
-	History   []sampling.Snapshot
+	Est     sampling.Estimate
+	History []sampling.Snapshot
+	Tally
+}
+
+// Tally is what absolute and matched runs count besides their estimates.
+type Tally struct {
 	Processed int
 
 	LoadTime time.Duration // decompression + decode + reconstruction I/O
-	SimTime  time.Duration // detailed simulation
+	SimTime  time.Duration // detailed simulation (under every configuration)
 
-	// Aggregated wrong-path approximation counters (§5).
+	// Aggregated wrong-path approximation counters (§5), from the first
+	// configuration's windows.
 	UnknownFetches uint64
 	UnknownLoads   uint64
 	CaptureErrors  uint64 // correct-path unknown events: must be zero
-}
-
-// Satisfied reports whether the stopping rule was met (as opposed to
-// exhausting the library).
-func (r *RunResult) Satisfied(z, relErr float64) bool {
-	return sampling.Rule{Z: z, RelErr: relErr}.Stop(&r.Est)
-}
-
-// fold adds one window to the result and reports whether the run's
-// stopping rule, which online carries, is now met.
-func (r *RunResult) fold(wr warm.WindowResult, online *sampling.OnlineEstimator) bool {
-	r.Processed++
-	r.UnknownFetches += wr.Stats.UnknownFetches
-	r.UnknownLoads += wr.Stats.UnknownLoads
-	r.CaptureErrors += wr.Stats.CorrectPathUnknownLoads + wr.Stats.CorrectPathUnknownFetches
-	return online.Add(wr.UnitCPI)
-}
-
-// finish copies the folded estimate into the result.
-func (r *RunResult) finish(online *sampling.OnlineEstimator) {
-	r.Est = *online.Estimate()
-	r.History = online.History()
 }
 
 // RunFile runs a sampling experiment over a library file. Points are
@@ -97,46 +79,86 @@ func runFile[R any](path string, run func(Source) (*R, error)) (*R, error) {
 	return res, err
 }
 
-// normalise applies the rules absolute and matched runs share: every
-// configuration must describe a machine the core can build, an unset
-// confidence level means Z997, and a stopping rule needs a shuffled library.
-func normalise(rule *sampling.Rule, src Source, cfgs ...uarch.Config) error {
-	for _, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("livepoint: %w", err)
-		}
-	}
-	if rule.Z == 0 {
-		rule.Z = sampling.Z997
-	}
-	if err := rule.Check(src.Meta().Shuffled); err != nil {
-		return fmt.Errorf("livepoint: %w", err)
-	}
-	return nil
+// RunSource runs a sampling experiment over any live-point source: a local
+// file, a sharded store, or a remote serving client.
+func RunSource(src Source, opts RunOpts) (*RunResult, error) {
+	p := &pass{cfgs: []uarch.Config{opts.Cfg}, rule: sampling.Rule{Z: opts.Z, RelErr: opts.RelErr},
+		maxPoints: opts.MaxPoints, parallel: opts.Parallel, history: opts.RecordHistory}
+	return p.run(src)
 }
 
-// RunSource runs a sampling experiment over any live-point source: a local
-// file, a sharded store, or a remote serving client. Whole-library
-// parallel runs pull from independent shards when the source exposes
-// them; truncated runs (a stopping rule or point cap) stay on the
-// read-order feeder, because draining whole shards processes physically
-// consecutive points together — on an index-reshuffled store those are
-// correlated, and stopping early on such a prefix would bias the
-// estimate.
-func RunSource(src Source, opts RunOpts) (*RunResult, error) {
-	rule := opts.rule()
-	if err := normalise(&rule, src, opts.Cfg); err != nil {
+// pass is one run: each point of a library simulated under k
+// configurations (one absolute; baseline and experimental matched) and
+// folded into sampling.Columns until the rule stops it, maxPoints is
+// reached, or the library ends. Only a one-configuration pass runs
+// parallel.
+type pass struct {
+	cfgs      []uarch.Config
+	rule      sampling.Rule
+	maxPoints int
+	parallel  int
+	history   bool
+
+	cols     *sampling.Columns
+	row      []float64   // add's CPIs, reused
+	out      [][]float64 // when non-nil, every point's CPIs by column (SimBlobsK)
+	noImpact bool        // the no-impact screen stopped the pass
+	res      RunResult
+}
+
+// run normalises the pass, once for every entry point (each configuration
+// must be buildable, Z 0 means Z997, an active rule needs a shuffled
+// library), and runs it. Whole-library parallel runs pull whole shards
+// when the source has them; truncated ones stay on the read-order feeder,
+// since a shard-major prefix of an index-reshuffled store groups
+// correlated points and would bias the estimate.
+func (p *pass) run(src Source) (*RunResult, error) {
+	for _, cfg := range p.cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("livepoint: %w", err)
+		}
+	}
+	if p.rule.Z == 0 {
+		p.rule.Z = sampling.Z997
+	}
+	if err := p.rule.Check(src.Meta().Shuffled); err != nil {
+		return nil, fmt.Errorf("livepoint: %w", err)
+	}
+	p.cols = sampling.NewColumns(len(p.cfgs), p.rule, p.history)
+	p.row = make([]float64, len(p.cfgs))
+	var err error
+	switch ss, sharded := src.(ShardedSource); {
+	case p.parallel < 2 || len(p.cfgs) > 1:
+		err = p.serial(src.NextBlob)
+	case sharded && ss.NumShards() > 1 && !p.rule.Active() && p.maxPoints <= 0:
+		err = p.pipeline(func(pl *pipeline) error { return pl.loadShards(ss, p.parallel) })
+	default:
+		err = p.pipeline(func(pl *pipeline) error { return pl.loadStream(src, p.parallel, p.maxPoints) })
+	}
+	if err != nil {
 		return nil, err
 	}
-	opts.Z = rule.Z
-	if opts.Parallel < 2 {
-		return runSerial(src, opts)
+	p.res.Est, p.res.History = *p.cols.Estimate(), p.cols.History()
+	return &p.res, nil
+}
+
+// add is the pass's one fold, of one point's window results (one per
+// configuration); it reports whether the pass is over.
+func (p *pass) add(wrs []warm.WindowResult) (over bool) {
+	r := &p.res
+	r.Processed++
+	r.UnknownFetches += wrs[0].Stats.UnknownFetches
+	r.UnknownLoads += wrs[0].Stats.UnknownLoads
+	r.CaptureErrors += wrs[0].Stats.CorrectPathUnknownLoads + wrs[0].Stats.CorrectPathUnknownFetches
+	for j := range wrs {
+		p.row[j] = wrs[j].UnitCPI
+		if p.out != nil {
+			p.out[j] = append(p.out[j], wrs[j].UnitCPI)
+		}
 	}
-	wholeLibrary := !rule.Active() && opts.MaxPoints <= 0
-	if ss, ok := src.(ShardedSource); ok && ss.NumShards() > 1 && wholeLibrary {
-		return runPipeline(opts, func(p *pipeline) error { return p.loadShards(ss, opts.Parallel) })
-	}
-	return runPipeline(opts, func(p *pipeline) error { return p.loadStream(src, opts.Parallel, opts.MaxPoints) })
+	var stop bool
+	stop, p.noImpact = p.cols.Add(p.row...)
+	return stop || p.maxPoints > 0 && r.Processed >= p.maxPoints
 }
 
 // pointKernel is the one place a live-point is simulated: its window runs
@@ -147,7 +169,6 @@ type pointKernel struct {
 	cfgs   []uarch.Config
 	arenas []SimArena
 	wrs    []warm.WindowResult // simulate's result slice, reused
-	lp     LivePoint           // the serial loop's decode target, reused
 }
 
 func newPointKernel(cfgs ...uarch.Config) *pointKernel {
@@ -174,10 +195,13 @@ func decodeBlob(lp *LivePoint, blob []byte) error {
 }
 
 // serial is the one serial loop: it pulls blobs from next until io.EOF,
-// decodes and simulates each in order, and hands the results to visit,
-// which folds them and reports whether to stop. Blob reads and decode are
-// added to *load, detailed simulation (under every configuration) to *sim.
-func (k *pointKernel) serial(next func() ([]byte, error), load, sim *time.Duration, visit func([]warm.WindowResult) (stop bool)) error {
+// decodes and simulates each in order on one goroutine, so the processing
+// order and the exact stopping point are deterministic. Blob reads and
+// decode count as load time, detailed simulation (under every
+// configuration) as sim time.
+func (p *pass) serial(next func() ([]byte, error)) error {
+	k := newPointKernel(p.cfgs...)
+	var lp LivePoint // decoded into in place, point after point
 	for {
 		t0 := time.Now()
 		blob, err := next()
@@ -185,39 +209,24 @@ func (k *pointKernel) serial(next func() ([]byte, error), load, sim *time.Durati
 			return nil
 		}
 		if err == nil {
-			err = decodeBlob(&k.lp, blob)
+			err = decodeBlob(&lp, blob)
 		}
 		if err != nil {
 			return err
 		}
 		t1 := time.Now()
-		*load += t1.Sub(t0)
+		p.res.LoadTime += t1.Sub(t0)
 
-		wrs, err := k.simulate(&k.lp)
+		wrs, err := k.simulate(&lp)
 		if err != nil {
 			return err
 		}
-		*sim += time.Since(t1)
+		p.res.SimTime += time.Since(t1)
 
-		if visit(wrs) {
+		if p.add(wrs) {
 			return nil
 		}
 	}
-}
-
-// runSerial processes the source in read order on one goroutine, so the
-// processing order and the exact stopping point are deterministic.
-func runSerial(src Source, opts RunOpts) (*RunResult, error) {
-	res := &RunResult{}
-	online := sampling.NewOnline(opts.Z, opts.RelErr, opts.RecordHistory)
-	err := newPointKernel(opts.Cfg).serial(src.NextBlob, &res.LoadTime, &res.SimTime, func(wrs []warm.WindowResult) bool {
-		return res.fold(wrs[0], online) || opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.finish(online)
-	return res, nil
 }
 
 // simOut carries one simulation result, or a failure from any stage, to
@@ -268,71 +277,65 @@ func (p *pipeline) decode(blob []byte) {
 	mDecodeAheadDepth.Set(float64(len(p.lpc)))
 }
 
-// runPipeline runs the load stage against opts.Parallel simulation
-// workers, each with its own kernel, and folds until both have drained:
-// once the stopping rule or an error closes done, the points already
-// loaded are still simulated and folded, so no goroutine stays blocked.
-func runPipeline(opts RunOpts, load func(*pipeline) error) (*RunResult, error) {
-	res := &RunResult{}
-	online := sampling.NewOnline(opts.Z, opts.RelErr, opts.RecordHistory)
-	p := &pipeline{
+// pipeline runs the load stage against p.parallel simulation workers,
+// each with its own kernel, and folds until both have drained: once the
+// stopping rule or an error closes done, the points already loaded are
+// still simulated and folded, so no goroutine stays blocked.
+func (p *pass) pipeline(load func(*pipeline) error) error {
+	pl := &pipeline{
 		// Decode-ahead deep enough to ride out per-point sim-time variance,
 		// shallow enough to cap fail-fast overshoot and resident points.
-		lpc:  make(chan *LivePoint, 2*opts.Parallel),
-		outs: make(chan simOut, opts.Parallel),
+		lpc:  make(chan *LivePoint, 2*p.parallel),
+		outs: make(chan simOut, p.parallel),
 		done: make(chan struct{}),
 	}
 
 	go func() {
-		if err := load(p); err != nil {
-			p.fail(err)
+		if err := load(pl); err != nil {
+			pl.fail(err)
 		}
-		close(p.lpc)
+		close(pl.lpc)
 	}()
 	var workers sync.WaitGroup
-	for w := 0; w < opts.Parallel; w++ {
+	for w := 0; w < p.parallel; w++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			k := newPointKernel(opts.Cfg)
-			for lp := range p.lpc {
+			k := newPointKernel(p.cfgs...)
+			for lp := range pl.lpc {
 				t0 := time.Now()
 				wrs, err := k.simulate(lp)
-				p.simNS.Add(int64(time.Since(t0)))
+				pl.simNS.Add(int64(time.Since(t0)))
 				releaseLivePoint(lp)
 				if err != nil {
-					p.fail(err)
+					pl.fail(err)
 				} else {
-					p.outs <- simOut{wr: wrs[0]}
+					pl.outs <- simOut{wr: wrs[0]}
 				}
 			}
 		}()
 	}
 	go func() {
 		workers.Wait()
-		close(p.outs)
+		close(pl.outs)
 	}()
 
-	// done closes when the stopping rule first fires or on the first error
-	// (fail-fast: the load stage must not read and decode the rest of the
-	// library just to report an error that has already happened).
+	// done closes when the pass is over or on the first error (fail-fast:
+	// the load stage must not read and decode the rest of the library just
+	// to report an error that has already happened).
 	var stop sync.Once
 	var firstErr error
-	for out := range p.outs {
+	for out := range pl.outs {
 		if out.err != nil && firstErr == nil {
 			firstErr = out.err
 		}
-		if out.err != nil || res.fold(out.wr, online) {
-			stop.Do(func() { close(p.done) })
+		if out.err != nil || p.add([]warm.WindowResult{out.wr}) {
+			stop.Do(func() { close(pl.done) })
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	res.LoadTime = time.Duration(p.loadNS.Load())
-	res.SimTime = time.Duration(p.simNS.Load())
-	res.finish(online)
-	return res, nil
+	p.res.LoadTime = time.Duration(pl.loadNS.Load())
+	p.res.SimTime = time.Duration(pl.simNS.Load())
+	return firstErr
 }
 
 // fan is the shape both load stages share: feed offers items to n
@@ -436,60 +439,37 @@ func (p *pipeline) loadShard(ss ShardedSource, s int) {
 	}
 }
 
-// simBlobs is the serial loop over an in-memory batch: each
-// configuration's CPIs in input order, plus a RunResult aggregating the
-// timings and the first configuration's estimate and wrong-path counters.
-func simBlobs(blobs [][]byte, cfgs ...uarch.Config) ([][]float64, *RunResult, error) {
-	res := &RunResult{}
-	online := sampling.NewOnline(sampling.Z997, 0, false)
-	cpis := make([][]float64, len(cfgs))
-	for c := range cpis {
-		cpis[c] = make([]float64, 0, len(blobs))
-	}
-	next := func() ([]byte, error) {
-		if res.Processed == len(blobs) {
-			return nil, io.EOF
-		}
-		return blobs[res.Processed], nil
-	}
-	err := newPointKernel(cfgs...).serial(next, &res.LoadTime, &res.SimTime, func(wrs []warm.WindowResult) bool {
-		res.fold(wrs[0], online)
-		for c, wr := range wrs {
-			cpis[c] = append(cpis[c], wr.UnitCPI)
-		}
-		return false
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	res.finish(online)
-	return cpis, res, nil
-}
-
 // SimBlobs simulates each encoded live-point under cfg and returns the
 // per-point CPIs in input order, plus a RunResult aggregating timings and
 // wrong-path counters. This is the worker-side kernel of a cluster lease:
 // a remote worker fetches a lease's blobs, runs SimBlobs, and posts the
 // CPIs back to the coordinator for folding.
 func SimBlobs(blobs [][]byte, cfg uarch.Config) ([]float64, *RunResult, error) {
-	cpis, res, err := simBlobs(blobs, cfg)
+	cpis, res, err := SimBlobsK(blobs, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return cpis[0], res, nil
 }
 
-// SimBlobsMatched is SimBlobs for matched-pair runs: every point is
-// simulated under both configurations and the paired CPIs are returned in
-// input order. The RunResult carries the same telemetry as the absolute
-// path's (with the baseline configuration's wrong-path counters), so
-// cluster workers post identical timing fields in either mode.
-func SimBlobsMatched(blobs [][]byte, base, exp uarch.Config) (baseCPIs, expCPIs []float64, res *RunResult, err error) {
-	cpis, res, err := simBlobs(blobs, base, exp)
-	if err != nil {
-		return nil, nil, nil, err
+// SimBlobsK is SimBlobs under k configurations: cpis[j] holds
+// configuration j's CPIs, and the RunResult the first configuration's
+// estimate and counters, so cluster workers post the same telemetry
+// whatever k.
+func SimBlobsK(blobs [][]byte, cfgs ...uarch.Config) (cpis [][]float64, res *RunResult, err error) {
+	k := len(cfgs)
+	p := &pass{cfgs: cfgs, cols: sampling.NewColumns(k, sampling.Rule{Z: sampling.Z997}, false), row: make([]float64, k), out: make([][]float64, k)}
+	next := func() ([]byte, error) {
+		if p.res.Processed == len(blobs) {
+			return nil, io.EOF
+		}
+		return blobs[p.res.Processed], nil
 	}
-	return cpis[0], cpis[1], res, nil
+	if err := p.serial(next); err != nil {
+		return nil, nil, err
+	}
+	p.res.Est = *p.cols.Estimate()
+	return p.out, &p.res, nil
 }
 
 // MatchedOpts configures a matched-pair comparative experiment (§6.2).
@@ -508,16 +488,12 @@ type MatchedOpts struct {
 	MaxPoints int
 }
 
-func (o MatchedOpts) rule() sampling.Rule {
-	return sampling.Rule{Z: o.Z, RelErr: o.RelErr, NoImpact: o.NoImpactThreshold}
-}
-
-// MatchedResult is the outcome of a matched-pair experiment.
+// MatchedResult is the outcome of a matched-pair experiment. Its Tally
+// counts both configurations' simulation time and the baseline's
+// wrong-path counters.
 type MatchedResult struct {
-	MP        sampling.MatchedPair
-	Processed int
-	LoadTime  time.Duration // stream reads + decode, as in RunResult
-	SimTime   time.Duration // detailed simulation (both configurations)
+	MP sampling.MatchedPair
+	Tally
 	// StoppedNoImpact records that the no-impact screen fired.
 	StoppedNoImpact bool
 }
@@ -529,23 +505,14 @@ func RunMatchedFile(path string, opts MatchedOpts) (*MatchedResult, error) {
 	return runFile(path, func(src Source) (*MatchedResult, error) { return RunMatchedSource(src, opts) })
 }
 
-// RunMatchedSource is RunMatchedFile over any live-point source: the
-// serial loop over a two-configuration kernel.
+// RunMatchedSource is RunMatchedFile over any live-point source: a serial
+// pass of the baseline and experimental configurations.
 func RunMatchedSource(src Source, opts MatchedOpts) (*MatchedResult, error) {
-	rule := opts.rule()
-	if err := normalise(&rule, src, opts.Base, opts.Exp); err != nil {
-		return nil, err
-	}
-	res := &MatchedResult{}
-	err := newPointKernel(opts.Base, opts.Exp).serial(src.NextBlob, &res.LoadTime, &res.SimTime, func(wrs []warm.WindowResult) bool {
-		res.MP.Add(wrs[0].UnitCPI, wrs[1].UnitCPI)
-		res.Processed++
-		var stop bool
-		stop, res.StoppedNoImpact = rule.StopPair(&res.MP)
-		return stop || opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints
-	})
+	p := &pass{cfgs: []uarch.Config{opts.Base, opts.Exp},
+		rule: sampling.Rule{Z: opts.Z, RelErr: opts.RelErr, NoImpact: opts.NoImpactThreshold}, maxPoints: opts.MaxPoints}
+	res, err := p.run(src)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &MatchedResult{MP: *p.cols.Pair(1), Tally: res.Tally, StoppedNoImpact: p.noImpact}, nil
 }

@@ -264,6 +264,38 @@ func TestMatchedDefaultsZ(t *testing.T) {
 	}
 }
 
+// TestMatchedCountsTheBaseline: a matched run reports the wrong-path and
+// capture counters of its baseline configuration, the same counts an
+// absolute run of that configuration reports over the same library.
+func TestMatchedCountsTheBaseline(t *testing.T) {
+	cfg := uarch.Config8Way()
+	_, design, points := buildTestLibrary(t, "syn.gcc", 0.01, cfg, 20, false)
+	const path = "lib.lplib"
+	meta := Meta{Benchmark: "syn.gcc", Count: len(points), UnitLen: design.UnitLen, WarmLen: design.WarmLen}
+	openFiles(t, map[string]*fakeSharded{path: {meta: meta, blobs: encodeAll(points)}})
+	exp := cfg
+	exp.Hier.MemLat *= 2
+
+	abs, err := RunFile(path, RunOpts{Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mres, err := RunMatchedFile(path, MatchedOpts{Base: cfg, Exp: exp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mres.Processed != abs.Processed || mres.UnknownFetches != abs.UnknownFetches ||
+		mres.UnknownLoads != abs.UnknownLoads || mres.CaptureErrors != abs.CaptureErrors {
+		t.Fatalf("matched counts %d points, %d/%d/%d; absolute %d points, %d/%d/%d (fetches/loads/capture errors)",
+			mres.Processed, mres.UnknownFetches, mres.UnknownLoads, mres.CaptureErrors,
+			abs.Processed, abs.UnknownFetches, abs.UnknownLoads, abs.CaptureErrors)
+	}
+	if mres.CaptureErrors != 0 {
+		t.Fatalf("%d correct-path unknown events on a full live-state library", mres.CaptureErrors)
+	}
+	t.Logf("%d points: %d wrong-path unknown fetches, %d loads", mres.Processed, mres.UnknownFetches, mres.UnknownLoads)
+}
+
 // TestRunRefusesUnbuildableMachine: a configuration the detailed core could
 // only crash on (a window it cannot allocate) or deadlock on (a pool of no
 // functional units) fails the run with the field named, before a point is

@@ -207,7 +207,7 @@ func TestClusterOnlineStopping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !local.Satisfied(sampling.Z997, relErr) {
+	if !local.Est.Satisfied(sampling.Z997, relErr) {
 		t.Fatalf("local online run did not satisfy ±%.0f%%; library unusable for this test", 100*relErr)
 	}
 
@@ -245,11 +245,11 @@ func TestClusterOnlineStopping(t *testing.T) {
 func TestClusterMatchedParity(t *testing.T) {
 	lib := testLibrary(t)
 	spec := RunSpec{Mode: ModeMatched, MemLat: 200}
-	base, exp, err := spec.Configs()
+	cfgs, err := spec.Configs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := livepoint.RunMatchedFile(lib, livepoint.MatchedOpts{Base: base, Exp: exp, Z: sampling.Z997})
+	local, err := livepoint.RunMatchedFile(lib, livepoint.MatchedOpts{Base: cfgs[0], Exp: cfgs[1], Z: sampling.Z997})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"livepoints/internal/livepoint"
 	"livepoints/internal/lpserve"
 	"livepoints/internal/lpstore"
 	"livepoints/internal/obs"
@@ -70,18 +71,11 @@ var (
 type ClusterResult struct {
 	Est             sampling.Estimate    // absolute mode
 	MP              sampling.MatchedPair // matched mode
-	Processed       int
-	Stopped         bool // §6.1 rule fired before exhausting the library
+	Stopped         bool                 // §6.1 rule fired before exhausting the library
 	StoppedNoImpact bool
-	Reassigned      int // leases reissued after expiry
-
-	Elapsed  time.Duration // first lease issued -> run finished
-	LoadTime time.Duration // summed across workers
-	SimTime  time.Duration
-
-	UnknownFetches uint64
-	UnknownLoads   uint64
-	CaptureErrors  uint64
+	Reassigned      int           // leases reissued after expiry
+	Elapsed         time.Duration // first lease issued -> run finished
+	livepoint.Tally               // a local run's counters, summed across workers
 }
 
 // Coordinator owns one cluster sampling run over a live-point store. It
@@ -123,7 +117,7 @@ type Coordinator struct {
 // coordinator; the run starts when the first worker asks for a lease.
 func NewCoordinator(st *lpstore.Store, spec RunSpec, opt Options) (*Coordinator, error) {
 	spec = spec.withDefaults()
-	if _, _, err := spec.Configs(); err != nil {
+	if _, err := spec.Configs(); err != nil {
 		return nil, err
 	}
 	rule := spec.Rule()
@@ -179,7 +173,7 @@ func (c *Coordinator) registerMetrics() {
 	reg.GaugeFunc("lpcluster_points_done", "Read-order positions with a folded result.",
 		locked(func() float64 { return float64(c.fold.res.Processed) }))
 	reg.GaugeFunc("lpcluster_progress_relci", "Current relative CI half-width of the fleet-wide estimate (0 until the fold starts).",
-		locked(func() float64 { return c.fold.relCI() }))
+		locked(func() float64 { return finite(c.fold.cols.RelCI()) }))
 	reg.GaugeFunc("lpcluster_run_finished", "1 once the run has finished, else 0.",
 		locked(func() float64 {
 			if c.finished {
@@ -283,7 +277,7 @@ func (c *Coordinator) Result(res *Result) (ResultResponse, error) {
 	}
 	positions, err := l.positions(c.st)
 	if err == nil {
-		err = res.check(c.fold.matched, len(positions))
+		err = res.check(len(c.fold.pos), len(positions))
 	}
 	if err != nil {
 		c.mRejMismatch.Inc()
@@ -370,7 +364,7 @@ func (c *Coordinator) State() RunState {
 		st.PointsPerSec = float64(st.Done) / elapsed.Seconds()
 		// ETA is only honest for whole-library runs: a stopping rule
 		// may fire at any fold, so its finish time is unknowable.
-		if !c.fold.rule.Active() {
+		if !c.fold.cols.Rule().Active() {
 			st.EtaMillis = int64(float64(st.Points-st.Done) / st.PointsPerSec * 1000)
 		}
 	}

@@ -8,37 +8,38 @@ import (
 )
 
 // fold is the run's arithmetic: every accepted CPI at its read-order
-// position, the running estimate, and the stopping rule's verdict on it.
-// It has no lock, clock, journal or network; a live Coordinator.Result and
-// a journal replay drive it through the same add, which is why a resumed
+// position, the running fold, and the stopping rule's verdict on it. It
+// has no lock, clock, journal or network; a live Coordinator.Result and a
+// journal replay drive it through the same add, which is why a resumed
 // run's floats are the crashed run's.
 type fold struct {
-	rule    sampling.Rule
-	matched bool
+	// pos holds the folded CPIs by read-order position, one column per
+	// configuration, for seal; cols merges partials in completion order
+	// until seal, under the run's rule.
+	pos  [][]float64
+	cols *sampling.Columns
 
-	// cols holds the folded CPIs by read-order position, for seal: one
-	// column for an absolute run, baseline and experimental for a matched.
-	cols [2][]float64
-
-	// res is the run's result so far. Est (absolute) or MP (matched) merges
-	// partials in completion order until seal; Processed counts positions
-	// folded. Elapsed and Reassigned are the coordinator's to fill in.
+	// res is the run's result so far, and its Est or MP once sealed;
+	// Processed counts positions folded. Elapsed and Reassigned are the
+	// coordinator's to fill in.
 	res ClusterResult
 }
 
+// newFold returns the fold of points positions under one configuration,
+// or baseline and experimental when matched.
 func newFold(points int, matched bool, rule sampling.Rule) *fold {
-	f := &fold{rule: rule, matched: matched}
-	f.cols[0] = make([]float64, points)
+	f := &fold{pos: [][]float64{make([]float64, points)}}
 	if matched {
-		f.cols[1] = make([]float64, points)
+		f.pos = append(f.pos, make([]float64, points))
 	}
+	f.cols = sampling.NewColumns(len(f.pos), rule, false)
 	return f
 }
 
-// add folds one checked partial, whose i-th CPI belongs at positions[i],
-// and reports whether the run is over: the rule fired on the merged
-// estimate (any prefix of a shuffled library is a valid sub-sample, §6.1,
-// so completion order is as good as read order) or every position is in.
+// add folds one checked partial, whose i-th CPIs belong at positions[i],
+// and reports whether the run is over: the rule fired on the merged fold
+// (any prefix of a shuffled library is a valid sub-sample, §6.1, so
+// completion order is as good as read order) or every position is in.
 func (f *fold) add(positions []int, p *Partial) (over bool) {
 	r := &f.res
 	r.Processed += len(positions)
@@ -48,56 +49,42 @@ func (f *fold) add(positions []int, p *Partial) (over bool) {
 	r.LoadTime += time.Duration(p.LoadMillis) * time.Millisecond
 	r.SimTime += time.Duration(p.SimMillis) * time.Millisecond
 
-	if f.matched {
-		var part sampling.MatchedPair
-		for i, pos := range positions {
-			f.cols[0][pos], f.cols[1][pos] = p.BaseCPIs[i], p.ExpCPIs[i]
-			part.Add(p.BaseCPIs[i], p.ExpCPIs[i])
+	in := p.columns(len(f.pos))
+	part := sampling.NewColumns(len(f.pos), sampling.Rule{}, false)
+	row := make([]float64, len(f.pos))
+	for i, pos := range positions {
+		for j, col := range in {
+			row[j] = (*col)[i]
+			f.pos[j][pos] = row[j]
 		}
-		r.MP.Merge(part)
-		r.Stopped, r.StoppedNoImpact = f.rule.StopPair(&r.MP)
-	} else {
-		var part sampling.Estimate
-		for i, pos := range positions {
-			f.cols[0][pos] = p.CPIs[i]
-			part.Add(p.CPIs[i])
-		}
-		r.Est.Merge(part)
-		r.Stopped = f.rule.Stop(&r.Est)
+		part.Add(row...)
 	}
-	return r.Stopped || r.Processed == len(f.cols[0])
+	r.Stopped, r.StoppedNoImpact = f.cols.Merge(part)
+	return r.Stopped || r.Processed == len(f.pos[0])
 }
 
-// seal ends the run. A run that covered the whole library refolds its
-// columns in read order: the same float operations in the same order as a
-// serial local run, whatever order the partials arrived in, so the result
-// is bit-equal to RunFile's. A stopped run keeps the merge it stopped on.
+// seal ends the run and copies its fold into the result: Est for one
+// column, MP for two. A run that covered the whole library first refolds
+// its columns in read order: the same float operations in the same order
+// as a serial local run, whatever order the partials arrived in, so the
+// result is bit-equal to RunFile's. A stopped run keeps the merge it
+// stopped on.
 func (f *fold) seal() {
-	if f.res.Stopped {
-		return
-	}
-	f.res.Est, f.res.MP = sampling.Estimate{}, sampling.MatchedPair{}
-	for pos, v := range f.cols[0] {
-		if f.matched {
-			f.res.MP.Add(v, f.cols[1][pos])
-		} else {
-			f.res.Est.Add(v)
+	if !f.res.Stopped {
+		f.cols = sampling.NewColumns(len(f.pos), f.cols.Rule(), false)
+		row := make([]float64, len(f.pos))
+		for i := range f.pos[0] {
+			for j, col := range f.pos {
+				row[j] = col[i]
+			}
+			f.cols.Add(row...)
 		}
 	}
-}
-
-// relCI is the live stopping-rule signal: the relative confidence
-// half-width of what has been folded so far — for a matched run the delta's
-// half-width against the baseline mean, the §6.2 yardstick. It is 0 until
-// there is a mean to measure against.
-func (f *fold) relCI() float64 {
-	if f.matched {
-		if f.res.MP.Base.Mean() == 0 {
-			return 0
-		}
-		return finite(f.res.MP.DeltaCI(f.rule.Z) / math.Abs(f.res.MP.Base.Mean()))
+	if len(f.pos) == 1 {
+		f.res.Est = *f.cols.Estimate()
+	} else {
+		f.res.MP = *f.cols.Pair(1)
 	}
-	return finite(f.res.Est.RelCI(f.rule.Z))
 }
 
 // render writes the fold's share of a run snapshot. The estimate is live
@@ -106,15 +93,16 @@ func (f *fold) relCI() float64 {
 func (f *fold) render(st *RunState) {
 	r := &f.res
 	st.Done, st.N = r.Processed, r.Processed
-	if f.matched {
-		st.BaseMean = finite(r.MP.Base.Mean())
-		st.ExpMean = finite(r.MP.Exp.Mean())
-		st.RelDelta = finite(r.MP.RelDelta())
-		st.DeltaCI = finite(r.MP.DeltaCI(f.rule.Z))
+	if len(f.pos) == 1 {
+		st.Mean = finite(f.cols.Estimate().Mean())
 	} else {
-		st.Mean = finite(r.Est.Mean())
+		mp := f.cols.Pair(1)
+		st.BaseMean = finite(mp.Base.Mean())
+		st.ExpMean = finite(mp.Exp.Mean())
+		st.RelDelta = finite(mp.RelDelta())
+		st.DeltaCI = finite(mp.DeltaCI(f.cols.Rule().Z))
 	}
-	st.RelCI = f.relCI()
+	st.RelCI = finite(f.cols.RelCI())
 	st.Stopped, st.StoppedNoImpact = r.Stopped, r.StoppedNoImpact
 	st.UnknownFetches, st.UnknownLoads, st.CaptureErrors = r.UnknownFetches, r.UnknownLoads, r.CaptureErrors
 	st.LoadMillis, st.SimMillis = r.LoadTime.Milliseconds(), r.SimTime.Milliseconds()

@@ -154,25 +154,26 @@ func TestResultAndReplayLeaveTheSameFold(t *testing.T) {
 	}
 }
 
-// TestPartialCheck: the one input check, on both sides of each bound.
+// TestPartialCheck: the one input check, on both sides of each bound, for
+// one column and for two.
 func TestPartialCheck(t *testing.T) {
 	ok := []float64{1, 0.25, 1e-300, maxCPI}
-	if err := (&Partial{CPIs: ok}).check(false, len(ok)); err != nil {
+	if err := (&Partial{CPIs: ok}).check(1, len(ok)); err != nil {
 		t.Errorf("believable CPIs refused: %v", err)
 	}
-	if err := (&Partial{BaseCPIs: ok, ExpCPIs: ok}).check(true, len(ok)); err != nil {
+	if err := (&Partial{BaseCPIs: ok, ExpCPIs: ok}).check(2, len(ok)); err != nil {
 		t.Errorf("believable pairs refused: %v", err)
 	}
 	for _, bad := range []float64{0, -3, 2 * maxCPI, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
 		cpis := []float64{1, bad, 1}
-		if (&Partial{CPIs: cpis}).check(false, 3) == nil ||
-			(&Partial{BaseCPIs: cpis, ExpCPIs: ok[:3]}).check(true, 3) == nil ||
-			(&Partial{BaseCPIs: ok[:3], ExpCPIs: cpis}).check(true, 3) == nil {
+		if (&Partial{CPIs: cpis}).check(1, 3) == nil ||
+			(&Partial{BaseCPIs: cpis, ExpCPIs: ok[:3]}).check(2, 3) == nil ||
+			(&Partial{BaseCPIs: ok[:3], ExpCPIs: cpis}).check(2, 3) == nil {
 			t.Errorf("CPI %v accepted", bad)
 		}
 	}
-	if (&Partial{CPIs: ok}).check(false, len(ok)+1) == nil || (&Partial{CPIs: ok}).check(true, len(ok)) == nil ||
-		(&Partial{BaseCPIs: ok, ExpCPIs: ok[:1]}).check(true, len(ok)) == nil {
+	if (&Partial{CPIs: ok}).check(1, len(ok)+1) == nil || (&Partial{CPIs: ok}).check(2, len(ok)) == nil ||
+		(&Partial{BaseCPIs: ok, ExpCPIs: ok[:1]}).check(2, len(ok)) == nil {
 		t.Error("a column of the wrong length accepted")
 	}
 }

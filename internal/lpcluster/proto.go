@@ -23,6 +23,7 @@
 package lpcluster
 
 import (
+	"flag"
 	"fmt"
 	"time"
 
@@ -52,7 +53,7 @@ type RunSpec struct {
 	Z      float64 `json:"z"`      // confidence quantile (default sampling.Z997)
 	RelErr float64 `json:"relErr"` // online stopping target; 0 = whole library
 
-	// Matched-mode experimental overrides, mirroring lpsim's flags.
+	// Matched-mode experimental overrides (SpecFlags' -memlat -l2kb -ruu).
 	MemLat int `json:"memLat,omitempty"` // memory latency (cycles)
 	L2KB   int `json:"l2kb,omitempty"`   // L2 size (KB)
 	RUU    int `json:"ruu,omitempty"`    // RUU entries
@@ -75,19 +76,21 @@ func (s RunSpec) withDefaults() RunSpec {
 	return s
 }
 
-// Configs resolves the spec's baseline and (for matched mode)
-// experimental microarchitectural configurations, refusing a mode or a
-// machine name it does not know and overrides that describe a machine no
-// worker could build.
-func (s RunSpec) Configs() (base, exp uarch.Config, err error) {
+// Configs resolves the spec's k configurations — the baseline, then for
+// matched mode the experimental — refusing a mode or a machine name it
+// does not know and overrides that describe a machine no worker could
+// build.
+func (s RunSpec) Configs() ([]uarch.Config, error) {
 	s = s.withDefaults()
-	if base, err = uarch.ConfigByName(s.Config); err != nil {
-		return base, exp, fmt.Errorf("lpcluster: %w", err)
+	base, err := uarch.ConfigByName(s.Config)
+	if err != nil {
+		return nil, fmt.Errorf("lpcluster: %w", err)
 	}
-	exp = base
 	switch s.Mode {
 	case ModeAbsolute:
+		return []uarch.Config{base}, nil
 	case ModeMatched:
+		exp := base
 		exp.Name = "experimental"
 		if s.MemLat > 0 {
 			exp.Hier.MemLat = s.MemLat
@@ -98,13 +101,12 @@ func (s RunSpec) Configs() (base, exp uarch.Config, err error) {
 		if s.RUU > 0 {
 			exp.RUUSize = s.RUU
 		}
-	default:
-		return base, exp, fmt.Errorf("lpcluster: unknown run mode %q", s.Mode)
+		if err := exp.Validate(); err != nil {
+			return nil, fmt.Errorf("lpcluster: %w", err)
+		}
+		return []uarch.Config{base, exp}, nil
 	}
-	if err := exp.Validate(); err != nil {
-		return base, exp, fmt.Errorf("lpcluster: %w", err)
-	}
-	return base, exp, nil
+	return nil, fmt.Errorf("lpcluster: unknown run mode %q", s.Mode)
 }
 
 // Rule returns the spec's stopping rule: the one the local runners stop
@@ -116,6 +118,29 @@ func (s RunSpec) Rule() sampling.Rule {
 		rule.NoImpact = s.NoImpactThreshold
 	}
 	return rule
+}
+
+// SpecFlags registers -config -err -matched -memlat -l2kb -ruu on fs, for
+// lpsim and lpserved -cluster alike, and returns the RunSpec builder to
+// call once fs is parsed. Its one policy, kept out of Rule so journals
+// keep their meaning: a matched run targets ±err/2 on the delta and
+// screens at ±err, and -err 0 is the whole library.
+func SpecFlags(fs *flag.FlagSet, defaultErr float64) func() RunSpec {
+	config := fs.String("config", "8way", "simulated configuration: 8way or 16way")
+	relErr := fs.Float64("err", defaultErr, "relative error target; a matched run targets err/2 on the delta and screens for no impact at ±err (0 = whole library)")
+	matched := fs.Bool("matched", false, "matched-pair comparison against a modified configuration")
+	memLat := fs.Int("memlat", 0, "matched: override memory latency (cycles)")
+	l2KB := fs.Int("l2kb", 0, "matched: override L2 size (KB, must be within library max)")
+	ruu := fs.Int("ruu", 0, "matched: override RUU size")
+	return func() RunSpec {
+		spec := RunSpec{Config: *config, RelErr: *relErr}
+		if *matched {
+			spec.Mode = ModeMatched
+			spec.RelErr, spec.NoImpactThreshold = *relErr/2, *relErr
+			spec.MemLat, spec.L2KB, spec.RUU = *memLat, *l2KB, *ruu
+		}
+		return spec
+	}
 }
 
 // LeaseRequest asks the coordinator for work.
@@ -202,20 +227,25 @@ type Partial struct {
 // and it commits at least one instruction.
 const maxCPI = 1 << 64
 
-// check is the one test a partial passes before it is journaled or folded,
-// whether a worker posted it or a journal held it: the mode's columns have
-// one CPI for each of the lease's n points, and none is zero, negative,
-// NaN, or too large to believe (or to square into a variance).
-func (p *Partial) check(matched bool, n int) error {
-	cols := [][]float64{p.CPIs}
-	if matched {
-		cols = [][]float64{p.BaseCPIs, p.ExpCPIs}
+// columns maps a run's k CPI columns to their wire names: cpis, or
+// baseCpis and expCpis.
+func (p *Partial) columns(k int) []*[]float64 {
+	if k == 1 {
+		return []*[]float64{&p.CPIs}
 	}
-	for _, col := range cols {
-		if len(col) != n {
-			return fmt.Errorf("got %d CPIs for %d points", len(col), n)
+	return []*[]float64{&p.BaseCPIs, &p.ExpCPIs}
+}
+
+// check is the one test a partial passes before it is journaled or folded,
+// whether a worker posted it or a journal held it: each of the run's k
+// columns has one CPI for each of the lease's n points, and none is zero,
+// negative, NaN, or too large to believe (or to square into a variance).
+func (p *Partial) check(k, n int) error {
+	for _, col := range p.columns(k) {
+		if len(*col) != n {
+			return fmt.Errorf("got %d CPIs for %d points", len(*col), n)
 		}
-		for _, v := range col {
+		for _, v := range *col {
 			if !(v > 0 && v <= maxCPI) {
 				return fmt.Errorf("CPI %v is not a positive cycle count per instruction", v)
 			}

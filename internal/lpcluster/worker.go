@@ -55,10 +55,8 @@ type Worker struct {
 	// sleeping.
 	ReconnectBase, ReconnectCap time.Duration
 
-	cl      *lpserve.Client
-	base    uarch.Config
-	exp     uarch.Config
-	matched bool
+	cl   *lpserve.Client
+	cfgs []uarch.Config
 
 	draining atomic.Bool
 
@@ -141,11 +139,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			return fmt.Errorf("lpcluster: worker %s: fetching run spec: %w", w.ID, err)
 		}
 		outage = 0
-		base, exp, err := state.Spec.Configs()
+		cfgs, err := state.Spec.Configs()
 		if err != nil {
 			return fmt.Errorf("lpcluster: worker %s: %w", w.ID, err)
 		}
-		w.base, w.exp, w.matched = base, exp, state.Spec.Mode == ModeMatched
+		w.cfgs = cfgs
 
 		err = w.pull(ctx)
 		if err == nil {
@@ -278,15 +276,13 @@ func (w *Worker) simulate(ctx context.Context, l *Lease) (*Result, error) {
 	}
 	fetch := time.Since(t0)
 
-	res := &Result{LeaseID: l.ID, Epoch: l.Epoch, Worker: w.ID}
-	var rr *livepoint.RunResult
-	if w.matched {
-		res.BaseCPIs, res.ExpCPIs, rr, err = livepoint.SimBlobsMatched(blobs, w.base, w.exp)
-	} else {
-		res.CPIs, rr, err = livepoint.SimBlobs(blobs, w.base)
-	}
+	cpis, rr, err := livepoint.SimBlobsK(blobs, w.cfgs...)
 	if err != nil {
 		return nil, err
+	}
+	res := &Result{LeaseID: l.ID, Epoch: l.Epoch, Worker: w.ID}
+	for j, col := range res.columns(len(cpis)) {
+		*col = cpis[j]
 	}
 	res.UnknownFetches = rr.UnknownFetches
 	res.UnknownLoads = rr.UnknownLoads

@@ -2,57 +2,89 @@ package sampling
 
 import "math"
 
-// OnlineEstimator implements the paper's random-order online reporting
-// (§6.1): as shuffled live-points are processed, the points seen so far
-// form an unbiased sub-sample, so the running estimate and its confidence
-// are valid at every step. Simulation can stop as soon as the target is
-// met (never before MinSampleSize observations).
-type OnlineEstimator struct {
+// Columns folds k ≥ 1 observations a point, one per configuration. Column
+// 0 folds into an Estimate (§6.1) and each column j ≥ 1 with column 0 into
+// a MatchedPair (§6.2), through their own Add and Merge, so k = 1 is
+// bit-equal to an Estimate and k = 2 to a MatchedPair. Over a shuffled
+// library the points folded so far are an unbiased sub-sample (§6.1), so
+// the fold is valid at every step; it carries the run's stopping rule,
+// asked after every Add and Merge.
+type Columns struct {
 	est     Estimate
+	pairs   []MatchedPair // pairs[j-1]: column j against column 0
 	rule    Rule
-	history []Snapshot
 	keep    bool
+	history []Snapshot
 }
 
 // Snapshot is the state of the running estimate after one observation,
 // retained when history recording is enabled (for convergence plots).
 type Snapshot struct {
-	N      int
-	Mean   float64
-	RelCI  float64
-	Target float64
+	N     int
+	Mean  float64
+	RelCI float64
 }
 
-// NewOnline returns an online estimator targeting the given relative error
-// at confidence z; with relErr <= 0 it has no target and is never satisfied.
-func NewOnline(z, relErr float64, recordHistory bool) *OnlineEstimator {
-	return &OnlineEstimator{rule: Rule{Z: z, RelErr: relErr}, keep: recordHistory}
+// NewColumns returns an empty k-column fold under rule, recording a
+// Snapshot per Add if asked.
+func NewColumns(k int, rule Rule, recordHistory bool) *Columns {
+	return &Columns{pairs: make([]MatchedPair, k-1), rule: rule, keep: recordHistory}
 }
 
-// Add folds in one observation and reports whether the confidence target
-// is now satisfied (simulation may stop).
-func (o *OnlineEstimator) Add(x float64) (satisfied bool) {
-	o.est.Add(x)
-	if o.keep {
-		o.history = append(o.history, Snapshot{
-			N:      o.est.N(),
-			Mean:   o.est.Mean(),
-			RelCI:  o.est.RelCI(o.rule.Z),
-			Target: o.rule.RelErr,
-		})
+// NewOnline returns a one-column fold targeting the given relative error at
+// confidence z; with relErr <= 0 it has no target and never stops.
+func NewOnline(z, relErr float64, recordHistory bool) *Columns {
+	return NewColumns(1, Rule{Z: z, RelErr: relErr}, recordHistory)
+}
+
+// Add folds in one point's k observations and returns the rule's verdict.
+func (c *Columns) Add(xs ...float64) (stop, noImpact bool) {
+	c.est.Add(xs[0])
+	for j := range c.pairs {
+		c.pairs[j].Add(xs[0], xs[j+1])
 	}
-	return o.Satisfied()
+	if c.keep {
+		c.history = append(c.history, Snapshot{c.est.N(), c.est.Mean(), c.RelCI()})
+	}
+	return c.rule.Stop(c)
 }
 
-// Satisfied reports whether the confidence target is met.
-func (o *OnlineEstimator) Satisfied() bool { return o.rule.Stop(&o.est) }
+// Merge folds another k-column fold into c (see Estimate.Merge) and
+// returns the rule's verdict.
+func (c *Columns) Merge(other *Columns) (stop, noImpact bool) {
+	c.est.Merge(other.est)
+	for j := range c.pairs {
+		c.pairs[j].Merge(other.pairs[j])
+	}
+	return c.rule.Stop(c)
+}
 
-// Estimate returns the current running estimate.
-func (o *OnlineEstimator) Estimate() *Estimate { return &o.est }
+// Estimate returns column 0's running estimate.
+func (c *Columns) Estimate() *Estimate { return &c.est }
+
+// Pair returns column j's comparison against column 0, for 1 ≤ j < k.
+func (c *Columns) Pair(j int) *MatchedPair { return &c.pairs[j-1] }
+
+// Rule returns the stopping rule the fold is judged by.
+func (c *Columns) Rule() Rule { return c.rule }
+
+// RelCI is the live stopping-rule signal at the rule's z: column 0's
+// relative half-width, or with k > 1 the widest RelDeltaCI (+Inf while
+// there is no mean to measure against).
+func (c *Columns) RelCI() float64 {
+	if len(c.pairs) == 0 {
+		return c.est.RelCI(c.rule.Z)
+	}
+	widest := 0.0
+	for j := range c.pairs {
+		widest = math.Max(widest, c.pairs[j].RelDeltaCI(c.rule.Z))
+	}
+	return widest
+}
 
 // History returns the per-observation snapshots (nil unless recording was
 // requested).
-func (o *OnlineEstimator) History() []Snapshot { return o.history }
+func (c *Columns) History() []Snapshot { return c.history }
 
 // MatchedPair accumulates paired observations from a baseline and an
 // experimental configuration measured on the same sample units, building a
@@ -100,16 +132,21 @@ func (mp *MatchedPair) RelDelta() float64 {
 // delta at confidence z.
 func (mp *MatchedPair) DeltaCI(z float64) float64 { return mp.Delta.CIHalfWidth(z) }
 
-// DeltaSatisfied reports whether the delta is known to the given relative
-// error (relative to the baseline mean's magnitude — the natural
-// yardstick when the delta itself may be near zero). The divisor must be
-// |mean|: dividing the (positive) CI half-width by a negative mean would
-// make the comparison vacuously true at N = MinSampleSize.
-func (mp *MatchedPair) DeltaSatisfied(z, relErr float64) bool {
-	if mp.N() < MinSampleSize || mp.Base.Mean() == 0 {
-		return false
+// RelDeltaCI returns the delta's half-width at z relative to the baseline
+// mean's magnitude, the natural yardstick when the delta itself may be
+// near zero (+Inf with no baseline mean). The divisor must be |mean|: a
+// negative one would make every target vacuously met.
+func (mp *MatchedPair) RelDeltaCI(z float64) float64 {
+	if mp.Base.Mean() == 0 {
+		return math.Inf(1)
 	}
-	return mp.DeltaCI(z)/math.Abs(mp.Base.Mean()) <= relErr
+	return mp.DeltaCI(z) / math.Abs(mp.Base.Mean())
+}
+
+// DeltaSatisfied reports whether the delta is known to the given relative
+// error (RelDeltaCI) with at least MinSampleSize pairs.
+func (mp *MatchedPair) DeltaSatisfied(z, relErr float64) bool {
+	return mp.N() >= MinSampleSize && mp.RelDeltaCI(z) <= relErr
 }
 
 // NoImpact reports whether the confidence interval on the delta excludes

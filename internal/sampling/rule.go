@@ -36,18 +36,20 @@ func (r Rule) Check(shuffled bool) error {
 	return nil
 }
 
-// Stop reports whether an absolute estimate meets the rule.
-func (r Rule) Stop(e *Estimate) bool {
-	return r.RelErr > 0 && e.Satisfied(r.Z, r.RelErr)
-}
-
-// StopPair reports whether a matched-pair comparison meets the rule, and
-// whether it was the no-impact screen that did. The screen is asked first:
-// a delta confidently within ±NoImpact is the §6.2 fast exit even when the
-// interval is also narrow enough for the precision target.
-func (r Rule) StopPair(mp *MatchedPair) (stop, noImpact bool) {
-	if r.NoImpact > 0 && mp.NoImpact(r.Z, r.NoImpact) {
-		return true, true
+// Stop reports whether a fold meets the rule, and whether the no-impact
+// screen did. One column is judged by its estimate's precision; more by
+// every comparison with column 0, each asked the screen first (a delta
+// confidently within ±NoImpact is the §6.2 fast exit even when the
+// interval also meets the precision target).
+func (r Rule) Stop(c *Columns) (stop, noImpact bool) {
+	if len(c.pairs) == 0 {
+		return r.RelErr > 0 && c.est.Satisfied(r.Z, r.RelErr), false
 	}
-	return r.RelErr > 0 && mp.DeltaSatisfied(r.Z, r.RelErr), false
+	stop, noImpact = true, true
+	for _, mp := range c.pairs {
+		screened := r.NoImpact > 0 && mp.NoImpact(r.Z, r.NoImpact)
+		stop = stop && (screened || r.RelErr > 0 && mp.DeltaSatisfied(r.Z, r.RelErr))
+		noImpact = noImpact && screened
+	}
+	return stop, noImpact
 }

@@ -268,7 +268,14 @@ func TestOnlineEstimatorStopsAtTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	o := NewOnline(Z997, 0.05, true)
 	n := 0
-	for !o.Add(rng.NormFloat64()*0.1 + 1.0) {
+	for {
+		stop, noImpact := o.Add(rng.NormFloat64()*0.1 + 1.0)
+		if noImpact {
+			t.Fatal("a one-column fold reported the no-impact screen")
+		}
+		if stop {
+			break
+		}
 		n++
 		if n > 100_000 {
 			t.Fatal("never satisfied")
@@ -279,6 +286,52 @@ func TestOnlineEstimatorStopsAtTarget(t *testing.T) {
 	}
 	if got := len(o.History()); got != o.Estimate().N() {
 		t.Fatalf("history %d entries, want %d", got, o.Estimate().N())
+	}
+}
+
+// TestColumnsQuickMatchesIndependentFolds: k columns fold, serially and
+// split then merged, to the last bit of an Estimate of column 0 and a
+// MatchedPair of each later column against it, folded the same way.
+func TestColumnsQuickMatchesIndependentFolds(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k, n := 1+rng.Intn(3), 1+rng.Intn(300)
+		split := rng.Intn(n + 1)
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = make([]float64, k)
+			for j := range rows[i] {
+				rows[i][j] = rng.NormFloat64()*0.3 + 1 + 0.1*float64(j)
+			}
+		}
+		serial, left, right := NewColumns(k, Rule{}, false), NewColumns(k, Rule{}, false), NewColumns(k, Rule{}, false)
+		var est, estL, estR Estimate
+		pairs, pairsL, pairsR := make([]MatchedPair, k), make([]MatchedPair, k), make([]MatchedPair, k)
+		for i, row := range rows {
+			serial.Add(row...)
+			est.Add(row[0])
+			half, halfEst, halfPairs := left, &estL, pairsL
+			if i >= split {
+				half, halfEst, halfPairs = right, &estR, pairsR
+			}
+			half.Add(row...)
+			halfEst.Add(row[0])
+			for j := 1; j < k; j++ {
+				pairs[j].Add(row[0], row[j])
+				halfPairs[j].Add(row[0], row[j])
+			}
+		}
+		left.Merge(right)
+		estL.Merge(estR)
+		ok := *serial.Estimate() == est && *left.Estimate() == estL
+		for j := 1; j < k; j++ {
+			pairsL[j].Merge(pairsR[j])
+			ok = ok && *serial.Pair(j) == pairs[j] && *left.Pair(j) == pairsL[j]
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -387,65 +440,64 @@ func TestMatchedPairNegativeBaseline(t *testing.T) {
 // TestRule walks the stopping rule through the corners where a looser
 // statement of it has gone wrong before: the CLT floor, a mean of zero, a
 // negative baseline (the yardstick is its magnitude), a rule that is off,
-// and the order of the two matched-pair exits.
+// the order of the two matched-pair exits, and a third column that must
+// meet the rule as well.
 func TestRule(t *testing.T) {
-	constant := func(n int, v float64) *Estimate {
-		var e Estimate
+	constant := func(n int, v float64) *Columns {
+		c := NewColumns(1, Rule{}, false)
 		for i := 0; i < n; i++ {
-			e.Add(v)
+			c.Add(v)
 		}
-		return &e
+		return c
 	}
-	// pairs of a baseline around base whose delta is d ± noise.
-	pairs := func(n int, base, d, noise float64) *MatchedPair {
+	// pairs of a baseline around base whose deltas are d ± noise, one
+	// experimental column per delta.
+	pairs := func(n int, base, noise float64, d ...float64) *Columns {
 		rng := rand.New(rand.NewSource(17))
-		var mp MatchedPair
+		c := NewColumns(1+len(d), Rule{}, false)
+		row := make([]float64, 1+len(d))
 		for i := 0; i < n; i++ {
-			b := base * (1 + 0.1*rng.NormFloat64())
-			mp.Add(b, b+d+noise*rng.NormFloat64())
+			row[0] = base * (1 + 0.1*rng.NormFloat64())
+			for j, dj := range d {
+				row[1+j] = row[0] + dj + noise*rng.NormFloat64()
+			}
+			c.Add(row...)
 		}
-		return &mp
+		return c
 	}
 	target, screen := Rule{Z: Z997, RelErr: 0.05}, Rule{Z: Z997, NoImpact: 0.03}
 	both := Rule{Z: Z997, RelErr: 0.05, NoImpact: 0.03}
 
 	for _, tc := range []struct {
-		name string
-		rule Rule
-		est  *Estimate
-		want bool
-	}{
-		{"one short of the CLT floor", target, constant(MinSampleSize-1, 1), false},
-		{"zero variance at the floor", target, constant(MinSampleSize, 1), true},
-		{"zero mean has no relative error", target, constant(100, 0), false},
-		{"negative mean, by magnitude", target, constant(100, -1), true},
-		{"no target never stops", Rule{Z: Z997}, constant(100, 1), false},
-		{"the screen is not an absolute rule", screen, constant(100, 1), false},
-	} {
-		if got := tc.rule.Stop(tc.est); got != tc.want {
-			t.Errorf("Stop, %s: %v, want %v", tc.name, got, tc.want)
-		}
-	}
-
-	for _, tc := range []struct {
 		name           string
 		rule           Rule
-		mp             *MatchedPair
+		cols           *Columns
 		stop, noImpact bool
 	}{
+		{"one short of the CLT floor", target, constant(MinSampleSize-1, 1), false, false},
+		{"zero variance at the floor", target, constant(MinSampleSize, 1), true, false},
+		{"zero mean has no relative error", target, constant(100, 0), false, false},
+		{"negative mean, by magnitude", target, constant(100, -1), true, false},
+		{"no target never stops", Rule{Z: Z997}, constant(100, 1), false, false},
+		{"the screen is not an absolute rule", screen, constant(100, 1), false, false},
+
 		{"one pair short of the CLT floor", both, pairs(MinSampleSize-1, 1, 0, 0), false, false},
-		{"negligible delta: the screen, asked first", both, pairs(100, 1, 0, 0.001), true, true},
-		{"negligible delta, no screen: the target", target, pairs(100, 1, 0, 0.001), true, false},
-		{"tight 50% delta: the target, not the screen", both, pairs(100, 1, 0.5, 0.001), true, false},
-		{"tight 50% delta, screen alone", screen, pairs(100, 1, 0.5, 0.001), false, false},
-		{"noisy delta", both, pairs(100, 1, 0, 2), false, false},
-		{"noisy delta, negative baseline", both, pairs(100, -1, 0, 2), false, false},
-		{"negligible delta, negative baseline", both, pairs(100, -1, 0, 0.001), true, true},
-		{"zero baseline has no yardstick", both, pairs(100, 0, 0, 0.001), false, false},
+		{"negligible delta: the screen, asked first", both, pairs(100, 1, 0.001, 0), true, true},
+		{"negligible delta, no screen: the target", target, pairs(100, 1, 0.001, 0), true, false},
+		{"tight 50% delta: the target, not the screen", both, pairs(100, 1, 0.001, 0.5), true, false},
+		{"tight 50% delta, screen alone", screen, pairs(100, 1, 0.001, 0.5), false, false},
+		{"noisy delta", both, pairs(100, 1, 2, 0), false, false},
+		{"noisy delta, negative baseline", both, pairs(100, -1, 2, 0), false, false},
+		{"negligible delta, negative baseline", both, pairs(100, -1, 0.001, 0), true, true},
+		{"zero baseline has no yardstick", both, pairs(100, 0, 0.001, 0), false, false},
 		{"no rule never stops", Rule{Z: Z997}, pairs(100, 1, 0, 0), false, false},
+
+		{"two negligible deltas: the screen", both, pairs(100, 1, 0.001, 0, 0), true, true},
+		{"one negligible, one tight 50% delta: the target", both, pairs(100, 1, 0.001, 0, 0.5), true, false},
+		{"one comparison short of the screen", screen, pairs(100, 1, 0.001, 0, 0.5), false, false},
 	} {
-		if stop, noImpact := tc.rule.StopPair(tc.mp); stop != tc.stop || noImpact != tc.noImpact {
-			t.Errorf("StopPair, %s: (%v, %v), want (%v, %v)", tc.name, stop, noImpact, tc.stop, tc.noImpact)
+		if stop, noImpact := tc.rule.Stop(tc.cols); stop != tc.stop || noImpact != tc.noImpact {
+			t.Errorf("Stop, %s: (%v, %v), want (%v, %v)", tc.name, stop, noImpact, tc.stop, tc.noImpact)
 		}
 	}
 

@@ -7,105 +7,224 @@ import (
 	"livepoints/internal/obs"
 )
 
-// shardCacheBudget bounds the inflated shard bytes one store keeps for
-// random access, and how many shards one of its sources holds at once.
-// 256 MiB holds a whole syn.gcc library at nominal length (~104 MB): a
-// 64-point batch of an index-reshuffled store touches nearly every shard,
-// so anything that cannot hold the library inflates most of it again for
-// every batch.
+// shardCacheBudget bounds the inflated shard bytes one store keeps: past
+// it, shards no reader holds are evicted. 256 MiB holds a whole syn.gcc
+// library at nominal length (~104 MB): a 64-point batch of an
+// index-reshuffled store touches nearly every shard, so anything that
+// cannot hold the library inflates most of it again for every batch.
 const shardCacheBudget = 256 << 20
 
-// Shared-cache instrumentation (exposed on lpserve's GET /metrics, which
-// renders obs.Default). A serving store that keeps missing is either
-// larger than the budget or being read by more stores than it should be.
+// Shard table instrumentation (exposed on lpserve's GET /metrics, which
+// renders obs.Default). Every reader of a store looks its shards up in the
+// table: a serving store that keeps missing is either larger than the
+// budget or being read by more stores than it should be.
 var (
-	mShardCacheHits      = obs.Default.Counter("lpstore_shard_cache_hits_total", "Shard lookups served from a store's shared inflated-shard cache, including waits on an inflate already under way.")
-	mShardCacheMisses    = obs.Default.Counter("lpstore_shard_cache_misses_total", "Shards inflated and verified into a store's shared inflated-shard cache.")
-	mShardCacheEvictions = obs.Default.Counter("lpstore_shard_cache_evictions_total", "Inflated shards dropped from a store's shared cache to stay within its byte budget.")
-	mShardCacheBytes     = obs.Default.Gauge("lpstore_shard_cache_bytes", "Inflated shard bytes held by the shared caches of open stores.")
+	mShardCacheHits      = obs.Default.Counter("lpstore_shard_cache_hits_total", "Shard lookups served from a store's table of inflated shards, including waits on an inflate already under way.")
+	mShardCacheMisses    = obs.Default.Counter("lpstore_shard_cache_misses_total", "Shards inflated and verified into a store's table of inflated shards.")
+	mShardCacheEvictions = obs.Default.Counter("lpstore_shard_cache_evictions_total", "Inflated shards no reader held, dropped from a store's table to stay within its byte budget.")
+	mShardCacheBytes     = obs.Default.Gauge("lpstore_shard_cache_bytes", "Inflated shard bytes held by the tables of open stores.")
 )
 
-// sharedShards is a store's cache of verified, inflated shards, shared by
-// every random-access reader (Blobs, so PointBlob and lpserve's
-// /v1/points). It evicts least recently used shards past its byte budget,
-// keeping at least the newest even when one shard alone exceeds it.
+// shardTable is a store's one table of verified, inflated shards. Every
+// reader the store hands out — Blobs (so PointBlob and lpserve's
+// /v1/points), its sources and their shard sources — acquires a shard here
+// and releases it when it has finished with it, and this file alone
+// decides where a shard's buffer goes then:
 //
-// What it hands out is shared and must not be written. It stays valid
-// for as long as a reader holds it: an evicted shard's memory goes to the
-// collector, never back to shardBufs, so a handler still writing a batch
-// is never overwritten under it.
-type sharedShards struct {
+//   - a shard someone holds stays, and is never written again;
+//   - a shard whose reader will not read it again (a source past the
+//     shard's last read position, a closed shard source) goes, if no one
+//     else holds it, and its buffer back to shardBufs for the next
+//     inflate: a creation-order walk holds one shard in one recycled
+//     buffer at a time;
+//   - other shards no one holds stay within the byte budget, least
+//     recently used evicted first (the newest stays even when it alone
+//     exceeds the budget), and eviction recycles the buffer too;
+//   - a shard Blobs ever handed out belongs to the collector: evicted or
+//     dropped at Close it is never recycled, so Blobs' slices stay valid.
+//
+// What a reader gets is shared and must not be written.
+type shardTable struct {
 	mu     sync.Mutex
 	budget int64 // shardCacheBudget; tests lower it
 	bytes  int64
-	m      map[int]*cachedShard
-	lru    list.List // of *cachedShard, most recent first; inflates under way are not on it
+	m      map[int]*tableShard
+	lru    list.List // of *tableShard no one holds, most recent first
 	closed bool
 }
 
-// cachedShard is one shard in the cache, or being inflated into it.
-type cachedShard struct {
+// tableShard is one shard in the table, or being inflated into it.
+type tableShard struct {
 	shard int
 	data  []byte
 	err   error
 	ready chan struct{} // closed once data or err is set
-	elem  *list.Element
+	refs  int
+	blobs bool          // handed out by Blobs: the collector's, never recycled
+	elem  *list.Element // on the lru while refs is 0
 }
 
-// get returns shard s inflated and verified. Concurrent misses on one
-// shard inflate it once; the others wait for that result. A failed
-// inflate is returned to everyone waiting on it and never cached, so the
-// next call tries, and fails, again.
-func (c *sharedShards) get(st *Store, s int) ([]byte, error) {
-	c.mu.Lock()
-	if e, ok := c.m[s]; ok {
+// acquire returns shard s inflated and verified, and counts a reference
+// the caller gives back with release. blobs marks it as handed out by
+// Blobs. Concurrent misses on one shard inflate it once; the others wait
+// for that result. A failed inflate is returned to everyone waiting on it,
+// holds no reference and is never cached, so the next call tries, and
+// fails, again.
+func (t *shardTable) acquire(st *Store, s int, blobs bool) (*tableShard, error) {
+	t.mu.Lock()
+	if e, ok := t.m[s]; ok {
+		e.refs++
+		e.blobs = e.blobs || blobs
 		if e.elem != nil {
-			c.lru.MoveToFront(e.elem)
+			t.lru.Remove(e.elem)
+			e.elem = nil
 		}
-		c.mu.Unlock()
+		t.mu.Unlock()
 		mShardCacheHits.Inc()
 		<-e.ready
-		return e.data, e.err
+		return e, e.err
 	}
-	if c.m == nil {
-		c.m = make(map[int]*cachedShard)
+	e := &tableShard{shard: s, refs: 1, blobs: blobs, ready: make(chan struct{})}
+	if !t.closed {
+		if t.m == nil {
+			t.m = make(map[int]*tableShard)
+		}
+		t.m[s] = e
 	}
-	e := &cachedShard{shard: s, ready: make(chan struct{})}
-	c.m[s] = e
-	c.mu.Unlock()
+	t.mu.Unlock()
 
 	mShardCacheMisses.Inc()
-	e.data, e.err = st.inflateShard(s, nil)
+	var buf []byte
+	if !blobs {
+		buf = takeShardBuf(st.longestShard())
+	}
+	e.data, e.err = st.inflateShard(s, buf)
 
-	c.mu.Lock()
-	if e.err != nil || c.closed {
-		if c.m[s] == e {
-			delete(c.m, s)
+	t.mu.Lock()
+	if t.m[s] == e {
+		if e.err != nil {
+			delete(t.m, s)
+		} else {
+			t.bytes += int64(len(e.data))
+			mShardCacheBytes.Add(float64(len(e.data)))
 		}
-	} else {
-		e.elem = c.lru.PushFront(e)
-		c.bytes += int64(len(e.data))
-		mShardCacheBytes.Add(float64(len(e.data)))
-		for c.bytes > c.budget && c.lru.Len() > 1 {
-			old := c.lru.Remove(c.lru.Back()).(*cachedShard)
-			delete(c.m, old.shard)
-			c.bytes -= int64(len(old.data))
-			mShardCacheBytes.Add(-float64(len(old.data)))
+	}
+	t.mu.Unlock()
+	close(e.ready)
+	if e.err != nil {
+		releaseShardBuf(buf)
+		return nil, e.err
+	}
+	return e, nil
+}
+
+// release drops a reference acquire counted. done says the caller will not
+// read the shard again.
+func (t *shardTable) release(e *tableShard, done bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e.refs--; e.refs > 0 {
+		return
+	}
+	switch {
+	case t.m[e.shard] != e: // dropped by Close while held
+		if !e.blobs {
+			releaseShardBuf(e.data)
+		}
+	case done && !e.blobs:
+		t.drop(e)
+	default:
+		e.elem = t.lru.PushFront(e)
+		for t.bytes > t.budget && t.lru.Len() > 1 {
+			old := t.lru.Remove(t.lru.Back()).(*tableShard)
+			old.elem = nil
+			t.drop(old)
 			mShardCacheEvictions.Inc()
 		}
 	}
-	c.mu.Unlock()
-	close(e.ready)
-	return e.data, e.err
 }
 
-// close drops every cached shard; nothing is cached after it.
-func (c *sharedShards) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	mShardCacheBytes.Add(-float64(c.bytes))
-	c.bytes = 0
-	c.m = nil
-	c.lru.Init()
+// drop takes a shard no one holds out of the table and recycles its buffer
+// unless Blobs handed it out.
+func (t *shardTable) drop(e *tableShard) {
+	delete(t.m, e.shard)
+	t.bytes -= int64(len(e.data))
+	mShardCacheBytes.Add(-float64(len(e.data)))
+	if !e.blobs {
+		releaseShardBuf(e.data)
+	}
+}
+
+// close empties the table; nothing is cached after it. A shard still held
+// stays valid for its holder and is recycled when released.
+func (t *shardTable) close() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
+	for e := t.lru.Front(); e != nil; e = e.Next() {
+		if sh := e.Value.(*tableShard); !sh.blobs {
+			releaseShardBuf(sh.data)
+		}
+	}
+	mShardCacheBytes.Add(-float64(t.bytes))
+	t.bytes = 0
+	t.m = nil
+	t.lru.Init()
+}
+
+// shardBufs is the free list behind the table's buffers. A shard is
+// megabytes, and a fresh buffer for each is zeroing, page faults and
+// collector cycles that a run repeats for every shard it reads and that
+// cost a different amount every time; recycled, a run's load stage
+// touches the same warm memory shard after shard and run after run. The
+// list is process-wide, so the buffers outlive the store (RunFile opens a
+// new one every pass); it is bounded and, unlike a sync.Pool, survives
+// collections: what it pins is at most maxFreeShardBufs shards of the
+// largest store read. Buffers the public DecompressShard hands out belong
+// to the caller and never come here.
+var shardBufs struct {
+	sync.Mutex
+	free [][]byte
+}
+
+// maxFreeShardBufs covers four loaders; a creation-order serial walk
+// holds one buffer at a time.
+const maxFreeShardBufs = 4
+
+// takeShardBuf returns a buffer of at least n bytes: the free list's last
+// when that is long enough, else a new one.
+func takeShardBuf(n int64) []byte {
+	var buf []byte
+	shardBufs.Lock()
+	if k := len(shardBufs.free); k > 0 {
+		buf = shardBufs.free[k-1]
+		shardBufs.free[k-1] = nil
+		shardBufs.free = shardBufs.free[:k-1]
+	}
+	shardBufs.Unlock()
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	return buf
+}
+
+func releaseShardBuf(buf []byte) {
+	if cap(buf) == 0 {
+		return
+	}
+	shardBufs.Lock()
+	defer shardBufs.Unlock()
+	if len(shardBufs.free) < maxFreeShardBufs {
+		shardBufs.free = append(shardBufs.free, buf)
+	}
+}
+
+// longestShard returns the largest uncompressed shard length: the size of
+// a buffer that holds any shard of the store.
+func (st *Store) longestShard() int64 {
+	var longest int64
+	for _, sh := range st.shards {
+		longest = max(longest, sh.uncompLen)
+	}
+	return longest
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"livepoints/internal/livepoint"
 )
 
 // reshuffledStore writes n synthetic points in 8-point shards, re-permutes
@@ -167,5 +169,97 @@ func TestBlobsBudgetBelowTwoShards(t *testing.T) {
 	}
 	if mShardCacheEvictions.Value() == evictions {
 		t.Fatal("a cache smaller than two shards never evicted")
+	}
+}
+
+// TestSourceAndBlobsShareShards: a source walk and a Blobs reader of one
+// store, reading each position at once, read one copy of every shard:
+// each shard is inflated once between them, and a position's blob from
+// either is the same memory.
+func TestSourceAndBlobsShareShards(t *testing.T) {
+	st, blobs := reshuffledStore(t, 100)
+	order := st.Order()
+	misses := mShardCacheMisses.Value()
+	src := st.Source()
+	defer src.Close()
+	for i := range st.Count() {
+		var fromSrc, fromBlobs []byte
+		var srcErr, blobsErr error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			fromSrc, srcErr = src.NextBlob()
+		}()
+		go func() {
+			defer wg.Done()
+			var got [][]byte
+			if got, blobsErr = st.Blobs(i, 1); blobsErr == nil {
+				fromBlobs = got[0]
+			}
+		}()
+		wg.Wait()
+		if srcErr != nil || blobsErr != nil {
+			t.Fatalf("read position %d: source: %v, Blobs: %v", i, srcErr, blobsErr)
+		}
+		if !bytes.Equal(fromSrc, blobs[order[i]]) || !bytes.Equal(fromBlobs, blobs[order[i]]) {
+			t.Fatalf("read position %d differs from the written blob", i)
+		}
+		if &fromSrc[0] != &fromBlobs[0] {
+			t.Fatalf("read position %d: the source and Blobs read different copies of its shard", i)
+		}
+	}
+	if got := mShardCacheMisses.Value() - misses; got != uint64(st.NumShards()) {
+		t.Fatalf("%d inflates for %d shards read by a source and Blobs, want one each", got, st.NumShards())
+	}
+}
+
+// TestBlobsOutliveRecycling: slices Blobs handed out stay valid after the
+// table evicts their shards, after Close, and after other stores' sources
+// have cycled buffers through shardBufs: a shard Blobs handed out is never
+// recycled.
+func TestBlobsOutliveRecycling(t *testing.T) {
+	st, _ := reshuffledStore(t, 60)
+	want := inflatedBlobs(t, st)
+	held, err := st.Blobs(0, st.Count())
+	if err != nil {
+		t.Fatal(err)
+	}
+	evictions := mShardCacheEvictions.Value()
+	st.shared.mu.Lock()
+	st.shared.budget = 0
+	st.shared.mu.Unlock()
+	if _, err := st.Blobs(0, 1); err != nil { // its release evicts all but one shard
+		t.Fatal(err)
+	}
+	if got := mShardCacheEvictions.Value() - evictions; got != uint64(st.NumShards()-1) {
+		t.Fatalf("%d evictions under a zero budget, want %d", got, st.NumShards()-1)
+	}
+	st.Close()
+
+	// Smaller shards than st's, so any buffer st gave back would be taken.
+	for range 2 {
+		other, err := Open(writeTestStore(t, synthBlobs(40, 500), 8, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := other.Source()
+		drain(t, src)
+		src.Close()
+		ss := other.Source().(livepoint.ShardedSource)
+		for s := range ss.NumShards() {
+			sub, err := ss.OpenShard(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drain(t, sub)
+			sub.Close()
+		}
+		other.Close()
+	}
+	for i, b := range held {
+		if !bytes.Equal(b, want[i]) {
+			t.Fatalf("read position %d changed after its shard was evicted and its store closed", i)
+		}
 	}
 }

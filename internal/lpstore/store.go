@@ -15,9 +15,8 @@
 // uncompressed stream; and the library read order as a permutation of
 // point ids. That buys:
 //
-//   - O(1) location of any point, and random access that inflates a shard
-//     once per store, into a cache every random-access reader shares
-//     (cache.go);
+//   - O(1) location of any point, and access that inflates a shard once
+//     per store, into a table every reader of the store shares (cache.go);
 //   - index-only shuffling: Shuffle permutes the footer and never touches
 //     point data;
 //   - concurrent reads: shards decompress independently, so parallel
@@ -39,7 +38,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"slices"
 	"sync"
 
 	"livepoints/internal/livepoint"
@@ -109,8 +107,8 @@ type Stat struct {
 
 // Store is an open sharded live-point library. It is safe for concurrent
 // readers: file access uses positioned reads, shared metadata is
-// immutable after Open, and the inflated-shard cache behind Blobs has its
-// own lock.
+// immutable after Open, and the table of inflated shards behind every
+// reader has its own lock.
 type Store struct {
 	path string
 	f    *os.File
@@ -125,7 +123,7 @@ type Store struct {
 	shardOrder     [][]uint32 // per shard: physical ids in read order
 	lastRead       []int      // per shard: the read position of its last point
 
-	shared sharedShards // Blobs' inflated shards (cache.go)
+	shared shardTable // every reader's inflated shards (cache.go)
 }
 
 // Open opens a v2 library file. Any other file is refused with the lpgen
@@ -187,8 +185,8 @@ func openFile(f *os.File, path string) (*Store, error) {
 	return st, nil
 }
 
-// Close releases the store's file handle and drops its inflated-shard
-// cache. Slices Blobs returned stay valid.
+// Close releases the store's file handle and empties its table of inflated
+// shards. Slices Blobs returned stay valid.
 func (st *Store) Close() error {
 	st.shared.close()
 	return st.f.Close()
@@ -298,34 +296,6 @@ func (st *Store) inflateShard(s int, buf []byte) ([]byte, error) {
 	return data, nil
 }
 
-// longestShard returns the largest uncompressed shard length.
-func (st *Store) longestShard() int64 {
-	var longest int64
-	for _, sh := range st.shards {
-		longest = max(longest, sh.uncompLen)
-	}
-	return longest
-}
-
-// shardBuf returns a buffer that holds any shard of the store: the free
-// list's last when that is long enough, else a new one. Release it with
-// releaseShardBuf.
-func (st *Store) shardBuf() []byte {
-	longest := st.longestShard()
-	var buf []byte
-	shardBufs.Lock()
-	if n := len(shardBufs.free); n > 0 {
-		buf = shardBufs.free[n-1]
-		shardBufs.free[n-1] = nil
-		shardBufs.free = shardBufs.free[:n-1]
-	}
-	shardBufs.Unlock()
-	if int64(cap(buf)) < longest {
-		buf = make([]byte, longest)
-	}
-	return buf
-}
-
 // buildShardOrder partitions the read-order permutation by shard, and
 // finds where each shard is read for the last time, once.
 func (st *Store) buildShardOrder() {
@@ -384,30 +354,35 @@ func (st *Store) PointBlob(i int) ([]byte, error) {
 }
 
 // Blobs returns the encoded points at read-order positions [start,
-// start+count). Each touched shard comes from the store's shared cache of
-// inflated, verified shards, so a shard is inflated once per store rather
-// than once per call, and at most once within a call whatever the cache
-// evicts meanwhile. The slices are shared with every other reader of the
-// store: they must not be written. They stay valid after the cache
-// evicts their shard and after Close.
+// start+count). Each touched shard comes from the store's table of
+// inflated, verified shards (cache.go) and is held for the call, so a
+// shard is inflated once per store rather than once per call, and at most
+// once within a call whatever the table evicts meanwhile. The slices are
+// shared with every other reader of the store: they must not be written.
+// They stay valid after the table evicts their shard and after Close.
 func (st *Store) Blobs(start, count int) ([][]byte, error) {
 	if start < 0 || count < 0 || start > len(st.order)-count {
 		return nil, fmt.Errorf("lpstore: range [%d,%d) out of [0,%d)", start, start+count, len(st.order))
 	}
-	held := make(map[int][]byte)
+	held := make(map[int]*tableShard)
+	defer func() {
+		for _, e := range held {
+			st.shared.release(e, false)
+		}
+	}()
 	out := make([][]byte, count)
 	for i := range out {
 		p := st.points[st.order[start+i]]
-		data, ok := held[p.shard]
+		e, ok := held[p.shard]
 		if !ok {
 			var err error
-			if data, err = st.shared.get(st, p.shard); err != nil {
+			if e, err = st.shared.acquire(st, p.shard, true); err != nil {
 				return nil, err
 			}
-			held[p.shard] = data
+			held[p.shard] = e
 		}
 		end := p.off + int64(p.len)
-		out[i] = data[p.off:end:end]
+		out[i] = e.data[p.off:end:end]
 	}
 	return out, nil
 }
@@ -418,44 +393,55 @@ func (st *Store) Blobs(start, count int) ([][]byte, error) {
 // the store.
 func (st *Store) Source() livepoint.Source {
 	st.buildShardOrder()
-	return &storeSource{st: st, cache: newShardCache(st)}
+	return &storeSource{st: st}
 }
 
-// storeSource walks the store in read order through a cache of inflated
-// shards. A shard is freed as soon as the walk has passed its last point:
-// a creation-order walk holds one shard at a time, and an index-reshuffled
-// one inflates each shard once while the budget lasts.
+// storeSource walks the store in read order, holding the shard of its
+// current blob in the store's table. Moving on to another shard releases
+// it, as done once the walk has passed its last point: a creation-order
+// walk holds one shard at a time, and an index-reshuffled one inflates
+// each shard once while the table's budget lasts.
 type storeSource struct {
 	st       *Store
 	pos      int
-	cache    *shardCache
+	cur      *tableShard
 	ownStore bool
 }
 
 func (s *storeSource) Meta() livepoint.Meta { return s.st.meta }
 
 func (s *storeSource) NextBlob() ([]byte, error) {
-	if s.pos > 0 {
-		// The previous blob was borrowed until this call (DESIGN §3.8 rule
-		// 1); if it was its shard's last, the shard's buffer is free now.
-		if prev := s.st.points[s.st.order[s.pos-1]].shard; s.st.lastRead[prev] == s.pos-1 {
-			s.cache.free(prev)
-		}
-	}
+	// The previous blob was borrowed until this call (DESIGN §3.8 rule 1).
 	if s.pos >= len(s.st.order) {
+		s.letGo(true)
 		return nil, io.EOF
 	}
 	p := s.st.points[s.st.order[s.pos]]
-	data, err := s.cache.get(p.shard)
-	if err != nil {
-		return nil, err
+	if s.cur != nil && s.cur.shard != p.shard {
+		s.letGo(s.st.lastRead[s.cur.shard] < s.pos)
+	}
+	if s.cur == nil {
+		e, err := s.st.shared.acquire(s.st, p.shard, false)
+		if err != nil {
+			return nil, err
+		}
+		s.cur = e
 	}
 	s.pos++
-	return data[p.off : p.off+int64(p.len)], nil
+	return s.cur.data[p.off : p.off+int64(p.len)], nil
+}
+
+// letGo releases the current shard, if any; done says the walk will not
+// read it again.
+func (s *storeSource) letGo(done bool) {
+	if s.cur != nil {
+		s.st.shared.release(s.cur, done)
+		s.cur = nil
+	}
 }
 
 func (s *storeSource) Close() error {
-	s.cache.release()
+	s.letGo(true)
 	if s.ownStore {
 		return s.st.Close()
 	}
@@ -468,48 +454,20 @@ func (s *storeSource) OpenShard(sh int) (livepoint.Source, error) {
 	if sh < 0 || sh >= s.st.NumShards() {
 		return nil, fmt.Errorf("lpstore: shard %d out of range [0,%d)", sh, s.st.NumShards())
 	}
-	data, err := s.st.inflateShard(sh, s.st.shardBuf())
+	e, err := s.st.shared.acquire(s.st, sh, false)
 	if err != nil {
 		return nil, err
 	}
-	return &shardSource{st: s.st, data: data, ids: s.st.shardOrder[sh]}, nil
+	return &shardSource{st: s.st, shard: e, ids: s.st.shardOrder[sh]}, nil
 }
 
-// shardBufs is the free list behind the sources' inflated-shard buffers.
-// A shard is megabytes, and a fresh buffer for each is zeroing, page
-// faults and collector cycles that a run repeats for every shard it reads
-// and that cost a different amount every time; recycled, a run's load
-// stage touches the same warm memory shard after shard and run after run.
-// The list is bounded and, unlike a sync.Pool, survives collections: what
-// it pins is at most maxFreeShardBufs shards of the largest store read.
-// Buffers the public DecompressShard hands out belong to the caller, and
-// the shards Blobs shares are the collector's; neither ever comes here.
-var shardBufs struct {
-	sync.Mutex
-	free [][]byte
-}
-
-// maxFreeShardBufs covers four loaders; a creation-order serial walk
-// holds one buffer at a time.
-const maxFreeShardBufs = 4
-
-func releaseShardBuf(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
-	shardBufs.Lock()
-	defer shardBufs.Unlock()
-	if len(shardBufs.free) < maxFreeShardBufs {
-		shardBufs.free = append(shardBufs.free, buf)
-	}
-}
-
-// shardSource yields one decompressed shard's points in read order.
+// shardSource yields one inflated shard's points in read order, holding
+// the shard in the store's table until Close.
 type shardSource struct {
-	st   *Store
-	data []byte
-	ids  []uint32
-	pos  int
+	st    *Store
+	shard *tableShard
+	ids   []uint32
+	pos   int
 }
 
 func (s *shardSource) Meta() livepoint.Meta { return s.st.meta }
@@ -520,71 +478,15 @@ func (s *shardSource) NextBlob() ([]byte, error) {
 	}
 	p := s.st.points[s.ids[s.pos]]
 	s.pos++
-	return s.data[p.off : p.off+int64(p.len)], nil
+	return s.shard.data[p.off : p.off+int64(p.len)], nil
 }
 
 func (s *shardSource) Close() error {
-	releaseShardBuf(s.data)
-	s.data = nil
+	if s.shard != nil {
+		s.st.shared.release(s.shard, true)
+		s.shard = nil
+	}
 	return nil
-}
-
-// shardCache holds a store source's inflated shards in recycled buffers:
-// as many as shardCacheBudget allows of the store's largest shard, the
-// oldest evicted first when a walk needs more.
-type shardCache struct {
-	st   *Store
-	cap  int
-	m    map[int][]byte
-	fifo []int
-}
-
-func newShardCache(st *Store) *shardCache {
-	capacity := max(1, int(shardCacheBudget/max(st.longestShard(), 1)))
-	return &shardCache{st: st, cap: capacity, m: make(map[int][]byte)}
-}
-
-func (c *shardCache) get(s int) ([]byte, error) {
-	if data, ok := c.m[s]; ok {
-		return data, nil
-	}
-	var buf []byte
-	if len(c.fifo) >= c.cap {
-		// The evicted shard's buffer takes the new one: no blob handed out
-		// is still valid, the caller having asked for the next.
-		buf = c.m[c.fifo[0]]
-		delete(c.m, c.fifo[0])
-		c.fifo = c.fifo[1:]
-	} else {
-		buf = c.st.shardBuf()
-	}
-	data, err := c.st.inflateShard(s, buf)
-	if err != nil {
-		return nil, err
-	}
-	c.m[s] = data
-	c.fifo = append(c.fifo, s)
-	return data, nil
-}
-
-// free recycles shard s's buffer, if the cache holds it.
-func (c *shardCache) free(s int) {
-	data, ok := c.m[s]
-	if !ok {
-		return
-	}
-	delete(c.m, s)
-	c.fifo = slices.DeleteFunc(c.fifo, func(x int) bool { return x == s })
-	releaseShardBuf(data)
-}
-
-// release empties the cache and recycles its buffers.
-func (c *shardCache) release() {
-	for s, data := range c.m {
-		releaseShardBuf(data)
-		delete(c.m, s)
-	}
-	c.fifo = c.fifo[:0]
 }
 
 // Shuffle rewrites a v2 library's read order in place, deterministically

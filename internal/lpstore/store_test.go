@@ -441,10 +441,9 @@ func TestDecompressShardExactLength(t *testing.T) {
 // TestSourcesRecycleShardBuffers: a store's sources inflate into buffers
 // that outlive them, so reading a library again recycles them — and a
 // recycled buffer still yields every blob byte for byte, across an
-// index-only reshuffle and per-shard sources. A serial walk holds no more
-// buffers than shards still ahead of it, keeps each shard from its first
-// read to its last (so a reshuffled walk inflates each once), and holds
-// none after Close; a creation-order walk holds one.
+// index-only reshuffle and per-shard sources. A reshuffled walk within the
+// table's budget inflates each shard once, a creation-order walk holds at
+// most one shard, and no shard is held after Close.
 func TestSourcesRecycleShardBuffers(t *testing.T) {
 	blobs := synthBlobs(90, 4000)
 	path := writeTestStore(t, blobs, 8, true) // 12 shards
@@ -458,12 +457,12 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 	defer st.Close()
 	order := st.Order()
 
-	// Both readers return the buffers they inflated into, by first byte.
+	// Both readers return the buffers they read from, by first byte.
 	type buffers map[*byte]bool
-	serial := func(st *Store, maxLive func(pos int) int) buffers {
+	serial := func(st *Store, maxShards int) buffers {
 		src := st.Source().(*storeSource)
 		order := st.Order()
-		first := map[int]int{}
+		misses := mShardCacheMisses.Value()
 		used := buffers{}
 		for i := 0; ; i++ {
 			b, err := src.NextBlob()
@@ -479,37 +478,19 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 			if !bytes.Equal(b, blobs[order[i]]) {
 				t.Fatalf("read position %d: blob differs", i)
 			}
-			if _, ok := first[st.points[order[i]].shard]; !ok {
-				first[st.points[order[i]].shard] = i
+			if n := len(st.shared.m); n > maxShards {
+				t.Fatalf("read position %d: %d shards in the table, want at most %d", i, n, maxShards)
 			}
-			if live := len(src.cache.m); live > maxLive(i) {
-				t.Fatalf("read position %d: %d live shard buffers, want at most %d", i, live, maxLive(i))
-			}
-			for s, at := range first {
-				if _, held := src.cache.m[s]; !held && at < i && st.lastRead[s] >= i {
-					t.Fatalf("read position %d: shard %d let go between its reads at %d and %d", i, s, at, st.lastRead[s])
-				}
-			}
-			for _, data := range src.cache.m {
-				used[&data[0]] = true
-			}
+			used[&src.cur.data[0]] = true
+		}
+		if got := mShardCacheMisses.Value() - misses; got != uint64(st.NumShards()) {
+			t.Fatalf("a walk inflated %d times over %d shards, want once each", got, st.NumShards())
 		}
 		if err := src.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if len(src.cache.m) != 0 {
-			t.Fatalf("%d shard buffers held after Close", len(src.cache.m))
-		}
+		assertNoneHeld(t, st)
 		return used
-	}
-	ahead := func(pos int) int { // shards with a point still to be read at pos or later
-		n := 0
-		for _, last := range st.lastRead {
-			if last >= pos {
-				n++
-			}
-		}
-		return n
 	}
 	sharded := func() buffers {
 		ss := st.Source().(livepoint.ShardedSource)
@@ -520,7 +501,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			used[&sub.(*shardSource).data[0]] = true
+			used[&sub.(*shardSource).shard.data[0]] = true
 			pos, err := st.ShardReadPositions(s)
 			if err != nil {
 				t.Fatal(err)
@@ -541,17 +522,18 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 			if err := sub.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := sub.Close(); err != nil { // a second Close must not recycle twice
+			if err := sub.Close(); err != nil { // a second Close must not release twice
 				t.Fatal(err)
 			}
 		}
 		if seen != len(blobs) {
 			t.Fatalf("shard sources yielded %d of %d blobs", seen, len(blobs))
 		}
+		assertNoneHeld(t, st)
 		return used
 	}
 
-	first := serial(st, ahead)
+	first := serial(st, st.NumShards())
 	if len(first) < maxFreeShardBufs {
 		t.Fatalf("a reshuffled walk over 12 shards used %d buffers", len(first))
 	}
@@ -561,7 +543,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		}
 	}
 	recycled := 0
-	again := serial(st, ahead)
+	again := serial(st, st.NumShards())
 	for buf := range again {
 		if first[buf] {
 			recycled++
@@ -577,7 +559,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	for buf := range serial(plain, func(int) int { return 1 }) {
+	for buf := range serial(plain, 1) {
 		if !first[buf] && !again[buf] {
 			t.Error("creation-order walk inflated into a new buffer: the reshuffled reads' were not recycled")
 		}
@@ -592,9 +574,31 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		t.Fatal("DecompressShard handed out a source's buffer")
 	}
 	want := bytes.Clone(own)
-	serial(st, ahead)
+	serial(st, st.NumShards())
 	sharded()
 	if !bytes.Equal(own, want) {
 		t.Fatal("a source inflated into a buffer DecompressShard had handed out")
+	}
+
+	// A source closed mid-walk holds nothing either.
+	src := st.Source()
+	for range len(blobs) / 2 {
+		if _, err := src.NextBlob(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.Close()
+	assertNoneHeld(t, st)
+}
+
+// assertNoneHeld fails unless no reader holds a shard of st's table.
+func assertNoneHeld(t *testing.T, st *Store) {
+	t.Helper()
+	st.shared.mu.Lock()
+	defer st.shared.mu.Unlock()
+	for s, e := range st.shared.m {
+		if e.refs != 0 {
+			t.Fatalf("shard %d still has %d references", s, e.refs)
+		}
 	}
 }

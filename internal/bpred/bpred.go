@@ -487,17 +487,3 @@ func resizeBTB(s []btbEntry, n int) []btbEntry {
 	}
 	return make([]btbEntry, n)
 }
-
-// SnapshotBytes returns the worst-case uncompressed snapshot size for a
-// config (all BTB entries valid), without building a predictor. Used for
-// storage accounting.
-func SnapshotBytes(cfg Config) int {
-	tables := 0
-	switch cfg.Kind {
-	case Bimodal, GShare:
-		tables = cfg.TableSize
-	case Combined:
-		tables = 3 * cfg.TableSize
-	}
-	return 8 + 8 + 8 + cfg.RASSize*8 + tables + 8 + cfg.BTBSets*cfg.BTBAssoc*24
-}

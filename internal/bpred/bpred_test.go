@@ -183,8 +183,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if p.ghr != q.ghr {
 		t.Fatal("history differs after restore")
 	}
-	if len(snap) > SnapshotBytes(testCfg()) {
-		t.Fatalf("snapshot %d bytes exceeds worst-case bound %d", len(snap), SnapshotBytes(testCfg()))
+	if len(snap) > snapshotBytes(testCfg()) {
+		t.Fatalf("snapshot %d bytes exceeds worst-case bound %d", len(snap), snapshotBytes(testCfg()))
 	}
 }
 
@@ -247,4 +247,17 @@ func TestStatsCount(t *testing.T) {
 	if p.Stat.Lookups != 2 || p.Stat.CondBranches != 2 {
 		t.Fatalf("stats %+v", p.Stat)
 	}
+}
+
+// snapshotBytes returns the worst-case uncompressed snapshot size for a
+// config (all BTB entries valid), without building a predictor.
+func snapshotBytes(cfg Config) int {
+	tables := 0
+	switch cfg.Kind {
+	case Bimodal, GShare:
+		tables = cfg.TableSize
+	case Combined:
+		tables = 3 * cfg.TableSize
+	}
+	return 8 + 8 + 8 + cfg.RASSize*8 + tables + 8 + cfg.BTBSets*cfg.BTBAssoc*24
 }

@@ -165,7 +165,7 @@ func TestMSHRMergeAndFull(t *testing.T) {
 		t.Fatalf("stall cycles %d", m.Stat.FullStall)
 	}
 	// After time passes, registers retire.
-	if got := m.Outstanding(1000); got != 0 {
+	if got := outstanding(m, 1000); got != 0 {
 		t.Fatalf("outstanding=%d at t=1000", got)
 	}
 }
@@ -307,7 +307,7 @@ func TestHierResetTransients(t *testing.T) {
 	if h.SB.Len(0) != 0 {
 		t.Fatal("store buffer survived transient reset")
 	}
-	if h.MSHR.Outstanding(0) != 0 {
+	if outstanding(h.MSHR, 0) != 0 {
 		t.Fatal("MSHRs survived transient reset")
 	}
 	if !h.L1D.Probe(0x5000) {
@@ -339,4 +339,10 @@ func TestCacheQuickContentsMatchShadow(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// outstanding returns the number of in-flight misses at cycle now.
+func outstanding(m *MSHRFile, now uint64) int {
+	m.retire(now)
+	return len(m.blocks)
 }

@@ -48,12 +48,6 @@ func (m *MSHRFile) retire(now uint64) {
 	m.doneAt = m.doneAt[:w]
 }
 
-// Outstanding returns the number of in-flight misses at the given cycle.
-func (m *MSHRFile) Outstanding(now uint64) int {
-	m.retire(now)
-	return len(m.blocks)
-}
-
 // Request models a miss on the given block issued at cycle now, whose fill
 // would otherwise complete at doneAt. It returns the adjusted completion
 // cycle accounting for merging and register pressure:

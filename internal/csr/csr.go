@@ -141,7 +141,9 @@ func (sr *SetRecord) StorageBytes() int { return len(sr.Entries) * 17 }
 // MTR is a Memory Timestamp Record: last-access timestamp and dirtiness of
 // every block ever touched, at a fixed block granularity. Storage grows
 // with application footprint; reconstruction works for any geometry with
-// line size equal to the record granularity.
+// line size equal to the record granularity. Nothing outside tests builds
+// one: ablation_test.go keeps it as the baseline it compares CSR's storage
+// against (NewMTR, Touch, StorageBytes).
 type MTR struct {
 	LineBytes int64
 	blocks    map[uint64]Entry

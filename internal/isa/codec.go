@@ -49,11 +49,6 @@ func EncodeText(text []Inst) []byte {
 	return buf
 }
 
-// DecodeText deserializes a contiguous run of instructions.
-func DecodeText(buf []byte) ([]Inst, error) {
-	return AppendText(nil, buf)
-}
-
 // AppendText deserializes a contiguous run of instructions, appending them
 // to dst and returning the extended slice. Passing a slice with spare
 // capacity (typically text[:0] from a previous decode) keeps the call

@@ -173,18 +173,6 @@ func (o Op) IsCondBranch() bool {
 	return false
 }
 
-// IsUncond reports whether the operation is an unconditional control transfer.
-func (o Op) IsUncond() bool {
-	switch o {
-	case OpJmp, OpJr, OpCall, OpRet:
-		return true
-	}
-	return false
-}
-
-// IsIndirect reports whether the branch target comes from a register.
-func (o Op) IsIndirect() bool { return o == OpJr || o == OpRet }
-
 // IsMem reports whether the operation accesses data memory.
 func (o Op) IsMem() bool { return o == OpLoad || o == OpStore }
 

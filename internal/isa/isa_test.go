@@ -24,17 +24,14 @@ func TestBranchClassification(t *testing.T) {
 	cond := []Op{OpBeq, OpBne, OpBltz, OpBgez}
 	uncond := []Op{OpJmp, OpJr, OpCall, OpRet}
 	for _, o := range cond {
-		if !o.IsBranch() || !o.IsCondBranch() || o.IsUncond() {
+		if !o.IsBranch() || !o.IsCondBranch() {
 			t.Errorf("%s misclassified", o)
 		}
 	}
 	for _, o := range uncond {
-		if !o.IsBranch() || o.IsCondBranch() || !o.IsUncond() {
+		if !o.IsBranch() || o.IsCondBranch() {
 			t.Errorf("%s misclassified", o)
 		}
-	}
-	if !OpJr.IsIndirect() || !OpRet.IsIndirect() || OpJmp.IsIndirect() {
-		t.Error("indirect classification broken")
 	}
 	if !OpLoad.IsMem() || !OpStore.IsMem() || OpAdd.IsMem() {
 		t.Error("memory classification broken")
@@ -101,7 +98,7 @@ func TestCodecRejectsBadInput(t *testing.T) {
 	if _, err := DecodeInst(bad); err == nil {
 		t.Error("invalid opcode accepted")
 	}
-	if _, err := DecodeText(make([]byte, InstBytes+1)); err == nil {
+	if _, err := AppendText(nil, make([]byte, InstBytes+1)); err == nil {
 		t.Error("misaligned text accepted")
 	}
 }
@@ -113,7 +110,7 @@ func TestTextRoundTrip(t *testing.T) {
 		{Op: OpBne, Rs1: 2, Rs2: 0, Imm: 7},
 		{Op: OpHalt},
 	}
-	got, err := DecodeText(EncodeText(text))
+	got, err := AppendText(nil, EncodeText(text))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,15 +127,6 @@ func (ts *textSource) fill(lp *LivePoint) {
 	}
 }
 
-// TextInsts returns the number of stored instructions.
-func (lp *LivePoint) TextInsts() int {
-	n := 0
-	for _, r := range lp.Text {
-		n += len(r.Insts)
-	}
-	return n
-}
-
 // CreateOpts configures live-point creation.
 type CreateOpts struct {
 	// MaxHier fixes the cache and TLB bounds the library supports

@@ -128,8 +128,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("memory word %#x: %#x vs %#x", e.Addr, gv, e.Val)
 		}
 	}
-	if got.TextInsts() != lp.TextInsts() {
-		t.Fatalf("text instructions: %d vs %d", got.TextInsts(), lp.TextInsts())
+	if textInsts(got) != textInsts(lp) {
+		t.Fatalf("text instructions: %d vs %d", textInsts(got), textInsts(lp))
 	}
 	if len(got.Caches) != len(lp.Caches) || len(got.TLBs) != len(lp.TLBs) || len(got.Preds) != len(lp.Preds) {
 		t.Fatal("section counts did not round-trip")
@@ -310,4 +310,13 @@ func TestReconstructSmallerConfig(t *testing.T) {
 	if wr.UnitCPI <= 0 {
 		t.Fatal("bad CPI")
 	}
+}
+
+// textInsts returns the number of instructions a live-point stores.
+func textInsts(lp *LivePoint) int {
+	n := 0
+	for _, r := range lp.Text {
+		n += len(r.Insts)
+	}
+	return n
 }

@@ -67,9 +67,6 @@ func (m *Memory) WriteWord(addr uint64, val uint64) {
 	p[(addr/8)%PageWords] = val
 }
 
-// Pages returns the number of allocated pages (the touched footprint).
-func (m *Memory) Pages() int { return len(m.pages) }
-
 // FootprintBytes returns the allocated footprint in bytes.
 func (m *Memory) FootprintBytes() int64 { return int64(len(m.pages)) * PageBytes }
 
@@ -165,7 +162,8 @@ type Image struct {
 }
 
 // NewImage returns an image over the given word map. The map is retained,
-// not copied.
+// not copied. Only tests call it: functional_test.go, in another package,
+// runs Exec against a hand-built image, which is why it is exported.
 func NewImage(words map[uint64]uint64) *Image {
 	if words == nil {
 		words = make(map[uint64]uint64)

@@ -11,7 +11,7 @@ func TestMemoryZeroFill(t *testing.T) {
 	if !ok || v != 0 {
 		t.Fatalf("unmapped read: %d %v", v, ok)
 	}
-	if m.Pages() != 0 {
+	if len(m.pages) != 0 {
 		t.Fatal("read should not allocate")
 	}
 }
@@ -26,12 +26,12 @@ func TestMemoryReadWrite(t *testing.T) {
 	if v, _ := m.ReadWord(0x1008); v != 43 {
 		t.Fatalf("got %d", v)
 	}
-	if m.Pages() != 1 {
-		t.Fatalf("pages=%d, want 1 (same page)", m.Pages())
+	if len(m.pages) != 1 {
+		t.Fatalf("pages=%d, want 1 (same page)", len(m.pages))
 	}
 	m.WriteWord(0x1000+PageBytes, 1)
-	if m.Pages() != 2 {
-		t.Fatalf("pages=%d, want 2", m.Pages())
+	if len(m.pages) != 2 {
+		t.Fatalf("pages=%d, want 2", len(m.pages))
 	}
 	if m.FootprintBytes() != 2*PageBytes {
 		t.Fatalf("footprint=%d", m.FootprintBytes())

@@ -49,18 +49,6 @@ type Analysis struct {
 	TotalRefs uint64
 }
 
-// AvgWarmLen returns the mean warming length across windows.
-func (a *Analysis) AvgWarmLen() float64 {
-	if len(a.WarmLens) == 0 {
-		return 0
-	}
-	var s uint64
-	for _, w := range a.WarmLens {
-		s += w
-	}
-	return float64(s) / float64(len(a.WarmLens))
-}
-
 // Analyze performs the offline MRRL pass: a single functional simulation of
 // the benchmark observing every instruction fetch and data reference, and a
 // per-window reuse-distance histogram. The reported warming length for a

@@ -8,7 +8,7 @@ import (
 )
 
 func TestGenerateDeterministic(t *testing.T) {
-	for _, spec := range MiniSuite() {
+	for _, spec := range miniSuite() {
 		p1 := Generate(spec, 0.01)
 		p2 := Generate(spec, 0.01)
 		if len(p1.Text) != len(p2.Text) {
@@ -54,7 +54,7 @@ func TestSuitePrograms_RunToHalt(t *testing.T) {
 }
 
 func TestProgramFetchBounds(t *testing.T) {
-	p := Generate(MiniSuite()[0], 0.001)
+	p := Generate(miniSuite()[0], 0.001)
 	if _, ok := p.Fetch(uint64(len(p.Text))); ok {
 		t.Fatal("fetch past end of text should fail")
 	}
@@ -108,4 +108,17 @@ func TestRegisterZeroNeverWritten(t *testing.T) {
 			}
 		}
 	}
+}
+
+// miniSuite returns a small, fast subset: one memory-bound, one
+// compute-bound, one branchy benchmark.
+func miniSuite() []BenchSpec {
+	mini := []BenchSpec{}
+	for _, s := range Suite() {
+		switch s.Name {
+		case "syn.swim", "syn.gzip", "syn.mcf":
+			mini = append(mini, s)
+		}
+	}
+	return mini
 }

@@ -250,16 +250,3 @@ func ByName(name string) (BenchSpec, error) {
 	}
 	return BenchSpec{}, fmt.Errorf("prog: unknown benchmark %q", name)
 }
-
-// MiniSuite returns a small, fast subset used by tests and quick examples:
-// one memory-bound, one compute-bound, one branchy benchmark, scaled short.
-func MiniSuite() []BenchSpec {
-	mini := []BenchSpec{}
-	for _, s := range Suite() {
-		switch s.Name {
-		case "syn.swim", "syn.gzip", "syn.mcf":
-			mini = append(mini, s)
-		}
-	}
-	return mini
-}

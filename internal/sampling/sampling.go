@@ -1,8 +1,7 @@
 // Package sampling implements the statistical machinery of SMARTS-style
 // simulation sampling: streaming mean/variance estimation, confidence
 // intervals, required-sample-size computation, systematic sample designs,
-// deterministic shuffling for random-order processing, and matched-pair
-// comparison for comparative studies (§6 of the paper).
+// and matched-pair comparison for comparative studies (§6 of the paper).
 package sampling
 
 import (
@@ -176,26 +175,4 @@ func (d *Design) Jitter(seed int64, strideUnits, minGapUnits int, benchLen uint6
 		}
 		d.Positions[i] += j
 	}
-}
-
-// ShuffledOrder returns a deterministic pseudo-random permutation of the
-// design's unit indices — the paper's random-order processing (§6.1).
-func (d Design) ShuffledOrder(seed int64) []int {
-	order := make([]int, len(d.Positions))
-	for i := range order {
-		order[i] = i
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	return order
-}
-
-// SubSample returns the first n positions of the shuffled order: an
-// unbiased random sub-sample of the design (§6.1).
-func (d Design) SubSample(seed int64, n int) []int {
-	order := d.ShuffledOrder(seed)
-	if n > len(order) {
-		n = len(order)
-	}
-	return order[:n]
 }

@@ -226,44 +226,6 @@ func TestNewSystematicRejectsBadParams(t *testing.T) {
 	}
 }
 
-func TestShuffledOrderIsPermutationAndDeterministic(t *testing.T) {
-	d, err := NewSystematic(10_000_000, 1000, 2000, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o1 := d.ShuffledOrder(99)
-	o2 := d.ShuffledOrder(99)
-	o3 := d.ShuffledOrder(100)
-	seen := make([]bool, d.Units())
-	same12, same13 := true, true
-	for i := range o1 {
-		if seen[o1[i]] {
-			t.Fatal("duplicate index in shuffle")
-		}
-		seen[o1[i]] = true
-		same12 = same12 && o1[i] == o2[i]
-		same13 = same13 && o1[i] == o3[i]
-	}
-	if !same12 {
-		t.Fatal("same seed produced different orders")
-	}
-	if same13 {
-		t.Fatal("different seeds produced identical orders")
-	}
-}
-
-func TestSubSample(t *testing.T) {
-	d, _ := NewSystematic(10_000_000, 1000, 2000, 10, 1)
-	s := d.SubSample(1, 50)
-	if len(s) != 50 {
-		t.Fatalf("sub-sample has %d elements", len(s))
-	}
-	s = d.SubSample(1, 1<<20)
-	if len(s) != d.Units() {
-		t.Fatal("oversized sub-sample not clamped")
-	}
-}
-
 func TestOnlineEstimatorStopsAtTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	o := NewOnline(Z997, 0.05, true)

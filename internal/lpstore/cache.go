@@ -1,7 +1,7 @@
 package lpstore
 
 import (
-	"container/list"
+	"slices"
 	"sync"
 
 	"livepoints/internal/obs"
@@ -48,9 +48,8 @@ type shardTable struct {
 	mu     sync.Mutex
 	budget int64 // shardCacheBudget; tests lower it
 	bytes  int64
-	m      map[int]*tableShard
-	lru    list.List // of *tableShard no one holds, most recent first
-	closed bool
+	m      map[int]*tableShard // nil once closed
+	lru    []*tableShard       // shards no one holds, least recent first
 }
 
 // tableShard is one shard in the table, or being inflated into it.
@@ -59,9 +58,8 @@ type tableShard struct {
 	data  []byte
 	err   error
 	ready chan struct{} // closed once data or err is set
-	refs  int
+	refs  int           // on the lru while 0
 	blobs bool          // handed out by Blobs: the collector's, never recycled
-	elem  *list.Element // on the lru while refs is 0
 }
 
 // acquire returns shard s inflated and verified, and counts a reference
@@ -73,22 +71,18 @@ type tableShard struct {
 func (t *shardTable) acquire(st *Store, s int, blobs bool) (*tableShard, error) {
 	t.mu.Lock()
 	if e, ok := t.m[s]; ok {
+		if e.refs == 0 {
+			t.lru = slices.DeleteFunc(t.lru, func(x *tableShard) bool { return x == e })
+		}
 		e.refs++
 		e.blobs = e.blobs || blobs
-		if e.elem != nil {
-			t.lru.Remove(e.elem)
-			e.elem = nil
-		}
 		t.mu.Unlock()
 		mShardCacheHits.Inc()
 		<-e.ready
 		return e, e.err
 	}
 	e := &tableShard{shard: s, refs: 1, blobs: blobs, ready: make(chan struct{})}
-	if !t.closed {
-		if t.m == nil {
-			t.m = make(map[int]*tableShard)
-		}
+	if t.m != nil {
 		t.m[s] = e
 	}
 	t.mu.Unlock()
@@ -134,11 +128,10 @@ func (t *shardTable) release(e *tableShard, done bool) {
 	case done && !e.blobs:
 		t.drop(e)
 	default:
-		e.elem = t.lru.PushFront(e)
-		for t.bytes > t.budget && t.lru.Len() > 1 {
-			old := t.lru.Remove(t.lru.Back()).(*tableShard)
-			old.elem = nil
-			t.drop(old)
+		t.lru = append(t.lru, e)
+		for t.bytes > t.budget && len(t.lru) > 1 {
+			t.drop(t.lru[0])
+			t.lru = slices.Delete(t.lru, 0, 1)
 			mShardCacheEvictions.Inc()
 		}
 	}
@@ -160,16 +153,15 @@ func (t *shardTable) drop(e *tableShard) {
 func (t *shardTable) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.closed = true
-	for e := t.lru.Front(); e != nil; e = e.Next() {
-		if sh := e.Value.(*tableShard); !sh.blobs {
-			releaseShardBuf(sh.data)
+	for _, e := range t.lru {
+		if !e.blobs {
+			releaseShardBuf(e.data)
 		}
 	}
 	mShardCacheBytes.Add(-float64(t.bytes))
 	t.bytes = 0
 	t.m = nil
-	t.lru.Init()
+	t.lru = nil
 }
 
 // shardBufs is the free list behind the table's buffers. A shard is
@@ -179,43 +171,30 @@ func (t *shardTable) close() {
 // touches the same warm memory shard after shard and run after run. The
 // list is process-wide, so the buffers outlive the store (RunFile opens a
 // new one every pass); it is bounded and, unlike a sync.Pool, survives
-// collections: what it pins is at most maxFreeShardBufs shards of the
-// largest store read. Buffers the public DecompressShard hands out belong
-// to the caller and never come here.
-var shardBufs struct {
-	sync.Mutex
-	free [][]byte
-}
+// collections: what it pins is at most four shards of the largest store
+// read, enough for four loaders. Buffers the public DecompressShard hands
+// out belong to the caller and never come here.
+var shardBufs = make(chan []byte, 4)
 
-// maxFreeShardBufs covers four loaders; a creation-order serial walk
-// holds one buffer at a time.
-const maxFreeShardBufs = 4
-
-// takeShardBuf returns a buffer of at least n bytes: the free list's last
-// when that is long enough, else a new one.
+// takeShardBuf returns a buffer of at least n bytes: a free one when that
+// is long enough, else a new one.
 func takeShardBuf(n int64) []byte {
-	var buf []byte
-	shardBufs.Lock()
-	if k := len(shardBufs.free); k > 0 {
-		buf = shardBufs.free[k-1]
-		shardBufs.free[k-1] = nil
-		shardBufs.free = shardBufs.free[:k-1]
+	select {
+	case buf := <-shardBufs:
+		if int64(cap(buf)) >= n {
+			return buf
+		}
+	default:
 	}
-	shardBufs.Unlock()
-	if int64(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	return buf
+	return make([]byte, n)
 }
 
 func releaseShardBuf(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
-	shardBufs.Lock()
-	defer shardBufs.Unlock()
-	if len(shardBufs.free) < maxFreeShardBufs {
-		shardBufs.free = append(shardBufs.free, buf)
+	if cap(buf) > 0 {
+		select {
+		case shardBufs <- buf:
+		default:
+		}
 	}
 }
 

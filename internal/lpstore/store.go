@@ -178,7 +178,7 @@ func openFile(f *os.File, path string) (*Store, error) {
 		return nil, fmt.Errorf("lpstore: %s: reading index: %w", path, err)
 	}
 	st := &Store{path: path, f: f}
-	st.shared.budget = shardCacheBudget
+	st.shared = shardTable{budget: shardCacheBudget, m: make(map[int]*tableShard)}
 	if err := st.decodeIndex(idx, idxOff); err != nil {
 		return nil, fmt.Errorf("lpstore: %s: %w", path, err)
 	}
@@ -393,16 +393,19 @@ func (st *Store) Blobs(start, count int) ([][]byte, error) {
 // the store.
 func (st *Store) Source() livepoint.Source {
 	st.buildShardOrder()
-	return &storeSource{st: st}
+	return &storeSource{st: st, ids: st.order}
 }
 
-// storeSource walks the store in read order, holding the shard of its
-// current blob in the store's table. Moving on to another shard releases
-// it, as done once the walk has passed its last point: a creation-order
-// walk holds one shard at a time, and an index-reshuffled one inflates
-// each shard once while the table's budget lasts.
+// storeSource walks points in read order — the whole store's, or one
+// shard's for OpenShard — holding the shard of its current blob in the
+// store's table. Moving on to another shard releases it, as done once the
+// walk has passed the shard's last read position: a creation-order walk
+// holds one shard at a time, and an index-reshuffled one inflates each
+// shard once while the table's budget lasts. A shard walk holds its one
+// shard until its end or Close.
 type storeSource struct {
 	st       *Store
+	ids      []uint32 // physical ids in read order
 	pos      int
 	cur      *tableShard
 	ownStore bool
@@ -412,11 +415,11 @@ func (s *storeSource) Meta() livepoint.Meta { return s.st.meta }
 
 func (s *storeSource) NextBlob() ([]byte, error) {
 	// The previous blob was borrowed until this call (DESIGN §3.8 rule 1).
-	if s.pos >= len(s.st.order) {
+	if s.pos >= len(s.ids) {
 		s.letGo(true)
 		return nil, io.EOF
 	}
-	p := s.st.points[s.st.order[s.pos]]
+	p := s.st.points[s.ids[s.pos]]
 	if s.cur != nil && s.cur.shard != p.shard {
 		s.letGo(s.st.lastRead[s.cur.shard] < s.pos)
 	}
@@ -450,6 +453,8 @@ func (s *storeSource) Close() error {
 
 func (s *storeSource) NumShards() int { return s.st.NumShards() }
 
+// OpenShard inflates shard sh, or finds it in the store's table, and walks
+// it.
 func (s *storeSource) OpenShard(sh int) (livepoint.Source, error) {
 	if sh < 0 || sh >= s.st.NumShards() {
 		return nil, fmt.Errorf("lpstore: shard %d out of range [0,%d)", sh, s.st.NumShards())
@@ -458,35 +463,7 @@ func (s *storeSource) OpenShard(sh int) (livepoint.Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &shardSource{st: s.st, shard: e, ids: s.st.shardOrder[sh]}, nil
-}
-
-// shardSource yields one inflated shard's points in read order, holding
-// the shard in the store's table until Close.
-type shardSource struct {
-	st    *Store
-	shard *tableShard
-	ids   []uint32
-	pos   int
-}
-
-func (s *shardSource) Meta() livepoint.Meta { return s.st.meta }
-
-func (s *shardSource) NextBlob() ([]byte, error) {
-	if s.pos >= len(s.ids) {
-		return nil, io.EOF
-	}
-	p := s.st.points[s.ids[s.pos]]
-	s.pos++
-	return s.shard.data[p.off : p.off+int64(p.len)], nil
-}
-
-func (s *shardSource) Close() error {
-	if s.shard != nil {
-		s.st.shared.release(s.shard, true)
-		s.shard = nil
-	}
-	return nil
+	return &storeSource{st: s.st, ids: s.st.shardOrder[sh], cur: e}, nil
 }
 
 // Shuffle rewrites a v2 library's read order in place, deterministically

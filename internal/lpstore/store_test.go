@@ -501,7 +501,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			used[&sub.(*shardSource).shard.data[0]] = true
+			used[&sub.(*storeSource).cur.data[0]] = true
 			pos, err := st.ShardReadPositions(s)
 			if err != nil {
 				t.Fatal(err)
@@ -534,7 +534,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 	}
 
 	first := serial(st, st.NumShards())
-	if len(first) < maxFreeShardBufs {
+	if len(first) < cap(shardBufs) {
 		t.Fatalf("a reshuffled walk over 12 shards used %d buffers", len(first))
 	}
 	for buf := range sharded() {
@@ -549,8 +549,8 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 			recycled++
 		}
 	}
-	if recycled < maxFreeShardBufs {
-		t.Errorf("serial re-read reused %d of the first read's buffers, want the free list's %d", recycled, maxFreeShardBufs)
+	if recycled < cap(shardBufs) {
+		t.Errorf("serial re-read reused %d of the first read's buffers, want the free list's %d", recycled, cap(shardBufs))
 	}
 
 	// In creation order a shard is done before the next is opened.

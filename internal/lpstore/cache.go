@@ -33,10 +33,10 @@ var (
 //
 //   - a shard someone holds stays, and is never written again;
 //   - a shard whose reader will not read it again (a source past the
-//     shard's last read position, a closed shard source) goes, if no one
-//     else holds it, and its buffer back to shardBufs for the next
-//     inflate: a creation-order walk holds one shard in one recycled
-//     buffer at a time;
+//     shard's last read position, a shard source at its end or Close)
+//     goes, if no one else holds it, and its buffer back to shardBufs for
+//     the next inflate: a creation-order walk holds one shard in one
+//     recycled buffer at a time;
 //   - other shards no one holds stay within the byte budget, least
 //     recently used evicted first (the newest stays even when it alone
 //     exceeds the budget), and eviction recycles the buffer too;
@@ -168,33 +168,44 @@ func (t *shardTable) close() {
 // megabytes, and a fresh buffer for each is zeroing, page faults and
 // collector cycles that a run repeats for every shard it reads and that
 // cost a different amount every time; recycled, a run's load stage
-// touches the same warm memory shard after shard and run after run. The
-// list is process-wide, so the buffers outlive the store (RunFile opens a
-// new one every pass); it is bounded and, unlike a sync.Pool, survives
-// collections: what it pins is at most four shards of the largest store
-// read, enough for four loaders. Buffers the public DecompressShard hands
-// out belong to the caller and never come here.
-var shardBufs = make(chan []byte, 4)
+// touches the same warm memory shard after shard and run after run, the
+// last buffer released being the next taken. The list is process-wide, so
+// the buffers outlive the store (RunFile opens a new one every pass); it
+// is bounded and, unlike a sync.Pool, survives collections: what it pins
+// is at most maxFreeShardBufs shards of the largest store read. Buffers
+// the public DecompressShard hands out belong to the caller and never
+// come here.
+var shardBufs struct {
+	sync.Mutex
+	free [][]byte
+}
 
-// takeShardBuf returns a buffer of at least n bytes: a free one when that
-// is long enough, else a new one.
+// maxFreeShardBufs covers four loaders; a creation-order serial walk
+// holds one buffer at a time.
+const maxFreeShardBufs = 4
+
+// takeShardBuf returns a buffer of at least n bytes: the free list's last
+// when that is long enough, else a new one.
 func takeShardBuf(n int64) []byte {
-	select {
-	case buf := <-shardBufs:
-		if int64(cap(buf)) >= n {
-			return buf
-		}
-	default:
+	var buf []byte
+	shardBufs.Lock()
+	if k := len(shardBufs.free) - 1; k >= 0 {
+		buf = shardBufs.free[k]
+		shardBufs.free[k] = nil
+		shardBufs.free = shardBufs.free[:k]
 	}
-	return make([]byte, n)
+	shardBufs.Unlock()
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	return buf
 }
 
 func releaseShardBuf(buf []byte) {
-	if cap(buf) > 0 {
-		select {
-		case shardBufs <- buf:
-		default:
-		}
+	shardBufs.Lock()
+	defer shardBufs.Unlock()
+	if cap(buf) > 0 && len(shardBufs.free) < maxFreeShardBufs {
+		shardBufs.free = append(shardBufs.free, buf)
 	}
 }
 

@@ -534,7 +534,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 	}
 
 	first := serial(st, st.NumShards())
-	if len(first) < cap(shardBufs) {
+	if len(first) < maxFreeShardBufs {
 		t.Fatalf("a reshuffled walk over 12 shards used %d buffers", len(first))
 	}
 	for buf := range sharded() {
@@ -549,8 +549,8 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 			recycled++
 		}
 	}
-	if recycled < cap(shardBufs) {
-		t.Errorf("serial re-read reused %d of the first read's buffers, want the free list's %d", recycled, cap(shardBufs))
+	if recycled < maxFreeShardBufs {
+		t.Errorf("serial re-read reused %d of the first read's buffers, want the free list's %d", recycled, maxFreeShardBufs)
 	}
 
 	// In creation order a shard is done before the next is opened.

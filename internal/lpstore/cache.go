@@ -1,7 +1,7 @@
 package lpstore
 
 import (
-	"slices"
+	"container/list"
 	"sync"
 
 	"livepoints/internal/obs"
@@ -49,7 +49,7 @@ type shardTable struct {
 	budget int64 // shardCacheBudget; tests lower it
 	bytes  int64
 	m      map[int]*tableShard // nil once closed
-	lru    []*tableShard       // shards no one holds, least recent first
+	lru    list.List           // of the *tableShard no one holds, least recent first
 }
 
 // tableShard is one shard in the table, or being inflated into it.
@@ -58,8 +58,9 @@ type tableShard struct {
 	data  []byte
 	err   error
 	ready chan struct{} // closed once data or err is set
-	refs  int           // on the lru while 0
+	refs  int           // on the lru, at elem, while 0
 	blobs bool          // handed out by Blobs: the collector's, never recycled
+	elem  *list.Element
 }
 
 // acquire returns shard s inflated and verified, and counts a reference
@@ -72,7 +73,8 @@ func (t *shardTable) acquire(st *Store, s int, blobs bool) (*tableShard, error) 
 	t.mu.Lock()
 	if e, ok := t.m[s]; ok {
 		if e.refs == 0 {
-			t.lru = slices.DeleteFunc(t.lru, func(x *tableShard) bool { return x == e })
+			t.lru.Remove(e.elem)
+			e.elem = nil
 		}
 		e.refs++
 		e.blobs = e.blobs || blobs
@@ -128,10 +130,9 @@ func (t *shardTable) release(e *tableShard, done bool) {
 	case done && !e.blobs:
 		t.drop(e)
 	default:
-		t.lru = append(t.lru, e)
-		for t.bytes > t.budget && len(t.lru) > 1 {
-			t.drop(t.lru[0])
-			t.lru = slices.Delete(t.lru, 0, 1)
+		e.elem = t.lru.PushBack(e)
+		for t.bytes > t.budget && t.lru.Len() > 1 {
+			t.drop(t.lru.Remove(t.lru.Front()).(*tableShard))
 			mShardCacheEvictions.Inc()
 		}
 	}
@@ -153,15 +154,15 @@ func (t *shardTable) drop(e *tableShard) {
 func (t *shardTable) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, e := range t.lru {
-		if !e.blobs {
+	for el := t.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*tableShard); !e.blobs {
 			releaseShardBuf(e.data)
 		}
 	}
 	mShardCacheBytes.Add(-float64(t.bytes))
 	t.bytes = 0
 	t.m = nil
-	t.lru = nil
+	t.lru.Init()
 }
 
 // shardBufs is the free list behind the table's buffers. A shard is

@@ -163,8 +163,8 @@ func TestBlobsBudgetBelowTwoShards(t *testing.T) {
 				t.Fatalf("read position %d differs from its inflated shard", start+i)
 			}
 		}
-		if len(st.shared.lru) != 1 || st.shared.bytes > st.shared.budget {
-			t.Fatalf("cache holds %d shards, %d bytes, over a budget of %d", len(st.shared.lru), st.shared.bytes, st.shared.budget)
+		if st.shared.lru.Len() != 1 || st.shared.bytes > st.shared.budget {
+			t.Fatalf("cache holds %d shards, %d bytes, over a budget of %d", st.shared.lru.Len(), st.shared.bytes, st.shared.budget)
 		}
 	}
 	if mShardCacheEvictions.Value() == evictions {

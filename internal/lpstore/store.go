@@ -454,7 +454,8 @@ func (s *storeSource) Close() error {
 func (s *storeSource) NumShards() int { return s.st.NumShards() }
 
 // OpenShard inflates shard sh, or finds it in the store's table, and walks
-// it.
+// it. The walk is a plain Source: it is one shard, not a ShardedSource of
+// the whole store.
 func (s *storeSource) OpenShard(sh int) (livepoint.Source, error) {
 	if sh < 0 || sh >= s.st.NumShards() {
 		return nil, fmt.Errorf("lpstore: shard %d out of range [0,%d)", sh, s.st.NumShards())
@@ -463,7 +464,7 @@ func (s *storeSource) OpenShard(sh int) (livepoint.Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &storeSource{st: s.st, ids: s.st.shardOrder[sh], cur: e}, nil
+	return struct{ livepoint.Source }{&storeSource{st: s.st, ids: s.st.shardOrder[sh], cur: e}}, nil
 }
 
 // Shuffle rewrites a v2 library's read order in place, deterministically

@@ -441,9 +441,11 @@ func TestDecompressShardExactLength(t *testing.T) {
 // TestSourcesRecycleShardBuffers: a store's sources inflate into buffers
 // that outlive them, so reading a library again recycles them — and a
 // recycled buffer still yields every blob byte for byte, across an
-// index-only reshuffle and per-shard sources. A reshuffled walk within the
-// table's budget inflates each shard once, a creation-order walk holds at
-// most one shard, and no shard is held after Close.
+// index-only reshuffle and per-shard sources. A serial walk keeps no more
+// shards in the table than shards still ahead of it, keeps each shard from
+// its first read to its last (so a reshuffled walk inflates each once),
+// and holds none after Close; a creation-order walk keeps one. A shard
+// source is a plain Source, not a ShardedSource of the whole store.
 func TestSourcesRecycleShardBuffers(t *testing.T) {
 	blobs := synthBlobs(90, 4000)
 	path := writeTestStore(t, blobs, 8, true) // 12 shards
@@ -459,9 +461,10 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 
 	// Both readers return the buffers they read from, by first byte.
 	type buffers map[*byte]bool
-	serial := func(st *Store, maxShards int) buffers {
+	serial := func(st *Store, maxLive func(pos int) int) buffers {
 		src := st.Source().(*storeSource)
 		order := st.Order()
+		first := map[int]int{}
 		misses := mShardCacheMisses.Value()
 		used := buffers{}
 		for i := 0; ; i++ {
@@ -478,8 +481,16 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 			if !bytes.Equal(b, blobs[order[i]]) {
 				t.Fatalf("read position %d: blob differs", i)
 			}
-			if n := len(st.shared.m); n > maxShards {
-				t.Fatalf("read position %d: %d shards in the table, want at most %d", i, n, maxShards)
+			if _, ok := first[st.points[order[i]].shard]; !ok {
+				first[st.points[order[i]].shard] = i
+			}
+			if live := len(st.shared.m); live > maxLive(i) {
+				t.Fatalf("read position %d: %d shards in the table, want at most %d", i, live, maxLive(i))
+			}
+			for s, at := range first {
+				if _, held := st.shared.m[s]; !held && at < i && st.lastRead[s] >= i {
+					t.Fatalf("read position %d: shard %d let go between its reads at %d and %d", i, s, at, st.lastRead[s])
+				}
 			}
 			used[&src.cur.data[0]] = true
 		}
@@ -492,6 +503,15 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		assertNoneHeld(t, st)
 		return used
 	}
+	ahead := func(pos int) int { // shards with a point still to be read at pos or later
+		n := 0
+		for _, last := range st.lastRead {
+			if last >= pos {
+				n++
+			}
+		}
+		return n
+	}
 	sharded := func() buffers {
 		ss := st.Source().(livepoint.ShardedSource)
 		used := buffers{}
@@ -501,7 +521,10 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			used[&sub.(*storeSource).cur.data[0]] = true
+			if _, ok := sub.(livepoint.ShardedSource); ok {
+				t.Fatalf("shard %d's source is a ShardedSource: a runner would walk the whole store through it", s)
+			}
+			used[&sub.(struct{ livepoint.Source }).Source.(*storeSource).cur.data[0]] = true
 			pos, err := st.ShardReadPositions(s)
 			if err != nil {
 				t.Fatal(err)
@@ -533,7 +556,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		return used
 	}
 
-	first := serial(st, st.NumShards())
+	first := serial(st, ahead)
 	if len(first) < maxFreeShardBufs {
 		t.Fatalf("a reshuffled walk over 12 shards used %d buffers", len(first))
 	}
@@ -543,7 +566,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		}
 	}
 	recycled := 0
-	again := serial(st, st.NumShards())
+	again := serial(st, ahead)
 	for buf := range again {
 		if first[buf] {
 			recycled++
@@ -559,7 +582,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	for buf := range serial(plain, 1) {
+	for buf := range serial(plain, func(int) int { return 1 }) {
 		if !first[buf] && !again[buf] {
 			t.Error("creation-order walk inflated into a new buffer: the reshuffled reads' were not recycled")
 		}
@@ -574,7 +597,7 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		t.Fatal("DecompressShard handed out a source's buffer")
 	}
 	want := bytes.Clone(own)
-	serial(st, st.NumShards())
+	serial(st, ahead)
 	sharded()
 	if !bytes.Equal(own, want) {
 		t.Fatal("a source inflated into a buffer DecompressShard had handed out")

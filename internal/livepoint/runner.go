@@ -129,7 +129,7 @@ func (p *pass) run(src Source) (*RunResult, error) {
 	var err error
 	switch ss, sharded := src.(ShardedSource); {
 	case p.parallel < 2 || len(p.cfgs) > 1:
-		err = p.serial(src.NextBlob)
+		err = p.serial(newPointKernel(p.cfgs...), new(LivePoint), src.NextBlob)
 	case sharded && ss.NumShards() > 1 && !p.rule.Active() && p.maxPoints <= 0:
 		err = p.pipeline(func(pl *pipeline) error { return pl.loadShards(ss, p.parallel) })
 	default:
@@ -172,7 +172,21 @@ type pointKernel struct {
 }
 
 func newPointKernel(cfgs ...uarch.Config) *pointKernel {
-	return &pointKernel{cfgs: cfgs, arenas: make([]SimArena, len(cfgs)), wrs: make([]warm.WindowResult, len(cfgs))}
+	k := new(pointKernel)
+	k.configure(cfgs)
+	return k
+}
+
+// configure points the kernel at cfgs, keeping the arenas it has: arena i
+// serves configuration i, whatever it served before (a reused arena is
+// bit-identical to a fresh one).
+func (k *pointKernel) configure(cfgs []uarch.Config) {
+	k.cfgs = cfgs
+	if n := len(cfgs) - len(k.arenas); n > 0 {
+		k.arenas = append(k.arenas, make([]SimArena, n)...)
+		k.wrs = append(k.wrs, make([]warm.WindowResult, n)...)
+	}
+	k.wrs = k.wrs[:len(cfgs)]
 }
 
 // simulate returns lp's window results, index-aligned with the kernel's
@@ -195,13 +209,11 @@ func decodeBlob(lp *LivePoint, blob []byte) error {
 }
 
 // serial is the one serial loop: it pulls blobs from next until io.EOF,
-// decodes and simulates each in order on one goroutine, so the processing
-// order and the exact stopping point are deterministic. Blob reads and
-// decode count as load time, detailed simulation (under every
-// configuration) as sim time.
-func (p *pass) serial(next func() ([]byte, error)) error {
-	k := newPointKernel(p.cfgs...)
-	var lp LivePoint // decoded into in place, point after point
+// decodes each in order into lp, in place, and simulates it on k, on one
+// goroutine, so the processing order and the exact stopping point are
+// deterministic. Blob reads and decode count as load time, detailed
+// simulation (under every configuration) as sim time.
+func (p *pass) serial(k *pointKernel, lp *LivePoint, next func() ([]byte, error)) error {
 	for {
 		t0 := time.Now()
 		blob, err := next()
@@ -209,7 +221,7 @@ func (p *pass) serial(next func() ([]byte, error)) error {
 			return nil
 		}
 		if err == nil {
-			err = decodeBlob(&lp, blob)
+			err = decodeBlob(lp, blob)
 		}
 		if err != nil {
 			return err
@@ -217,7 +229,7 @@ func (p *pass) serial(next func() ([]byte, error)) error {
 		t1 := time.Now()
 		p.res.LoadTime += t1.Sub(t0)
 
-		wrs, err := k.simulate(&lp)
+		wrs, err := k.simulate(lp)
 		if err != nil {
 			return err
 		}
@@ -441,22 +453,32 @@ func (p *pipeline) loadShard(ss ShardedSource, s int) {
 
 // SimBlobs simulates each encoded live-point under cfg and returns the
 // per-point CPIs in input order, plus a RunResult aggregating timings and
-// wrong-path counters. This is the worker-side kernel of a cluster lease:
-// a remote worker fetches a lease's blobs, runs SimBlobs, and posts the
-// CPIs back to the coordinator for folding.
+// wrong-path counters: BlobSim.SimBlobsK once, on a throwaway BlobSim.
 func SimBlobs(blobs [][]byte, cfg uarch.Config) ([]float64, *RunResult, error) {
-	cpis, res, err := SimBlobsK(blobs, cfg)
+	var s BlobSim
+	cpis, res, err := s.SimBlobsK(blobs, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return cpis[0], res, nil
 }
 
-// SimBlobsK is SimBlobs under k configurations: cpis[j] holds
-// configuration j's CPIs, and the RunResult the first configuration's
-// estimate and counters, so cluster workers post the same telemetry
-// whatever k.
-func SimBlobsK(blobs [][]byte, cfgs ...uarch.Config) (cpis [][]float64, res *RunResult, err error) {
+// BlobSim is the worker-side kernel of a cluster lease: a remote worker
+// fetches a lease's blobs, runs SimBlobsK, and posts the CPIs back to the
+// coordinator for folding. It keeps its arenas and its decoded LivePoint
+// from call to call, so a worker simulates every lease of its life on the
+// same storage (DESIGN §3.8 rule 3). The zero value is ready to use; a
+// BlobSim serves one goroutine.
+type BlobSim struct {
+	k  pointKernel
+	lp LivePoint
+}
+
+// SimBlobsK simulates each blob under k configurations: cpis[j] holds
+// configuration j's CPIs in input order, and the RunResult the first
+// configuration's estimate and counters, so cluster workers post the same
+// telemetry whatever k.
+func (s *BlobSim) SimBlobsK(blobs [][]byte, cfgs ...uarch.Config) (cpis [][]float64, res *RunResult, err error) {
 	k := len(cfgs)
 	p := &pass{cfgs: cfgs, cols: sampling.NewColumns(k, sampling.Rule{Z: sampling.Z997}, false), row: make([]float64, k), out: make([][]float64, k)}
 	next := func() ([]byte, error) {
@@ -465,7 +487,8 @@ func SimBlobsK(blobs [][]byte, cfgs ...uarch.Config) (cpis [][]float64, res *Run
 		}
 		return blobs[p.res.Processed], nil
 	}
-	if err := p.serial(next); err != nil {
+	s.k.configure(cfgs)
+	if err := p.serial(&s.k, &s.lp, next); err != nil {
 		return nil, nil, err
 	}
 	p.res.Est = *p.cols.Estimate()

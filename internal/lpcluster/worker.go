@@ -58,6 +58,12 @@ type Worker struct {
 	cl   *lpserve.Client
 	cfgs []uarch.Config
 
+	// A shard lease is fetched into shard, a buffer off lpstore's free
+	// list given back once the lease is simulated, and simulated on sim's
+	// arenas, which the worker keeps for its life.
+	shard lpserve.ShardBuf
+	sim   livepoint.BlobSim
+
 	draining atomic.Bool
 
 	// Leases and Points count successfully posted work.
@@ -264,7 +270,8 @@ func (w *Worker) simulate(ctx context.Context, l *Lease) (*Result, error) {
 	var blobs [][]byte
 	var err error
 	if l.Kind == LeaseShard {
-		blobs, err = w.cl.ShardBlobs(ctx, l.Shard)
+		defer w.shard.Release()
+		blobs, err = w.cl.ShardBlobsInto(ctx, l.Shard, &w.shard)
 	} else {
 		blobs, err = w.cl.FetchRange(ctx, l.Start, l.Count)
 	}
@@ -276,7 +283,7 @@ func (w *Worker) simulate(ctx context.Context, l *Lease) (*Result, error) {
 	}
 	fetch := time.Since(t0)
 
-	cpis, rr, err := livepoint.SimBlobsK(blobs, w.cfgs...)
+	cpis, rr, err := w.sim.SimBlobsK(blobs, w.cfgs...)
 	if err != nil {
 		return nil, err
 	}

@@ -1,17 +1,23 @@
 package lpcluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"livepoints/internal/livepoint"
 	"livepoints/internal/lpserve"
 	"livepoints/internal/lpstore"
 )
@@ -170,5 +176,257 @@ func TestRunSpecRefusesUnbuildableMachine(t *testing.T) {
 	defer cancel()
 	if err := NewWorker("careful", cl).Run(ctx); err == nil || !strings.Contains(err.Error(), "RUUSize") {
 		t.Fatalf("worker did not refuse ruu=1<<40 (err %v)", err)
+	}
+}
+
+// bigShards is the test library's points in 25-point shards, so that a
+// shard outweighs what a lease allocates whatever its storage (the HTTP
+// exchanges, each point's own simulation), with each shard's blobs in read
+// order and the CPIs a fresh SimBlobs gives them under the default run:
+// written and simulated once for the test binary.
+var bigShards struct {
+	once  sync.Once
+	path  string
+	blobs [][][]byte
+	cpis  [][]float64
+	err   error
+}
+
+// bigShardServer serves bigShards' library and returns a client of it and
+// its shard listing.
+func bigShardServer(t *testing.T) (*lpserve.Client, []lpserve.ShardStat) {
+	t.Helper()
+	lib := testLibrary(t)
+	bigShards.once.Do(func() {
+		bigShards.err = func() error {
+			st, err := lpstore.Open(lib)
+			if err != nil {
+				return err
+			}
+			blobs, err := st.Blobs(0, st.Count())
+			st.Close()
+			if err != nil {
+				return err
+			}
+			bigShards.path = filepath.Join(filepath.Dir(lib), "big-shards.lplib")
+			if _, err := lpstore.Write(bigShards.path, st.Meta(), blobs, lpstore.WriteOpts{ShardPoints: 25}); err != nil {
+				return err
+			}
+			if st, err = lpstore.Open(bigShards.path); err != nil {
+				return err
+			}
+			defer st.Close()
+			cfgs, err := RunSpec{}.Configs()
+			if err != nil {
+				return err
+			}
+			for s := 0; s < st.NumShards(); s++ {
+				data, err := st.DecompressShard(s)
+				if err != nil {
+					return err
+				}
+				spans, err := st.ShardReadOrder(s)
+				if err != nil {
+					return err
+				}
+				var shard [][]byte
+				for _, sp := range spans {
+					shard = append(shard, data[sp.Off:sp.Off+int64(sp.Len)])
+				}
+				cpis, _, err := livepoint.SimBlobs(shard, cfgs[0])
+				if err != nil {
+					return err
+				}
+				bigShards.blobs = append(bigShards.blobs, shard)
+				bigShards.cpis = append(bigShards.cpis, cpis)
+			}
+			return nil
+		}()
+	})
+	if bigShards.err != nil {
+		t.Fatal(bigShards.err)
+	}
+	st, err := lpstore.Open(bigShards.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ts := httptest.NewServer(lpserve.NewServer(st).Handler())
+	t.Cleanup(ts.Close)
+	cl, err := lpserve.Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.CloseIdle)
+	shards, err := cl.Shards()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl, shards
+}
+
+// shardLease simulates shard sh on w as a lease and checks its CPIs are
+// bigShards', bit for bit.
+func shardLease(w *Worker, sh lpserve.ShardStat) error {
+	res, err := w.simulate(context.Background(), &Lease{ID: uint64(sh.ID + 1), Points: sh.Points,
+		Coverage: Coverage{Kind: LeaseShard, Shard: sh.ID, Count: sh.Points}})
+	if err != nil {
+		return fmt.Errorf("worker %s, shard %d: %w", w.ID, sh.ID, err)
+	}
+	want := bigShards.cpis[sh.ID]
+	if len(res.CPIs) != len(want) {
+		return fmt.Errorf("worker %s, shard %d: %d CPIs, want %d", w.ID, sh.ID, len(res.CPIs), len(want))
+	}
+	for j := range want {
+		if math.Float64bits(res.CPIs[j]) != math.Float64bits(want[j]) {
+			return fmt.Errorf("worker %s, shard %d, point %d: CPI %v, a fresh SimBlobs gives %v", w.ID, sh.ID, j, res.CPIs[j], want[j])
+		}
+	}
+	return nil
+}
+
+// TestWorkerReusesLeaseStorage: a worker simulates lease after lease —
+// shards of different sizes, a larger one after a smaller — in one shard
+// buffer off lpstore's free list and on one set of arenas. Every lease
+// posts the CPIs a fresh SimBlobs gives its shard, bit for bit, and once
+// the first lease has taken the buffer and built the arenas, no lease
+// allocates anything near a shard.
+func TestWorkerReusesLeaseStorage(t *testing.T) {
+	cl, shards := bigShardServer(t)
+	cfgs, err := RunSpec{}.Configs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make(map[int64]bool)
+	smallest := shards[0].UncompressedBytes
+	for _, sh := range shards {
+		sizes[sh.UncompressedBytes] = true
+		smallest = min(smallest, sh.UncompressedBytes)
+	}
+	if len(sizes) < 3 || shards[1].UncompressedBytes <= shards[0].UncompressedBytes {
+		t.Fatalf("shards of %d sizes, the second %d bytes after %d: the test needs three, growing at first",
+			len(sizes), shards[1].UncompressedBytes, shards[0].UncompressedBytes)
+	}
+
+	w := NewWorker("reuser", cl)
+	w.cfgs = cfgs
+	for i, sh := range shards {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := shardLease(w, sh)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("lease %d: shard %d, %d bytes inflated, %d points: %d bytes allocated", i, sh.ID, sh.UncompressedBytes, sh.Points, alloc)
+		if i > 0 && alloc > uint64(smallest)/2 {
+			t.Errorf("lease %d (shard %d, %d bytes) allocated %d bytes, want under half the smallest shard (%d)",
+				i, sh.ID, sh.UncompressedBytes, alloc, smallest/2)
+		}
+	}
+}
+
+// TestWorkerLeaseReleaseWhileShardSourceWalks: a buffer passes between
+// readers only through lpstore's free list, and only once its reader is
+// done with it. Two workers on one client lease every shard between them,
+// each lease giving its buffer back and taking one again, while a remote
+// shard source opened before them is walked a blob at a time and others
+// are opened five at a time — more than the free list holds, so they take
+// whatever a lease has given back — walked and closed, without pause:
+// every blob a source yields is its shard's, and every lease posts the
+// CPIs SimBlobs gives its shard. Closed twice, a source gives its buffer
+// back once.
+func TestWorkerLeaseReleaseWhileShardSourceWalks(t *testing.T) {
+	cl, shards := bigShardServer(t)
+	cfgs, err := RunSpec{}.Configs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := cl.Source().(livepoint.ShardedSource)
+	walk := func(sub livepoint.Source, s int, pause time.Duration) error {
+		for j := 0; ; j++ {
+			b, err := sub.NextBlob()
+			if err == io.EOF {
+				if j != len(bigShards.blobs[s]) {
+					return fmt.Errorf("shard %d: the source yielded %d blobs, want %d", s, j, len(bigShards.blobs[s]))
+				}
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(b, bigShards.blobs[s][j]) {
+				return fmt.Errorf("shard %d: blob %d changed under its source", s, j)
+			}
+			time.Sleep(pause)
+		}
+	}
+	walked, err := src.OpenShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leases, churn sync.WaitGroup
+	for k := 0; k < 2; k++ {
+		leases.Add(1)
+		go func() {
+			defer leases.Done()
+			w := NewWorker(fmt.Sprintf("lessee-%d", k), cl)
+			w.cfgs = cfgs
+			for i := k; i < len(shards); i += 2 {
+				if err := shardLease(w, shards[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			subs := make([]livepoint.Source, 5)
+			for i := range subs {
+				sub, err := src.OpenShard(i % len(shards))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				subs[i] = sub
+			}
+			for i, sub := range subs {
+				if err := walk(sub, i%len(shards), 0); err != nil {
+					t.Error(err)
+				}
+				sub.Close()
+				sub.Close()
+			}
+		}
+	}()
+	if err := walk(walked, 0, 5*time.Millisecond); err != nil { // mid-walk while leases come and go
+		t.Error(err)
+	}
+	leases.Wait()
+	close(done)
+	churn.Wait()
+	walked.Close()
+	walked.Close()
+
+	// A buffer the list held twice would be handed out twice.
+	held := make(map[*byte]bool)
+	for i := 0; i < 5; i++ { // one more than the list holds
+		buf := lpstore.TakeShardBuf(1)
+		p := &buf[:1][0]
+		if held[p] {
+			t.Fatal("the free list handed out one buffer twice")
+		}
+		held[p] = true
+		defer lpstore.ReleaseShardBuf(buf)
 	}
 }

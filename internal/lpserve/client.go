@@ -9,9 +9,9 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"livepoints/internal/livepoint"
@@ -105,6 +105,10 @@ type Client struct {
 	hc   *http.Client
 	stat lpstore.Stat
 	ctx  context.Context // base context for Source operations
+
+	// longest is the served library's longest inflated shard, from
+	// /v1/shards, once a recycled shard fetch has needed it (0 before).
+	longest atomic.Int64
 
 	// BatchPoints is the number of points per ranged /v1/points request
 	// (default DefaultBatchPoints).
@@ -364,11 +368,27 @@ func (c *Client) FetchBatch(ctx context.Context, start, count int) ([][]byte, er
 	return c.fetchBatch(ctx, start, count, &batch{})
 }
 
-// batch is one /v1/points response: the body as read, and the blobs split
-// from it. A remote source fetches every batch into the same one.
+// batch is one response body as read — a /v1/points batch, or an
+// inflated shard — and the blobs split from it. A remote source fetches
+// every batch into the same one.
 type batch struct {
-	body  []byte
-	blobs [][]byte
+	body   []byte
+	blobs  [][]byte
+	pooled bool // reserve takes body from lpstore's free list
+}
+
+// reserve empties b.body and gives it a capacity of at least n: when it
+// is shorter, a pooled batch takes a buffer from lpstore's free list, any
+// other a fresh one; the short one is left to the collector.
+func (b *batch) reserve(n int64) {
+	switch {
+	case int64(cap(b.body)) >= n:
+	case b.pooled:
+		b.body = lpstore.TakeShardBuf(n)
+	default:
+		b.body = make([]byte, 0, n)
+	}
+	b.body = b.body[:0]
 }
 
 // fetchBatch is FetchBatch into b's storage, which it grows when the
@@ -422,24 +442,14 @@ func (c *Client) fetchBatch(ctx context.Context, start, count int, b *batch) ([]
 // front: a batch body past it is grown as its bytes arrive.
 const bodyChunk = 1 << 20
 
-// readBody reads a response body into buf's storage. The declared length
-// sizes the buffer, but only as a hint: up to bodyChunk it is trusted, past
-// that the buffer doubles as bytes arrive, so a length a short body does
-// not back cannot buy the allocation: a declared length is never
-// allocated ahead of its bytes. The buffer is returned, grown or not, even
-// on error.
+// readBody reads a response body into buf's storage, growing it with
+// growBody when it fills. The buffer is returned, grown or not, even on
+// error.
 func readBody(r io.Reader, declared int64, buf []byte) ([]byte, error) {
-	size := bodyChunk
-	if declared >= 0 {
-		size = int(min(declared, bodyChunk))
-	}
-	if cap(buf) <= size { // one spare byte, so meeting EOF needs no growth
-		buf = make([]byte, 0, size+1)
-	}
 	b := buf[:0]
 	for {
 		if len(b) == cap(b) {
-			b = slices.Grow(b, len(b))
+			b = growBody(b, declared)
 		}
 		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
@@ -450,6 +460,27 @@ func readBody(r io.Reader, declared int64, buf []byte) ([]byte, error) {
 			return b, err
 		}
 	}
+}
+
+// growBody returns full b in a larger buffer. The declared length (-1 when
+// unknown) sizes it, but only as a hint: a buffer is at most bodyChunk
+// bytes, or twice what has arrived, so a length a short body does not back
+// cannot buy the allocation — a declared length is never allocated ahead
+// of its bytes. Within that, the size is declared+1 (one spare byte, so
+// meeting EOF needs no growth) halved as often as it takes: the sizes a
+// body grows through are its length's halvings, so the last growth lands
+// on its declared length and the whole read allocates less than twice the
+// body.
+func growBody(b []byte, declared int64) []byte {
+	limit := max(2*int64(len(b)), bodyChunk+1)
+	size := limit
+	if declared >= int64(len(b)) {
+		for size = declared + 1; size > limit; size = (size + 1) / 2 {
+		}
+	}
+	grown := make([]byte, len(b), size)
+	copy(grown, b)
+	return grown
 }
 
 // FetchRange pulls the blobs at read-order positions [start, start+count)
@@ -481,11 +512,61 @@ func (c *Client) FetchRange(ctx context.Context, start, count int) ([][]byte, er
 
 // ShardBlobs fetches one shard — its read-order index, then its stored
 // gzip bytes (the server does byte copies only) — inflates it locally,
-// and returns the shard's point blobs in read order. The gzip CRC trailer
-// verifies the shard bytes end to end; a body that fails to inflate or
-// checksum (connection lost mid-stream, bytes damaged en route) is
-// refetched rather than surfaced from a single unlucky attempt.
+// and returns the shard's point blobs in read order, in a fresh buffer
+// the caller owns. The gzip CRC trailer verifies the shard bytes end to
+// end; a body that fails to inflate or checksum (connection lost
+// mid-stream, bytes damaged en route) is refetched rather than surfaced
+// from a single unlucky attempt.
 func (c *Client) ShardBlobs(ctx context.Context, sh int) ([][]byte, error) {
+	return c.shardBlobs(ctx, sh, &batch{}, 0)
+}
+
+// ShardBuf is where ShardBlobsInto puts a shard: a buffer taken from
+// lpstore's free list (DESIGN §3.8), which Release gives back. A cluster
+// worker fills one lease after lease, a remote shard source one until
+// Close. The zero value is ready to use; a ShardBuf serves one goroutine.
+type ShardBuf struct{ b batch }
+
+// Release gives the buffer back to the free list: no blob cut from it may
+// be read after. Releasing twice, or a ShardBuf never filled, does
+// nothing.
+func (sb *ShardBuf) Release() {
+	lpstore.ReleaseShardBuf(sb.b.body)
+	sb.b.body = nil
+}
+
+// ShardBlobsInto is ShardBlobs into sb: the blobs are slices of sb's
+// buffer, valid until sb's next fill or Release. A buffer sb lacks is
+// taken from lpstore's free list, sized for the library's longest shard,
+// so one buffer, released and taken again, serves every shard.
+func (c *Client) ShardBlobsInto(ctx context.Context, sh int, sb *ShardBuf) ([][]byte, error) {
+	sb.b.pooled = true
+	return c.shardBlobs(ctx, sh, &sb.b, c.longestShard(ctx))
+}
+
+// longestShard returns the served library's longest inflated shard from
+// its /v1/shards listing, fetched once per client; 0 while the listing
+// cannot be had. It is a size hint, like a shard's index.
+func (c *Client) longestShard(ctx context.Context) int64 {
+	if n := c.longest.Load(); n > 0 {
+		return n
+	}
+	var shards []ShardStat
+	if err := c.DoJSON(ctx, http.MethodGet, "/v1/shards", nil, &shards); err != nil {
+		return 0
+	}
+	var n int64
+	for _, sh := range shards {
+		n = max(n, sh.UncompressedBytes)
+	}
+	c.longest.Store(n)
+	return n
+}
+
+// shardBlobs is ShardBlobs into b's storage, which it replaces when the
+// shard, or any shard up to longest bytes, needs more; what b held before
+// is overwritten.
+func (c *Client) shardBlobs(ctx context.Context, sh int, b *batch, longest int64) ([][]byte, error) {
 	return c.refetch(ctx, fmt.Sprintf("shard %d", sh), func() ([][]byte, error) {
 		var spans []lpstore.Span
 		if err := c.DoJSON(ctx, http.MethodGet, fmt.Sprintf("/v1/shards/%d/index", sh), nil, &spans); err != nil {
@@ -505,26 +586,28 @@ func (c *Client) ShardBlobs(ctx context.Context, sh int) ([][]byte, error) {
 		// at that length — io.ReadAll grows its way there through five times
 		// the bytes. Only a hint: a stream of another length is still read to
 		// its end and the spans checked against what arrived, and no index
-		// makes the hint longer than the body could inflate to.
-		var hint int64
+		// or listing makes the hint longer than the body could inflate to.
+		hint := longest
 		for _, sp := range spans {
 			hint = max(hint, sp.Off+int64(sp.Len))
 		}
 		hint = min(hint, resp.ContentLength*maxInflate)
-		buf := bytes.NewBuffer(make([]byte, 0, max(hint, 0)+bytes.MinRead))
-		if _, err := buf.ReadFrom(gz); err != nil {
+		b.reserve(max(hint, 0) + bytes.MinRead)
+		buf := bytes.NewBuffer(b.body)
+		_, err = buf.ReadFrom(gz)
+		b.body = buf.Bytes()
+		if err != nil {
 			return nil, fmt.Errorf("lpserve: shard %d: inflating: %w", sh, err)
 		}
-		data := buf.Bytes()
-		blobs := make([][]byte, len(spans))
-		for i, sp := range spans {
-			if sp.Off < 0 || sp.Off+int64(sp.Len) > int64(len(data)) {
+		b.blobs = b.blobs[:0]
+		for _, sp := range spans {
+			if sp.Off < 0 || sp.Off+int64(sp.Len) > int64(len(b.body)) {
 				return nil, fmt.Errorf("lpserve: shard %d: %w", sh, &ProtocolError{
-					Err: fmt.Errorf("span [%d,%d) exceeds shard length %d", sp.Off, sp.Off+int64(sp.Len), len(data))})
+					Err: fmt.Errorf("span [%d,%d) exceeds shard length %d", sp.Off, sp.Off+int64(sp.Len), len(b.body))})
 			}
-			blobs[i] = data[sp.Off : sp.Off+int64(sp.Len)]
+			b.blobs = append(b.blobs, b.body[sp.Off:sp.Off+int64(sp.Len)])
 		}
-		return blobs, nil
+		return b.blobs, nil
 	})
 }
 
@@ -532,7 +615,9 @@ func (c *Client) ShardBlobs(ctx context.Context, sh int) ([][]byte, error) {
 // exposes shards for parallel pulls. Every batch is fetched into the same
 // buffer: a blob is borrowed until the next NextBlob (DESIGN §3.8 rule 1),
 // and the next batch is fetched only once the last blob of this one has
-// been handed out.
+// been handed out. The buffer is taken from lpstore's free list at the
+// first batch and given back at Close, so the next source — the next pass
+// of a benchmark, say — reads into it again.
 type remoteSource struct {
 	c     *Client
 	pos   int // next read-order position to fetch
@@ -549,6 +634,9 @@ func (s *remoteSource) NextBlob() ([]byte, error) {
 		}
 		n := min(s.c.batchPoints(), s.c.stat.Points-s.pos)
 		s.next = 0
+		if s.batch.body == nil {
+			s.batch.body = lpstore.TakeShardBuf(0)
+		}
 		if _, err := s.c.fetchBatch(s.c.ctx, s.pos, n, &s.batch); err != nil {
 			s.batch.blobs = s.batch.blobs[:0]
 			return nil, err
@@ -561,6 +649,7 @@ func (s *remoteSource) NextBlob() ([]byte, error) {
 }
 
 func (s *remoteSource) Close() error {
+	lpstore.ReleaseShardBuf(s.batch.body)
 	s.batch = batch{}
 	s.next = 0
 	s.c.hc.CloseIdleConnections()
@@ -572,23 +661,28 @@ func (s *remoteSource) NumShards() int { return s.c.stat.Shards }
 // OpenShard fetches one shard through the raw-gzip passthrough fast path
 // and yields its points in read order.
 func (s *remoteSource) OpenShard(sh int) (livepoint.Source, error) {
-	blobs, err := s.c.ShardBlobs(s.c.ctx, sh)
+	ss := &shardSource{meta: s.c.Meta()}
+	blobs, err := s.c.ShardBlobsInto(s.c.ctx, sh, &ss.buf)
 	if err != nil {
+		ss.buf.Release()
 		return nil, err
 	}
-	return &blobSource{meta: s.c.Meta(), blobs: blobs}, nil
+	ss.blobs = blobs
+	return ss, nil
 }
 
-// blobSource yields an already-fetched slice of blobs in order.
-type blobSource struct {
+// shardSource yields a fetched shard's blobs in order, and gives the
+// shard's buffer back to lpstore's free list at Close.
+type shardSource struct {
 	meta  livepoint.Meta
+	buf   ShardBuf
 	blobs [][]byte
 	pos   int
 }
 
-func (s *blobSource) Meta() livepoint.Meta { return s.meta }
+func (s *shardSource) Meta() livepoint.Meta { return s.meta }
 
-func (s *blobSource) NextBlob() ([]byte, error) {
+func (s *shardSource) NextBlob() ([]byte, error) {
 	if s.pos >= len(s.blobs) {
 		return nil, io.EOF
 	}
@@ -597,8 +691,9 @@ func (s *blobSource) NextBlob() ([]byte, error) {
 	return b, nil
 }
 
-func (s *blobSource) Close() error {
+func (s *shardSource) Close() error {
 	s.blobs = nil
+	s.buf.Release()
 	return nil
 }
 

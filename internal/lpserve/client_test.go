@@ -12,11 +12,14 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"livepoints/internal/asn1der"
+	"livepoints/internal/livepoint"
+	"livepoints/internal/lpstore"
 	"livepoints/internal/obs"
 )
 
@@ -195,6 +198,24 @@ func TestBatchContentLengthIsOnlyAHint(t *testing.T) {
 			t.Fatalf("a body past the first chunk: blob %d differs", i)
 		}
 	}
+
+	// Declared, a body past the first chunk grows to its length and no
+	// further, through less than twice its length of allocation.
+	body := int64(len(bytes.Join(big, nil)))
+	c = batchServer(t, bytes.Join(big, nil), map[string]string{"Content-Length": strconv.FormatInt(body, 10)})
+	var b batch
+	runtime.ReadMemStats(&m0)
+	_, err = c.fetchBatch(context.Background(), 0, len(big), &b)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatalf("a declared body past the first chunk: %v", err)
+	}
+	if got := int64(cap(b.body)); got > body+1 {
+		t.Errorf("a %d-byte body ended in a %d-byte buffer, want at most %d", body, got, body+1)
+	}
+	if got := int64(m1.TotalAlloc - m0.TotalAlloc); got > 2*body {
+		t.Errorf("reading a %d-byte body allocated %d bytes, want at most twice the body", body, got)
+	}
 }
 
 // TestBatchBodyMustHoldExactlyCount: a body with bytes after the last
@@ -225,7 +246,8 @@ func TestBatchBodyMustHoldExactlyCount(t *testing.T) {
 // TestRemoteSourceReusesItsBatch: a serial remote walk fetches every batch
 // into one buffer, replaced only by a batch it cannot hold — each blob a
 // slice of it, borrowed until the next NextBlob — and still yields every
-// point.
+// point. Close gives the buffer back: the next source on the client reads
+// into it again.
 func TestRemoteSourceReusesItsBatch(t *testing.T) {
 	st, blobs := synthStore(t, 40, 8)
 	ts := httptest.NewServer(NewServerWithMetrics(st, obs.NewRegistry()).Handler())
@@ -256,5 +278,126 @@ func TestRemoteSourceReusesItsBatch(t *testing.T) {
 	}
 	if _, err := src.NextBlob(); err != io.EOF {
 		t.Fatalf("after the last point: %v, want io.EOF", err)
+	}
+
+	body = src.batch.body
+	src.Close()
+	next := cl.Source().(*remoteSource)
+	defer next.Close()
+	b, err := next.NextBlob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, blobs[0]) {
+		t.Fatal("the second source's first point differs")
+	}
+	if &next.batch.body[:1][0] != &body[:1][0] {
+		t.Fatalf("the second source fetched into a new buffer, not the %d-byte one the first gave back", cap(body))
+	}
+}
+
+// TestRemoteSourceShardSourcesOwnTheirBuffers: a remote shard source holds
+// its shard's buffer until Close, and only then does the buffer go back to
+// lpstore's free list for the next reader. Readers opening, walking and
+// closing shards around a walk in progress never write under it, and a
+// shard source or a remote source closed twice gives its buffer back once.
+func TestRemoteSourceShardSourcesOwnTheirBuffers(t *testing.T) {
+	st, _ := synthStore(t, 40, 8)
+	ts := httptest.NewServer(NewServerWithMetrics(st, obs.NewRegistry()).Handler())
+	defer ts.Close()
+	cl, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Metrics = obs.NewRegistry()
+	want := make([][][]byte, st.NumShards())
+	for s := range want {
+		if want[s], err = cl.ShardBlobs(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := cl.Source().(livepoint.ShardedSource)
+	walk := func(sub livepoint.Source, s int, pause func()) error {
+		for j := 0; ; j++ {
+			b, err := sub.NextBlob()
+			if err == io.EOF {
+				if j != len(want[s]) {
+					return fmt.Errorf("shard %d: %d blobs, want %d", s, j, len(want[s]))
+				}
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(b, want[s][j]) {
+				return fmt.Errorf("shard %d, blob %d changed under its reader", s, j)
+			}
+			pause()
+		}
+	}
+
+	walked, err := src.OpenShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 4
+	errs := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3*st.NumShards(); k++ {
+				s := 1 + (r+k)%(st.NumShards()-1)
+				sub, err := src.OpenShard(s)
+				if err == nil {
+					err = walk(sub, s, func() {})
+					sub.Close()
+					sub.Close()
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	// Batches go through the free list too: a serial walk beside them.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		seq := cl.Source()
+		defer seq.Close()
+		for {
+			if _, err := seq.NextBlob(); err != nil {
+				if err != io.EOF {
+					errs <- err
+				}
+				break
+			}
+		}
+		seq.Close()
+	}()
+	if err := walk(walked, 0, func() { time.Sleep(time.Millisecond) }); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	walked.Close()
+	walked.Close()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// A buffer the list held twice would be handed out twice.
+	held := make(map[*byte]bool)
+	for i := 0; i < 5; i++ { // one more than the list holds
+		buf := lpstore.TakeShardBuf(1)
+		p := &buf[:1][0]
+		if held[p] {
+			t.Fatal("the free list handed out one buffer twice")
+		}
+		held[p] = true
+		defer lpstore.ReleaseShardBuf(buf)
 	}
 }

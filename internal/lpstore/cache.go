@@ -92,7 +92,7 @@ func (t *shardTable) acquire(st *Store, s int, blobs bool) (*tableShard, error) 
 	mShardCacheMisses.Inc()
 	var buf []byte
 	if !blobs {
-		buf = takeShardBuf(st.longestShard())
+		buf = TakeShardBuf(st.longestShard())
 	}
 	e.data, e.err = st.inflateShard(s, buf)
 
@@ -108,7 +108,7 @@ func (t *shardTable) acquire(st *Store, s int, blobs bool) (*tableShard, error) 
 	t.mu.Unlock()
 	close(e.ready)
 	if e.err != nil {
-		releaseShardBuf(buf)
+		ReleaseShardBuf(buf)
 		return nil, e.err
 	}
 	return e, nil
@@ -125,7 +125,7 @@ func (t *shardTable) release(e *tableShard, done bool) {
 	switch {
 	case t.m[e.shard] != e: // dropped by Close while held
 		if !e.blobs {
-			releaseShardBuf(e.data)
+			ReleaseShardBuf(e.data)
 		}
 	case done && !e.blobs:
 		t.drop(e)
@@ -145,7 +145,7 @@ func (t *shardTable) drop(e *tableShard) {
 	t.bytes -= int64(len(e.data))
 	mShardCacheBytes.Add(-float64(len(e.data)))
 	if !e.blobs {
-		releaseShardBuf(e.data)
+		ReleaseShardBuf(e.data)
 	}
 }
 
@@ -156,7 +156,7 @@ func (t *shardTable) close() {
 	defer t.mu.Unlock()
 	for el := t.lru.Front(); el != nil; el = el.Next() {
 		if e := el.Value.(*tableShard); !e.blobs {
-			releaseShardBuf(e.data)
+			ReleaseShardBuf(e.data)
 		}
 	}
 	mShardCacheBytes.Add(-float64(t.bytes))
@@ -165,29 +165,33 @@ func (t *shardTable) close() {
 	t.lru.Init()
 }
 
-// shardBufs is the free list behind the table's buffers. A shard is
-// megabytes, and a fresh buffer for each is zeroing, page faults and
-// collector cycles that a run repeats for every shard it reads and that
-// cost a different amount every time; recycled, a run's load stage
-// touches the same warm memory shard after shard and run after run, the
-// last buffer released being the next taken. The list is process-wide, so
-// the buffers outlive the store (RunFile opens a new one every pass); it
-// is bounded and, unlike a sync.Pool, survives collections: what it pins
-// is at most maxFreeShardBufs shards of the largest store read. Buffers
-// the public DecompressShard hands out belong to the caller and never
-// come here.
+// shardBufs is the process's one free list of load buffers: behind the
+// table's shards, and, through TakeShardBuf and ReleaseShardBuf, behind
+// lpserve's remote readers (a remote source's batch body, its shard
+// sources, a cluster worker's shard lease). A shard is megabytes, and a
+// fresh buffer for each is zeroing, page faults and collector cycles that
+// a run repeats for every shard it reads and that cost a different amount
+// every time; recycled, a run's load stage touches the same warm memory
+// shard after shard and run after run, the last buffer released being the
+// next taken. The list is process-wide, so the buffers outlive the store
+// (RunFile opens a new one every pass) and the client; it is bounded and,
+// unlike a sync.Pool, survives collections: what it pins is at most
+// maxFreeShardBufs buffers, each of a size some reader needed. Buffers the public
+// DecompressShard hands out belong to the caller and never come here.
 var shardBufs struct {
 	sync.Mutex
 	free [][]byte
 }
 
-// maxFreeShardBufs covers four loaders; a creation-order serial walk
-// holds one buffer at a time.
+// maxFreeShardBufs covers four loaders; a creation-order serial walk,
+// a remote source and a worker's lease each hold one buffer at a time.
 const maxFreeShardBufs = 4
 
-// takeShardBuf returns a buffer of at least n bytes: the free list's last
-// when that is long enough, else a new one.
-func takeShardBuf(n int64) []byte {
+// TakeShardBuf returns a buffer whose capacity is at least n bytes, its
+// length and contents undefined: the free list's last when that is long
+// enough, else a new one. The caller owns it until it hands it back with
+// ReleaseShardBuf.
+func TakeShardBuf(n int64) []byte {
 	var buf []byte
 	shardBufs.Lock()
 	if k := len(shardBufs.free) - 1; k >= 0 {
@@ -202,12 +206,23 @@ func takeShardBuf(n int64) []byte {
 	return buf
 }
 
-func releaseShardBuf(buf []byte) {
+// ReleaseShardBuf puts buf on the free list for the next TakeShardBuf; a
+// full list lets its oldest buffer go to the collector. The caller gives
+// buf up: it must hold no slice of it, and must release it once. Only a
+// buffer no one else can still read may come here, so a slice someone
+// else was handed (Blobs', a caller-owned fetch's) never does.
+func ReleaseShardBuf(buf []byte) {
+	if cap(buf) == 0 {
+		return
+	}
 	shardBufs.Lock()
 	defer shardBufs.Unlock()
-	if cap(buf) > 0 && len(shardBufs.free) < maxFreeShardBufs {
-		shardBufs.free = append(shardBufs.free, buf)
+	if k := len(shardBufs.free); k == maxFreeShardBufs {
+		copy(shardBufs.free, shardBufs.free[1:])
+		shardBufs.free[k-1] = nil
+		shardBufs.free = shardBufs.free[:k-1]
 	}
+	shardBufs.free = append(shardBufs.free, buf)
 }
 
 // longestShard returns the largest uncompressed shard length: the size of

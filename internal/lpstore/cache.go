@@ -176,8 +176,9 @@ func (t *shardTable) close() {
 // next taken. The list is process-wide, so the buffers outlive the store
 // (RunFile opens a new one every pass) and the client; it is bounded and,
 // unlike a sync.Pool, survives collections: what it pins is at most
-// maxFreeShardBufs buffers, each of a size some reader needed. Buffers the public
-// DecompressShard hands out belong to the caller and never come here.
+// maxFreeShardBufs buffers, each of a size some reader needed. Buffers
+// the public DecompressShard hands out belong to the caller and never
+// come here.
 var shardBufs struct {
 	sync.Mutex
 	free [][]byte

@@ -263,3 +263,26 @@ func TestBlobsOutliveRecycling(t *testing.T) {
 		}
 	}
 }
+
+// TestFreeListKeepsTheNewest: a full free list lets its oldest buffer go,
+// not the one just given back, so the last buffer released is the next
+// taken, whoever released it — a remote source's batch body at Close, say,
+// for the next source to read into.
+func TestFreeListKeepsTheNewest(t *testing.T) {
+	for range maxFreeShardBufs { // empty the list
+		TakeShardBuf(0)
+	}
+	bufs := make([][]byte, maxFreeShardBufs+1)
+	for i := range bufs {
+		bufs[i] = make([]byte, 1)
+		ReleaseShardBuf(bufs[i])
+	}
+	for i := len(bufs) - 1; i > 0; i-- {
+		if got := TakeShardBuf(1); &got[0] != &bufs[i][0] {
+			t.Fatalf("a take did not return buffer %d, the newest still on the list", i)
+		}
+	}
+	if got := TakeShardBuf(1); &got[0] == &bufs[0][0] {
+		t.Fatal("the oldest buffer stayed on a list given one more than it holds")
+	}
+}

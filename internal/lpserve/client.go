@@ -178,7 +178,9 @@ func (c *Client) Shards() ([]ShardStat, error) {
 }
 
 // Source returns a fresh source over the remote library in read order.
-func (c *Client) Source() livepoint.Source { return &remoteSource{c: c} }
+func (c *Client) Source() livepoint.Source {
+	return &remoteSource{c: c, batch: batch{pooled: true}}
+}
 
 // SetTransport replaces the client's underlying HTTP transport (nil
 // restores the default). This is the hook internal/faultinject uses to
@@ -374,7 +376,7 @@ func (c *Client) FetchBatch(ctx context.Context, start, count int) ([][]byte, er
 type batch struct {
 	body   []byte
 	blobs  [][]byte
-	pooled bool // reserve takes body from lpstore's free list
+	pooled bool // body is lpstore's free list's: reserve takes from it, fetchBatch keeps room
 }
 
 // reserve empties b.body and gives it a capacity of at least n: when it
@@ -405,9 +407,20 @@ func (c *Client) fetchBatch(ctx context.Context, start, count int, b *batch) ([]
 			return nil, fmt.Errorf("lpserve: %s: %w", what,
 				&ProtocolError{Err: fmt.Errorf("server sent %s %q for %d points", pointsCountHeader, h, count)})
 		}
+		room := cap(b.body)
 		b.body, err = readBody(resp.Body, resp.ContentLength, b.body)
 		if err != nil {
 			return nil, fmt.Errorf("lpserve: %s: reading body: %w", what, err)
+		}
+		if b.pooled && len(b.body) > room {
+			// A pooled body serves batch after batch, pass after pass. One
+			// that outgrew it moves to a buffer twice its length, paid for
+			// by bytes that arrived, so the batches after it — their
+			// lengths differ by tens of percent — fit. Grown only to each
+			// new longest batch, the buffer would grow again in whichever
+			// later pass first met one, a different number of times for
+			// every library.
+			b.body = append(lpstore.TakeShardBuf(2 * int64(len(b.body)))[:0], b.body...)
 		}
 		if h := resp.Header.Get(PointsCRCHeader); h != "" {
 			want, err := strconv.ParseUint(h, 16, 32)
@@ -617,7 +630,8 @@ func (c *Client) shardBlobs(ctx context.Context, sh int, b *batch, longest int64
 // and the next batch is fetched only once the last blob of this one has
 // been handed out. The buffer is taken from lpstore's free list at the
 // first batch and given back at Close, so the next source — the next pass
-// of a benchmark, say — reads into it again.
+// of a benchmark, say — reads into it again. The buffer is pooled: a batch
+// that outgrows it leaves it twice that batch's length (fetchBatch).
 type remoteSource struct {
 	c     *Client
 	pos   int // next read-order position to fetch
@@ -650,7 +664,7 @@ func (s *remoteSource) NextBlob() ([]byte, error) {
 
 func (s *remoteSource) Close() error {
 	lpstore.ReleaseShardBuf(s.batch.body)
-	s.batch = batch{}
+	s.batch = batch{pooled: true}
 	s.next = 0
 	s.c.hc.CloseIdleConnections()
 	return nil

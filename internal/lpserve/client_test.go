@@ -296,6 +296,54 @@ func TestRemoteSourceReusesItsBatch(t *testing.T) {
 	}
 }
 
+// TestRemoteSourceKeepsRoomForLongerBatches: a batch that outgrows a
+// remote source's buffer leaves it twice that batch's length, so the later
+// batches, some longer than the one that grew it, are all read into the
+// same buffer. Without the room, the buffer grew to each new longest
+// batch, and a benchmark's allocation turned on which pass met it.
+func TestRemoteSourceKeepsRoomForLongerBatches(t *testing.T) {
+	st, blobs := synthStore(t, 40, 8)
+	ts := httptest.NewServer(NewServerWithMetrics(st, obs.NewRegistry()).Handler())
+	defer ts.Close()
+	cl, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Metrics = obs.NewRegistry()
+	cl.BatchPoints = 10
+	src := cl.Source().(*remoteSource)
+	defer src.Close()
+	// Start short, not with whatever buffer the free list holds: the
+	// first batch must outgrow it.
+	src.batch.body = make([]byte, 0, 1)
+	var first []byte
+	longer := false
+	for i := range blobs {
+		b, err := src.NextBlob()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, blobs[i]) {
+			t.Fatalf("read position %d differs", i)
+		}
+		switch {
+		case i == 0:
+			first = src.batch.body
+			if cap(first) < 2*len(first) {
+				t.Fatalf("the first batch (%d bytes) grew the buffer to %d bytes, want at least twice the batch", len(first), cap(first))
+			}
+		case i%10 == 0:
+			longer = longer || len(src.batch.body) > len(first)
+			if &src.batch.body[:1][0] != &first[:1][0] {
+				t.Fatalf("batch %d (%d bytes) was fetched into a new buffer, not the %d-byte one the first batch (%d bytes) left", i/10, len(src.batch.body), cap(first), len(first))
+			}
+		}
+	}
+	if !longer {
+		t.Fatal("no batch was longer than the first, so none tested the room")
+	}
+}
+
 // TestRemoteSourceShardSourcesOwnTheirBuffers: a remote shard source holds
 // its shard's buffer until Close, and only then does the buffer go back to
 // lpstore's free list for the next reader. Readers opening, walking and

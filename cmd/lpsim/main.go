@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"runtime/pprof"
@@ -33,7 +34,6 @@ import (
 	"livepoints/internal/livepoint"
 	"livepoints/internal/lpcluster"
 	"livepoints/internal/lpserve"
-	"livepoints/internal/obs"
 )
 
 func main() {
@@ -164,7 +164,7 @@ func watchCluster(url string) {
 	log.Printf("watching %s cluster run at %s: %d points, target err %v",
 		st.Spec.Mode, url, st.Points, st.Spec.RelErr)
 
-	logger := obs.NewLogger(os.Stderr, obs.LevelInfo, "lpsim")
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	lastDone := -1
 	for st.Phase != lpcluster.PhaseDone {
 		if st.Done != lastDone {

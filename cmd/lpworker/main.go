@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -40,7 +41,6 @@ import (
 	"livepoints/internal/faultinject"
 	"livepoints/internal/lpcluster"
 	"livepoints/internal/lpserve"
-	"livepoints/internal/obs"
 )
 
 func main() {
@@ -79,11 +79,11 @@ func main() {
 		log.Printf("chaos: fault injection armed with seed %#x — results remain exact, expect noisy logs", *chaos)
 	}
 
-	level := obs.LevelInfo
+	level := slog.LevelInfo
 	if *verbose {
-		level = obs.LevelDebug
+		level = slog.LevelDebug
 	}
-	logger := obs.NewLogger(os.Stderr, level, "lpworker")
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	t0 := time.Now()
 	workers := make([]*lpcluster.Worker, *parallel)
@@ -141,7 +141,7 @@ func main() {
 
 // reportProgress polls the coordinator's run state and logs one logfmt
 // progress line per interval until the run finishes or ctx is cancelled.
-func reportProgress(ctx context.Context, cl *lpserve.Client, logger *obs.Logger, every time.Duration) {
+func reportProgress(ctx context.Context, cl *lpserve.Client, logger *slog.Logger, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {

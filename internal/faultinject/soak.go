@@ -3,6 +3,7 @@ package faultinject
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -51,7 +52,7 @@ type SoakOptions struct {
 	// Rates overrides the fault mix (default DefaultRates(LeaseTTL*3/2)).
 	Rates map[string]Rates
 	// Log, when set, receives one line per seed.
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // SeedResult is one seed's outcome.
@@ -135,8 +136,10 @@ func Soak(ctx context.Context, opt SoakOptions) (*Report, error) {
 		if sr.Err != nil {
 			rep.Failed++
 		}
-		opt.Log.Info("soak seed done", "seed", seed, "faults", sr.Faults,
-			"restarts", sr.Restarts, "expired", sr.Expired, "err", sr.Err)
+		if opt.Log != nil {
+			opt.Log.Info("soak seed done", "seed", seed, "faults", sr.Faults,
+				"restarts", sr.Restarts, "expired", sr.Expired, "err", sr.Err)
+		}
 	}
 	if rep.Failed > 0 {
 		for _, sr := range rep.Seeds {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
@@ -306,7 +307,7 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 	clock.advance(ttl)
 	var logBuf bytes.Buffer
 	w := NewWorker("survivor", cl)
-	w.Log = obs.NewLogger(&logBuf, obs.LevelDebug, "worker")
+	w.Log = slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}

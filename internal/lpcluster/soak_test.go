@@ -7,6 +7,7 @@ package lpcluster_test
 
 import (
 	"context"
+	"log/slog"
 	"os"
 	"strconv"
 	"sync"
@@ -15,7 +16,6 @@ import (
 
 	"livepoints/internal/faultinject"
 	"livepoints/internal/lpcluster"
-	"livepoints/internal/obs"
 )
 
 // soakLibrary lazily builds the shared simulatable library for the soak
@@ -68,9 +68,9 @@ func seedRange(base uint64, n int) []uint64 {
 	return out
 }
 
-func soakLog(t *testing.T) *obs.Logger {
+func soakLog(t *testing.T) *slog.Logger {
 	if testing.Verbose() {
-		return obs.NewLogger(os.Stderr, obs.LevelInfo, "soak")
+		return slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net"
 	"net/http"
@@ -13,7 +14,6 @@ import (
 
 	"livepoints/internal/livepoint"
 	"livepoints/internal/lpserve"
-	"livepoints/internal/obs"
 	"livepoints/internal/uarch"
 )
 
@@ -47,7 +47,7 @@ type Worker struct {
 
 	// Log, when set, receives a debug line per completed lease
 	// (points/s for the lease, cumulative totals). Nil logs nothing.
-	Log *obs.Logger
+	Log *slog.Logger
 
 	// ReconnectBase and ReconnectCap override the coordinator-outage
 	// backoff schedule. Zero values keep the production defaults; fault
@@ -58,11 +58,11 @@ type Worker struct {
 	cl   *lpserve.Client
 	cfgs []uarch.Config
 
-	// A shard lease is fetched into shard, a buffer off lpstore's free
-	// list given back once the lease is simulated, and simulated on sim's
+	// A lease is fetched into body, a buffer off lpstore's free list
+	// given back once the lease is simulated, and simulated on sim's
 	// arenas, which the worker keeps for its life.
-	shard lpserve.ShardBuf
-	sim   livepoint.BlobSim
+	body lpserve.Body
+	sim  livepoint.BlobSim
 
 	draining atomic.Bool
 
@@ -79,6 +79,16 @@ type Worker struct {
 // base URL (the same server that streams the library bytes).
 func NewWorker(id string, cl *lpserve.Client) *Worker {
 	return &Worker{ID: id, cl: cl}
+}
+
+// discardLog is what a nil Worker.Log logs to.
+var discardLog = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+func (w *Worker) log() *slog.Logger {
+	if w.Log == nil {
+		return discardLog
+	}
+	return w.Log
 }
 
 // Drain asks the worker to stop at the next lease boundary: the
@@ -190,7 +200,7 @@ func (w *Worker) awaitCoordinator(ctx context.Context, rng *rand.Rand, outage *i
 		w.Reconnects++
 	}
 	*outage++
-	w.Log.Warn("coordinator unreachable; backing off",
+	w.log().Warn("coordinator unreachable; backing off",
 		"worker", w.ID, "wait", d, "attempt", *outage, "err", cause)
 	select {
 	case <-ctx.Done():
@@ -250,7 +260,7 @@ func (w *Worker) pull(ctx context.Context) error {
 			w.Leases++
 			w.Points += lr.Lease.Points
 			if d := time.Since(t0); d > 0 {
-				w.Log.Debug("lease done", "worker", w.ID, "lease", lr.Lease.ID,
+				w.log().Debug("lease done", "worker", w.ID, "lease", lr.Lease.ID,
 					"points", lr.Lease.Points, "pointsPerSec", float64(lr.Lease.Points)/d.Seconds(),
 					"totalPoints", w.Points)
 			}
@@ -262,18 +272,17 @@ func (w *Worker) pull(ctx context.Context) error {
 }
 
 // simulate fetches a lease's blobs (raw-gzip shard passthrough for shard
-// leases, chunked ranged fetch for range leases — the server caps one
-// /v1/points response at MaxBatchPoints, so a range lease larger than the
-// cap arrives in several batches) and runs them locally.
+// leases, one ranged batch for range leases: no lease exceeds
+// MaxBatchPoints) and runs them locally.
 func (w *Worker) simulate(ctx context.Context, l *Lease) (*Result, error) {
 	t0 := time.Now()
+	defer w.body.Release()
 	var blobs [][]byte
 	var err error
 	if l.Kind == LeaseShard {
-		defer w.shard.Release()
-		blobs, err = w.cl.ShardBlobsInto(ctx, l.Shard, &w.shard)
+		blobs, err = w.cl.ShardBlobsInto(ctx, l.Shard, &w.body)
 	} else {
-		blobs, err = w.cl.FetchRange(ctx, l.Start, l.Count)
+		blobs, err = w.cl.FetchBatchInto(ctx, l.Start, l.Count, &w.body)
 	}
 	if err != nil {
 		return nil, err

@@ -258,8 +258,8 @@ func bigShardServer(t *testing.T) (*lpserve.Client, []lpserve.ShardStat) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.CloseIdle)
-	shards, err := cl.Shards()
-	if err != nil {
+	var shards []lpserve.ShardStat
+	if err := cl.DoJSON(context.Background(), http.MethodGet, "/v1/shards", nil, &shards); err != nil {
 		t.Fatal(err)
 	}
 	return cl, shards
@@ -286,11 +286,12 @@ func shardLease(w *Worker, sh lpserve.ShardStat) error {
 }
 
 // TestWorkerReusesLeaseStorage: a worker simulates lease after lease —
-// shards of different sizes, a larger one after a smaller — in one shard
-// buffer off lpstore's free list and on one set of arenas. Every lease
-// posts the CPIs a fresh SimBlobs gives its shard, bit for bit, and once
+// shards of different sizes, a larger one after a smaller, then read-order
+// ranges, as a run under an active stopping rule leases them — in one
+// body off lpstore's free list and on one set of arenas. Every lease
+// posts the CPIs a fresh SimBlobs gives its points, bit for bit, and once
 // the first lease has taken the buffer and built the arenas, no lease
-// allocates anything near a shard.
+// allocates anything near a shard or a batch.
 func TestWorkerReusesLeaseStorage(t *testing.T) {
 	cl, shards := bigShardServer(t)
 	cfgs, err := RunSpec{}.Configs()
@@ -323,6 +324,51 @@ func TestWorkerReusesLeaseStorage(t *testing.T) {
 		if i > 0 && alloc > uint64(smallest)/2 {
 			t.Errorf("lease %d (shard %d, %d bytes) allocated %d bytes, want under half the smallest shard (%d)",
 				i, sh.ID, sh.UncompressedBytes, alloc, smallest/2)
+		}
+	}
+
+	st, err := lpstore.Open(bigShards.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// The server inflates a shard at the first batch that touches it; a
+	// batch over the whole library first leaves the leases only the
+	// worker's allocation.
+	if _, err := cl.FetchBatch(context.Background(), 0, st.Count()); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range []Coverage{{Start: 0, Count: 20}, {Start: 20, Count: 25}, {Start: 45, Count: 25}, {Start: 70, Count: st.Count() - 70}} {
+		blobs, err := st.Blobs(r.Start, r.Count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := livepoint.SimBlobs(blobs, cfgs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body int
+		for _, b := range blobs {
+			body += len(b)
+		}
+		r.Kind = LeaseRange
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := w.simulate(context.Background(), &Lease{ID: uint64(100 + i), Points: r.Count, Coverage: r})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if math.Float64bits(res.CPIs[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("range [%d,%d), point %d: CPI %v, a fresh SimBlobs gives %v", r.Start, r.Start+r.Count, j, res.CPIs[j], want[j])
+			}
+		}
+		alloc := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("range lease %d: [%d,%d), a %d-byte batch: %d bytes allocated", i, r.Start, r.Start+r.Count, body, alloc)
+		if i > 0 && alloc > uint64(body)/2 {
+			t.Errorf("range lease %d ([%d,%d), a %d-byte batch) allocated %d bytes, want under half the batch",
+				i, r.Start, r.Start+r.Count, body, alloc)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"livepoints/internal/livepoint"
@@ -21,10 +20,6 @@ import (
 
 // DefaultBatchPoints is the sequential client's ranged-fetch size.
 const DefaultBatchPoints = 64
-
-// maxInflate bounds what a DEFLATE stream can expand to: its longest
-// match, 258 bytes, costs at least two bits.
-const maxInflate = 1032
 
 // DefaultTimeout bounds one request attempt (connect + headers + body)
 // when Client.Timeout is unset.
@@ -106,10 +101,6 @@ type Client struct {
 	stat lpstore.Stat
 	ctx  context.Context // base context for Source operations
 
-	// longest is the served library's longest inflated shard, from
-	// /v1/shards, once a recycled shard fetch has needed it (0 before).
-	longest atomic.Int64
-
 	// BatchPoints is the number of points per ranged /v1/points request
 	// (default DefaultBatchPoints).
 	BatchPoints int
@@ -168,18 +159,9 @@ func (c *Client) Meta() livepoint.Meta {
 	}
 }
 
-// Shards fetches the per-shard listing.
-func (c *Client) Shards() ([]ShardStat, error) {
-	var out []ShardStat
-	if err := c.DoJSON(c.ctx, http.MethodGet, "/v1/shards", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Source returns a fresh source over the remote library in read order.
 func (c *Client) Source() livepoint.Source {
-	return &remoteSource{c: c, batch: batch{pooled: true}}
+	return &remoteSource{c: c}
 }
 
 // SetTransport replaces the client's underlying HTTP transport (nil
@@ -365,37 +347,122 @@ func (c *Client) refetch(ctx context.Context, what string, once func() ([][]byte
 // and splits the concatenated DER response in place: the blobs are
 // sub-slices of one body buffer the caller owns. The body is verified
 // against the server's integrity checksum (PointsCRCHeader) when present,
-// and refetched when it fails to verify or split.
+// and refetched when it fails to verify or split. count must be within
+// MaxBatchPoints: the server answers a larger request with fewer points,
+// a *ProtocolError here.
 func (c *Client) FetchBatch(ctx context.Context, start, count int) ([][]byte, error) {
-	return c.fetchBatch(ctx, start, count, &batch{})
+	return c.fetchBatch(ctx, start, count, &Body{})
 }
 
-// batch is one response body as read — a /v1/points batch, or an
-// inflated shard — and the blobs split from it. A remote source fetches
-// every batch into the same one.
-type batch struct {
-	body   []byte
+// FetchBatchInto is FetchBatch into b: the blobs are slices of b's
+// buffer, valid until b's next fill or Release.
+func (c *Client) FetchBatchInto(ctx context.Context, start, count int, b *Body) ([][]byte, error) {
+	b.pooled = true
+	return c.fetchBatch(ctx, start, count, b)
+}
+
+// ShardBlobs fetches one shard — its read-order index, then its stored
+// gzip bytes (the server does byte copies only) — inflates it locally,
+// and returns the shard's point blobs in read order, in a fresh buffer
+// the caller owns. The gzip CRC trailer verifies the shard bytes end to
+// end; a body that fails to inflate or checksum (connection lost
+// mid-stream, bytes damaged en route) is refetched rather than surfaced
+// from a single unlucky attempt.
+func (c *Client) ShardBlobs(ctx context.Context, sh int) ([][]byte, error) {
+	return c.shardBlobs(ctx, sh, &Body{})
+}
+
+// ShardBlobsInto is ShardBlobs into b: the blobs are slices of b's
+// buffer, valid until b's next fill or Release.
+func (c *Client) ShardBlobsInto(ctx context.Context, sh int, b *Body) ([][]byte, error) {
+	b.pooled = true
+	return c.shardBlobs(ctx, sh, b)
+}
+
+// Body is one response body the client splits into blobs — a /v1/points
+// batch as it arrived, or a shard as it inflates — and the blobs split
+// from it. Filled by FetchBatchInto or ShardBlobsInto, its buffer comes
+// from lpstore's free list (DESIGN §3.8) and Release gives it back: a
+// remote source reads batch after batch into one Body, a shard source
+// its shard until Close, a cluster worker lease after lease. The zero
+// value is ready to use; a Body serves one goroutine.
+type Body struct {
+	buf    []byte
 	blobs  [][]byte
-	pooled bool // body is lpstore's free list's: reserve takes from it, fetchBatch keeps room
+	pooled bool // buf is the free list's: read takes it there and keeps room
 }
 
-// reserve empties b.body and gives it a capacity of at least n: when it
-// is shorter, a pooled batch takes a buffer from lpstore's free list, any
-// other a fresh one; the short one is left to the collector.
-func (b *batch) reserve(n int64) {
-	switch {
-	case int64(cap(b.body)) >= n:
-	case b.pooled:
-		b.body = lpstore.TakeShardBuf(n)
-	default:
-		b.body = make([]byte, 0, n)
+// Release gives the buffer back to lpstore's free list: no blob cut from
+// it may be read after. Releasing twice, or a Body never filled, does
+// nothing.
+func (b *Body) Release() {
+	lpstore.ReleaseShardBuf(b.buf)
+	b.buf, b.blobs = nil, nil
+}
+
+// bodyChunk is how much of a declared length read believes up front: a
+// body past it is grown as its bytes arrive.
+const bodyChunk = 1 << 20
+
+// read reads r to its end into b's buffer, overwriting what it held and
+// growing it with growBody when it fills; the buffer is kept, grown or
+// not, even on error. declared is the length the server said the body
+// has (-1 when it said nothing). A pooled body starts from the free
+// list's newest buffer, and one that outgrew its buffer ends in one at
+// least twice its length, paid for by bytes that arrived: a pooled body
+// serves body after body, and the bodies after it — their lengths differ
+// by tens of percent — then fit. Grown only to each new longest body, the
+// buffer would grow again in whichever later pass first met one, a
+// different number of times for every library.
+func (b *Body) read(r io.Reader, declared int64) error {
+	if b.pooled && b.buf == nil {
+		b.buf = lpstore.TakeShardBuf(0)
 	}
-	b.body = b.body[:0]
+	buf, grew := b.buf[:0], false
+	for {
+		if len(buf) == cap(buf) {
+			buf, grew = growBody(buf, declared), true
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.buf = buf
+			return err
+		}
+	}
+	if b.pooled && grew && cap(buf) < 2*len(buf) {
+		buf = append(lpstore.TakeShardBuf(2 * int64(len(buf)))[:0], buf...)
+	}
+	b.buf = buf
+	return nil
 }
 
-// fetchBatch is FetchBatch into b's storage, which it grows when the
-// response needs more; what b held before is overwritten.
-func (c *Client) fetchBatch(ctx context.Context, start, count int, b *batch) ([][]byte, error) {
+// growBody returns full b in a larger buffer. The declared length sizes
+// it, but only as a hint: a buffer is at most bodyChunk bytes, or twice
+// what has arrived, so a length a short body does not back cannot buy
+// the allocation — a declared length is never allocated ahead of its
+// bytes. Within that, the size is declared+1 (one spare byte, so meeting
+// EOF needs no growth) halved as often as it takes: the sizes a body
+// grows through are its length's halvings, so the last growth lands on
+// its declared length and the whole read allocates less than twice the
+// body.
+func growBody(b []byte, declared int64) []byte {
+	limit := max(2*int64(len(b)), bodyChunk+1)
+	size := limit
+	if declared >= int64(len(b)) {
+		for size = declared + 1; size > limit; size = (size + 1) / 2 {
+		}
+	}
+	grown := make([]byte, len(b), size)
+	copy(grown, b)
+	return grown
+}
+
+// fetchBatch is FetchBatch into b; what b held before is overwritten.
+func (c *Client) fetchBatch(ctx context.Context, start, count int, b *Body) ([][]byte, error) {
 	what := fmt.Sprintf("batch [%d,%d)", start, start+count)
 	return c.refetch(ctx, what, func() ([][]byte, error) {
 		resp, err := c.get(ctx, fmt.Sprintf("/v1/points?start=%d&count=%d", start, count))
@@ -407,20 +474,8 @@ func (c *Client) fetchBatch(ctx context.Context, start, count int, b *batch) ([]
 			return nil, fmt.Errorf("lpserve: %s: %w", what,
 				&ProtocolError{Err: fmt.Errorf("server sent %s %q for %d points", pointsCountHeader, h, count)})
 		}
-		room := cap(b.body)
-		b.body, err = readBody(resp.Body, resp.ContentLength, b.body)
-		if err != nil {
+		if err := b.read(resp.Body, resp.ContentLength); err != nil {
 			return nil, fmt.Errorf("lpserve: %s: reading body: %w", what, err)
-		}
-		if b.pooled && len(b.body) > room {
-			// A pooled body serves batch after batch, pass after pass. One
-			// that outgrew it moves to a buffer twice its length, paid for
-			// by bytes that arrived, so the batches after it — their
-			// lengths differ by tens of percent — fit. Grown only to each
-			// new longest batch, the buffer would grow again in whichever
-			// later pass first met one, a different number of times for
-			// every library.
-			b.body = append(lpstore.TakeShardBuf(2 * int64(len(b.body)))[:0], b.body...)
 		}
 		if h := resp.Header.Get(PointsCRCHeader); h != "" {
 			want, err := strconv.ParseUint(h, 16, 32)
@@ -428,14 +483,14 @@ func (c *Client) fetchBatch(ctx context.Context, start, count int, b *batch) ([]
 				return nil, fmt.Errorf("lpserve: %s: bad %s header %q: %w",
 					what, PointsCRCHeader, h, &ProtocolError{Err: err})
 			}
-			if got := crc32.ChecksumIEEE(b.body); got != uint32(want) {
+			if got := crc32.ChecksumIEEE(b.buf); got != uint32(want) {
 				c.metrics().Counter("lpserve_client_integrity_failures_total", "Response bodies whose integrity checksum did not match.").Inc()
 				return nil, fmt.Errorf("lpserve: %s: %w", what,
 					&ProtocolError{Err: fmt.Errorf("body crc %08x, server sent %08x", got, want)})
 			}
 		}
 		b.blobs = b.blobs[:0]
-		rest := b.body
+		rest := b.buf
 		for i := 0; i < count; i++ {
 			var blob []byte
 			if blob, rest, err = livepoint.SplitElement(rest); err != nil {
@@ -451,135 +506,11 @@ func (c *Client) fetchBatch(ctx context.Context, start, count int, b *batch) ([]
 	})
 }
 
-// bodyChunk is how much of a declared Content-Length readBody believes up
-// front: a batch body past it is grown as its bytes arrive.
-const bodyChunk = 1 << 20
-
-// readBody reads a response body into buf's storage, growing it with
-// growBody when it fills. The buffer is returned, grown or not, even on
-// error.
-func readBody(r io.Reader, declared int64, buf []byte) ([]byte, error) {
-	b := buf[:0]
-	for {
-		if len(b) == cap(b) {
-			b = growBody(b, declared)
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-	}
-}
-
-// growBody returns full b in a larger buffer. The declared length (-1 when
-// unknown) sizes it, but only as a hint: a buffer is at most bodyChunk
-// bytes, or twice what has arrived, so a length a short body does not back
-// cannot buy the allocation — a declared length is never allocated ahead
-// of its bytes. Within that, the size is declared+1 (one spare byte, so
-// meeting EOF needs no growth) halved as often as it takes: the sizes a
-// body grows through are its length's halvings, so the last growth lands
-// on its declared length and the whole read allocates less than twice the
-// body.
-func growBody(b []byte, declared int64) []byte {
-	limit := max(2*int64(len(b)), bodyChunk+1)
-	size := limit
-	if declared >= int64(len(b)) {
-		for size = declared + 1; size > limit; size = (size + 1) / 2 {
-		}
-	}
-	grown := make([]byte, len(b), size)
-	copy(grown, b)
-	return grown
-}
-
-// FetchRange pulls the blobs at read-order positions [start, start+count)
-// with no upper bound on count: the range is fetched in server-acceptable
-// chunks (MaxBatchPoints, or BatchPoints when set lower). FetchBatch
-// callers must keep count within MaxBatchPoints — the server silently
-// clamps larger requests, truncating the batch — so ranges that may
-// exceed the cap (e.g. cluster range leases) go through here.
-func (c *Client) FetchRange(ctx context.Context, start, count int) ([][]byte, error) {
-	chunk := c.BatchPoints
-	if chunk <= 0 || chunk > MaxBatchPoints {
-		chunk = MaxBatchPoints
-	}
-	blobs := make([][]byte, 0, count)
-	for off := 0; off < count; {
-		n := count - off
-		if n > chunk {
-			n = chunk
-		}
-		part, err := c.FetchBatch(ctx, start+off, n)
-		if err != nil {
-			return nil, err
-		}
-		blobs = append(blobs, part...)
-		off += n
-	}
-	return blobs, nil
-}
-
-// ShardBlobs fetches one shard — its read-order index, then its stored
-// gzip bytes (the server does byte copies only) — inflates it locally,
-// and returns the shard's point blobs in read order, in a fresh buffer
-// the caller owns. The gzip CRC trailer verifies the shard bytes end to
-// end; a body that fails to inflate or checksum (connection lost
-// mid-stream, bytes damaged en route) is refetched rather than surfaced
-// from a single unlucky attempt.
-func (c *Client) ShardBlobs(ctx context.Context, sh int) ([][]byte, error) {
-	return c.shardBlobs(ctx, sh, &batch{}, 0)
-}
-
-// ShardBuf is where ShardBlobsInto puts a shard: a buffer taken from
-// lpstore's free list (DESIGN §3.8), which Release gives back. A cluster
-// worker fills one lease after lease, a remote shard source one until
-// Close. The zero value is ready to use; a ShardBuf serves one goroutine.
-type ShardBuf struct{ b batch }
-
-// Release gives the buffer back to the free list: no blob cut from it may
-// be read after. Releasing twice, or a ShardBuf never filled, does
-// nothing.
-func (sb *ShardBuf) Release() {
-	lpstore.ReleaseShardBuf(sb.b.body)
-	sb.b.body = nil
-}
-
-// ShardBlobsInto is ShardBlobs into sb: the blobs are slices of sb's
-// buffer, valid until sb's next fill or Release. A buffer sb lacks is
-// taken from lpstore's free list, sized for the library's longest shard,
-// so one buffer, released and taken again, serves every shard.
-func (c *Client) ShardBlobsInto(ctx context.Context, sh int, sb *ShardBuf) ([][]byte, error) {
-	sb.b.pooled = true
-	return c.shardBlobs(ctx, sh, &sb.b, c.longestShard(ctx))
-}
-
-// longestShard returns the served library's longest inflated shard from
-// its /v1/shards listing, fetched once per client; 0 while the listing
-// cannot be had. It is a size hint, like a shard's index.
-func (c *Client) longestShard(ctx context.Context) int64 {
-	if n := c.longest.Load(); n > 0 {
-		return n
-	}
-	var shards []ShardStat
-	if err := c.DoJSON(ctx, http.MethodGet, "/v1/shards", nil, &shards); err != nil {
-		return 0
-	}
-	var n int64
-	for _, sh := range shards {
-		n = max(n, sh.UncompressedBytes)
-	}
-	c.longest.Store(n)
-	return n
-}
-
-// shardBlobs is ShardBlobs into b's storage, which it replaces when the
-// shard, or any shard up to longest bytes, needs more; what b held before
-// is overwritten.
-func (c *Client) shardBlobs(ctx context.Context, sh int, b *batch, longest int64) ([][]byte, error) {
+// shardBlobs is ShardBlobs into b; what b held before is overwritten.
+// The shard's index and its length header are hints alike: a stream of
+// another length is still read to its end, under read's rule, and the
+// spans are checked against what arrived.
+func (c *Client) shardBlobs(ctx context.Context, sh int, b *Body) ([][]byte, error) {
 	return c.refetch(ctx, fmt.Sprintf("shard %d", sh), func() ([][]byte, error) {
 		var spans []lpstore.Span
 		if err := c.DoJSON(ctx, http.MethodGet, fmt.Sprintf("/v1/shards/%d/index", sh), nil, &spans); err != nil {
@@ -595,30 +526,20 @@ func (c *Client) shardBlobs(ctx context.Context, sh int, b *batch, longest int64
 			return nil, fmt.Errorf("lpserve: shard %d: %w", sh, err)
 		}
 		defer livepoint.ReleaseGzipReader(gz)
-		// The index says how long the shard inflates to, so the buffer starts
-		// at that length — io.ReadAll grows its way there through five times
-		// the bytes. Only a hint: a stream of another length is still read to
-		// its end and the spans checked against what arrived, and no index
-		// or listing makes the hint longer than the body could inflate to.
-		hint := longest
-		for _, sp := range spans {
-			hint = max(hint, sp.Off+int64(sp.Len))
-		}
-		hint = min(hint, resp.ContentLength*maxInflate)
-		b.reserve(max(hint, 0) + bytes.MinRead)
-		buf := bytes.NewBuffer(b.body)
-		_, err = buf.ReadFrom(gz)
-		b.body = buf.Bytes()
+		declared, err := strconv.ParseInt(resp.Header.Get(shardLengthHeader), 10, 64)
 		if err != nil {
+			declared = -1
+		}
+		if err := b.read(gz, declared); err != nil {
 			return nil, fmt.Errorf("lpserve: shard %d: inflating: %w", sh, err)
 		}
 		b.blobs = b.blobs[:0]
 		for _, sp := range spans {
-			if sp.Off < 0 || sp.Off+int64(sp.Len) > int64(len(b.body)) {
+			if sp.Off < 0 || sp.Off+int64(sp.Len) > int64(len(b.buf)) {
 				return nil, fmt.Errorf("lpserve: shard %d: %w", sh, &ProtocolError{
-					Err: fmt.Errorf("span [%d,%d) exceeds shard length %d", sp.Off, sp.Off+int64(sp.Len), len(b.body))})
+					Err: fmt.Errorf("span [%d,%d) exceeds shard length %d", sp.Off, sp.Off+int64(sp.Len), len(b.buf))})
 			}
-			b.blobs = append(b.blobs, b.body[sp.Off:sp.Off+int64(sp.Len)])
+			b.blobs = append(b.blobs, b.buf[sp.Off:sp.Off+int64(sp.Len)])
 		}
 		return b.blobs, nil
 	})
@@ -626,45 +547,39 @@ func (c *Client) shardBlobs(ctx context.Context, sh int, b *batch, longest int64
 
 // remoteSource streams the library sequentially through ranged batches and
 // exposes shards for parallel pulls. Every batch is fetched into the same
-// buffer: a blob is borrowed until the next NextBlob (DESIGN §3.8 rule 1),
-// and the next batch is fetched only once the last blob of this one has
-// been handed out. The buffer is taken from lpstore's free list at the
-// first batch and given back at Close, so the next source — the next pass
-// of a benchmark, say — reads into it again. The buffer is pooled: a batch
-// that outgrows it leaves it twice that batch's length (fetchBatch).
+// pooled Body: a blob is borrowed until the next NextBlob (DESIGN §3.8
+// rule 1), and the next batch is fetched only once the last blob of this
+// one has been handed out. Close gives the buffer back, so the next
+// source — the next pass of a benchmark, say — reads into it again.
 type remoteSource struct {
-	c     *Client
-	pos   int // next read-order position to fetch
-	batch batch
-	next  int // index in batch.blobs of the next blob to hand out
+	c    *Client
+	pos  int // next read-order position to fetch
+	body Body
+	next int // index in body.blobs of the next blob to hand out
 }
 
 func (s *remoteSource) Meta() livepoint.Meta { return s.c.Meta() }
 
 func (s *remoteSource) NextBlob() ([]byte, error) {
-	if s.next == len(s.batch.blobs) {
+	if s.next == len(s.body.blobs) {
 		if s.pos >= s.c.stat.Points {
 			return nil, io.EOF
 		}
 		n := min(s.c.batchPoints(), s.c.stat.Points-s.pos)
 		s.next = 0
-		if s.batch.body == nil {
-			s.batch.body = lpstore.TakeShardBuf(0)
-		}
-		if _, err := s.c.fetchBatch(s.c.ctx, s.pos, n, &s.batch); err != nil {
-			s.batch.blobs = s.batch.blobs[:0]
+		if _, err := s.c.FetchBatchInto(s.c.ctx, s.pos, n, &s.body); err != nil {
+			s.body.blobs = s.body.blobs[:0]
 			return nil, err
 		}
 		s.pos += n
 	}
-	b := s.batch.blobs[s.next]
+	b := s.body.blobs[s.next]
 	s.next++
 	return b, nil
 }
 
 func (s *remoteSource) Close() error {
-	lpstore.ReleaseShardBuf(s.batch.body)
-	s.batch = batch{pooled: true}
+	s.body.Release()
 	s.next = 0
 	s.c.hc.CloseIdleConnections()
 	return nil
@@ -676,9 +591,9 @@ func (s *remoteSource) NumShards() int { return s.c.stat.Shards }
 // and yields its points in read order.
 func (s *remoteSource) OpenShard(sh int) (livepoint.Source, error) {
 	ss := &shardSource{meta: s.c.Meta()}
-	blobs, err := s.c.ShardBlobsInto(s.c.ctx, sh, &ss.buf)
+	blobs, err := s.c.ShardBlobsInto(s.c.ctx, sh, &ss.body)
 	if err != nil {
-		ss.buf.Release()
+		ss.body.Release()
 		return nil, err
 	}
 	ss.blobs = blobs
@@ -689,7 +604,7 @@ func (s *remoteSource) OpenShard(sh int) (livepoint.Source, error) {
 // shard's buffer back to lpstore's free list at Close.
 type shardSource struct {
 	meta  livepoint.Meta
-	buf   ShardBuf
+	body  Body
 	blobs [][]byte
 	pos   int
 }
@@ -707,7 +622,7 @@ func (s *shardSource) NextBlob() ([]byte, error) {
 
 func (s *shardSource) Close() error {
 	s.blobs = nil
-	s.buf.Release()
+	s.body.Release()
 	return nil
 }
 

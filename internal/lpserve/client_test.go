@@ -203,14 +203,14 @@ func TestBatchContentLengthIsOnlyAHint(t *testing.T) {
 	// further, through less than twice its length of allocation.
 	body := int64(len(bytes.Join(big, nil)))
 	c = batchServer(t, bytes.Join(big, nil), map[string]string{"Content-Length": strconv.FormatInt(body, 10)})
-	var b batch
+	var b Body
 	runtime.ReadMemStats(&m0)
 	_, err = c.fetchBatch(context.Background(), 0, len(big), &b)
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatalf("a declared body past the first chunk: %v", err)
 	}
-	if got := int64(cap(b.body)); got > body+1 {
+	if got := int64(cap(b.buf)); got > body+1 {
 		t.Errorf("a %d-byte body ended in a %d-byte buffer, want at most %d", body, got, body+1)
 	}
 	if got := int64(m1.TotalAlloc - m0.TotalAlloc); got > 2*body {
@@ -270,17 +270,17 @@ func TestRemoteSourceReusesItsBatch(t *testing.T) {
 			t.Fatalf("read position %d differs", i)
 		}
 		if i%10 == 0 {
-			if i > 0 && &src.batch.body[0] != &body[0] && len(src.batch.body) <= cap(body) {
-				t.Fatalf("batch %d (%d bytes) was fetched into a new buffer, not the %d-byte one it fits", i/10, len(src.batch.body), cap(body))
+			if i > 0 && &src.body.buf[0] != &body[0] && len(src.body.buf) <= cap(body) {
+				t.Fatalf("batch %d (%d bytes) was fetched into a new buffer, not the %d-byte one it fits", i/10, len(src.body.buf), cap(body))
 			}
-			body = src.batch.body
+			body = src.body.buf
 		}
 	}
 	if _, err := src.NextBlob(); err != io.EOF {
 		t.Fatalf("after the last point: %v, want io.EOF", err)
 	}
 
-	body = src.batch.body
+	body = src.body.buf
 	src.Close()
 	next := cl.Source().(*remoteSource)
 	defer next.Close()
@@ -291,7 +291,7 @@ func TestRemoteSourceReusesItsBatch(t *testing.T) {
 	if !bytes.Equal(b, blobs[0]) {
 		t.Fatal("the second source's first point differs")
 	}
-	if &next.batch.body[:1][0] != &body[:1][0] {
+	if &next.body.buf[:1][0] != &body[:1][0] {
 		t.Fatalf("the second source fetched into a new buffer, not the %d-byte one the first gave back", cap(body))
 	}
 }
@@ -315,7 +315,7 @@ func TestRemoteSourceKeepsRoomForLongerBatches(t *testing.T) {
 	defer src.Close()
 	// Start short, not with whatever buffer the free list holds: the
 	// first batch must outgrow it.
-	src.batch.body = make([]byte, 0, 1)
+	src.body.buf = make([]byte, 0, 1)
 	var first []byte
 	longer := false
 	for i := range blobs {
@@ -328,14 +328,14 @@ func TestRemoteSourceKeepsRoomForLongerBatches(t *testing.T) {
 		}
 		switch {
 		case i == 0:
-			first = src.batch.body
+			first = src.body.buf
 			if cap(first) < 2*len(first) {
 				t.Fatalf("the first batch (%d bytes) grew the buffer to %d bytes, want at least twice the batch", len(first), cap(first))
 			}
 		case i%10 == 0:
-			longer = longer || len(src.batch.body) > len(first)
-			if &src.batch.body[:1][0] != &first[:1][0] {
-				t.Fatalf("batch %d (%d bytes) was fetched into a new buffer, not the %d-byte one the first batch (%d bytes) left", i/10, len(src.batch.body), cap(first), len(first))
+			longer = longer || len(src.body.buf) > len(first)
+			if &src.body.buf[:1][0] != &first[:1][0] {
+				t.Fatalf("batch %d (%d bytes) was fetched into a new buffer, not the %d-byte one the first batch (%d bytes) left", i/10, len(src.body.buf), cap(first), len(first))
 			}
 		}
 	}

@@ -312,4 +312,91 @@ func TestShardBlobsIndexIsOnlyAHint(t *testing.T) {
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > 64<<20 {
 		t.Fatalf("the client allocated %d MB on the word of a lying index", got>>20)
 	}
+
+	// On a shard of 800 incompressible points, neither a span a terabyte
+	// past its end nor a length header of a terabyte buys more than a few
+	// times the shard: read into a fresh body, or into a pooled one that
+	// an honest fetch of the shard has filled. One attempt each: a retry
+	// repeats the same fetch. The points are about a kilobyte (a live
+	// point is tens of them): a declared length is believed up to
+	// bodyChunk, so a shard far shorter than that measures the chunk.
+	big, _ := synthStoreOf(t, 800, 800, 1000, 200)
+	bigSpans, err := big.ShardReadOrder(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigData, err := big.DecompressShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, n, err := big.ShardRaw(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz := make([]byte, n)
+	if _, err := io.ReadFull(raw, gz); err != nil {
+		t.Fatal(err)
+	}
+	var bigIndex, length []byte
+	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/shards/0/index":
+			w.Write(bigIndex)
+		case "/v1/shards/0":
+			w.Header().Set("Content-Length", strconv.Itoa(len(gz)))
+			w.Header().Set(shardLengthHeader, string(length))
+			w.Write(gz)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer ts.Close()
+	c = New(ts.URL)
+	c.Retry = RetryPolicy{}
+	c.Metrics = obs.NewRegistry()
+	honest, _ := json.Marshal(bigSpans)
+	lying, _ := json.Marshal(append(append([]lpstore.Span{}, bigSpans...), lpstore.Span{Off: 1 << 40, Len: 1 << 30}))
+	for _, tc := range []struct {
+		name          string
+		index, length []byte
+		lie           bool // the index names a span past the shard's end
+	}{
+		{"a span at 1<<40", lying, []byte(strconv.Itoa(len(bigData))), true},
+		{"a length header of 1<<40", honest, []byte("1099511627776"), false},
+	} {
+		for _, pooled := range []bool{false, true} {
+			var b Body
+			if pooled {
+				bigIndex, length = honest, []byte(strconv.Itoa(len(bigData)))
+				if _, err := c.ShardBlobsInto(context.Background(), 0, &b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bigIndex, length = tc.index, tc.length
+			runtime.ReadMemStats(&m0)
+			if pooled {
+				blobs, err = c.ShardBlobsInto(context.Background(), 0, &b)
+			} else {
+				blobs, err = c.ShardBlobs(context.Background(), 0)
+			}
+			runtime.ReadMemStats(&m1)
+			switch {
+			case tc.lie && !errors.As(err, &pe):
+				t.Errorf("%s (pooled %v): %v, want a ProtocolError", tc.name, pooled, err)
+			case !tc.lie && err != nil:
+				t.Errorf("%s (pooled %v): %v", tc.name, pooled, err)
+			case !tc.lie:
+				for i, sp := range bigSpans {
+					if !bytes.Equal(blobs[i], bigData[sp.Off:sp.Off+int64(sp.Len)]) {
+						t.Fatalf("%s (pooled %v): blob %d differs", tc.name, pooled, i)
+					}
+				}
+			}
+			b.Release()
+			if got, want := m1.TotalAlloc-m0.TotalAlloc, 4*uint64(len(bigData)); got >= want {
+				t.Errorf("%s (pooled %v): the client allocated %d bytes for a %d-byte shard, want under %d",
+					tc.name, pooled, got, len(bigData), want)
+			}
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -141,10 +142,16 @@ func TestServeParity(t *testing.T) {
 // synthStore builds a store of synthetic DER blobs for protocol tests.
 func synthStore(t *testing.T, n, shardPoints int) (*lpstore.Store, [][]byte) {
 	t.Helper()
+	return synthStoreOf(t, n, shardPoints, 50, 200)
+}
+
+// synthStoreOf is synthStore with payloads of least+[0,spread) bytes.
+func synthStoreOf(t *testing.T, n, shardPoints, least, spread int) (*lpstore.Store, [][]byte) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	blobs := make([][]byte, n)
 	for i := range blobs {
-		payload := make([]byte, 50+rng.Intn(200))
+		payload := make([]byte, least+rng.Intn(spread))
 		rng.Read(payload)
 		b := asn1der.NewBuilder()
 		b.OctetString(payload)
@@ -187,8 +194,8 @@ func TestEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := client.Shards()
-	if err != nil {
+	var shards []ShardStat
+	if err := client.DoJSON(context.Background(), http.MethodGet, "/v1/shards", nil, &shards); err != nil {
 		t.Fatal(err)
 	}
 	if len(shards) != 6 {
@@ -282,52 +289,22 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
-// TestFetchRangeBeyondBatchCap covers ranges larger than one /v1/points
-// response may carry: the server silently clamps a single batch at
-// MaxBatchPoints (so FetchBatch desynchronizes), while FetchRange walks
-// the range in server-acceptable chunks and returns every blob.
-func TestFetchRangeBeyondBatchCap(t *testing.T) {
+// TestFetchBatchBeyondBatchCap: the server clamps a /v1/points response
+// at MaxBatchPoints, so a batch asked for past the cap is answered for
+// another request — a *ProtocolError, not a short batch.
+func TestFetchBatchBeyondBatchCap(t *testing.T) {
 	const n = MaxBatchPoints + 150
-	st, blobs := synthStore(t, n, 512)
+	st, _ := synthStore(t, n, 512)
 	ts := httptest.NewServer(NewServer(st).Handler())
 	defer ts.Close()
 	cl, err := Dial(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-
-	if _, err := cl.FetchBatch(ctx, 0, n); err == nil {
-		t.Fatal("FetchBatch beyond MaxBatchPoints succeeded; the server clamp should have truncated it")
-	}
-
-	got, err := cl.FetchRange(ctx, 0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("FetchRange returned %d blobs, want %d", len(got), n)
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], blobs[i]) {
-			t.Fatalf("blob %d mismatch", i)
-		}
-	}
-
-	// An offset sub-range crossing a chunk boundary (small BatchPoints
-	// forces several chunks).
-	cl.BatchPoints = 100
-	got, err = cl.FetchRange(ctx, 37, 333)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 333 {
-		t.Fatalf("offset FetchRange returned %d blobs, want 333", len(got))
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], blobs[37+i]) {
-			t.Fatalf("offset blob %d mismatch", i)
-		}
+	_, err = cl.FetchBatch(context.Background(), 0, n)
+	var pe *ProtocolError
+	if !errors.As(err, &pe) {
+		t.Fatalf("FetchBatch beyond MaxBatchPoints: %v, want a ProtocolError", err)
 	}
 }
 

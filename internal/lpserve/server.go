@@ -67,6 +67,10 @@ const PointsCRCHeader = "X-Lplib-Crc32"
 // another request.
 const pointsCountHeader = "X-Lplib-Points"
 
+// shardLengthHeader carries the length a /v1/shards/{id} body inflates
+// to; the client sizes its buffer by it, but only as a hint.
+const shardLengthHeader = "X-Lplib-Shard-Uncompressed"
+
 // Server serves one live-point store over HTTP.
 type Server struct {
 	st  *lpstore.Store
@@ -224,7 +228,7 @@ func (s *Server) handleShardData(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/gzip")
 	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 	w.Header().Set("X-Lplib-Shard-Points", strconv.Itoa(points))
-	w.Header().Set("X-Lplib-Shard-Uncompressed", strconv.FormatInt(uncomp, 10))
+	w.Header().Set(shardLengthHeader, strconv.FormatInt(uncomp, 10))
 	io.Copy(w, raw)
 }
 

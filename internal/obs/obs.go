@@ -1,6 +1,6 @@
 // Package obs is the repository's observability layer: a dependency-free
-// metrics registry with Prometheus text-format exposition, plus a small
-// leveled structured logger.
+// metrics registry with Prometheus text-format exposition. Logs go through
+// the standard library's log/slog.
 //
 // The paper's online-reporting claim (§6.1) is at heart an observability
 // claim — run-time decisions (stop now? add workers?) need live progress

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -134,23 +133,4 @@ func TestConcurrentInstruments(t *testing.T) {
 	if c := r.Histogram("h", "h", []float64{0.5}).Count(); c != 8000 {
 		t.Fatalf("histogram %d, want 8000", c)
 	}
-}
-
-func TestLoggerLevelsAndFormat(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, LevelInfo, "worker")
-	l.now = func() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC) }
-	l.Debug("hidden")
-	l.Info("progress", "points", 128, "rate", 42.5, "eta", 90*time.Second, "note", "two words")
-	got := b.String()
-	want := `ts=2026-08-08T12:00:00Z level=info component=worker msg=progress points=128 rate=42.5 eta=1m30s note="two words"` + "\n"
-	if got != want {
-		t.Fatalf("log line:\ngot:  %q\nwant: %q", got, want)
-	}
-}
-
-func TestNilLoggerIsSafe(t *testing.T) {
-	var l *Logger
-	l.Info("nothing happens", "k", 1)
-	l.Error("still nothing")
 }

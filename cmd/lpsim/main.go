@@ -63,7 +63,7 @@ func main() {
 	// The flags describe a run exactly as lpserved -cluster's do.
 	run := spec()
 	if run.Mode == lpcluster.ModeMatched && *parallel > 1 {
-		log.Printf("lpsim: a matched run is serial; -parallel %d is ignored", *parallel)
+		log.Printf("lpsim: a matched run folds its points serially and already simulates its two configurations side by side; -parallel %d is ignored", *parallel)
 	}
 	// Refuse a machine that cannot be built before touching the library.
 	cfgs, err := run.Configs()

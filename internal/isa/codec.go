@@ -22,7 +22,10 @@ func EncodeInst(in Inst, dst []byte) {
 	binary.LittleEndian.PutUint64(dst[8:16], uint64(in.Imm))
 }
 
-// DecodeInst deserializes one instruction from its 16-byte wire form.
+// DecodeInst deserializes one instruction from its 16-byte wire form. It
+// refuses what EncodeInst never writes: an invalid opcode, a register
+// outside the register file (the simulators index theirs by it) and
+// non-zero reserved bytes.
 func DecodeInst(src []byte) (Inst, error) {
 	if len(src) < InstBytes {
 		return Inst{}, fmt.Errorf("isa: short instruction encoding: %d bytes", len(src))
@@ -36,6 +39,12 @@ func DecodeInst(src []byte) (Inst, error) {
 	}
 	if !in.Op.Valid() {
 		return Inst{}, fmt.Errorf("isa: invalid opcode %d", src[0])
+	}
+	if in.Rd >= NumRegs || in.Rs1 >= NumRegs || in.Rs2 >= NumRegs {
+		return Inst{}, fmt.Errorf("isa: register r%d, r%d or r%d outside the %d-register file", in.Rd, in.Rs1, in.Rs2, NumRegs)
+	}
+	if r := binary.LittleEndian.Uint32(src[4:8]); r != 0 {
+		return Inst{}, fmt.Errorf("isa: reserved bytes %#08x are not zero", r)
 	}
 	return in, nil
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -78,7 +79,7 @@ func TestSrcRegs(t *testing.T) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	f := func(op uint8, rd, rs1, rs2 uint8, imm int64) bool {
-		in := Inst{Op: Op(op % uint8(NumOps)), Rd: rd, Rs1: rs1, Rs2: rs2, Imm: imm}
+		in := Inst{Op: Op(op % uint8(NumOps)), Rd: rd % NumRegs, Rs1: rs1 % NumRegs, Rs2: rs2 % NumRegs, Imm: imm}
 		var buf [InstBytes]byte
 		EncodeInst(in, buf[:])
 		got, err := DecodeInst(buf[:])
@@ -100,6 +101,43 @@ func TestCodecRejectsBadInput(t *testing.T) {
 	}
 	if _, err := AppendText(nil, make([]byte, InstBytes+1)); err == nil {
 		t.Error("misaligned text accepted")
+	}
+}
+
+// TestDecodeInstRejectsWhatTheSimulatorsCannotIndex: every encoding
+// EncodeInst cannot produce — a register past the register file, or a
+// non-zero reserved byte — is refused, one field at a time, while the
+// same word with the field in range decodes.
+func TestDecodeInstRejectsWhatTheSimulatorsCannotIndex(t *testing.T) {
+	var good [InstBytes]byte
+	EncodeInst(Inst{Op: OpAdd, Rd: NumRegs - 1, Rs1: 1, Rs2: 2, Imm: -7}, good[:])
+	if _, err := DecodeInst(good[:]); err != nil {
+		t.Fatalf("valid instruction refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		at   int
+		val  byte
+	}{
+		{"rd = NumRegs", 1, NumRegs},
+		{"rd = 255", 1, 255},
+		{"rs1 = NumRegs", 2, NumRegs},
+		{"rs1 = 200", 2, 200},
+		{"rs2 = NumRegs", 3, NumRegs},
+		{"rs2 = 128", 3, 128},
+		{"reserved byte 4", 4, 1},
+		{"reserved byte 5", 5, 0x80},
+		{"reserved byte 6", 6, 1},
+		{"reserved byte 7", 7, 0xff},
+	} {
+		bad := good
+		bad[tc.at] = tc.val
+		if in, err := DecodeInst(bad[:]); err == nil {
+			t.Errorf("%s: decoded as %+v, want an error", tc.name, in)
+		}
+		if _, err := AppendText(nil, append(good[:], bad[:]...)); err == nil || !strings.Contains(err.Error(), "instruction 1") {
+			t.Errorf("%s: text with it as its second instruction: %v", tc.name, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package livepoint
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"livepoints/internal/bpred"
@@ -164,6 +165,37 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if w1.UnitCPI != w2.UnitCPI {
 		t.Fatalf("decoded point simulates differently: %.6f vs %.6f", w1.UnitCPI, w2.UnitCPI)
+	}
+}
+
+// TestDecodeRefusesUnknownRegister: a point whose stored text names a
+// register the core does not have (Rs1 = 200; the file has isa.NumRegs)
+// fails DecodeInto with an error, so a run reports it as a bad point
+// instead of indexing past the core's register tables in Simulate.
+func TestDecodeRefusesUnknownRegister(t *testing.T) {
+	cfg := uarch.Config8Way()
+	_, design, points := buildTestLibrary(t, "syn.gzip", 0.005, cfg, 40, false)
+	lp := points[0]
+	good, _ := Encode(lp)
+	lp.Text[0].Insts[0].Rs1 = 200
+	bad, _ := Encode(lp)
+	var into LivePoint
+	if err := DecodeInto(&into, bad); err == nil || !strings.Contains(err.Error(), "r200") {
+		t.Fatalf("DecodeInto of a point with Rs1 = 200: %v, want an error naming r200", err)
+	}
+
+	// Through the runners the error is the decoder's: no configuration
+	// ever simulated the point.
+	blobs := [][]byte{good, bad}
+	if _, _, err := SimBlobs(blobs, cfg); err == nil || !strings.Contains(err.Error(), "r200") || strings.Contains(err.Error(), "config") {
+		t.Errorf("SimBlobs: %v, want the decode error", err)
+	}
+	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen}
+	exp := cfg
+	exp.Hier.MemLat *= 2
+	if _, err := RunMatchedSource(&fakeSharded{meta: meta, blobs: blobs}, MatchedOpts{Base: cfg, Exp: exp}); err == nil ||
+		!strings.Contains(err.Error(), "r200") || strings.Contains(err.Error(), "config") {
+		t.Errorf("RunMatchedSource: %v, want the decode error", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package livepoint
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +47,10 @@ type Tally struct {
 	Processed int
 
 	LoadTime time.Duration // decompression + decode + reconstruction I/O
-	SimTime  time.Duration // detailed simulation (under every configuration)
+	// SimTime is detailed simulation summed over the configurations: each
+	// arena times its own Simulate, so configurations that ran side by
+	// side add up, as parallel workers do (never wall-clock).
+	SimTime time.Duration
 
 	// Aggregated wrong-path approximation counters (§5), from the first
 	// configuration's windows.
@@ -90,8 +94,9 @@ func RunSource(src Source, opts RunOpts) (*RunResult, error) {
 // pass is one run: each point of a library simulated under k
 // configurations (one absolute; baseline and experimental matched) and
 // folded into sampling.Columns until the rule stops it, maxPoints is
-// reached, or the library ends. Only a one-configuration pass runs
-// parallel.
+// reached, or the library ends. Only a one-configuration pass simulates
+// points in parallel; a pass of more folds its points in order and
+// simulates each point's configurations side by side (pointKernel).
 type pass struct {
 	cfgs      []uarch.Config
 	rule      sampling.Rule
@@ -164,11 +169,22 @@ func (p *pass) add(wrs []warm.WindowResult) (over bool) {
 // pointKernel is the one place a live-point is simulated: its window runs
 // under each of k configurations (one for absolute runs; baseline and
 // experimental for matched pairs), each on its own arena so that none
-// reconfigures between geometries every point. It serves one goroutine.
+// reconfigures between geometries every point. It serves one goroutine,
+// its caller; between start and stop it also keeps helper goroutines, so
+// that a point's k configurations simulate side by side.
 type pointKernel struct {
 	cfgs   []uarch.Config
 	arenas []SimArena
 	wrs    []warm.WindowResult // simulate's result slice, reused
+	errs   []error             // arena i's error for the current point
+	took   []time.Duration     // arena i's Simulate time for the current point
+
+	// Between start and stop, of n goroutines in all, helper h runs
+	// arenas h+1, h+1+n, h+1+2n, … of every point handed to helpers[h],
+	// and answers on joined; the caller runs arenas 0, n, 2n, ….
+	helpers []chan *LivePoint
+	joined  chan struct{}
+	exited  sync.WaitGroup
 }
 
 func newPointKernel(cfgs ...uarch.Config) *pointKernel {
@@ -179,27 +195,85 @@ func newPointKernel(cfgs ...uarch.Config) *pointKernel {
 
 // configure points the kernel at cfgs, keeping the arenas it has: arena i
 // serves configuration i, whatever it served before (a reused arena is
-// bit-identical to a fresh one).
+// bit-identical to a fresh one). It is not called between start and stop.
 func (k *pointKernel) configure(cfgs []uarch.Config) {
 	k.cfgs = cfgs
 	if n := len(cfgs) - len(k.arenas); n > 0 {
 		k.arenas = append(k.arenas, make([]SimArena, n)...)
 		k.wrs = append(k.wrs, make([]warm.WindowResult, n)...)
+		k.errs = append(k.errs, make([]error, n)...)
+		k.took = append(k.took, make([]time.Duration, n)...)
 	}
-	k.wrs = k.wrs[:len(cfgs)]
+	k.wrs, k.errs, k.took = k.wrs[:len(cfgs)], k.errs[:len(cfgs)], k.took[:len(cfgs)]
+}
+
+// start gives the kernel min(k, GOMAXPROCS) goroutines, the caller's own
+// among them, until stop. With one configuration or one processor it
+// starts none, and simulate runs every arena on the caller.
+func (k *pointKernel) start() {
+	n := min(len(k.cfgs), runtime.GOMAXPROCS(0))
+	if n < 2 {
+		return
+	}
+	k.helpers = make([]chan *LivePoint, n-1)
+	k.joined = make(chan struct{}, n-1)
+	for h := range k.helpers {
+		work := make(chan *LivePoint)
+		k.helpers[h] = work
+		k.exited.Add(1)
+		go func() {
+			defer k.exited.Done()
+			for lp := range work {
+				k.run(lp, h+1, n)
+				k.joined <- struct{}{}
+			}
+		}()
+	}
+}
+
+// stop ends the helpers start began and waits for them to exit.
+func (k *pointKernel) stop() {
+	for _, work := range k.helpers {
+		close(work)
+	}
+	k.exited.Wait()
+	k.helpers = nil
+}
+
+// run simulates lp on arenas first, first+step, …, each timing its own
+// Simulate.
+func (k *pointKernel) run(lp *LivePoint, first, step int) {
+	for i := first; i < len(k.cfgs); i += step {
+		t0 := time.Now()
+		k.wrs[i], k.errs[i] = k.arenas[i].Simulate(lp, k.cfgs[i])
+		k.took[i] = time.Since(t0)
+	}
 }
 
 // simulate returns lp's window results, index-aligned with the kernel's
-// configurations and valid until the next call.
-func (k *pointKernel) simulate(lp *LivePoint) ([]warm.WindowResult, error) {
-	for i := range k.cfgs {
-		wr, err := k.arenas[i].Simulate(lp, k.cfgs[i])
-		if err != nil {
-			return nil, fmt.Errorf("livepoint: point %d, config %q: %w", lp.Index, k.cfgs[i].Name, err)
-		}
-		k.wrs[i] = wr
+// configurations and valid until the next call, and their simulation
+// time summed over the arenas. It returns only once every arena is done
+// with lp, so the caller may decode the next point into it. Of several
+// failing configurations, the lowest-indexed one's error is returned.
+func (k *pointKernel) simulate(lp *LivePoint) ([]warm.WindowResult, time.Duration, error) {
+	// A table decoded out of order sorts itself at its first lookup:
+	// sort it here, before arenas read lp side by side.
+	lp.Mem.ensureSorted()
+	for _, work := range k.helpers {
+		work <- lp
 	}
-	return k.wrs, nil
+	k.run(lp, 0, len(k.helpers)+1)
+	for range k.helpers {
+		<-k.joined
+	}
+	var took time.Duration
+	for i, err := range k.errs {
+		if err != nil {
+			return nil, 0, fmt.Errorf("livepoint: point %d, config %q: %w", lp.Index, k.cfgs[i].Name, err)
+		}
+		took += k.took[i]
+	}
+	return k.wrs, took, nil
 }
 
 // decodeBlob is DecodeInto plus the decoded-bytes counter.
@@ -209,11 +283,14 @@ func decodeBlob(lp *LivePoint, blob []byte) error {
 }
 
 // serial is the one serial loop: it pulls blobs from next until io.EOF,
-// decodes each in order into lp, in place, and simulates it on k, on one
-// goroutine, so the processing order and the exact stopping point are
-// deterministic. Blob reads and decode count as load time, detailed
-// simulation (under every configuration) as sim time.
+// decodes each in order into lp, in place, and simulates it on k, folding
+// on one goroutine, so the processing order and the exact stopping point
+// are deterministic. The kernel's helpers live exactly as long as the
+// loop. Blob reads and decode count as load time, detailed simulation
+// (summed over the configurations) as sim time.
 func (p *pass) serial(k *pointKernel, lp *LivePoint, next func() ([]byte, error)) error {
+	k.start()
+	defer k.stop()
 	for {
 		t0 := time.Now()
 		blob, err := next()
@@ -226,14 +303,13 @@ func (p *pass) serial(k *pointKernel, lp *LivePoint, next func() ([]byte, error)
 		if err != nil {
 			return err
 		}
-		t1 := time.Now()
-		p.res.LoadTime += t1.Sub(t0)
+		p.res.LoadTime += time.Since(t0)
 
-		wrs, err := k.simulate(lp)
+		wrs, took, err := k.simulate(lp)
 		if err != nil {
 			return err
 		}
-		p.res.SimTime += time.Since(t1)
+		p.res.SimTime += took
 
 		if p.add(wrs) {
 			return nil
@@ -315,9 +391,8 @@ func (p *pass) pipeline(load func(*pipeline) error) error {
 			defer workers.Done()
 			k := newPointKernel(p.cfgs...)
 			for lp := range pl.lpc {
-				t0 := time.Now()
-				wrs, err := k.simulate(lp)
-				pl.simNS.Add(int64(time.Since(t0)))
+				wrs, took, err := k.simulate(lp)
+				pl.simNS.Add(int64(took))
 				releaseLivePoint(lp)
 				if err != nil {
 					pl.fail(err)
@@ -529,7 +604,8 @@ func RunMatchedFile(path string, opts MatchedOpts) (*MatchedResult, error) {
 }
 
 // RunMatchedSource is RunMatchedFile over any live-point source: a serial
-// pass of the baseline and experimental configurations.
+// pass of the baseline and experimental configurations, which simulate
+// each point side by side when there are two processors.
 func RunMatchedSource(src Source, opts MatchedOpts) (*MatchedResult, error) {
 	p := &pass{cfgs: []uarch.Config{opts.Base, opts.Exp},
 		rule: sampling.Rule{Z: opts.Z, RelErr: opts.RelErr, NoImpact: opts.NoImpactThreshold}, maxPoints: opts.MaxPoints}

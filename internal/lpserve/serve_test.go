@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -360,6 +361,56 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// discardWriter is a ResponseWriter that counts the body and keeps
+// nothing, so a handler's own allocations can be measured.
+type discardWriter struct {
+	header http.Header
+	bytes  int64
+}
+
+func (d *discardWriter) Header() http.Header { return d.header }
+func (d *discardWriter) WriteHeader(int)     {}
+func (d *discardWriter) Write(p []byte) (int, error) {
+	d.bytes += int64(len(p))
+	return len(p), nil
+}
+
+// TestShardServingReusesCopyBuffer: serving a shard allocates far less
+// than the 32 KB copy buffer io.Copy would make for every request, and the
+// response-bytes counter still counts every byte served.
+func TestShardServingReusesCopyBuffer(t *testing.T) {
+	st, _ := synthStoreOf(t, 64, 64, 1000, 200)
+	_, stored, _, err := st.ShardStat(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	h := NewServerWithMetrics(st, reg).Handler()
+	w := &discardWriter{header: make(http.Header)}
+	req := httptest.NewRequest(http.MethodGet, "/v1/shards/0", nil)
+	h.ServeHTTP(w, req) // the first request fills the pool
+
+	// Enough requests that the race detector's random drops from the pool
+	// stay far below the bound.
+	const n = 200
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range n {
+		h.ServeHTTP(w, req)
+	}
+	runtime.ReadMemStats(&m1)
+	if w.bytes != (n+1)*stored {
+		t.Fatalf("served %d bytes in %d requests, want %d a request", w.bytes, n+1, stored)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= n*16<<10 {
+		t.Errorf("%d shard requests allocated %d bytes (%d a request), want under 16 KB a request", n, got, got/n)
+	}
+	served := reg.Counter("lpserve_http_response_bytes_total", "", "endpoint", "GET /v1/shards/{id}").Value()
+	if served != uint64(w.bytes) {
+		t.Errorf("lpserve_http_response_bytes_total counts %d bytes, the handler wrote %d", served, w.bytes)
 	}
 }
 

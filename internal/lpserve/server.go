@@ -36,6 +36,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"livepoints/internal/lpstore"
@@ -229,8 +230,18 @@ func (s *Server) handleShardData(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 	w.Header().Set("X-Lplib-Shard-Points", strconv.Itoa(points))
 	w.Header().Set(shardLengthHeader, strconv.FormatInt(uncomp, 10))
-	io.Copy(w, raw)
+	pb := copyBufs.Get().(*[]byte)
+	io.CopyBuffer(w, raw, *pb)
+	copyBufs.Put(pb)
 }
+
+// copyBufs holds the buffers shards are served through. statusWriter
+// hides the connection's ReaderFrom, and a section of the store file has
+// no WriterTo, so io.Copy would allocate 32 KB for every request.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
 
 func (s *Server) handleShardIndex(w http.ResponseWriter, r *http.Request) {
 	id, ok := s.shardID(w, r)

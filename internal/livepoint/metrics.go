@@ -8,8 +8,6 @@ import "livepoints/internal/obs"
 // dwarfing misses; a miss rate that tracks the point rate means pooling
 // has silently stopped working.
 var (
-	mGzipPoolHits    = obs.Default.Counter("livepoint_pool_hits_total", "Pooled load-path object reuses by pool.", "pool", "gzip")
-	mGzipPoolMisses  = obs.Default.Counter("livepoint_pool_misses_total", "Pooled load-path object allocations by pool.", "pool", "gzip")
 	mPointPoolHits   = obs.Default.Counter("livepoint_pool_hits_total", "Pooled load-path object reuses by pool.", "pool", "livepoint")
 	mPointPoolMisses = obs.Default.Counter("livepoint_pool_misses_total", "Pooled load-path object allocations by pool.", "pool", "livepoint")
 	mBlobPoolHits    = obs.Default.Counter("livepoint_pool_hits_total", "Pooled load-path object reuses by pool.", "pool", "blob")

@@ -1,43 +1,11 @@
 package livepoint
 
-import (
-	"compress/gzip"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Pools for the load path's fixed-cost objects. The paper's load-time
 // claim (§5, Table 2) only holds if loading a point costs decompression
 // and decode work, not allocator and GC work; everything here exists to
 // keep the steady-state per-point heap traffic at zero.
-
-var gzipReaders sync.Pool
-
-// AcquireGzipReader returns a decompressor reset over r, reusing a pooled
-// gzip.Reader when one is available. Pair with ReleaseGzipReader.
-func AcquireGzipReader(r io.Reader) (*gzip.Reader, error) {
-	var gz *gzip.Reader
-	if v := gzipReaders.Get(); v != nil {
-		mGzipPoolHits.Inc()
-		gz = v.(*gzip.Reader)
-	} else {
-		mGzipPoolMisses.Inc()
-		gz = new(gzip.Reader)
-	}
-	if err := gz.Reset(r); err != nil {
-		gzipReaders.Put(gz)
-		return nil, err
-	}
-	return gz, nil
-}
-
-// ReleaseGzipReader returns gz to the pool. The caller must not touch gz
-// afterwards. Releasing mid-stream is fine: Reset discards any state.
-func ReleaseGzipReader(gz *gzip.Reader) {
-	if gz != nil {
-		gzipReaders.Put(gz)
-	}
-}
 
 var livePoints sync.Pool
 

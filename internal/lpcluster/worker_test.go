@@ -373,6 +373,45 @@ func TestWorkerReusesLeaseStorage(t *testing.T) {
 	}
 }
 
+// TestShardLeaseAllocatesLittle: once a worker has leased every shard, a
+// shard lease allocates only its two HTTP exchanges' garbage, under 32 KB
+// where a shard is some 800 KB: the shard inflates through a decoder off
+// the inflate package's free list, and its index decodes into the spans
+// the body kept from the last lease. The first pass takes the body, grows
+// the arenas to the largest point, and fills the in-process server's
+// per-P copy-buffer pools, which are the server's cost, not the lease's.
+func TestShardLeaseAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector, pooled HTTP buffers miss at random")
+	}
+	cl, shards := bigShardServer(t)
+	cfgs, err := RunSpec{}.Configs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker("frugal", cl)
+	w.cfgs = cfgs
+	for _, sh := range shards {
+		if err := shardLease(w, sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sh := range shards {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := shardLease(w, sh)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("shard %d, %d bytes inflated: %d bytes allocated", sh.ID, sh.UncompressedBytes, alloc)
+		if alloc >= 32<<10 {
+			t.Errorf("shard %d's lease allocated %d bytes, want under 32 KB", sh.ID, alloc)
+		}
+	}
+}
+
 // TestWorkerLeaseReleaseWhileShardSourceWalks: a buffer passes between
 // readers only through lpstore's free list, and only once its reader is
 // done with it. Two workers on one client lease every shard between them,

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"livepoints/internal/inflate"
 	"livepoints/internal/livepoint"
 	"livepoints/internal/lpstore"
 	"livepoints/internal/obs"
@@ -390,6 +391,11 @@ type Body struct {
 	buf    []byte
 	blobs  [][]byte
 	pooled bool // buf is the free list's: read takes it there and keeps room
+
+	// A shard's read-order index as it arrived, and decoded: kept, like
+	// blobs, so that fetch after fetch decodes into the same storage.
+	index bytes.Buffer
+	spans []lpstore.Span
 }
 
 // Release gives the buffer back to lpstore's free list: no blob cut from
@@ -404,17 +410,27 @@ func (b *Body) Release() {
 // body past it is grown as its bytes arrive.
 const bodyChunk = 1 << 20
 
-// read reads r to its end into b's buffer, overwriting what it held and
-// growing it with growBody when it fills; the buffer is kept, grown or
-// not, even on error. declared is the length the server said the body
-// has (-1 when it said nothing). A pooled body starts from the free
-// list's newest buffer, and one that outgrew its buffer ends in one at
-// least twice its length, paid for by bytes that arrived: a pooled body
-// serves body after body, and the bodies after it — their lengths differ
-// by tens of percent — then fit. Grown only to each new longest body, the
-// buffer would grow again in whichever later pass first met one, a
-// different number of times for every library.
+// read reads r to its end into b's buffer, as fill does.
 func (b *Body) read(r io.Reader, declared int64) error {
+	return b.fill(declared, func(buf []byte) ([]byte, error) {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		return buf[:len(buf)+n], err
+	})
+}
+
+// fill fills b's buffer with next until next returns io.EOF, overwriting
+// what it held and growing it with growBody whenever next has filled it;
+// next appends to the buffer it is given, within its capacity, as
+// inflate.Decoder.Fill does. The buffer is kept, grown or not, even on
+// error. declared is the length the server said the body has (-1 when it
+// said nothing). A pooled body starts from the free list's newest buffer,
+// and one that outgrew its buffer ends in one at least twice its length,
+// paid for by bytes that arrived: a pooled body serves body after body,
+// and the bodies after it — their lengths differ by tens of percent —
+// then fit. Grown only to each new longest body, the buffer would grow
+// again in whichever later pass first met one, a different number of
+// times for every library.
+func (b *Body) fill(declared int64, next func([]byte) ([]byte, error)) error {
 	if b.pooled && b.buf == nil {
 		b.buf = lpstore.TakeShardBuf(0)
 	}
@@ -423,8 +439,8 @@ func (b *Body) read(r io.Reader, declared int64) error {
 		if len(buf) == cap(buf) {
 			buf, grew = growBody(buf, declared), true
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
+		var err error
+		buf, err = next(buf)
 		if err == io.EOF {
 			break
 		}
@@ -508,12 +524,11 @@ func (c *Client) fetchBatch(ctx context.Context, start, count int, b *Body) ([][
 
 // shardBlobs is ShardBlobs into b; what b held before is overwritten.
 // The shard's index and its length header are hints alike: a stream of
-// another length is still read to its end, under read's rule, and the
+// another length is still read to its end, under fill's rule, and the
 // spans are checked against what arrived.
 func (c *Client) shardBlobs(ctx context.Context, sh int, b *Body) ([][]byte, error) {
 	return c.refetch(ctx, fmt.Sprintf("shard %d", sh), func() ([][]byte, error) {
-		var spans []lpstore.Span
-		if err := c.DoJSON(ctx, http.MethodGet, fmt.Sprintf("/v1/shards/%d/index", sh), nil, &spans); err != nil {
+		if err := c.shardIndex(ctx, sh, b); err != nil {
 			return nil, err
 		}
 		resp, err := c.get(ctx, fmt.Sprintf("/v1/shards/%d", sh))
@@ -521,20 +536,17 @@ func (c *Client) shardBlobs(ctx context.Context, sh int, b *Body) ([][]byte, err
 			return nil, err
 		}
 		defer resp.Body.Close()
-		gz, err := livepoint.AcquireGzipReader(resp.Body)
-		if err != nil {
-			return nil, fmt.Errorf("lpserve: shard %d: %w", sh, err)
-		}
-		defer livepoint.ReleaseGzipReader(gz)
 		declared, err := strconv.ParseInt(resp.Header.Get(shardLengthHeader), 10, 64)
 		if err != nil {
 			declared = -1
 		}
-		if err := b.read(gz, declared); err != nil {
+		d := inflate.Take(resp.Body)
+		defer d.Release()
+		if err := b.fill(declared, d.Fill); err != nil {
 			return nil, fmt.Errorf("lpserve: shard %d: inflating: %w", sh, err)
 		}
 		b.blobs = b.blobs[:0]
-		for _, sp := range spans {
+		for _, sp := range b.spans {
 			if sp.Off < 0 || sp.Off+int64(sp.Len) > int64(len(b.buf)) {
 				return nil, fmt.Errorf("lpserve: shard %d: %w", sh, &ProtocolError{
 					Err: fmt.Errorf("span [%d,%d) exceeds shard length %d", sp.Off, sp.Off+int64(sp.Len), len(b.buf))})
@@ -543,6 +555,26 @@ func (c *Client) shardBlobs(ctx context.Context, sh int, b *Body) ([][]byte, err
 		}
 		return b.blobs, nil
 	})
+}
+
+// shardIndex fetches shard sh's read-order index into b.spans, through
+// b.index: a shard source or a worker's lease decodes index after index
+// into the same two slices.
+func (c *Client) shardIndex(ctx context.Context, sh int, b *Body) error {
+	path := fmt.Sprintf("/v1/shards/%d/index", sh)
+	resp, err := c.get(ctx, path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	b.index.Reset()
+	if _, err := b.index.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("lpserve: GET %s: reading response: %w", path, err)
+	}
+	if err := json.Unmarshal(b.index.Bytes(), &b.spans); err != nil {
+		return fmt.Errorf("lpserve: GET %s: decoding response: %w", path, &ProtocolError{Err: err})
+	}
+	return nil
 }
 
 // remoteSource streams the library sequentially through ranged batches and

@@ -40,6 +40,7 @@ import (
 	"os"
 	"sync"
 
+	"livepoints/internal/inflate"
 	"livepoints/internal/livepoint"
 )
 
@@ -267,33 +268,34 @@ func (st *Store) DecompressShard(s int) ([]byte, error) {
 }
 
 // inflateShard is DecompressShard into buf's storage when the shard fits
-// it.
+// it. The stream must inflate to exactly its indexed length, then end
+// with a trailer whose CRC-32 and length match: uncompLen bytes arriving
+// intact does not by itself prove the stream checksum matched.
 func (st *Store) inflateShard(s int, buf []byte) ([]byte, error) {
-	raw, _, err := st.ShardRaw(s)
-	if err != nil {
-		return nil, err
+	if s < 0 || s >= len(st.shards) {
+		return nil, fmt.Errorf("lpstore: shard %d out of range [0,%d)", s, len(st.shards))
 	}
-	gz, err := livepoint.AcquireGzipReader(raw)
-	if err != nil {
-		return nil, fmt.Errorf("lpstore: shard %d: %w", s, err)
-	}
-	defer livepoint.ReleaseGzipReader(gz)
-	n := st.shards[s].uncompLen
+	sh := st.shards[s]
+	n := sh.uncompLen
 	if int64(cap(buf)) < n {
 		buf = make([]byte, n)
 	}
-	data := buf[:n]
-	if _, err := io.ReadFull(gz, data); err != nil {
+	d := inflate.TakeAt(st.f, sh.dataOff, sh.compLen)
+	defer d.Release()
+	data, err := d.Fill(buf[:0:n])
+	switch {
+	case err == nil: // data is full, and the stream goes on
+		past, err := d.Discard(data)
+		if err != nil {
+			return nil, fmt.Errorf("lpstore: shard %d: stream trailer: %w", s, err)
+		}
+		return nil, fmt.Errorf("lpstore: shard %d: inflates %d bytes past its indexed length %d", s, past, n)
+	case err != io.EOF:
 		return nil, fmt.Errorf("lpstore: shard %d: inflating: %w", s, err)
+	case int64(len(data)) < n:
+		return nil, fmt.Errorf("lpstore: shard %d: inflates %d bytes, short of its indexed length %d", s, len(data), n)
 	}
-	// Read to EOF so the gzip CRC trailer is actually verified: uncompLen
-	// bytes arriving intact does not prove the stream checksum matched.
-	if n, err := io.Copy(io.Discard, gz); err != nil {
-		return nil, fmt.Errorf("lpstore: shard %d: stream trailer: %w", s, err)
-	} else if n != 0 {
-		return nil, fmt.Errorf("lpstore: shard %d: inflates %d bytes past its indexed length %d", s, n, len(data))
-	}
-	return data, nil
+	return buf[:n], nil
 }
 
 // buildShardOrder partitions the read-order permutation by shard, and

@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,66 +148,9 @@ func drainSeq(b *testing.B, path string) int {
 	}
 }
 
-// drainSharded reads every blob from a v2 library with workers pulling
-// independent shards — the decompression path parallel runners use.
-func drainSharded(b *testing.B, path string, workers int) int {
-	b.Helper()
-	src, err := livepoint.OpenSource(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer src.Close()
-	ss, ok := src.(livepoint.ShardedSource)
-	if !ok {
-		b.Fatal("v2 source should be sharded")
-	}
-	shardc := make(chan int)
-	go func() {
-		defer close(shardc)
-		for s := 0; s < ss.NumShards(); s++ {
-			shardc <- s
-		}
-	}()
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range shardc {
-				sub, err := ss.OpenShard(s)
-				if err != nil {
-					errc <- err
-					return
-				}
-				for {
-					if _, err := sub.NextBlob(); err == io.EOF {
-						break
-					} else if err != nil {
-						errc <- err
-						return
-					}
-					total.Add(1)
-				}
-				sub.Close()
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		b.Fatal(err)
-	default:
-	}
-	return int(total.Load())
-}
-
 // BenchmarkStoreRead measures library read throughput: one sequential
-// reader against the sharded store draining shards concurrently at
-// Parallel ∈ {1, 4, 8}. The parallel variants scale with available cores
-// (decompression is the cost); on a single-core host they only demonstrate
-// no regression.
+// reader, which inflates the next shard while it hands out the points of
+// the current one.
 func BenchmarkStoreRead(b *testing.B) {
 	v2, bytes := storeBenchSetup(b)
 	b.Run("v2-sequential", func(b *testing.B) {
@@ -219,16 +161,6 @@ func BenchmarkStoreRead(b *testing.B) {
 			}
 		}
 	})
-	for _, par := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("v2-parallel-%d", par), func(b *testing.B) {
-			b.SetBytes(bytes)
-			for i := 0; i < b.N; i++ {
-				if n := drainSharded(b, v2, par); n != 512 {
-					b.Fatalf("read %d points, want 512", n)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkStoreRandomAccess reads 4 scattered points, inflating only the

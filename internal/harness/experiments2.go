@@ -27,9 +27,12 @@ func gzipCompressLen(b []byte) int {
 // table2 measures per-benchmark wall-clock, in seconds, for all four
 // techniques: complete detailed simulation (sim-outorder), SMARTS (full
 // warming), AW-MRRL (warming + detailed, fast-forward excluded) and
-// live-points (load + simulate). The live-point runs use the online
-// stopping rule (target RelErr at confidence Z) against the shuffled
-// library; the other techniques traverse the full sample design.
+// live-points (load + simulate, where load is the time the run loop
+// spent getting and decoding blobs: a shard inflate the store source read
+// ahead counts only while the loop waited for it). The live-point runs
+// use the online stopping rule (target RelErr at confidence Z) against
+// the shuffled library; the other techniques traverse the full sample
+// design.
 func (c *Context) table2(cfg uarch.Config) (*Table, error) {
 	rows, err := perBench(c, func(name string) (Row, error) {
 		golden, err := c.GoldenCPI(name, cfg)

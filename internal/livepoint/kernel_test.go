@@ -110,7 +110,7 @@ func TestKernelNamesFailingConfig(t *testing.T) {
 	}
 
 	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	_, err := RunMatchedSource(&fakeSharded{meta: meta, blobs: blobs}, MatchedOpts{Base: cfgs[0], Exp: bad("bad one")})
+	_, err := RunMatchedSource(&fakeSource{meta: meta, blobs: blobs}, MatchedOpts{Base: cfgs[0], Exp: bad("bad one")})
 	if err == nil || !strings.Contains(err.Error(), `config "bad one"`) {
 		t.Errorf("matched run with a failing experimental configuration: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestKernelJoinsHelpers(t *testing.T) {
 	_, design, points := buildTestLibrary(t, "syn.gzip", 0.005, cfgs[0], 40, false)
 	blobs := encodeAll(points)
 	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	src := func(blobs [][]byte) Source { return &fakeSharded{meta: meta, blobs: blobs} }
+	src := func(blobs [][]byte) Source { return &fakeSource{meta: meta, blobs: blobs} }
 	unstored := cfgs[1]
 	unstored.BP.Name = "unstored"
 	broken := append(slices.Clone(blobs[:3]), []byte("not a live point"))
@@ -173,6 +173,13 @@ func TestKernelJoinsHelpers(t *testing.T) {
 	}
 }
 
+// kernelFor returns a kernel configured for cfgs.
+func kernelFor(cfgs ...uarch.Config) *pointKernel {
+	k := new(pointKernel)
+	k.configure(cfgs)
+	return k
+}
+
 // TestKernelAllocsPerPoint: simulating a point under two configurations
 // side by side allocates no more than two one-configuration kernels do;
 // the helpers' hand-over costs nothing a point.
@@ -190,10 +197,10 @@ func TestKernelAllocsPerPoint(t *testing.T) {
 			}
 		})
 	}
-	one := perPoint(newPointKernel(cfgs[0])) + perPoint(newPointKernel(cfgs[1]))
+	one := perPoint(kernelFor(cfgs[0])) + perPoint(kernelFor(cfgs[1]))
 
 	atLeastProcs(t, 2)
-	k := newPointKernel(cfgs[0], cfgs[1])
+	k := kernelFor(cfgs[0], cfgs[1])
 	k.start()
 	defer k.stop()
 	if len(k.helpers) != 1 {

@@ -193,7 +193,7 @@ func TestDecodeRefusesUnknownRegister(t *testing.T) {
 	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen}
 	exp := cfg
 	exp.Hier.MemLat *= 2
-	if _, err := RunMatchedSource(&fakeSharded{meta: meta, blobs: blobs}, MatchedOpts{Base: cfg, Exp: exp}); err == nil ||
+	if _, err := RunMatchedSource(&fakeSource{meta: meta, blobs: blobs}, MatchedOpts{Base: cfg, Exp: exp}); err == nil ||
 		!strings.Contains(err.Error(), "r200") || strings.Contains(err.Error(), "config") {
 		t.Errorf("RunMatchedSource: %v, want the decode error", err)
 	}
@@ -212,7 +212,7 @@ func TestRunFileOnlineStopsEarly(t *testing.T) {
 	meta := Meta{Benchmark: "syn.swim", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen}
 	shuffledMeta := meta
 	shuffledMeta.Shuffled = true
-	openFiles(t, map[string]*fakeSharded{
+	openFiles(t, map[string]*fakeSource{
 		raw:      {meta: meta, blobs: blobs},
 		shuffled: {meta: shuffledMeta, blobs: mixed},
 	})
@@ -246,7 +246,7 @@ func TestParallelMatchesSerialEstimate(t *testing.T) {
 	const path = "lib.lplib"
 	blobs := encodeAll(points)
 	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	openFiles(t, map[string]*fakeSharded{path: {meta: meta, blobs: blobs}})
+	openFiles(t, map[string]*fakeSource{path: {meta: meta, blobs: blobs}})
 	serial, err := RunFile(path, RunOpts{Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)

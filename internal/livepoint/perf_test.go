@@ -191,7 +191,7 @@ func TestSerialEstimateMatchesSimBlobs(t *testing.T) {
 	blobs := encodeAll(points)
 	const path = "lib.lplib"
 	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	openFiles(t, map[string]*fakeSharded{path: {meta: meta, blobs: blobs}})
+	openFiles(t, map[string]*fakeSource{path: {meta: meta, blobs: blobs}})
 	serial, err := RunFile(path, RunOpts{Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestSerialEstimateMatchesSimBlobs(t *testing.T) {
 
 // closeFails is a source that serves its blobs and then fails to close —
 // where a source reports a check it could only finish after the last read.
-type closeFails struct{ fakeSharded }
+type closeFails struct{ fakeSource }
 
 func (*closeFails) Close() error { return errors.New("stream trailer did not verify") }
 
@@ -222,7 +222,7 @@ func TestCloseSurfacesTrailerCorruption(t *testing.T) {
 	_, design, points := buildTestLibrary(t, "syn.gzip", 0.005, cfg, 40, false)
 	meta := Meta{Benchmark: "syn.gzip", Count: len(points), UnitLen: design.UnitLen, WarmLen: design.WarmLen}
 	setOpener(t, func(string) (Source, error) {
-		return &closeFails{fakeSharded{meta: meta, blobs: encodeAll(points), shards: 1}}, nil
+		return &closeFails{fakeSource{meta: meta, blobs: encodeAll(points)}}, nil
 	})
 
 	if res, err := RunFile("lib.lplib", RunOpts{Cfg: cfg}); err == nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"livepoints/internal/sampling"
@@ -46,7 +45,10 @@ type RunResult struct {
 type Tally struct {
 	Processed int
 
-	LoadTime time.Duration // decompression + decode + reconstruction I/O
+	// LoadTime is the time workers spent getting and decoding their
+	// blobs, summed over the workers. An inflate a source runs ahead
+	// counts only while a worker waits for it.
+	LoadTime time.Duration
 	// SimTime is detailed simulation summed over the configurations: each
 	// arena times its own Simulate, so configurations that ran side by
 	// side add up, as parallel workers do (never wall-clock).
@@ -109,14 +111,20 @@ type pass struct {
 	out      [][]float64 // when non-nil, every point's CPIs by column (SimBlobsK)
 	noImpact bool        // the no-impact screen stopped the pass
 	res      RunResult
+
+	// The loop's shared state, which its workers take turns at under mu.
+	mu    sync.Mutex
+	next  func() ([]byte, error) // the source's NextBlob
+	taken int                    // points decoded
+	over  bool                   // the pass folds no more points
+	ended bool                   // the source is at its end, or failed
+	err   error                  // the first failure
 }
 
 // run normalises the pass, once for every entry point (each configuration
 // must be buildable, Z 0 means Z997, an active rule needs a shuffled
-// library), and runs it. Whole-library parallel runs pull whole shards
-// when the source has them; truncated ones stay on the read-order feeder,
-// since a shard-major prefix of an index-reshuffled store groups
-// correlated points and would bias the estimate.
+// library), and runs the loop on Parallel workers for one configuration,
+// on one for more.
 func (p *pass) run(src Source) (*RunResult, error) {
 	for _, cfg := range p.cfgs {
 		if err := cfg.Validate(); err != nil {
@@ -131,17 +139,25 @@ func (p *pass) run(src Source) (*RunResult, error) {
 	}
 	p.cols = sampling.NewColumns(len(p.cfgs), p.rule, p.history)
 	p.row = make([]float64, len(p.cfgs))
-	var err error
-	switch ss, sharded := src.(ShardedSource); {
-	case p.parallel < 2 || len(p.cfgs) > 1:
-		err = p.serial(newPointKernel(p.cfgs...), new(LivePoint), src.NextBlob)
-	case sharded && ss.NumShards() > 1 && !p.rule.Active() && p.maxPoints <= 0:
-		err = p.pipeline(func(pl *pipeline) error { return pl.loadShards(ss, p.parallel) })
-	default:
-		err = p.pipeline(func(pl *pipeline) error { return pl.loadStream(src, p.parallel, p.maxPoints) })
+	p.next = src.NextBlob
+	n := 1
+	if len(p.cfgs) == 1 {
+		n = max(n, p.parallel)
 	}
-	if err != nil {
-		return nil, err
+	sims := takeBlobSims(n)
+	defer releaseBlobSims(sims)
+	var workers sync.WaitGroup
+	for _, s := range sims[1:] {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			p.work(s)
+		}()
+	}
+	p.work(sims[0])
+	workers.Wait()
+	if p.err != nil {
+		return nil, p.err
 	}
 	p.res.Est, p.res.History = *p.cols.Estimate(), p.cols.History()
 	return &p.res, nil
@@ -185,12 +201,6 @@ type pointKernel struct {
 	helpers []chan *LivePoint
 	joined  chan struct{}
 	exited  sync.WaitGroup
-}
-
-func newPointKernel(cfgs ...uarch.Config) *pointKernel {
-	k := new(pointKernel)
-	k.configure(cfgs)
-	return k
 }
 
 // configure points the kernel at cfgs, keeping the arenas it has: arena i
@@ -276,253 +286,114 @@ func (k *pointKernel) simulate(lp *LivePoint) ([]warm.WindowResult, time.Duratio
 	return k.wrs, took, nil
 }
 
-// decodeBlob is DecodeInto plus the decoded-bytes counter.
-func decodeBlob(lp *LivePoint, blob []byte) error {
-	mDecodedBytes.Add(uint64(len(blob)))
-	return DecodeInto(lp, blob)
+// work is the one run loop, on one worker and its BlobSim; a pass runs it
+// on each of its workers at once. Under the pass's lock a worker folds the
+// point it simulated last, stops if the pass is over, has failed or has
+// read the library to its end, and otherwise pulls and decodes the next
+// blob into its own LivePoint; it simulates outside the lock. On one
+// worker that is the serial loop: points are read, simulated and folded
+// in order, so the exact stopping point is deterministic. On more, points
+// fold in completion order, still an unbiased sample of a shuffled
+// library, and the stopping point depends on scheduling. The kernel's
+// helpers live exactly as long as the loop.
+func (p *pass) work(s *BlobSim) {
+	s.k.configure(p.cfgs)
+	s.k.start()
+	defer s.k.stop()
+	var wrs []warm.WindowResult
+	var took time.Duration
+	var err error
+	for p.turn(&s.lp, wrs, took, err) {
+		wrs, took, err = s.k.simulate(&s.lp)
+	}
 }
 
-// serial is the one serial loop: it pulls blobs from next until io.EOF,
-// decodes each in order into lp, in place, and simulates it on k, folding
-// on one goroutine, so the processing order and the exact stopping point
-// are deterministic. The kernel's helpers live exactly as long as the
-// loop. Blob reads and decode count as load time, detailed simulation
-// (summed over the configurations) as sim time.
-func (p *pass) serial(k *pointKernel, lp *LivePoint, next func() ([]byte, error)) error {
-	k.start()
-	defer k.stop()
-	for {
-		t0 := time.Now()
-		blob, err := next()
-		if err == io.EOF {
-			return nil
-		}
-		if err == nil {
-			err = decodeBlob(lp, blob)
-		}
-		if err != nil {
-			return err
-		}
-		p.res.LoadTime += time.Since(t0)
-
-		wrs, took, err := k.simulate(lp)
-		if err != nil {
-			return err
-		}
+// turn is a worker's time under the lock: it folds wrs, the window results
+// of the worker's last point (none before its first), or fails the pass
+// with simErr, the point's simulation error, and decodes the next point
+// into lp, reporting whether there is one to simulate. A point simulated
+// after the pass is over is not folded. The source is read under the lock
+// because a Source serves one caller at a time and lends each blob only
+// until its next NextBlob. Getting and decoding a blob count as load time,
+// detailed simulation (summed over the configurations, and over the
+// workers) as sim time.
+func (p *pass) turn(lp *LivePoint, wrs []warm.WindowResult, took time.Duration, simErr error) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if simErr != nil {
+		p.end(simErr)
+		return false
+	}
+	if wrs != nil {
 		p.res.SimTime += took
-
-		if p.add(wrs) {
-			return nil
-		}
+		p.over = p.over || p.add(wrs)
 	}
-}
-
-// simOut carries one simulation result, or a failure from any stage, to
-// the fold loop.
-type simOut struct {
-	wr  warm.WindowResult
-	err error
-}
-
-// pipeline is the scaffold of a parallel run — the paper's parallel
-// live-point processing (§6):
-//
-//	load stage → lpc → simulation workers → outs → fold loop
-//
-// The load stage runs ahead of simulation through the bounded lpc, so
-// I/O, decompression and decode overlap detailed simulation. Results fold
-// in completion order, which is still an unbiased sample of a shuffled
-// library; unlike serial runs the exact stopping point depends on
-// scheduling. Parallel runs differ only in their load stage (loadStream,
-// loadShards), which sees the scaffold through this type.
-type pipeline struct {
-	lpc  chan *LivePoint
-	outs chan simOut
-	done chan struct{} // closed when the fold loop wants no more points
-
-	// The load/sim split, summed over each stage's goroutines: the serial
-	// loop's accounting, never wall-clock.
-	loadNS, simNS atomic.Int64
-}
-
-func (p *pipeline) fail(err error) { p.outs <- simOut{err: err} }
-
-func (p *pipeline) loaded(since time.Time) { p.loadNS.Add(int64(time.Since(since))) }
-
-// decode queues one blob's live-point for simulation, in pooled storage.
-// The blob is not retained.
-func (p *pipeline) decode(blob []byte) {
+	if p.over || p.ended || p.maxPoints > 0 && p.taken == p.maxPoints {
+		return false
+	}
 	t0 := time.Now()
-	lp := acquireLivePoint()
-	err := decodeBlob(lp, blob)
-	p.loaded(t0)
+	blob, err := p.next()
+	if err == nil {
+		mDecodedBytes.Add(uint64(len(blob)))
+		err = DecodeInto(lp, blob)
+	}
 	if err != nil {
-		releaseLivePoint(lp)
-		p.fail(err)
-		return
+		p.end(err)
+		return false
 	}
-	p.lpc <- lp
-	mDecodeAheadDepth.Set(float64(len(p.lpc)))
+	p.taken++
+	p.res.LoadTime += time.Since(t0)
+	return true
 }
 
-// pipeline runs the load stage against p.parallel simulation workers,
-// each with its own kernel, and folds until both have drained: once the
-// stopping rule or an error closes done, the points already loaded are
-// still simulated and folded, so no goroutine stays blocked.
-func (p *pass) pipeline(load func(*pipeline) error) error {
-	pl := &pipeline{
-		// Decode-ahead deep enough to ride out per-point sim-time variance,
-		// shallow enough to cap fail-fast overshoot and resident points.
-		lpc:  make(chan *LivePoint, 2*p.parallel),
-		outs: make(chan simOut, p.parallel),
-		done: make(chan struct{}),
+// end stops the workers taking points, at the source's end or on the
+// pass's first error; p.mu is held.
+func (p *pass) end(err error) {
+	p.ended = true
+	if p.err == nil && err != io.EOF {
+		p.err = err
 	}
-
-	go func() {
-		if err := load(pl); err != nil {
-			pl.fail(err)
-		}
-		close(pl.lpc)
-	}()
-	var workers sync.WaitGroup
-	for w := 0; w < p.parallel; w++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			k := newPointKernel(p.cfgs...)
-			for lp := range pl.lpc {
-				wrs, took, err := k.simulate(lp)
-				pl.simNS.Add(int64(took))
-				releaseLivePoint(lp)
-				if err != nil {
-					pl.fail(err)
-				} else {
-					pl.outs <- simOut{wr: wrs[0]}
-				}
-			}
-		}()
-	}
-	go func() {
-		workers.Wait()
-		close(pl.outs)
-	}()
-
-	// done closes when the pass is over or on the first error (fail-fast:
-	// the load stage must not read and decode the rest of the library just
-	// to report an error that has already happened).
-	var stop sync.Once
-	var firstErr error
-	for out := range pl.outs {
-		if out.err != nil && firstErr == nil {
-			firstErr = out.err
-		}
-		if out.err != nil || p.add([]warm.WindowResult{out.wr}) {
-			stop.Do(func() { close(pl.done) })
-		}
-	}
-	p.res.LoadTime = time.Duration(pl.loadNS.Load())
-	p.res.SimTime = time.Duration(pl.simNS.Load())
-	return firstErr
 }
 
-// fan is the shape both load stages share: feed offers items to n
-// goroutines running work, until it has no more or offer reports that the
-// fold loop wants none. fan returns once all of them have finished.
-func fan[T any](p *pipeline, n, buffer int, work func(T), feed func(offer func(T) bool) error) error {
-	items := make(chan T, buffer)
-	var workers sync.WaitGroup
-	for w := 0; w < n; w++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for item := range items {
-				work(item)
-			}
-		}()
-	}
-	defer workers.Wait()
-	defer close(items)
-	return feed(func(item T) bool {
-		select {
-		case items <- item:
-			return true
-		case <-p.done:
-			return false
-		}
-	})
+// blobSims is the package's free list of worker state. A pass takes a
+// BlobSim for each of its workers and gives them back when it ends, so the
+// next pass (RunFile opens its library again each time) simulates on
+// arenas and decodes into points already grown to the library's largest,
+// instead of growing fresh ones. The last given back is the first taken,
+// so a run repeated over one library gets back the BlobSims that grew for
+// it. Unlike a sync.Pool it survives collections; it keeps at most
+// maxFreeBlobSims.
+var blobSims struct {
+	sync.Mutex
+	free []*BlobSim
 }
 
-// loadStream is the read-order load stage, the one every truncated run
-// uses: blobs come off the single stream, each copied into a pooled
-// buffer (NextBlob's return is only valid until the next call) for the
-// decoders. One stream feeds them, so half the simulation width keeps the
-// pipeline full while decode stays the cheap stage.
-func (p *pipeline) loadStream(src Source, parallel, maxPoints int) error {
-	decode := func(pb *[]byte) {
-		p.decode(*pb)
-		releaseBlobBuf(pb)
-	}
-	return fan(p, (parallel+1)/2, parallel, decode, func(offer func(*[]byte) bool) error {
-		for sent := 0; maxPoints <= 0 || sent < maxPoints; sent++ {
-			t0 := time.Now()
-			blob, err := src.NextBlob()
-			if err != nil {
-				p.loaded(t0)
-				if err == io.EOF {
-					return nil
-				}
-				return err
-			}
-			pb := acquireBlobBuf(len(blob))
-			copy(*pb, blob)
-			p.loaded(t0)
-			if !offer(pb) {
-				releaseBlobBuf(pb)
-				return nil
-			}
+// maxFreeBlobSims covers a four-worker pass.
+const maxFreeBlobSims = 4
+
+// takeBlobSims returns n BlobSims, the most recently given back first.
+func takeBlobSims(n int) []*BlobSim {
+	blobSims.Lock()
+	defer blobSims.Unlock()
+	sims := make([]*BlobSim, n)
+	for i := range sims {
+		k := len(blobSims.free) - 1
+		if k < 0 {
+			sims[i] = new(BlobSim)
+			continue
 		}
-		return nil
-	})
+		sims[i], blobSims.free = blobSims.free[k], blobSims.free[:k]
+	}
+	return sims
 }
 
-// loadShards is the whole-library load stage over a sharded source:
-// loaders claim whole shards and decompress them concurrently, so load
-// bandwidth scales with the simulation width. Every shard is loaded —
-// RunSource keeps truncated runs on loadStream, because a shard-major
-// prefix of physically consecutive points is not an unbiased sample.
-func (p *pipeline) loadShards(ss ShardedSource, parallel int) error {
-	load := func(s int) { p.loadShard(ss, s) }
-	return fan(p, parallel, 0, load, func(offer func(int) bool) error {
-		for s := 0; s < ss.NumShards() && offer(s); s++ {
-		}
-		return nil
-	})
-}
-
-// loadShard decodes one shard's points in its read order. A point that
-// fails to decode is reported and skipped; a read error ends the shard.
-// No blob copy is needed: each blob is decoded before the next NextBlob on
-// the same shard stream.
-func (p *pipeline) loadShard(ss ShardedSource, s int) {
-	t0 := time.Now()
-	sub, err := ss.OpenShard(s)
-	p.loaded(t0)
-	if err != nil {
-		p.fail(err)
-		return
-	}
-	defer sub.Close()
-	for {
-		t0 := time.Now()
-		blob, err := sub.NextBlob()
-		p.loaded(t0)
-		if err != nil {
-			if err != io.EOF {
-				p.fail(err)
-			}
-			return
-		}
-		p.decode(blob)
+// releaseBlobSims gives back as many of sims as the list has room for,
+// sims[0] last, so that the next pass's first worker takes it first.
+func releaseBlobSims(sims []*BlobSim) {
+	blobSims.Lock()
+	defer blobSims.Unlock()
+	for i := min(len(sims), maxFreeBlobSims-len(blobSims.free)) - 1; i >= 0; i-- {
+		blobSims.free = append(blobSims.free, sims[i])
 	}
 }
 
@@ -538,33 +409,34 @@ func SimBlobs(blobs [][]byte, cfg uarch.Config) ([]float64, *RunResult, error) {
 	return cpis[0], res, nil
 }
 
-// BlobSim is the worker-side kernel of a cluster lease: a remote worker
-// fetches a lease's blobs, runs SimBlobsK, and posts the CPIs back to the
-// coordinator for folding. It keeps its arenas and its decoded LivePoint
-// from call to call, so a worker simulates every lease of its life on the
-// same storage (DESIGN §3.8 rule 3). The zero value is ready to use; a
-// BlobSim serves one goroutine.
+// BlobSim is one worker's state: a kernel and the LivePoint it decodes
+// into. Each worker of a pass runs the run loop on one, and a cluster
+// worker runs SimBlobsK on one for every lease: it fetches a lease's
+// blobs, simulates them, and posts the CPIs back to the coordinator for
+// folding. A BlobSim keeps its arenas and its decoded LivePoint from call
+// to call, so a worker simulates every lease of its life on the same
+// storage (DESIGN §3.8 rule 3). The zero value is ready to use; a BlobSim
+// serves one goroutine.
 type BlobSim struct {
 	k  pointKernel
 	lp LivePoint
 }
 
-// SimBlobsK simulates each blob under k configurations: cpis[j] holds
-// configuration j's CPIs in input order, and the RunResult the first
+// SimBlobsK simulates each blob under k configurations, in the run loop
+// on s alone: cpis[j] holds configuration j's CPIs in input order, and the RunResult the first
 // configuration's estimate and counters, so cluster workers post the same
 // telemetry whatever k.
 func (s *BlobSim) SimBlobsK(blobs [][]byte, cfgs ...uarch.Config) (cpis [][]float64, res *RunResult, err error) {
 	k := len(cfgs)
 	p := &pass{cfgs: cfgs, cols: sampling.NewColumns(k, sampling.Rule{Z: sampling.Z997}, false), row: make([]float64, k), out: make([][]float64, k)}
-	next := func() ([]byte, error) {
-		if p.res.Processed == len(blobs) {
+	p.next = func() ([]byte, error) {
+		if p.taken == len(blobs) {
 			return nil, io.EOF
 		}
-		return blobs[p.res.Processed], nil
+		return blobs[p.taken], nil
 	}
-	s.k.configure(cfgs)
-	if err := p.serial(&s.k, &s.lp, next); err != nil {
-		return nil, nil, err
+	if p.work(s); p.err != nil {
+		return nil, nil, p.err
 	}
 	p.res.Est = *p.cols.Estimate()
 	return p.out, &p.res, nil

@@ -7,27 +7,23 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"livepoints/internal/sampling"
 	"livepoints/internal/uarch"
 )
 
-// fakeSharded serves in-memory blobs and records shard opens, so tests
-// can pin down which parallel path RunSource picked. It is also these
-// tests' library: the container lives in internal/lpstore, which imports
-// this package, so runner semantics are tested over a slice of blobs.
-type fakeSharded struct {
-	meta   Meta
-	blobs  [][]byte
-	pos    int
-	shards int
-	opens  atomic.Int32
+// fakeSource serves in-memory blobs in order. It is these tests'
+// library: the container lives in internal/lpstore, which imports this
+// package, so runner semantics are tested over a slice of blobs.
+type fakeSource struct {
+	meta  Meta
+	blobs [][]byte
+	pos   int
 }
 
-func (f *fakeSharded) Meta() Meta { return f.meta }
+func (f *fakeSource) Meta() Meta { return f.meta }
 
-func (f *fakeSharded) NextBlob() ([]byte, error) {
+func (f *fakeSource) NextBlob() ([]byte, error) {
 	if f.pos >= len(f.blobs) {
 		return nil, io.EOF
 	}
@@ -36,19 +32,7 @@ func (f *fakeSharded) NextBlob() ([]byte, error) {
 	return b, nil
 }
 
-func (f *fakeSharded) Close() error   { return nil }
-func (f *fakeSharded) NumShards() int { return f.shards }
-
-func (f *fakeSharded) OpenShard(s int) (Source, error) {
-	f.opens.Add(1)
-	per := (len(f.blobs) + f.shards - 1) / f.shards
-	lo := s * per
-	hi := lo + per
-	if hi > len(f.blobs) {
-		hi = len(f.blobs)
-	}
-	return &fakeSharded{meta: f.meta, blobs: f.blobs[lo:hi], shards: 1}, nil
-}
+func (f *fakeSource) Close() error { return nil }
 
 // encodeAll encodes points as a library would hold them.
 func encodeAll(points []*LivePoint) [][]byte {
@@ -60,15 +44,15 @@ func encodeAll(points []*LivePoint) [][]byte {
 }
 
 // openFiles makes RunFile and RunMatchedFile open path as a fresh
-// single-shard source over libs[path], for the rest of the test.
-func openFiles(t *testing.T, libs map[string]*fakeSharded) {
+// source over libs[path], for the rest of the test.
+func openFiles(t *testing.T, libs map[string]*fakeSource) {
 	t.Helper()
 	setOpener(t, func(path string) (Source, error) {
 		lib, ok := libs[path]
 		if !ok {
 			return nil, errors.New("no such library: " + path)
 		}
-		return &fakeSharded{meta: lib.meta, blobs: lib.blobs, shards: 1}, nil
+		return &fakeSource{meta: lib.meta, blobs: lib.blobs}, nil
 	})
 }
 
@@ -78,92 +62,6 @@ func setOpener(t *testing.T, open func(path string) (Source, error)) {
 	prev := opener
 	SetOpener(open)
 	t.Cleanup(func() { opener = prev })
-}
-
-// TestRunSourceShardDispatch checks the statistical-safety routing rule:
-// parallel whole-library passes drain shards concurrently, but any
-// truncated run (stopping rule or point cap) must stay on the read-order
-// feeder — a shard-major prefix of physically consecutive points is not
-// an unbiased sample.
-func TestRunSourceShardDispatch(t *testing.T) {
-	cfg := uarch.Config8Way()
-	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
-	blobs := make([][]byte, len(points))
-	for i, lp := range points {
-		blobs[i], _ = Encode(lp)
-	}
-	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	newSrc := func() *fakeSharded {
-		return &fakeSharded{meta: meta, blobs: blobs, shards: 4}
-	}
-
-	// Whole library: the sharded path runs and covers every point.
-	src := newSrc()
-	res, err := RunSource(src, RunOpts{Cfg: cfg, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Processed != len(blobs) {
-		t.Fatalf("whole-library parallel processed %d of %d", res.Processed, len(blobs))
-	}
-	if src.opens.Load() == 0 {
-		t.Fatal("whole-library parallel run should pull from shards")
-	}
-
-	// Point cap: must use the read-order feeder, never shards.
-	src = newSrc()
-	res, err = RunSource(src, RunOpts{Cfg: cfg, Parallel: 4, MaxPoints: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Processed != 5 {
-		t.Fatalf("capped parallel processed %d, want 5", res.Processed)
-	}
-	if n := src.opens.Load(); n != 0 {
-		t.Fatalf("capped parallel run opened %d shards; capped runs must stay in read order", n)
-	}
-
-	// Stopping rule: likewise read-order only.
-	src = newSrc()
-	if _, err = RunSource(src, RunOpts{Cfg: cfg, Parallel: 4, RelErr: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if n := src.opens.Load(); n != 0 {
-		t.Fatalf("early-stopping parallel run opened %d shards; stopping runs must stay in read order", n)
-	}
-}
-
-// failShards is a ShardedSource whose every OpenShard fails — the
-// degenerate case of a library whose backing storage vanished mid-run.
-type failShards struct {
-	meta   Meta
-	shards int
-}
-
-func (f *failShards) Meta() Meta                    { return f.meta }
-func (f *failShards) NextBlob() ([]byte, error)     { return nil, io.EOF }
-func (f *failShards) Close() error                  { return nil }
-func (f *failShards) NumShards() int                { return f.shards }
-func (f *failShards) OpenShard(int) (Source, error) { return nil, errors.New("shard storage gone") }
-
-// TestRunShardedOpenShardFailureNoLeak is the goroutine-leak regression:
-// a worker whose OpenShard fails used to return without draining the
-// shard channel, stranding the feeder on its next send forever when
-// shards outnumber workers. The run must instead fail and release every
-// goroutine it started.
-func TestRunShardedOpenShardFailureNoLeak(t *testing.T) {
-	g0 := runtime.NumGoroutine()
-	src := &failShards{meta: Meta{Benchmark: "syn.gzip", Count: 80}, shards: 16}
-	if _, err := RunSource(src, RunOpts{Cfg: uarch.Config8Way(), Parallel: 4}); err == nil {
-		t.Fatal("run over failing shards reported success")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > g0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d live, %d before the run", runtime.NumGoroutine(), g0)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 // TestRunParallelFailFast: the first error must stop the feeder. A fold
@@ -180,7 +78,7 @@ func TestRunParallelFailFast(t *testing.T) {
 		blobs[i] = good
 	}
 	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	src := &fakeSharded{meta: meta, blobs: blobs, shards: 1}
+	src := &fakeSource{meta: meta, blobs: blobs}
 	if _, err := RunSource(src, RunOpts{Cfg: cfg, Parallel: 4}); err == nil {
 		t.Fatal("corrupt blob did not fail the run")
 	}
@@ -189,45 +87,128 @@ func TestRunParallelFailFast(t *testing.T) {
 	}
 }
 
-// TestParallelTimingSplit pins the time-accounting contract: every
-// execution path — sharded whole-library, read-order parallel feeder,
-// and the matched-pair loop — reports the serial path's split (stream
-// reads + decode as LoadTime, detailed simulation as SimTime), not a
-// zero LoadTime with decode folded into a wall-clock SimTime.
+// failsAfter serves its blobs until n have been read, then fails every
+// read, and counts the reads it was asked for.
+type failsAfter struct {
+	fakeSource
+	n     int
+	reads atomic.Int32
+}
+
+func (f *failsAfter) NextBlob() ([]byte, error) {
+	if f.reads.Add(1) > int32(f.n) {
+		return nil, errors.New("shard storage gone")
+	}
+	return f.fakeSource.NextBlob()
+}
+
+// TestRunParallelSourceFailureNoLeak: at Parallel 4, a source that fails
+// mid-run fails the run with its error, is asked for no point after the
+// one that failed, and every goroutine the run started is gone once it
+// returns.
+func TestRunParallelSourceFailureNoLeak(t *testing.T) {
+	cfg := uarch.Config8Way()
+	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
+	meta := Meta{Benchmark: "syn.gzip", Count: len(points), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	g0 := runtime.NumGoroutine()
+	src := &failsAfter{fakeSource: fakeSource{meta: meta, blobs: encodeAll(points)}, n: len(points) / 2}
+	if _, err := RunSource(src, RunOpts{Cfg: cfg, Parallel: 4}); err == nil || !strings.Contains(err.Error(), "shard storage gone") {
+		t.Fatalf("run over a source that fails mid-run: %v", err)
+	}
+	if got := src.reads.Load(); got != int32(src.n)+1 {
+		t.Fatalf("the source was read %d times; it failed at read %d, and no worker may read past a failure", got, src.n+1)
+	}
+	settleGoroutines(t, g0)
+}
+
+// TestParallelStopFoldsNothingAfter: a parallel pass stops where a serial
+// one would count it over. Capped, it takes and folds exactly MaxPoints
+// points; stopped by its rule, it folds no point past the one that
+// stopped it, though other workers were still simulating theirs.
+func TestParallelStopFoldsNothingAfter(t *testing.T) {
+	cfg := uarch.Config8Way()
+	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
+	blobs := encodeAll(points)
+	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	for _, limit := range []int{1, 5, 7} {
+		src := &fakeSource{meta: meta, blobs: blobs}
+		res, err := RunSource(src, RunOpts{Cfg: cfg, Parallel: 4, MaxPoints: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Processed != limit || res.Est.N() != limit || src.pos != limit {
+			t.Fatalf("MaxPoints %d at Parallel 4: processed %d, estimate over %d, %d read", limit, res.Processed, res.Est.N(), src.pos)
+		}
+	}
+	// A ±50% target is met at the rule's floor, whatever the points.
+	var long [][]byte
+	for len(long) < 3*sampling.MinSampleSize {
+		long = append(long, blobs...)
+	}
+	meta.Count = len(long)
+	res, err := RunSource(&fakeSource{meta: meta, blobs: long}, RunOpts{Cfg: cfg, Parallel: 4, RelErr: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Processed != sampling.MinSampleSize || res.Est.N() != res.Processed {
+		t.Fatalf("a ±50%% target at Parallel 4: processed %d, estimate over %d, want both %d", res.Processed, res.Est.N(), sampling.MinSampleSize)
+	}
+}
+
+// TestParallelTimingSplit pins the time-accounting contract: a parallel
+// run, whole or capped, and the matched-pair loop report the serial
+// path's split (blob reads + decode as LoadTime, detailed simulation as
+// SimTime), not a zero LoadTime with decode folded into a wall-clock
+// SimTime.
 func TestParallelTimingSplit(t *testing.T) {
 	cfg := uarch.Config8Way()
 	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
-	blobs := make([][]byte, len(points))
-	for i, lp := range points {
-		blobs[i], _ = Encode(lp)
-	}
-	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	newSrc := func(shards int) *fakeSharded {
-		return &fakeSharded{meta: meta, blobs: blobs, shards: shards}
+	meta := Meta{Benchmark: "syn.gzip", Count: len(points), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	blobs := encodeAll(points)
+	newSrc := func() *fakeSource { return &fakeSource{meta: meta, blobs: blobs} }
+
+	for _, limit := range []int{0, 5} {
+		res, err := RunSource(newSrc(), RunOpts{Cfg: cfg, Parallel: 4, MaxPoints: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LoadTime <= 0 || res.SimTime <= 0 {
+			t.Fatalf("parallel run, MaxPoints %d, lost its load/sim split: load=%v sim=%v", limit, res.LoadTime, res.SimTime)
+		}
 	}
 
-	res, err := RunSource(newSrc(4), RunOpts{Cfg: cfg, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LoadTime <= 0 || res.SimTime <= 0 {
-		t.Fatalf("sharded parallel run lost its load/sim split: load=%v sim=%v", res.LoadTime, res.SimTime)
-	}
-
-	res, err = RunSource(newSrc(1), RunOpts{Cfg: cfg, Parallel: 4, MaxPoints: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LoadTime <= 0 || res.SimTime <= 0 {
-		t.Fatalf("feeder parallel run lost its load/sim split: load=%v sim=%v", res.LoadTime, res.SimTime)
-	}
-
-	mres, err := RunMatchedSource(newSrc(1), MatchedOpts{Base: cfg, Exp: cfg, MaxPoints: 5})
+	mres, err := RunMatchedSource(newSrc(), MatchedOpts{Base: cfg, Exp: cfg, MaxPoints: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mres.LoadTime <= 0 || mres.SimTime <= 0 {
 		t.Fatalf("matched run lost its load/sim split: load=%v sim=%v", mres.LoadTime, mres.SimTime)
+	}
+}
+
+// TestRunReusesRunState: a second RunFile over a library allocates little
+// more than its fold: its worker simulates on arenas, and decodes into a
+// LivePoint, that the first run grew and gave back.
+func TestRunReusesRunState(t *testing.T) {
+	cfg := uarch.Config8Way()
+	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
+	const path = "lib.lplib"
+	meta := Meta{Benchmark: "syn.gzip", Count: len(points), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	openFiles(t, map[string]*fakeSource{path: {meta: meta, blobs: encodeAll(points)}})
+	run := func() {
+		if _, err := RunFile(path, RunOpts{Cfg: cfg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run()
+	runtime.ReadMemStats(&m1)
+	perPoint := (m1.TotalAlloc - m0.TotalAlloc) / uint64(len(points))
+	t.Logf("a second run: %d bytes a point over %d points", perPoint, len(points))
+	if perPoint > 1<<10 { // a fresh kernel and LivePoint a run cost 63 KB a point here
+		t.Errorf("a second run allocated %d bytes a point, want under 1 KB", perPoint)
 	}
 }
 
@@ -244,7 +225,7 @@ func TestMatchedDefaultsZ(t *testing.T) {
 	blobs := encodeAll(points[:40])
 	const path = "lib.lplib"
 	meta := Meta{Benchmark: "syn.gzip", Count: len(blobs), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
-	openFiles(t, map[string]*fakeSharded{path: {meta: meta, blobs: blobs}})
+	openFiles(t, map[string]*fakeSource{path: {meta: meta, blobs: blobs}})
 	exp := cfg
 	exp.Hier.MemLat *= 2
 
@@ -272,7 +253,7 @@ func TestMatchedCountsTheBaseline(t *testing.T) {
 	_, design, points := buildTestLibrary(t, "syn.gcc", 0.01, cfg, 20, false)
 	const path = "lib.lplib"
 	meta := Meta{Benchmark: "syn.gcc", Count: len(points), UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	openFiles(t, map[string]*fakeSharded{path: {meta: meta, blobs: encodeAll(points)}})
+	openFiles(t, map[string]*fakeSource{path: {meta: meta, blobs: encodeAll(points)}})
 	exp := cfg
 	exp.Hier.MemLat *= 2
 
@@ -302,8 +283,8 @@ func TestMatchedCountsTheBaseline(t *testing.T) {
 // read.
 func TestRunRefusesUnbuildableMachine(t *testing.T) {
 	const path = "lib.lplib"
-	src := &fakeSharded{meta: Meta{Benchmark: "syn.gzip", Shuffled: true}}
-	openFiles(t, map[string]*fakeSharded{path: src})
+	src := &fakeSource{meta: Meta{Benchmark: "syn.gzip", Shuffled: true}}
+	openFiles(t, map[string]*fakeSource{path: src})
 	huge, noALU := uarch.Config8Way(), uarch.Config8Way()
 	huge.RUUSize = 1 << 40
 	noALU.IntALU = 0
@@ -327,7 +308,7 @@ func TestRunRefusesUnbuildableMachine(t *testing.T) {
 // stopped at pair 30 of an unshuffled library without complaint.
 func TestStoppingRuleNeedsShuffledLibrary(t *testing.T) {
 	cfg := uarch.Config8Way()
-	raw := func() Source { return &fakeSharded{meta: Meta{Benchmark: "syn.gzip"}} }
+	raw := func() Source { return &fakeSource{meta: Meta{Benchmark: "syn.gzip"}} }
 	_, want := RunSource(raw(), RunOpts{Cfg: cfg, RelErr: 0.03})
 	if want == nil || !strings.Contains(want.Error(), "shuffled") {
 		t.Fatalf("absolute run with a target on an unshuffled library: %v", want)

@@ -23,19 +23,6 @@ type Source interface {
 	Close() error
 }
 
-// ShardedSource is a Source whose points live in independently decodable
-// shards. Parallel runners pull from per-shard sub-sources so workers
-// decompress concurrently instead of funnelling through one stream.
-type ShardedSource interface {
-	Source
-	// NumShards returns the number of shards.
-	NumShards() int
-	// OpenShard returns an independent source over shard s's points, in
-	// the library's read order restricted to that shard. Shard sources
-	// from the same parent are safe to drive from different goroutines.
-	OpenShard(s int) (Source, error)
-}
-
 // opener opens a library file. internal/lpstore installs it from its init,
 // the way an image format registers its decoder: this package cannot import
 // lpstore (lpstore builds on Source and Meta), and the container format is

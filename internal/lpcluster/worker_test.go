@@ -377,9 +377,8 @@ func TestWorkerReusesLeaseStorage(t *testing.T) {
 // shard lease allocates only its two HTTP exchanges' garbage, under 32 KB
 // where a shard is some 800 KB: the shard inflates through a decoder off
 // the inflate package's free list, and its index decodes into the spans
-// the body kept from the last lease. The first pass takes the body, grows
-// the arenas to the largest point, and fills the in-process server's
-// per-P copy-buffer pools, which are the server's cost, not the lease's.
+// the body kept from the last lease. The first pass takes the body and
+// grows the arenas to the largest point.
 func TestShardLeaseAllocatesLittle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector, pooled HTTP buffers miss at random")
@@ -415,39 +414,34 @@ func TestShardLeaseAllocatesLittle(t *testing.T) {
 // TestWorkerLeaseReleaseWhileShardSourceWalks: a buffer passes between
 // readers only through lpstore's free list, and only once its reader is
 // done with it. Two workers on one client lease every shard between them,
-// each lease giving its buffer back and taking one again, while a remote
-// shard source opened before them is walked a blob at a time and others
-// are opened five at a time — more than the free list holds, so they take
-// whatever a lease has given back — walked and closed, without pause:
-// every blob a source yields is its shard's, and every lease posts the
-// CPIs SimBlobs gives its shard. Closed twice, a source gives its buffer
-// back once.
+// each lease giving its buffer back and taking one again, while a shard
+// body filled before them is walked a blob at a time and others are
+// filled five at a time — more than the free list holds, so they take
+// whatever a lease has given back — checked and released, without pause:
+// every blob a body yields is its shard's, and every lease posts the CPIs
+// SimBlobs gives its shard. Released twice, a body gives its buffer back
+// once.
 func TestWorkerLeaseReleaseWhileShardSourceWalks(t *testing.T) {
 	cl, shards := bigShardServer(t)
 	cfgs, err := RunSpec{}.Configs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := cl.Source().(livepoint.ShardedSource)
-	walk := func(sub livepoint.Source, s int, pause time.Duration) error {
-		for j := 0; ; j++ {
-			b, err := sub.NextBlob()
-			if err == io.EOF {
-				if j != len(bigShards.blobs[s]) {
-					return fmt.Errorf("shard %d: the source yielded %d blobs, want %d", s, j, len(bigShards.blobs[s]))
-				}
-				return nil
-			}
-			if err != nil {
-				return err
-			}
+	ctx := context.Background()
+	walk := func(blobs [][]byte, s int, pause time.Duration) error {
+		if len(blobs) != len(bigShards.blobs[s]) {
+			return fmt.Errorf("shard %d: the body holds %d blobs, want %d", s, len(blobs), len(bigShards.blobs[s]))
+		}
+		for j, b := range blobs {
 			if !bytes.Equal(b, bigShards.blobs[s][j]) {
-				return fmt.Errorf("shard %d: blob %d changed under its source", s, j)
+				return fmt.Errorf("shard %d: blob %d changed under its body", s, j)
 			}
 			time.Sleep(pause)
 		}
+		return nil
 	}
-	walked, err := src.OpenShard(0)
+	var walked lpserve.Body
+	walkedBlobs, err := cl.ShardBlobsInto(ctx, 0, &walked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,32 +470,32 @@ func TestWorkerLeaseReleaseWhileShardSourceWalks(t *testing.T) {
 				return
 			default:
 			}
-			subs := make([]livepoint.Source, 5)
-			for i := range subs {
-				sub, err := src.OpenShard(i % len(shards))
-				if err != nil {
+			bodies := make([]lpserve.Body, 5)
+			filled := make([][][]byte, len(bodies))
+			for i := range bodies {
+				var err error
+				if filled[i], err = cl.ShardBlobsInto(ctx, i%len(shards), &bodies[i]); err != nil {
 					t.Error(err)
 					return
 				}
-				subs[i] = sub
 			}
-			for i, sub := range subs {
-				if err := walk(sub, i%len(shards), 0); err != nil {
+			for i := range bodies {
+				if err := walk(filled[i], i%len(shards), 0); err != nil {
 					t.Error(err)
 				}
-				sub.Close()
-				sub.Close()
+				bodies[i].Release()
+				bodies[i].Release()
 			}
 		}
 	}()
-	if err := walk(walked, 0, 5*time.Millisecond); err != nil { // mid-walk while leases come and go
+	if err := walk(walkedBlobs, 0, 5*time.Millisecond); err != nil { // mid-walk while leases come and go
 		t.Error(err)
 	}
 	leases.Wait()
 	close(done)
 	churn.Wait()
-	walked.Close()
-	walked.Close()
+	walked.Release()
+	walked.Release()
 
 	// A buffer the list held twice would be handed out twice.
 	held := make(map[*byte]bool)

@@ -87,10 +87,10 @@ func (e *ProtocolError) Error() string { return e.Err.Error() }
 func (e *ProtocolError) Unwrap() error { return e.Err }
 
 // Client talks to one lpserved instance. Its sources implement
-// livepoint.Source and livepoint.ShardedSource, so remote libraries plug
-// into the same runners as local files: serial runs pull ranged batches,
-// parallel runs pull whole shards (stored gzip bytes, decompressed
-// client-side).
+// livepoint.Source, so remote libraries plug into the same runners as
+// local files: a run, serial or parallel, pulls ranged batches, and a
+// cluster worker's shard lease pulls a whole shard (stored gzip bytes,
+// decompressed client-side).
 //
 // Every request runs under a context with a per-attempt timeout and is
 // retried on transient failures with capped exponential backoff; tune
@@ -384,8 +384,8 @@ func (c *Client) ShardBlobsInto(ctx context.Context, sh int, b *Body) ([][]byte,
 // batch as it arrived, or a shard as it inflates — and the blobs split
 // from it. Filled by FetchBatchInto or ShardBlobsInto, its buffer comes
 // from lpstore's free list (DESIGN §3.8) and Release gives it back: a
-// remote source reads batch after batch into one Body, a shard source
-// its shard until Close, a cluster worker lease after lease. The zero
+// remote source reads batch after batch into one Body, a cluster worker
+// lease after lease. The zero
 // value is ready to use; a Body serves one goroutine.
 type Body struct {
 	buf    []byte
@@ -558,8 +558,8 @@ func (c *Client) shardBlobs(ctx context.Context, sh int, b *Body) ([][]byte, err
 }
 
 // shardIndex fetches shard sh's read-order index into b.spans, through
-// b.index: a shard source or a worker's lease decodes index after index
-// into the same two slices.
+// b.index: a worker's lease decodes index after index into the same two
+// slices.
 func (c *Client) shardIndex(ctx context.Context, sh int, b *Body) error {
 	path := fmt.Sprintf("/v1/shards/%d/index", sh)
 	resp, err := c.get(ctx, path)
@@ -577,8 +577,8 @@ func (c *Client) shardIndex(ctx context.Context, sh int, b *Body) error {
 	return nil
 }
 
-// remoteSource streams the library sequentially through ranged batches and
-// exposes shards for parallel pulls. Every batch is fetched into the same
+// remoteSource streams the library sequentially through ranged batches.
+// Every batch is fetched into the same
 // pooled Body: a blob is borrowed until the next NextBlob (DESIGN §3.8
 // rule 1), and the next batch is fetched only once the last blob of this
 // one has been handed out. Close gives the buffer back, so the next
@@ -614,47 +614,6 @@ func (s *remoteSource) Close() error {
 	s.body.Release()
 	s.next = 0
 	s.c.hc.CloseIdleConnections()
-	return nil
-}
-
-func (s *remoteSource) NumShards() int { return s.c.stat.Shards }
-
-// OpenShard fetches one shard through the raw-gzip passthrough fast path
-// and yields its points in read order.
-func (s *remoteSource) OpenShard(sh int) (livepoint.Source, error) {
-	ss := &shardSource{meta: s.c.Meta()}
-	blobs, err := s.c.ShardBlobsInto(s.c.ctx, sh, &ss.body)
-	if err != nil {
-		ss.body.Release()
-		return nil, err
-	}
-	ss.blobs = blobs
-	return ss, nil
-}
-
-// shardSource yields a fetched shard's blobs in order, and gives the
-// shard's buffer back to lpstore's free list at Close.
-type shardSource struct {
-	meta  livepoint.Meta
-	body  Body
-	blobs [][]byte
-	pos   int
-}
-
-func (s *shardSource) Meta() livepoint.Meta { return s.meta }
-
-func (s *shardSource) NextBlob() ([]byte, error) {
-	if s.pos >= len(s.blobs) {
-		return nil, io.EOF
-	}
-	b := s.blobs[s.pos]
-	s.pos++
-	return b, nil
-}
-
-func (s *shardSource) Close() error {
-	s.blobs = nil
-	s.body.Release()
 	return nil
 }
 

@@ -12,14 +12,11 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"livepoints/internal/asn1der"
-	"livepoints/internal/livepoint"
-	"livepoints/internal/lpstore"
 	"livepoints/internal/obs"
 )
 
@@ -341,111 +338,5 @@ func TestRemoteSourceKeepsRoomForLongerBatches(t *testing.T) {
 	}
 	if !longer {
 		t.Fatal("no batch was longer than the first, so none tested the room")
-	}
-}
-
-// TestRemoteSourceShardSourcesOwnTheirBuffers: a remote shard source holds
-// its shard's buffer until Close, and only then does the buffer go back to
-// lpstore's free list for the next reader. Readers opening, walking and
-// closing shards around a walk in progress never write under it, and a
-// shard source or a remote source closed twice gives its buffer back once.
-func TestRemoteSourceShardSourcesOwnTheirBuffers(t *testing.T) {
-	st, _ := synthStore(t, 40, 8)
-	ts := httptest.NewServer(NewServerWithMetrics(st, obs.NewRegistry()).Handler())
-	defer ts.Close()
-	cl, err := Dial(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Metrics = obs.NewRegistry()
-	want := make([][][]byte, st.NumShards())
-	for s := range want {
-		if want[s], err = cl.ShardBlobs(context.Background(), s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src := cl.Source().(livepoint.ShardedSource)
-	walk := func(sub livepoint.Source, s int, pause func()) error {
-		for j := 0; ; j++ {
-			b, err := sub.NextBlob()
-			if err == io.EOF {
-				if j != len(want[s]) {
-					return fmt.Errorf("shard %d: %d blobs, want %d", s, j, len(want[s]))
-				}
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if !bytes.Equal(b, want[s][j]) {
-				return fmt.Errorf("shard %d, blob %d changed under its reader", s, j)
-			}
-			pause()
-		}
-	}
-
-	walked, err := src.OpenShard(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const readers = 4
-	errs := make(chan error, readers+1)
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 3*st.NumShards(); k++ {
-				s := 1 + (r+k)%(st.NumShards()-1)
-				sub, err := src.OpenShard(s)
-				if err == nil {
-					err = walk(sub, s, func() {})
-					sub.Close()
-					sub.Close()
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	// Batches go through the free list too: a serial walk beside them.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		seq := cl.Source()
-		defer seq.Close()
-		for {
-			if _, err := seq.NextBlob(); err != nil {
-				if err != io.EOF {
-					errs <- err
-				}
-				break
-			}
-		}
-		seq.Close()
-	}()
-	if err := walk(walked, 0, func() { time.Sleep(time.Millisecond) }); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	walked.Close()
-	walked.Close()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	// A buffer the list held twice would be handed out twice.
-	held := make(map[*byte]bool)
-	for i := 0; i < 5; i++ { // one more than the list holds
-		buf := lpstore.TakeShardBuf(1)
-		p := &buf[:1][0]
-		if held[p] {
-			t.Fatal("the free list handed out one buffer twice")
-		}
-		held[p] = true
-		defer lpstore.ReleaseShardBuf(buf)
 	}
 }

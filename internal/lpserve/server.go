@@ -36,7 +36,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"livepoints/internal/lpstore"
@@ -230,18 +229,27 @@ func (s *Server) handleShardData(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 	w.Header().Set("X-Lplib-Shard-Points", strconv.Itoa(points))
 	w.Header().Set(shardLengthHeader, strconv.FormatInt(uncomp, 10))
-	pb := copyBufs.Get().(*[]byte)
-	io.CopyBuffer(w, raw, *pb)
-	copyBufs.Put(pb)
+	var buf []byte
+	select {
+	case buf = <-copyBufs:
+	default:
+		buf = make([]byte, 32<<10)
+	}
+	io.CopyBuffer(w, raw, buf)
+	select {
+	case copyBufs <- buf:
+	default:
+	}
 }
 
-// copyBufs holds the buffers shards are served through. statusWriter
-// hides the connection's ReaderFrom, and a section of the store file has
-// no WriterTo, so io.Copy would allocate 32 KB for every request.
-var copyBufs = sync.Pool{New: func() any {
-	b := make([]byte, 32<<10)
-	return &b
-}}
+// copyBufs is the free list of the buffers shards are served through, at
+// most eight, for as many requests at once. statusWriter hides the
+// connection's ReaderFrom, and a section of the store file has no
+// WriterTo, so io.Copy would allocate 32 KB for every request. Unlike a
+// sync.Pool's per-processor slots, which miss whenever a handler runs on
+// another processor than the last one did, and which a collection
+// empties, the list hands a request any buffer an earlier one gave back.
+var copyBufs = make(chan []byte, 8)
 
 func (s *Server) handleShardIndex(w http.ResponseWriter, r *http.Request) {
 	id, ok := s.shardID(w, r)

@@ -1,7 +1,6 @@
 package lpstore
 
 import (
-	"container/list"
 	"sync"
 
 	"livepoints/internal/obs"
@@ -27,40 +26,64 @@ var (
 
 // shardTable is a store's one table of verified, inflated shards. Every
 // reader the store hands out — Blobs (so PointBlob and lpserve's
-// /v1/points), its sources and their shard sources — acquires a shard here
-// and releases it when it has finished with it, and this file alone
-// decides where a shard's buffer goes then:
+// /v1/points) and its sources — acquires a shard here and releases it
+// when it has finished with it, and this file alone decides where a
+// shard's buffer goes then:
 //
 //   - a shard someone holds stays, and is never written again;
 //   - a shard whose reader will not read it again (a source past the
-//     shard's last read position, a shard source at its end or Close)
-//     goes, if no one else holds it, and its buffer back to shardBufs for
-//     the next inflate: a creation-order walk holds one shard in one
-//     recycled buffer at a time;
+//     shard's last read position, or at Close) goes, if no one else holds
+//     it, and its buffer back to shardBufs for the next inflate: a
+//     creation-order walk holds its current shard and the one it reads
+//     ahead, in two recycled buffers;
 //   - other shards no one holds stay within the byte budget, least
 //     recently used evicted first (the newest stays even when it alone
 //     exceeds the budget), and eviction recycles the buffer too;
 //   - a shard Blobs ever handed out belongs to the collector: evicted or
 //     dropped at Close it is never recycled, so Blobs' slices stay valid.
 //
-// What a reader gets is shared and must not be written.
+// The table keeps one entry per shard for the store's life, and the LRU
+// order is a stamp in each entry, so finding, holding and letting go of a
+// shard allocate nothing. What a reader gets is shared and must not be
+// written.
 type shardTable struct {
 	mu     sync.Mutex
-	budget int64 // shardCacheBudget; tests lower it
+	filled sync.Cond // broadcast, with mu, whenever an inflate ends
+	budget int64     // shardCacheBudget; tests lower it
 	bytes  int64
-	m      map[int]*tableShard // nil once closed
-	lru    list.List           // of the *tableShard no one holds, least recent first
+	shards []tableShard // one per shard, indexed by shard id
+	idle   int          // inflated shards no one holds
+	clock  uint64       // release's last stamp
+	closed bool
 }
 
-// tableShard is one shard in the table, or being inflated into it.
+// tableShard is one shard's entry in the table.
 type tableShard struct {
 	shard int
-	data  []byte
-	err   error
-	ready chan struct{} // closed once data or err is set
-	refs  int           // on the lru, at elem, while 0
-	blobs bool          // handed out by Blobs: the collector's, never recycled
-	elem  *list.Element
+	state shardState
+	data  []byte // while inflated
+	err   error  // the last failed inflate's, for those who waited on it
+	refs  int    // idle while inflated and 0
+	blobs bool   // handed out by Blobs: the collector's, never recycled
+	used  uint64 // the clock when last released
+}
+
+type shardState uint8
+
+const (
+	absent    shardState = iota
+	inflating            // on the goroutine hold started
+	inflated
+)
+
+// newShardTable returns the table of a store of n shards.
+func newShardTable(n int) *shardTable {
+	t := &shardTable{budget: shardCacheBudget, shards: make([]tableShard, n)}
+	t.filled.L = &t.mu
+	for s := range t.shards {
+		t.shards[s].shard = s
+	}
+	return t
 }
 
 // acquire returns shard s inflated and verified, and counts a reference
@@ -70,48 +93,70 @@ type tableShard struct {
 // holds no reference and is never cached, so the next call tries, and
 // fails, again.
 func (t *shardTable) acquire(st *Store, s int, blobs bool) (*tableShard, error) {
-	t.mu.Lock()
-	if e, ok := t.m[s]; ok {
-		if e.refs == 0 {
-			t.lru.Remove(e.elem)
-			e.elem = nil
-		}
-		e.refs++
-		e.blobs = e.blobs || blobs
-		t.mu.Unlock()
-		mShardCacheHits.Inc()
-		<-e.ready
-		return e, e.err
-	}
-	e := &tableShard{shard: s, refs: 1, blobs: blobs, ready: make(chan struct{})}
-	if t.m != nil {
-		t.m[s] = e
-	}
-	t.mu.Unlock()
+	e := t.hold(st, s, blobs)
+	return e, t.wait(e)
+}
 
+// hold is acquire without the wait: it counts the reference and, if no
+// one has, starts inflating the shard on a goroutine of its own, so that a
+// source reads ahead with it. The caller waits with wait before it reads
+// the shard or releases it.
+func (t *shardTable) hold(st *Store, s int, blobs bool) *tableShard {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := &t.shards[s]
+	if e.state == inflated && e.refs == 0 {
+		t.idle--
+	}
+	e.refs++
+	e.blobs = e.blobs || blobs
+	if e.state != absent {
+		mShardCacheHits.Inc()
+		return e
+	}
 	mShardCacheMisses.Inc()
+	e.state = inflating
+	go t.fill(st, e, blobs)
+	return e
+}
+
+// fill inflates the shard hold marked inflating, into a recycled buffer
+// unless it is for Blobs, and wakes whoever waits for it.
+func (t *shardTable) fill(st *Store, e *tableShard, blobs bool) {
 	var buf []byte
 	if !blobs {
 		buf = TakeShardBuf(st.longestShard())
 	}
-	e.data, e.err = st.inflateShard(s, buf)
+	data, err := st.inflateShard(e.shard, buf)
 
 	t.mu.Lock()
-	if t.m[s] == e {
-		if e.err != nil {
-			delete(t.m, s)
-		} else {
-			t.bytes += int64(len(e.data))
-			mShardCacheBytes.Add(float64(len(e.data)))
-		}
-	}
-	t.mu.Unlock()
-	close(e.ready)
-	if e.err != nil {
+	defer t.mu.Unlock()
+	defer t.filled.Broadcast()
+	if err != nil {
 		ReleaseShardBuf(buf)
-		return nil, e.err
+		e.state, e.err = absent, err
+		return
 	}
-	return e, nil
+	e.state, e.data, e.err = inflated, data, nil
+	if !t.closed {
+		t.bytes += int64(len(data))
+		mShardCacheBytes.Add(float64(len(data)))
+	}
+}
+
+// wait returns once the shard the caller holds is inflated, or its inflate
+// has failed; a failure also drops the caller's reference.
+func (t *shardTable) wait(e *tableShard) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for e.state == inflating {
+		t.filled.Wait()
+	}
+	if e.state == inflated {
+		return nil
+	}
+	e.refs--
+	return e.err
 }
 
 // release drops a reference acquire counted. done says the caller will not
@@ -122,31 +167,40 @@ func (t *shardTable) release(e *tableShard, done bool) {
 	if e.refs--; e.refs > 0 {
 		return
 	}
-	switch {
-	case t.m[e.shard] != e: // dropped by Close while held
-		if !e.blobs {
-			ReleaseShardBuf(e.data)
-		}
-	case done && !e.blobs:
+	if t.closed || done && !e.blobs {
 		t.drop(e)
-	default:
-		e.elem = t.lru.PushBack(e)
-		for t.bytes > t.budget && t.lru.Len() > 1 {
-			t.drop(t.lru.Remove(t.lru.Front()).(*tableShard))
-			mShardCacheEvictions.Inc()
-		}
+		return
+	}
+	t.clock++
+	e.used = t.clock
+	for t.idle++; t.bytes > t.budget && t.idle > 1; t.idle-- {
+		t.drop(t.leastRecent())
+		mShardCacheEvictions.Inc()
 	}
 }
 
-// drop takes a shard no one holds out of the table and recycles its buffer
+// leastRecent returns the idle shard released longest ago, if any.
+func (t *shardTable) leastRecent() *tableShard {
+	var old *tableShard
+	for i := range t.shards {
+		if e := &t.shards[i]; e.state == inflated && e.refs == 0 && (old == nil || e.used < old.used) {
+			old = e
+		}
+	}
+	return old
+}
+
+// drop empties the entry of a shard no one holds and recycles its buffer
 // unless Blobs handed it out.
 func (t *shardTable) drop(e *tableShard) {
-	delete(t.m, e.shard)
-	t.bytes -= int64(len(e.data))
-	mShardCacheBytes.Add(-float64(len(e.data)))
+	if !t.closed {
+		t.bytes -= int64(len(e.data))
+		mShardCacheBytes.Add(-float64(len(e.data)))
+	}
 	if !e.blobs {
 		ReleaseShardBuf(e.data)
 	}
+	e.state, e.data, e.blobs = absent, nil, false
 }
 
 // close empties the table; nothing is cached after it. A shard still held
@@ -154,28 +208,25 @@ func (t *shardTable) drop(e *tableShard) {
 func (t *shardTable) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for el := t.lru.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*tableShard); !e.blobs {
-			ReleaseShardBuf(e.data)
-		}
+	for ; t.idle > 0; t.idle-- {
+		t.drop(t.leastRecent())
 	}
 	mShardCacheBytes.Add(-float64(t.bytes))
 	t.bytes = 0
-	t.m = nil
-	t.lru.Init()
+	t.closed = true
 }
 
 // shardBufs is the process's one free list of load buffers: behind the
 // table's shards, and, through TakeShardBuf and ReleaseShardBuf, behind
-// lpserve's remote readers (a remote source's batch body, its shard
-// sources, a cluster worker's shard lease). A shard is megabytes, and a
-// fresh buffer for each is zeroing, page faults and collector cycles that
-// a run repeats for every shard it reads and that cost a different amount
-// every time; recycled, a run's load stage touches the same warm memory
-// shard after shard and run after run, the last buffer released being the
-// next taken. The list is process-wide, so the buffers outlive the store
-// (RunFile opens a new one every pass) and the client; it is bounded and,
-// unlike a sync.Pool, survives collections: what it pins is at most
+// lpserve's remote readers (a remote source's batch body, a cluster
+// worker's shard lease). A shard is megabytes, and a fresh buffer for each
+// is zeroing, page faults and collector cycles that a run repeats for
+// every shard it reads and that cost a different amount every time;
+// recycled, a run's load stage touches the same warm memory shard after
+// shard and run after run, the last buffer released being the next taken.
+// The list is process-wide, so the buffers outlive the store (RunFile
+// opens a new one every pass) and the client; it is bounded and, unlike a
+// sync.Pool, survives collections: what it pins is at most
 // maxFreeShardBufs buffers, each of a size some reader needed. Buffers
 // the public DecompressShard hands out belong to the caller and never
 // come here.
@@ -184,8 +235,9 @@ var shardBufs struct {
 	free [][]byte
 }
 
-// maxFreeShardBufs covers four loaders; a creation-order serial walk,
-// a remote source and a worker's lease each hold one buffer at a time.
+// maxFreeShardBufs covers two creation-order walks, each holding its
+// current shard and the one it reads ahead; a remote source and a worker's
+// lease each hold one buffer at a time.
 const maxFreeShardBufs = 4
 
 // TakeShardBuf returns a buffer whose capacity is at least n bytes, its

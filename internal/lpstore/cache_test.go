@@ -3,11 +3,13 @@ package lpstore
 import (
 	"bytes"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
-	"livepoints/internal/livepoint"
+	"livepoints/internal/asn1der"
 )
 
 // reshuffledStore writes n synthetic points in 8-point shards, re-permutes
@@ -163,8 +165,8 @@ func TestBlobsBudgetBelowTwoShards(t *testing.T) {
 				t.Fatalf("read position %d differs from its inflated shard", start+i)
 			}
 		}
-		if st.shared.lru.Len() != 1 || st.shared.bytes > st.shared.budget {
-			t.Fatalf("cache holds %d shards, %d bytes, over a budget of %d", st.shared.lru.Len(), st.shared.bytes, st.shared.budget)
+		if st.shared.idle != 1 || st.shared.bytes > st.shared.budget {
+			t.Fatalf("cache holds %d shards, %d bytes, over a budget of %d", st.shared.idle, st.shared.bytes, st.shared.budget)
 		}
 	}
 	if mShardCacheEvictions.Value() == evictions {
@@ -246,15 +248,6 @@ func TestBlobsOutliveRecycling(t *testing.T) {
 		src := other.Source()
 		drain(t, src)
 		src.Close()
-		ss := other.Source().(livepoint.ShardedSource)
-		for s := range ss.NumShards() {
-			sub, err := ss.OpenShard(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			drain(t, sub)
-			sub.Close()
-		}
 		other.Close()
 	}
 	for i, b := range held {
@@ -284,5 +277,110 @@ func TestFreeListKeepsTheNewest(t *testing.T) {
 	}
 	if got := TakeShardBuf(1); &got[0] == &bufs[0][0] {
 		t.Fatal("the oldest buffer stayed on a list given one more than it holds")
+	}
+}
+
+// TestReadAheadCorruptNextShard: a walk reads shard 1 ahead while it hands
+// out shard 0, and shard 1 fails its gzip check. Every point of shard 0
+// still comes out intact; the failure surfaces at the first NextBlob of
+// shard 1, never before, and at every NextBlob after it; and a Close then
+// leaves no shard held.
+func TestReadAheadCorruptNextShard(t *testing.T) {
+	blobs := synthBlobs(24, 500)
+	path := writeTestStore(t, blobs, 8, true)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := st.shards[1]
+	st.Close()
+	raw[sh.dataOff+sh.compLen/2] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	src := st.Source()
+	for i := 0; i < 8; i++ {
+		b, err := src.NextBlob()
+		if err != nil {
+			t.Fatalf("read position %d, in intact shard 0: %v", i, err)
+		}
+		if !bytes.Equal(b, blobs[i]) {
+			t.Fatalf("read position %d differs from the written blob", i)
+		}
+		if i == 0 { // let the read-ahead fail before the rest of shard 0 is read
+			e := &st.shared.shards[1]
+			for failed := false; !failed; time.Sleep(time.Millisecond) {
+				st.shared.mu.Lock()
+				failed = e.state == absent && e.err != nil
+				st.shared.mu.Unlock()
+			}
+		}
+	}
+	for call := 0; call < 3; call++ {
+		if _, err := src.NextBlob(); err == nil || !strings.Contains(err.Error(), "shard 1") {
+			t.Fatalf("NextBlob %d into damaged shard 1: %v", call, err)
+		}
+	}
+	src.Close()
+	assertNoneHeld(t, st)
+}
+
+// TestReadAheadCloseInFlight: a source closed while the shard it reads
+// ahead is still inflating returns once that inflate has ended, and leaves
+// no shard of the table held, none in it, and no goroutine running. Shard 0 is one small point and shard 1 one large
+// one, so shard 1 is still inflating when the first blob comes back.
+func TestReadAheadCloseInFlight(t *testing.T) {
+	big := make([]byte, 4<<20)
+	for j := range big {
+		big[j] = byte(j*7 + j>>9)
+	}
+	b := asn1der.NewBuilder()
+	b.OctetString(big)
+	blobs := [][]byte{synthBlobs(1, 100)[0], b.Bytes()}
+	st, err := Open(writeTestStore(t, blobs, 1, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	g0 := runtime.NumGoroutine()
+	inFlight := false
+	for try := 0; try < 20 && !inFlight; try++ {
+		src := st.Source()
+		if _, err := src.NextBlob(); err != nil {
+			t.Fatal(err)
+		}
+		st.shared.mu.Lock()
+		inFlight = st.shared.shards[1].state == inflating
+		st.shared.mu.Unlock()
+		if err := src.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertNoneHeld(t, st)
+		// Close waited for the read-ahead, then let its shard go as done.
+		if live := inTable(st); len(live) != 0 {
+			t.Fatalf("shards %v still in the table after Close", live)
+		}
+	}
+	if !inFlight {
+		t.Fatal("in 20 walks, shard 1 was never still inflating when shard 0's blob came back")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > g0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the walk", runtime.NumGoroutine(), g0)
+		}
+	}
+	// An inflate that outlived its Close would have put its shard back.
+	if live := inTable(st); len(live) != 0 {
+		t.Fatalf("shards %v in the table once every inflate has ended", live)
 	}
 }

@@ -2,12 +2,9 @@ package lpstore
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"livepoints/internal/livepoint"
 )
 
 // FuzzOpen holds the store to its contract on arbitrary file bytes: Open
@@ -82,22 +79,14 @@ func FuzzOpen(f *testing.F) {
 				check("PointBlob", [][]byte{b})
 			}
 		}
-		ss := st.Source().(livepoint.ShardedSource)
-		for s := 0; s < ss.NumShards(); s++ {
-			sub, err := ss.OpenShard(s)
+		src := st.Source()
+		defer src.Close()
+		for {
+			b, err := src.NextBlob()
 			if err != nil {
-				continue
+				break
 			}
-			for {
-				b, err := sub.NextBlob()
-				if err != nil {
-					if err != io.EOF {
-						t.Fatalf("shard %d failed after opening: %v", s, err)
-					}
-					break
-				}
-				check("OpenShard", [][]byte{b})
-			}
+			check("Source", [][]byte{b})
 		}
 	})
 }

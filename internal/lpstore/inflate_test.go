@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -53,9 +54,11 @@ func TestShardsInflateAsGzipDoes(t *testing.T) {
 
 // TestInflateSteadyStateAllocs: with the decoder free list warm, inflating
 // a shard into a buffer that holds it allocates nothing, DecompressShard
-// allocates only the buffer it hands out, and a walk of a store's source
-// allocates a few hundred bytes a shard for the shard table's
-// bookkeeping: no decoder, no Huffman tables.
+// allocates only the buffer it hands out, and a second walk of a store's
+// source, read-ahead included, allocates under 128 bytes a shard: no
+// decoder, no Huffman tables, and no table entry, since the table keeps
+// one for each shard for the store's life. What is left is the read-ahead
+// goroutine's start.
 func TestInflateSteadyStateAllocs(t *testing.T) {
 	path := writeTestStore(t, synthBlobs(90, 4000), 8, true)
 	st, err := Open(path)
@@ -98,13 +101,18 @@ func TestInflateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	walk()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	walk()
-	runtime.ReadMemStats(&m1)
-	perShard := (m1.TotalAlloc - m0.TotalAlloc) / uint64(st.NumShards())
+	// The least of three walks: the runtime starting a thread for the
+	// read-ahead's goroutine (some 5 KB, once) is not the walk's cost.
+	perShard := uint64(math.MaxUint64)
+	for range 3 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		walk()
+		runtime.ReadMemStats(&m1)
+		perShard = min(perShard, (m1.TotalAlloc-m0.TotalAlloc)/uint64(st.NumShards()))
+	}
 	t.Logf("a source walk: %d bytes a shard over %d shards", perShard, st.NumShards())
-	if perShard > 1<<10 {
-		t.Errorf("a source walk allocated %d bytes a shard, want under 1 KB", perShard)
+	if perShard >= 128 { // an entry, a channel and a list element a shard came to 192
+		t.Errorf("a source walk allocated %d bytes a shard, want under 128", perShard)
 	}
 }

@@ -19,8 +19,9 @@
 //     per store, into a table every reader of the store shares (cache.go);
 //   - index-only shuffling: Shuffle permutes the footer and never touches
 //     point data;
-//   - concurrent reads: shards decompress independently, so parallel
-//     runners scale their load bandwidth with worker count;
+//   - reading ahead: shards decompress independently, so a source inflates
+//     the next shard its walk enters while the points of the current one
+//     are simulated;
 //   - remote serving: internal/lpserve streams stored shard bytes to
 //     clients verbatim, with no server-side recompression.
 //
@@ -50,8 +51,9 @@ const (
 	idxMagic     = "livepoint-library-v2"
 
 	// DefaultShardPoints is the default number of points per shard: small
-	// enough that a 4-worker run on a few hundred points still sees many
-	// shards, large enough that gzip retains cross-point redundancy.
+	// enough that the first shard a run waits for, before the read-ahead
+	// takes over, is a small part of a few hundred points, large enough
+	// that gzip retains cross-point redundancy.
 	DefaultShardPoints = 64
 
 	trailerLen     = 16 // index length (8) + trailer magic (8)
@@ -124,7 +126,7 @@ type Store struct {
 	shardOrder     [][]uint32 // per shard: physical ids in read order
 	lastRead       []int      // per shard: the read position of its last point
 
-	shared shardTable // every reader's inflated shards (cache.go)
+	shared *shardTable // every reader's inflated shards (cache.go)
 }
 
 // Open opens a v2 library file. Any other file is refused with the lpgen
@@ -179,10 +181,10 @@ func openFile(f *os.File, path string) (*Store, error) {
 		return nil, fmt.Errorf("lpstore: %s: reading index: %w", path, err)
 	}
 	st := &Store{path: path, f: f}
-	st.shared = shardTable{budget: shardCacheBudget, m: make(map[int]*tableShard)}
 	if err := st.decodeIndex(idx, idxOff); err != nil {
 		return nil, fmt.Errorf("lpstore: %s: %w", path, err)
 	}
+	st.shared = newShardTable(len(st.shards))
 	return st, nil
 }
 
@@ -390,26 +392,26 @@ func (st *Store) Blobs(start, count int) ([][]byte, error) {
 }
 
 // Source returns a sequential livepoint.Source over the whole store in
-// read order. The returned source also implements livepoint.ShardedSource,
-// so parallel runners pull shards concurrently. Closing it does not close
-// the store.
+// read order. Closing it does not close the store.
 func (st *Store) Source() livepoint.Source {
 	st.buildShardOrder()
-	return &storeSource{st: st, ids: st.order}
+	return &storeSource{st: st}
 }
 
-// storeSource walks points in read order — the whole store's, or one
-// shard's for OpenShard — holding the shard of its current blob in the
-// store's table. Moving on to another shard releases it, as done once the
-// walk has passed the shard's last read position: a creation-order walk
-// holds one shard at a time, and an index-reshuffled one inflates each
-// shard once while the table's budget lasts. A shard walk holds its one
-// shard until its end or Close.
+// storeSource walks the store's points in read order, holding the shard of
+// its current blob in the store's table, and the next shard it will enter,
+// which it reads ahead: on entering a shard it first starts inflating that
+// next one, then waits for the one it entered, so that a shard inflates
+// while the points of the one before it are simulated. Moving on to
+// another shard releases the current one, as done once the walk has passed
+// the shard's last read position: a creation-order walk holds two shards
+// at a time, and an index-reshuffled one inflates each shard once while
+// the table's budget lasts.
 type storeSource struct {
 	st       *Store
-	ids      []uint32 // physical ids in read order
 	pos      int
-	cur      *tableShard
+	cur      *tableShard // the shard of the last blob handed out
+	ahead    *tableShard // the next shard the walk enters, inflated or inflating
 	ownStore bool
 }
 
@@ -417,56 +419,71 @@ func (s *storeSource) Meta() livepoint.Meta { return s.st.meta }
 
 func (s *storeSource) NextBlob() ([]byte, error) {
 	// The previous blob was borrowed until this call (DESIGN §3.8 rule 1).
-	if s.pos >= len(s.ids) {
-		s.letGo(true)
+	st := s.st
+	if s.pos >= len(st.order) {
+		s.letGo()
 		return nil, io.EOF
 	}
-	p := s.st.points[s.ids[s.pos]]
+	p := st.points[st.order[s.pos]]
 	if s.cur != nil && s.cur.shard != p.shard {
-		s.letGo(s.st.lastRead[s.cur.shard] < s.pos)
+		st.shared.release(s.cur, st.lastRead[s.cur.shard] < s.pos)
+		s.cur = nil
 	}
 	if s.cur == nil {
-		e, err := s.st.shared.acquire(s.st, p.shard, false)
-		if err != nil {
+		if err := s.enter(p.shard); err != nil {
 			return nil, err
 		}
-		s.cur = e
 	}
 	s.pos++
 	return s.cur.data[p.off : p.off+int64(p.len)], nil
 }
 
-// letGo releases the current shard, if any; done says the walk will not
-// read it again.
-func (s *storeSource) letGo(done bool) {
+// enter makes shard sh, the shard of the walk's next blob, current. A
+// shard that fails to inflate fails the NextBlob that enters it, never one
+// before, and every NextBlob after it tries it again.
+func (s *storeSource) enter(sh int) error {
+	t := s.st.shared
+	e := s.ahead
+	if e == nil { // the walk's first shard, or one that failed
+		e = t.hold(s.st, sh, false)
+	}
+	s.ahead = nil
+	for _, phys := range s.st.order[s.pos:] { // the next shard the walk enters
+		if next := s.st.points[phys].shard; next != sh {
+			s.ahead = t.hold(s.st, next, false)
+			break
+		}
+	}
+	if err := t.wait(e); err != nil {
+		s.letGo()
+		return err
+	}
+	s.cur = e
+	return nil
+}
+
+// letGo releases the shards the walk holds, as done, once the one it reads
+// ahead is no longer inflating.
+func (s *storeSource) letGo() {
+	t := s.st.shared
 	if s.cur != nil {
-		s.st.shared.release(s.cur, done)
+		t.release(s.cur, true)
 		s.cur = nil
+	}
+	if s.ahead != nil {
+		if t.wait(s.ahead) == nil {
+			t.release(s.ahead, true)
+		}
+		s.ahead = nil
 	}
 }
 
 func (s *storeSource) Close() error {
-	s.letGo(true)
+	s.letGo()
 	if s.ownStore {
 		return s.st.Close()
 	}
 	return nil
-}
-
-func (s *storeSource) NumShards() int { return s.st.NumShards() }
-
-// OpenShard inflates shard sh, or finds it in the store's table, and walks
-// it. The walk is a plain Source: it is one shard, not a ShardedSource of
-// the whole store.
-func (s *storeSource) OpenShard(sh int) (livepoint.Source, error) {
-	if sh < 0 || sh >= s.st.NumShards() {
-		return nil, fmt.Errorf("lpstore: shard %d out of range [0,%d)", sh, s.st.NumShards())
-	}
-	e, err := s.st.shared.acquire(s.st, sh, false)
-	if err != nil {
-		return nil, err
-	}
-	return struct{ livepoint.Source }{&storeSource{st: s.st, ids: s.st.shardOrder[sh], cur: e}}, nil
 }
 
 // Shuffle rewrites a v2 library's read order in place, deterministically

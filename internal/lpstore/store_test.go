@@ -131,23 +131,6 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 		t.Fatal("out-of-range batch should fail")
 	}
 
-	// Per-shard sources cover every point exactly once.
-	ss, ok := st.Source().(livepoint.ShardedSource)
-	if !ok {
-		t.Fatal("store source should be sharded")
-	}
-	var fromShards int
-	for s := 0; s < ss.NumShards(); s++ {
-		sub, err := ss.OpenShard(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromShards += len(drain(t, sub))
-		sub.Close()
-	}
-	if fromShards != len(blobs) {
-		t.Fatalf("shard sources yielded %d blobs, want %d", fromShards, len(blobs))
-	}
 }
 
 // TestShuffleIsIndexOnly checks Shuffle permutes the read order without
@@ -281,9 +264,6 @@ func TestRegisteredOpener(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	if _, ok := src.(livepoint.ShardedSource); !ok {
-		t.Fatal("v2 source should be sharded")
-	}
 	if got := drain(t, src); len(got) != len(blobs) {
 		t.Fatalf("drained %d blobs, want %d", len(got), len(blobs))
 	}
@@ -441,11 +421,11 @@ func TestDecompressShardExactLength(t *testing.T) {
 // TestSourcesRecycleShardBuffers: a store's sources inflate into buffers
 // that outlive them, so reading a library again recycles them — and a
 // recycled buffer still yields every blob byte for byte, across an
-// index-only reshuffle and per-shard sources. A serial walk keeps no more
-// shards in the table than shards still ahead of it, keeps each shard from
-// its first read to its last (so a reshuffled walk inflates each once),
-// and holds none after Close; a creation-order walk keeps one. A shard
-// source is a plain Source, not a ShardedSource of the whole store.
+// index-only reshuffle. A walk keeps no more shards in the table than
+// shards still ahead of it, keeps each shard from its first read to its
+// last (so a reshuffled walk inflates each once), and holds none after
+// Close; a creation-order walk keeps two, the one it reads and the one it
+// reads ahead.
 func TestSourcesRecycleShardBuffers(t *testing.T) {
 	blobs := synthBlobs(90, 4000)
 	path := writeTestStore(t, blobs, 8, true) // 12 shards
@@ -457,9 +437,8 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	order := st.Order()
 
-	// Both readers return the buffers they read from, by first byte.
+	// A walk returns the buffers it read from, by first byte.
 	type buffers map[*byte]bool
 	serial := func(st *Store, maxLive func(pos int) int) buffers {
 		src := st.Source().(*storeSource)
@@ -484,11 +463,12 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 			if _, ok := first[st.points[order[i]].shard]; !ok {
 				first[st.points[order[i]].shard] = i
 			}
-			if live := len(st.shared.m); live > maxLive(i) {
-				t.Fatalf("read position %d: %d shards in the table, want at most %d", i, live, maxLive(i))
+			live := inTable(st)
+			if len(live) > maxLive(i) {
+				t.Fatalf("read position %d: %d shards in the table, want at most %d", i, len(live), maxLive(i))
 			}
 			for s, at := range first {
-				if _, held := st.shared.m[s]; !held && at < i && st.lastRead[s] >= i {
+				if !live[s] && at < i && st.lastRead[s] >= i {
 					t.Fatalf("read position %d: shard %d let go between its reads at %d and %d", i, s, at, st.lastRead[s])
 				}
 			}
@@ -512,58 +492,10 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		}
 		return n
 	}
-	sharded := func() buffers {
-		ss := st.Source().(livepoint.ShardedSource)
-		used := buffers{}
-		var seen int
-		for s := 0; s < ss.NumShards(); s++ {
-			sub, err := ss.OpenShard(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := sub.(livepoint.ShardedSource); ok {
-				t.Fatalf("shard %d's source is a ShardedSource: a runner would walk the whole store through it", s)
-			}
-			used[&sub.(struct{ livepoint.Source }).Source.(*storeSource).cur.data[0]] = true
-			pos, err := st.ShardReadPositions(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range pos {
-				b, err := sub.NextBlob()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(b, blobs[order[p]]) {
-					t.Fatalf("shard %d, read position %d: blob differs", s, p)
-				}
-				seen++
-			}
-			if _, err := sub.NextBlob(); err != io.EOF {
-				t.Fatalf("shard %d: %v after its last blob, want io.EOF", s, err)
-			}
-			if err := sub.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sub.Close(); err != nil { // a second Close must not release twice
-				t.Fatal(err)
-			}
-		}
-		if seen != len(blobs) {
-			t.Fatalf("shard sources yielded %d of %d blobs", seen, len(blobs))
-		}
-		assertNoneHeld(t, st)
-		return used
-	}
 
 	first := serial(st, ahead)
 	if len(first) < maxFreeShardBufs {
 		t.Fatalf("a reshuffled walk over 12 shards used %d buffers", len(first))
-	}
-	for buf := range sharded() {
-		if !first[buf] {
-			t.Error("sharded re-read inflated into a new buffer: the serial read's were not recycled")
-		}
 	}
 	recycled := 0
 	again := serial(st, ahead)
@@ -576,13 +508,14 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 		t.Errorf("serial re-read reused %d of the first read's buffers, want the free list's %d", recycled, maxFreeShardBufs)
 	}
 
-	// In creation order a shard is done before the next is opened.
+	// In creation order a shard is done before the one after the next is
+	// opened.
 	plain, err := Open(writeTestStore(t, blobs, 8, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	for buf := range serial(plain, func(int) int { return 1 }) {
+	for buf := range serial(plain, func(int) int { return 2 }) {
 		if !first[buf] && !again[buf] {
 			t.Error("creation-order walk inflated into a new buffer: the reshuffled reads' were not recycled")
 		}
@@ -598,7 +531,6 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 	}
 	want := bytes.Clone(own)
 	serial(st, ahead)
-	sharded()
 	if !bytes.Equal(own, want) {
 		t.Fatal("a source inflated into a buffer DecompressShard had handed out")
 	}
@@ -614,12 +546,25 @@ func TestSourcesRecycleShardBuffers(t *testing.T) {
 	assertNoneHeld(t, st)
 }
 
+// inTable returns the shards st's table holds inflated or is inflating.
+func inTable(st *Store) map[int]bool {
+	st.shared.mu.Lock()
+	defer st.shared.mu.Unlock()
+	live := map[int]bool{}
+	for s, e := range st.shared.shards {
+		if e.state != absent {
+			live[s] = true
+		}
+	}
+	return live
+}
+
 // assertNoneHeld fails unless no reader holds a shard of st's table.
 func assertNoneHeld(t *testing.T, st *Store) {
 	t.Helper()
 	st.shared.mu.Lock()
 	defer st.shared.mu.Unlock()
-	for s, e := range st.shared.m {
+	for s, e := range st.shared.shards {
 		if e.refs != 0 {
 			t.Fatalf("shard %d still has %d references", s, e.refs)
 		}

@@ -154,9 +154,10 @@ func CreateLibrary(p *Program, design Design, cfg Config, path string) (LibraryI
 
 // CreateLibraryOpts is CreateLibrary with full control over captured
 // state. Libraries are written in the sharded v2 format: points are
-// shuffled once at creation (so shard-major reads are already in random
-// order) and the footer index supports O(1) random access, index-only
-// reshuffling (lpstore.Shuffle), and concurrent per-shard reads.
+// shuffled once at creation (so reads in storage order are already in
+// random order) and the footer index supports O(1) random access,
+// index-only reshuffling (lpstore.Shuffle), and a reader that inflates its
+// next shard while the points of the current one are simulated.
 func CreateLibraryOpts(p *Program, design Design, opts CreateOpts, path string) (LibraryInfo, error) {
 	info, err := lpstore.Create(path, p, design, opts, shuffleSeed, lpstore.WriteOpts{})
 	if err != nil {

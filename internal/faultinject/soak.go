@@ -29,9 +29,6 @@ type SoakOptions struct {
 	// Mode is lpcluster.ModeAbsolute (default) or lpcluster.ModeMatched.
 	Mode string
 	// RelErr enables §6.1 online stopping; 0 runs the whole library.
-	// Bit-equality vs. the local run is only asserted for whole-library
-	// runs — a stopping run's stop point legitimately depends on fold
-	// order.
 	RelErr float64
 	// Proxy injects faults server-side (the Proxy handler) instead of
 	// client-side (the Transport RoundTripper).
@@ -82,10 +79,11 @@ type baseline struct {
 // its fault schedule, and checks the three safety invariants after every
 // round:
 //
-//  1. whole-library runs produce an estimate bit-equal to the
-//     undisturbed local fold (livepoint.RunFile / RunMatchedFile) — no
-//     fault may change the answer, only the turnaround;
-//  2. observations folded == positions done — nothing double-folded,
+//  1. every run, whole-library or stopped, produces an estimate and a
+//     point count bit-equal to the undisturbed local fold under the same
+//     rule (livepoint.RunFile / RunMatchedFile) — no fault may change the
+//     answer, only the turnaround;
+//  2. observations accepted == positions done — nothing double-folded,
 //     nothing lost;
 //  3. every goroutine the run started is gone afterwards.
 //
@@ -301,38 +299,34 @@ func checkInvariants(opt SoakOptions, bl *baseline, coord *lpcluster.Coordinator
 		return fmt.Errorf("coordinator not finished")
 	}
 
-	// Invariant 2: observations folded == positions done. A double-fold
-	// or a lost observation shows up here even when the estimate happens
-	// to survive numerically.
+	// Invariant 2: observations accepted == positions done (and, unless
+	// the run stopped, == folded). A double-fold or a lost observation
+	// shows up here even when the estimate happens to survive numerically.
 	folded := reg.Counter("lpcluster_points_folded_total", "").Value()
 	done := coord.State().Done
 	if folded != uint64(done) {
 		return fmt.Errorf("folded %d observations for %d done positions (double-fold or loss)", folded, done)
 	}
-	if folded != uint64(res.Processed) {
+	if !res.Stopped && folded != uint64(res.Processed) {
 		return fmt.Errorf("folded %d but final result processed %d", folded, res.Processed)
 	}
 
-	// Invariant 1: bit-equality vs. the undisturbed local run
-	// (whole-library runs only; a stopping run's stop point depends on
-	// fold order, so it gets the statistical contract instead).
-	if opt.RelErr > 0 {
-		if res.Stopped {
-			if opt.Mode == lpcluster.ModeMatched {
-				if !res.MP.DeltaSatisfied(sampling.Z997, opt.RelErr) && !res.StoppedNoImpact {
-					return fmt.Errorf("stopped without satisfying the target: n=%d", res.MP.N())
-				}
-			} else if !res.Est.Satisfied(sampling.Z997, opt.RelErr) {
-				return fmt.Errorf("stopped without satisfying the target: n=%d relCI=%.4f",
-					res.Est.N(), res.Est.RelCI(sampling.Z997))
+	// Invariant 1: bit-equality vs. the undisturbed local run; a stopped
+	// run also meets the statistical contract, and any other covers the
+	// whole library.
+	if res.Stopped {
+		if opt.Mode == lpcluster.ModeMatched {
+			if !res.MP.DeltaSatisfied(sampling.Z997, opt.RelErr) && !res.StoppedNoImpact {
+				return fmt.Errorf("stopped without satisfying the target: n=%d", res.MP.N())
 			}
-			if res.Processed < sampling.MinSampleSize {
-				return fmt.Errorf("stopped below the CLT floor: n=%d", res.Processed)
-			}
+		} else if !res.Est.Satisfied(sampling.Z997, opt.RelErr) {
+			return fmt.Errorf("stopped without satisfying the target: n=%d relCI=%.4f",
+				res.Est.N(), res.Est.RelCI(sampling.Z997))
 		}
-		return nil
-	}
-	if res.Processed != st.Count() {
+		if res.Processed < sampling.MinSampleSize {
+			return fmt.Errorf("stopped below the CLT floor: n=%d", res.Processed)
+		}
+	} else if res.Processed != st.Count() {
 		return fmt.Errorf("whole-library run processed %d of %d points", res.Processed, st.Count())
 	}
 	if opt.Mode == lpcluster.ModeMatched {
@@ -345,9 +339,13 @@ func checkInvariants(opt SoakOptions, bl *baseline, coord *lpcluster.Coordinator
 		}
 		return nil
 	}
-	if !reflect.DeepEqual(res.Est, bl.abs.Est) {
+	if !reflect.DeepEqual(res.Est, bl.abs.Est) || res.Processed != bl.abs.Processed {
 		return fmt.Errorf("estimate not bit-equal to local: %.12f (n=%d) vs %.12f (n=%d)",
 			res.Est.Mean(), res.Est.N(), bl.abs.Est.Mean(), bl.abs.Est.N())
+	}
+	// A stopped run's counters are its accepted partials'.
+	if res.Stopped {
+		return nil
 	}
 	if res.UnknownFetches != bl.abs.UnknownFetches || res.UnknownLoads != bl.abs.UnknownLoads ||
 		res.CaptureErrors != bl.abs.CaptureErrors {

@@ -3,6 +3,7 @@ package livepoint
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -238,8 +239,8 @@ func TestRunFileOnlineStopsEarly(t *testing.T) {
 	t.Logf("stopped after %d of %d points at ±%.2f%%", res.Processed, len(points), 100*res.Est.RelCI(sampling.Z997))
 }
 
-// TestParallelMatchesSerialEstimate checks the parallel runner converges to
-// the same mean over a full library pass.
+// TestParallelMatchesSerialEstimate checks the parallel runner folds a full
+// library pass to the serial estimate, bit for bit.
 func TestParallelMatchesSerialEstimate(t *testing.T) {
 	cfg := uarch.Config8Way()
 	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
@@ -258,8 +259,8 @@ func TestParallelMatchesSerialEstimate(t *testing.T) {
 	if serial.Processed != par.Processed {
 		t.Fatalf("serial processed %d, parallel %d", serial.Processed, par.Processed)
 	}
-	if math.Abs(serial.Est.Mean()-par.Est.Mean()) > 1e-12 {
-		t.Fatalf("parallel mean %.9f differs from serial %.9f", par.Est.Mean(), serial.Est.Mean())
+	if !reflect.DeepEqual(serial.Est, par.Est) {
+		t.Fatalf("parallel estimate %v differs from serial %v", par.Est.String(), serial.Est.String())
 	}
 }
 

@@ -42,25 +42,34 @@ func TestDecodeIntoSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestPassAddZeroAllocs: a pass's per-point fold (counters, the k CPIs
-// into sampling.Columns, the rule's verdict) allocates nothing, under one
-// configuration or a matched pair.
+// into sampling.Ordered, the rule's verdict) allocates nothing, under one
+// configuration or a matched pair, whether a point folds at once or waits
+// in the fold for the one before it.
 func TestPassAddZeroAllocs(t *testing.T) {
 	cfg := uarch.Config8Way()
 	for _, cfgs := range [][]uarch.Config{{cfg}, {cfg, cfg}} {
 		k := len(cfgs)
 		rule := sampling.Rule{Z: sampling.Z997, RelErr: 1e-9, NoImpact: 1e-9}
-		p := &pass{cfgs: cfgs, rule: rule, cols: sampling.NewColumns(k, rule, false), row: make([]float64, k)}
+		p := &pass{cfgs: cfgs, rule: rule, row: make([]float64, k)}
+		p.fold = new(sampling.Ordered[uarch.Stats])
+		p.fold.Reset(sampling.NewColumns(k, rule, false), p.res.tally)
 		wrs := make([]warm.WindowResult, k)
 		i := 0
 		allocs := testing.AllocsPerRun(1000, func() {
-			for j := range wrs {
-				wrs[j].UnitCPI = 1 + 0.01*float64((i+j)%7)
+			// Positions i+1 then i: the first waits, the second folds both.
+			for _, pos := range []int{i + 1, i} {
+				for j := range wrs {
+					wrs[j].UnitCPI = 1 + 0.01*float64((pos+j)%7)
+				}
+				p.add(pos, wrs)
 			}
-			i++
-			p.add(wrs)
+			i += 2
 		})
 		if allocs != 0 {
 			t.Fatalf("k=%d: pass.add allocates %.1f objects per point, want 0", k, allocs)
+		}
+		if p.res.Processed != i {
+			t.Fatalf("k=%d: %d points folded of %d put", k, p.res.Processed, i)
 		}
 	}
 }

@@ -27,7 +27,7 @@ type RunOpts struct {
 	MaxPoints int
 
 	// Parallel is the number of simulation workers; values < 2 run
-	// serially (deterministic processing order).
+	// serially. Every Parallel folds in read order, to the serial result.
 	Parallel int
 
 	// RecordHistory retains per-point snapshots for convergence plots.
@@ -95,10 +95,10 @@ func RunSource(src Source, opts RunOpts) (*RunResult, error) {
 
 // pass is one run: each point of a library simulated under k
 // configurations (one absolute; baseline and experimental matched) and
-// folded into sampling.Columns until the rule stops it, maxPoints is
-// reached, or the library ends. Only a one-configuration pass simulates
-// points in parallel; a pass of more folds its points in order and
-// simulates each point's configurations side by side (pointKernel).
+// put at its read position into fold until the rule stops it, maxPoints
+// is reached, or the library ends. Only a one-configuration pass simulates
+// points in parallel; a pass of more simulates each point's configurations
+// side by side (pointKernel).
 type pass struct {
 	cfgs      []uarch.Config
 	rule      sampling.Rule
@@ -106,16 +106,17 @@ type pass struct {
 	parallel  int
 	history   bool
 
-	cols     *sampling.Columns
-	row      []float64   // add's CPIs, reused
-	out      [][]float64 // when non-nil, every point's CPIs by column (SimBlobsK)
-	noImpact bool        // the no-impact screen stopped the pass
+	fold     *sampling.Ordered[uarch.Stats] // the first worker's
+	cols     *sampling.Columns              // fold's for this pass
+	row      []float64                      // add's CPIs, reused
+	out      [][]float64                    // when non-nil, every point's CPIs by column (SimBlobsK)
+	noImpact bool                           // the no-impact screen stopped the pass
 	res      RunResult
 
 	// The loop's shared state, which its workers take turns at under mu.
 	mu    sync.Mutex
 	next  func() ([]byte, error) // the source's NextBlob
-	taken int                    // points decoded
+	taken int                    // points decoded: the next one's read position
 	over  bool                   // the pass folds no more points
 	ended bool                   // the source is at its end, or failed
 	err   error                  // the first failure
@@ -137,7 +138,6 @@ func (p *pass) run(src Source) (*RunResult, error) {
 	if err := p.rule.Check(src.Meta().Shuffled); err != nil {
 		return nil, fmt.Errorf("livepoint: %w", err)
 	}
-	p.cols = sampling.NewColumns(len(p.cfgs), p.rule, p.history)
 	p.row = make([]float64, len(p.cfgs))
 	p.next = src.NextBlob
 	n := 1
@@ -146,6 +146,8 @@ func (p *pass) run(src Source) (*RunResult, error) {
 	}
 	sims := takeBlobSims(n)
 	defer releaseBlobSims(sims)
+	p.cols, p.fold = sampling.NewColumns(len(p.cfgs), p.rule, p.history), &sims[0].fold
+	p.fold.Reset(p.cols, p.res.tally)
 	var workers sync.WaitGroup
 	for _, s := range sims[1:] {
 		workers.Add(1)
@@ -159,27 +161,30 @@ func (p *pass) run(src Source) (*RunResult, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
+	p.fold.Reset(nil, nil) // the free list keeps the ring, not this pass
 	p.res.Est, p.res.History = *p.cols.Estimate(), p.cols.History()
 	return &p.res, nil
 }
 
-// add is the pass's one fold, of one point's window results (one per
-// configuration); it reports whether the pass is over.
-func (p *pass) add(wrs []warm.WindowResult) (over bool) {
-	r := &p.res
-	r.Processed++
-	r.UnknownFetches += wrs[0].Stats.UnknownFetches
-	r.UnknownLoads += wrs[0].Stats.UnknownLoads
-	r.CaptureErrors += wrs[0].Stats.CorrectPathUnknownLoads + wrs[0].Stats.CorrectPathUnknownFetches
+// add puts one point's window results (one per configuration), at read
+// position pos, into the fold; it reports whether the pass is over.
+func (p *pass) add(pos int, wrs []warm.WindowResult) (over bool) {
 	for j := range wrs {
 		p.row[j] = wrs[j].UnitCPI
 		if p.out != nil {
 			p.out[j] = append(p.out[j], wrs[j].UnitCPI)
 		}
 	}
-	var stop bool
-	stop, p.noImpact = p.cols.Add(p.row...)
-	return stop || p.maxPoints > 0 && r.Processed >= p.maxPoints
+	over, p.noImpact = p.fold.Put(pos, wrs[0].Stats, p.row...)
+	return over
+}
+
+// tally counts a point, and its first window's counters, as it folds.
+func (t *Tally) tally(s uarch.Stats) {
+	t.Processed++
+	t.UnknownFetches += s.UnknownFetches
+	t.UnknownLoads += s.UnknownLoads
+	t.CaptureErrors += s.CorrectPathUnknownLoads + s.CorrectPathUnknownFetches
 }
 
 // pointKernel is the one place a live-point is simulated: its window runs
@@ -287,37 +292,37 @@ func (k *pointKernel) simulate(lp *LivePoint) ([]warm.WindowResult, time.Duratio
 }
 
 // work is the one run loop, on one worker and its BlobSim; a pass runs it
-// on each of its workers at once. Under the pass's lock a worker folds the
-// point it simulated last, stops if the pass is over, has failed or has
-// read the library to its end, and otherwise pulls and decodes the next
-// blob into its own LivePoint; it simulates outside the lock. On one
-// worker that is the serial loop: points are read, simulated and folded
-// in order, so the exact stopping point is deterministic. On more, points
-// fold in completion order, still an unbiased sample of a shuffled
-// library, and the stopping point depends on scheduling. The kernel's
-// helpers live exactly as long as the loop.
+// on each of its workers at once. Under the pass's lock a worker puts the
+// point it simulated last into the fold, stops if the pass is over, has
+// failed or has read the library to its end, and otherwise pulls and
+// decodes the next blob into its own LivePoint; it simulates outside the
+// lock. On one worker that is the serial loop. On more, a point that
+// finishes before a lower one waits in the fold, not the worker, so the
+// pass folds and stops as the serial loop does. The kernel's helpers live
+// exactly as long as the loop.
 func (p *pass) work(s *BlobSim) {
 	s.k.configure(p.cfgs)
 	s.k.start()
 	defer s.k.stop()
+	var pos int // s.lp's read position
 	var wrs []warm.WindowResult
 	var took time.Duration
 	var err error
-	for p.turn(&s.lp, wrs, took, err) {
+	for p.turn(&s.lp, &pos, wrs, took, err) {
 		wrs, took, err = s.k.simulate(&s.lp)
 	}
 }
 
-// turn is a worker's time under the lock: it folds wrs, the window results
-// of the worker's last point (none before its first), or fails the pass
-// with simErr, the point's simulation error, and decodes the next point
-// into lp, reporting whether there is one to simulate. A point simulated
-// after the pass is over is not folded. The source is read under the lock
-// because a Source serves one caller at a time and lends each blob only
-// until its next NextBlob. Getting and decoding a blob count as load time,
-// detailed simulation (summed over the configurations, and over the
-// workers) as sim time.
-func (p *pass) turn(lp *LivePoint, wrs []warm.WindowResult, took time.Duration, simErr error) bool {
+// turn is a worker's time under the lock: it puts wrs, the window results
+// of its last point, at read position *pos (none before its first), or
+// fails the pass with simErr, and decodes the next point into lp and its
+// position into *pos, reporting whether there is one to simulate. A point
+// simulated after the pass is over is not put. The source is read under
+// the lock because a Source serves one caller at a time and lends each
+// blob only until its next NextBlob. Getting and decoding a blob count as
+// load time, detailed simulation (summed over the configurations, and over
+// the workers) as sim time.
+func (p *pass) turn(lp *LivePoint, pos *int, wrs []warm.WindowResult, took time.Duration, simErr error) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if simErr != nil {
@@ -326,7 +331,7 @@ func (p *pass) turn(lp *LivePoint, wrs []warm.WindowResult, took time.Duration, 
 	}
 	if wrs != nil {
 		p.res.SimTime += took
-		p.over = p.over || p.add(wrs)
+		p.over = p.over || p.add(*pos, wrs)
 	}
 	if p.over || p.ended || p.maxPoints > 0 && p.taken == p.maxPoints {
 		return false
@@ -341,6 +346,7 @@ func (p *pass) turn(lp *LivePoint, wrs []warm.WindowResult, took time.Duration, 
 		p.end(err)
 		return false
 	}
+	*pos = p.taken
 	p.taken++
 	p.res.LoadTime += time.Since(t0)
 	return true
@@ -359,10 +365,11 @@ func (p *pass) end(err error) {
 // BlobSim for each of its workers and gives them back when it ends, so the
 // next pass (RunFile opens its library again each time) simulates on
 // arenas and decodes into points already grown to the library's largest,
-// instead of growing fresh ones. The last given back is the first taken,
-// so a run repeated over one library gets back the BlobSims that grew for
-// it. Unlike a sync.Pool it survives collections; it keeps at most
-// maxFreeBlobSims.
+// instead of growing fresh ones. The list is the BlobSims of the last pass
+// to end, in its workers' order, so a run repeated over one library gets
+// back the BlobSims that grew for it, and a serial run after a parallel
+// one keeps one worker's arenas, not every worker's. Unlike a sync.Pool
+// it survives collections; it keeps at most maxFreeBlobSims.
 var blobSims struct {
 	sync.Mutex
 	free []*BlobSim
@@ -371,30 +378,24 @@ var blobSims struct {
 // maxFreeBlobSims covers a four-worker pass.
 const maxFreeBlobSims = 4
 
-// takeBlobSims returns n BlobSims, the most recently given back first.
+// takeBlobSims returns n BlobSims, the list's first.
 func takeBlobSims(n int) []*BlobSim {
 	blobSims.Lock()
 	defer blobSims.Unlock()
 	sims := make([]*BlobSim, n)
-	for i := range sims {
-		k := len(blobSims.free) - 1
-		if k < 0 {
-			sims[i] = new(BlobSim)
-			continue
-		}
-		sims[i], blobSims.free = blobSims.free[k], blobSims.free[:k]
+	k := copy(sims, blobSims.free)
+	for i := k; i < n; i++ {
+		sims[i] = new(BlobSim)
 	}
+	blobSims.free = blobSims.free[k:]
 	return sims
 }
 
-// releaseBlobSims gives back as many of sims as the list has room for,
-// sims[0] last, so that the next pass's first worker takes it first.
+// releaseBlobSims makes sims the list, dropping what it held.
 func releaseBlobSims(sims []*BlobSim) {
 	blobSims.Lock()
 	defer blobSims.Unlock()
-	for i := min(len(sims), maxFreeBlobSims-len(blobSims.free)) - 1; i >= 0; i-- {
-		blobSims.free = append(blobSims.free, sims[i])
-	}
+	blobSims.free = sims[:min(len(sims), maxFreeBlobSims)]
 }
 
 // SimBlobs simulates each encoded live-point under cfg and returns the
@@ -409,17 +410,18 @@ func SimBlobs(blobs [][]byte, cfg uarch.Config) ([]float64, *RunResult, error) {
 	return cpis[0], res, nil
 }
 
-// BlobSim is one worker's state: a kernel and the LivePoint it decodes
-// into. Each worker of a pass runs the run loop on one, and a cluster
-// worker runs SimBlobsK on one for every lease: it fetches a lease's
-// blobs, simulates them, and posts the CPIs back to the coordinator for
-// folding. A BlobSim keeps its arenas and its decoded LivePoint from call
-// to call, so a worker simulates every lease of its life on the same
-// storage (DESIGN §3.8 rule 3). The zero value is ready to use; a BlobSim
-// serves one goroutine.
+// BlobSim is one worker's state: a kernel, the LivePoint it decodes into
+// and the fold of a pass it is first worker of. Each worker of a pass runs
+// the run loop on one, and a cluster worker runs SimBlobsK on one for
+// every lease: it fetches a lease's blobs, simulates them, and posts the
+// CPIs back to the coordinator for folding. A BlobSim keeps its arenas,
+// decoded LivePoint and fold's ring from call to call, so a worker
+// simulates every lease of its life on the same storage (DESIGN §3.8 rule
+// 3). The zero value is ready to use; a BlobSim serves one goroutine.
 type BlobSim struct {
-	k  pointKernel
-	lp LivePoint
+	k    pointKernel
+	lp   LivePoint
+	fold sampling.Ordered[uarch.Stats]
 }
 
 // SimBlobsK simulates each blob under k configurations, in the run loop
@@ -428,7 +430,8 @@ type BlobSim struct {
 // telemetry whatever k.
 func (s *BlobSim) SimBlobsK(blobs [][]byte, cfgs ...uarch.Config) (cpis [][]float64, res *RunResult, err error) {
 	k := len(cfgs)
-	p := &pass{cfgs: cfgs, cols: sampling.NewColumns(k, sampling.Rule{Z: sampling.Z997}, false), row: make([]float64, k), out: make([][]float64, k)}
+	p := &pass{cfgs: cfgs, fold: &s.fold, row: make([]float64, k), out: make([][]float64, k)}
+	p.fold.Reset(sampling.NewColumns(k, sampling.Rule{Z: sampling.Z997}, false), p.res.tally)
 	p.next = func() ([]byte, error) {
 		if p.taken == len(blobs) {
 			return nil, io.EOF
@@ -438,7 +441,7 @@ func (s *BlobSim) SimBlobsK(blobs [][]byte, cfgs ...uarch.Config) (cpis [][]floa
 	if p.work(s); p.err != nil {
 		return nil, nil, p.err
 	}
-	p.res.Est = *p.cols.Estimate()
+	p.res.Est = *p.fold.Estimate()
 	return p.out, &p.res, nil
 }
 

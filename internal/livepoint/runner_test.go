@@ -3,8 +3,10 @@ package livepoint
 import (
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -152,6 +154,111 @@ func TestParallelStopFoldsNothingAfter(t *testing.T) {
 	}
 	if res.Processed != sampling.MinSampleSize || res.Est.N() != res.Processed {
 		t.Fatalf("a ±50%% target at Parallel 4: processed %d, estimate over %d, want both %d", res.Processed, res.Est.N(), sampling.MinSampleSize)
+	}
+}
+
+// TestParallelStopIsTheSerialStop: under a target that fires partway
+// through the library, a run at Parallel 2 or 4 stops on the serial run's
+// point with the serial run's estimate, history and counters, bit for
+// bit: a point that finishes before a lower one waits in the fold, so
+// points fold in read order whatever the workers' timing.
+func TestParallelStopIsTheSerialStop(t *testing.T) {
+	cfg := uarch.Config8Way()
+	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
+	blobs := encodeAll(points)
+	var long [][]byte
+	for len(long) < 4*sampling.MinSampleSize {
+		long = append(long, blobs...)
+	}
+	meta := Meta{Benchmark: "syn.gzip", Count: len(long), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	run := func(opts RunOpts) *RunResult {
+		t.Helper()
+		opts.Cfg, opts.RecordHistory = cfg, true
+		res, err := RunSource(&fakeSource{meta: meta, blobs: long}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// The target is the precision the whole-library run had reached
+	// two-thirds of the way in: it fires there or sooner, but past the
+	// CLT floor.
+	whole := run(RunOpts{})
+	relErr := whole.History[2*len(long)/3].RelCI
+	serial := run(RunOpts{RelErr: relErr})
+	if serial.Processed >= len(long) || serial.Processed <= sampling.MinSampleSize {
+		t.Fatalf("a ±%.2f%% target stopped the serial run at point %d of %d; want a stop inside the library",
+			100*relErr, serial.Processed, len(long))
+	}
+	t.Logf("a ±%.2f%% target stops the serial run at point %d of %d", 100*relErr, serial.Processed, len(long))
+	for _, parallel := range []int{2, 4} {
+		par := run(RunOpts{RelErr: relErr, Parallel: parallel})
+		if par.Processed != serial.Processed || !reflect.DeepEqual(par.Est, serial.Est) ||
+			!reflect.DeepEqual(par.History, serial.History) || par.UnknownFetches != serial.UnknownFetches ||
+			par.UnknownLoads != serial.UnknownLoads || par.CaptureErrors != serial.CaptureErrors {
+			t.Fatalf("Parallel %d stopped at %d (%v, %d/%d/%d); serial at %d (%v, %d/%d/%d)", parallel,
+				par.Processed, par.Est.String(), par.UnknownFetches, par.UnknownLoads, par.CaptureErrors,
+				serial.Processed, serial.Est.String(), serial.UnknownFetches, serial.UnknownLoads, serial.CaptureErrors)
+		}
+	}
+}
+
+// TestParallelPassesAtOnce: passes that run at once take distinct
+// BlobSims, and so distinct folds, from the free list, and each returns
+// what it returns alone — a matched pass too, whose pair is read after the
+// pass has given its BlobSims back.
+func TestParallelPassesAtOnce(t *testing.T) {
+	cfg := uarch.Config8Way()
+	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
+	meta := Meta{Benchmark: "syn.gzip", Count: len(points), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	blobs := encodeAll(points)
+	src := func() Source { return &fakeSource{meta: meta, blobs: blobs} }
+	exp := cfg
+	exp.Hier.MemLat *= 2
+	want, err := RunSource(src(), RunOpts{Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMatched, err := RunMatchedSource(src(), MatchedOpts{Base: cfg, Exp: exp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if got, err := RunSource(src(), RunOpts{Cfg: cfg, Parallel: 2}); err != nil || !reflect.DeepEqual(got.Est, want.Est) {
+				t.Errorf("a parallel pass beside others: %v, %v; alone %v", got, err, want.Est.String())
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if got, err := RunMatchedSource(src(), MatchedOpts{Base: cfg, Exp: exp}); err != nil || got.MP != wantMatched.MP {
+				t.Errorf("a matched pass beside others: %v, %v; alone %+v", got, err, wantMatched.MP)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFreeListKeepsTheLastPassShape: the BlobSims a pass gives back
+// replace the list's, so a serial run after a four-worker one leaves one
+// worker's arenas for the life of the process, not four.
+func TestFreeListKeepsTheLastPassShape(t *testing.T) {
+	cfg := uarch.Config8Way()
+	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
+	meta := Meta{Benchmark: "syn.gzip", Count: len(points), UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	blobs := encodeAll(points)
+	for _, parallel := range []int{4, 1} {
+		if _, err := RunSource(&fakeSource{meta: meta, blobs: blobs}, RunOpts{Cfg: cfg, Parallel: parallel}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blobSims.Lock()
+	defer blobSims.Unlock()
+	if n := len(blobSims.free); n != 1 {
+		t.Fatalf("after a four-worker run and a serial one the free list holds %d BlobSims, want 1", n)
 	}
 }
 

@@ -241,6 +241,57 @@ func TestClusterOnlineStopping(t *testing.T) {
 	}
 }
 
+// TestClusterStopIsTheSerialStop: a two-worker run over HTTP that its rule
+// stops partway through the library stops where the local serial run under
+// the same rule does, with its estimate to the last bit — an absolute
+// target and a matched screen alike — however the workers' leases
+// interleave.
+func TestClusterStopIsTheSerialStop(t *testing.T) {
+	lib := testLibrary(t)
+	cfg := uarch.Config8Way()
+	// The target is the precision the whole-library run had reached
+	// two-thirds of the way in.
+	whole, err := livepoint.RunFile(lib, livepoint.RunOpts{Cfg: cfg, RecordHistory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relErr := whole.History[2*whole.Processed/3].RelCI
+	local, err := livepoint.RunFile(lib, livepoint.RunOpts{Cfg: cfg, RelErr: relErr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Processed >= whole.Processed {
+		t.Fatalf("a ±%.2f%% target did not stop the local run", 100*relErr)
+	}
+	coord, cl := startCluster(t, RunSpec{RelErr: relErr}, Options{LeasePoints: 8})
+	runWorkers(t, cl, 2)
+	res, ok := coord.Final()
+	if !ok || !res.Stopped || res.Processed != local.Processed || !reflect.DeepEqual(res.Est, local.Est) {
+		t.Fatalf("cluster stopped %v at %d (%v); local at %d (%v)", res.Stopped, res.Processed, res.Est.String(),
+			local.Processed, local.Est.String())
+	}
+
+	spec := RunSpec{Mode: ModeMatched, MemLat: 200, NoImpactThreshold: 0.5}
+	cfgs, err := spec.Configs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mlocal, err := livepoint.RunMatchedFile(lib, livepoint.MatchedOpts{Base: cfgs[0], Exp: cfgs[1], Z: sampling.Z997, NoImpactThreshold: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mlocal.StoppedNoImpact {
+		t.Fatal("a ±50% screen did not stop the local matched run")
+	}
+	coord, cl = startCluster(t, spec, Options{LeasePoints: 8})
+	runWorkers(t, cl, 2)
+	mres, ok := coord.Final()
+	if !ok || !mres.StoppedNoImpact || mres.Processed != mlocal.Processed || !reflect.DeepEqual(mres.MP, mlocal.MP) {
+		t.Fatalf("cluster screened %v at %d (Δ %.12f); local at %d (Δ %.12f)", mres.StoppedNoImpact, mres.Processed,
+			mres.MP.MeanDelta(), mlocal.Processed, mlocal.MP.MeanDelta())
+	}
+}
+
 // TestClusterMatchedParity checks matched-pair cluster runs are bit-equal
 // to the local RunMatchedFile fold.
 func TestClusterMatchedParity(t *testing.T) {

@@ -151,7 +151,7 @@ func (c *Coordinator) registerMetrics() {
 	reg := c.opt.Metrics
 	c.mLeasesIssued = reg.Counter("lpcluster_leases_issued_total", "Leases handed to workers, including reissues.")
 	c.mReassigned = reg.Counter("lpcluster_leases_reassigned_total", "Leases revoked after TTL expiry and queued for reassignment.")
-	c.mPointsFolded = reg.Counter("lpcluster_points_folded_total", "Per-point observations folded into the fleet-wide estimate.")
+	c.mPointsFolded = reg.Counter("lpcluster_points_folded_total", "Per-point observations accepted into the fleet-wide fold, folded or held past a gap.")
 	c.mRejGone = reg.Counter("lpcluster_results_rejected_total", "Posted results refused, by reason.", "reason", "gone")
 	c.mRejDuplicate = reg.Counter("lpcluster_results_rejected_total", "Posted results refused, by reason.", "reason", "duplicate")
 	c.mRejMismatch = reg.Counter("lpcluster_results_rejected_total", "Posted results refused, by reason.", "reason", "mismatch")
@@ -236,9 +236,9 @@ func (c *Coordinator) Acquire(worker string) LeaseResponse {
 	}}
 }
 
-// Result folds one completed lease's partial statistics. Partials fold in
-// completion order; after each fold the §6.1 stopping rule is evaluated
-// across everything the fleet has produced. Results for revoked leases —
+// Result folds one completed lease's partial statistics: its points fold
+// in read order, once every lower position has, and the §6.1 stopping
+// rule is evaluated after each of them. Results for revoked leases —
 // or leases issued by a previous coordinator incarnation (stale epoch) —
 // are rejected with ErrLeaseGone (the replacement lease owns those points
 // now), duplicates with ErrDuplicate. On a journaled run the result is
@@ -277,7 +277,7 @@ func (c *Coordinator) Result(res *Result) (ResultResponse, error) {
 	}
 	positions, err := l.positions(c.st)
 	if err == nil {
-		err = res.check(len(c.fold.pos), len(positions))
+		err = res.check(len(c.fold.row), len(positions))
 	}
 	if err != nil {
 		c.mRejMismatch.Inc()

@@ -7,17 +7,15 @@ import (
 	"livepoints/internal/sampling"
 )
 
-// fold is the run's arithmetic: every accepted CPI at its read-order
-// position, the running fold, and the stopping rule's verdict on it. It
+// fold is the run's arithmetic: every accepted CPI put at its read-order
+// position into one ordered fold, and the stopping rule's verdict on it. It
 // has no lock, clock, journal or network; a live Coordinator.Result and a
 // journal replay drive it through the same add, which is why a resumed
 // run's floats are the crashed run's.
 type fold struct {
-	// pos holds the folded CPIs by read-order position, one column per
-	// configuration, for seal; cols merges partials in completion order
-	// until seal, under the run's rule.
-	pos  [][]float64
-	cols *sampling.Columns
+	cols             sampling.Ordered[struct{}] // under the run's rule
+	row              []float64                  // a point's CPIs, one per configuration
+	points, accepted int                        // positions in the library; accepted, folded or held
 
 	// res is the run's result so far, and its Est or MP once sealed;
 	// Processed counts positions folded. Elapsed and Reassigned are the
@@ -28,59 +26,43 @@ type fold struct {
 // newFold returns the fold of points positions under one configuration,
 // or baseline and experimental when matched.
 func newFold(points int, matched bool, rule sampling.Rule) *fold {
-	f := &fold{pos: [][]float64{make([]float64, points)}}
+	f := &fold{row: make([]float64, 1, 2), points: points}
 	if matched {
-		f.pos = append(f.pos, make([]float64, points))
+		f.row = f.row[:2]
 	}
-	f.cols = sampling.NewColumns(len(f.pos), rule, false)
+	f.cols.Reset(sampling.NewColumns(len(f.row), rule, false), nil)
 	return f
 }
 
-// add folds one checked partial, whose i-th CPIs belong at positions[i],
-// and reports whether the run is over: the rule fired on the merged fold
-// (any prefix of a shuffled library is a valid sub-sample, §6.1, so
-// completion order is as good as read order) or every position is in.
+// add puts one checked partial, whose i-th CPIs belong at positions[i],
+// into the fold and sums its counters and timings; it reports whether the
+// run is over: the rule fired where a serial run's does, or all is folded.
 func (f *fold) add(positions []int, p *Partial) (over bool) {
 	r := &f.res
-	r.Processed += len(positions)
+	f.accepted += len(positions)
 	r.UnknownFetches += p.UnknownFetches
 	r.UnknownLoads += p.UnknownLoads
 	r.CaptureErrors += p.CaptureErrors
 	r.LoadTime += time.Duration(p.LoadMillis) * time.Millisecond
 	r.SimTime += time.Duration(p.SimMillis) * time.Millisecond
 
-	in := p.columns(len(f.pos))
-	part := sampling.NewColumns(len(f.pos), sampling.Rule{}, false)
-	row := make([]float64, len(f.pos))
+	in := p.columns(len(f.row))
 	for i, pos := range positions {
 		for j, col := range in {
-			row[j] = (*col)[i]
-			f.pos[j][pos] = row[j]
+			f.row[j] = (*col)[i]
 		}
-		part.Add(row...)
+		if r.Stopped, r.StoppedNoImpact = f.cols.Put(pos, struct{}{}, f.row...); r.Stopped {
+			break
+		}
 	}
-	r.Stopped, r.StoppedNoImpact = f.cols.Merge(part)
-	return r.Stopped || r.Processed == len(f.pos[0])
+	r.Processed = f.cols.Estimate().N()
+	return r.Stopped || r.Processed == f.points
 }
 
 // seal ends the run and copies its fold into the result: Est for one
-// column, MP for two. A run that covered the whole library first refolds
-// its columns in read order: the same float operations in the same order
-// as a serial local run, whatever order the partials arrived in, so the
-// result is bit-equal to RunFile's. A stopped run keeps the merge it
-// stopped on.
+// column, MP for two, bit-equal to a serial run's under the same rule.
 func (f *fold) seal() {
-	if !f.res.Stopped {
-		f.cols = sampling.NewColumns(len(f.pos), f.cols.Rule(), false)
-		row := make([]float64, len(f.pos))
-		for i := range f.pos[0] {
-			for j, col := range f.pos {
-				row[j] = col[i]
-			}
-			f.cols.Add(row...)
-		}
-	}
-	if len(f.pos) == 1 {
+	if len(f.row) == 1 {
 		f.res.Est = *f.cols.Estimate()
 	} else {
 		f.res.MP = *f.cols.Pair(1)
@@ -92,8 +74,8 @@ func (f *fold) seal() {
 // real estimate with a real confidence interval (§6.1).
 func (f *fold) render(st *RunState) {
 	r := &f.res
-	st.Done, st.N = r.Processed, r.Processed
-	if len(f.pos) == 1 {
+	st.Done, st.N = f.accepted, r.Processed
+	if len(f.row) == 1 {
 		st.Mean = finite(f.cols.Estimate().Mean())
 	} else {
 		mp := f.cols.Pair(1)

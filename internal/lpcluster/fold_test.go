@@ -9,6 +9,7 @@ import (
 
 	"livepoints/internal/lpstore"
 	"livepoints/internal/obs"
+	"livepoints/internal/sampling"
 )
 
 // reshuffled reshuffles st's index and reopens it, so that a shard's points
@@ -86,6 +87,79 @@ func TestFoldSealIsTheSerialFold(t *testing.T) {
 			}
 			if f.res.Processed != st.Count() || f.res.Stopped {
 				t.Fatalf("%s seed %d: processed %d, stopped %v", tc.name, seed, f.res.Processed, f.res.Stopped)
+			}
+		}
+	}
+}
+
+// TestFoldStopIsTheSerialStop is TestFoldSealIsTheSerialFold for a run its
+// rule stops: whatever order the partials complete in, the fold stops on
+// the point a serial read-order fold stops on, with its floats to the last
+// bit — under an absolute target and a matched no-impact screen, for
+// partials cut as shard and as range leases, on a store whose shards are
+// scattered over the read order.
+func TestFoldStopIsTheSerialStop(t *testing.T) {
+	st := reshuffled(t, synthStore(t, 121, 9, true), 5)
+	rng := rand.New(rand.NewSource(11))
+	base, exp := make([]float64, st.Count()), make([]float64, st.Count())
+	for pos := range base {
+		base[pos] = 1 + 0.5*rng.Float64()
+		exp[pos] = base[pos] * (1 + 0.01*rng.NormFloat64())
+	}
+	for _, tc := range []struct {
+		name string
+		spec RunSpec // the stopping run
+		kind string
+	}{
+		{"absolute/shard", RunSpec{RelErr: 0.045}, LeaseShard},
+		{"absolute/range", RunSpec{RelErr: 0.045}, LeaseRange},
+		{"matched/shard", RunSpec{Mode: ModeMatched, NoImpactThreshold: 0.004}, LeaseShard},
+		{"matched/range", RunSpec{Mode: ModeMatched, NoImpactThreshold: 0.004}, LeaseRange},
+	} {
+		matched := tc.spec.Mode == ModeMatched
+		k := 1
+		if matched {
+			k = 2
+		}
+		serial := sampling.NewColumns(k, tc.spec.Rule(), false)
+		for pos := range base {
+			if stop, _ := serial.Add([]float64{base[pos], exp[pos]}[:k]...); stop {
+				break
+			}
+		}
+		n := serial.Estimate().N()
+		if n <= sampling.MinSampleSize || n >= st.Count() {
+			t.Fatalf("%s: the serial fold stops at point %d of %d; want a stop inside the library", tc.name, n, st.Count())
+		}
+		t.Logf("%s: the serial fold stops at point %d of %d", tc.name, n, st.Count())
+
+		// Shard leases are cut for a run without a rule; a target no
+		// estimate meets forces range leases.
+		cut := RunSpec{Mode: tc.spec.Mode}
+		if tc.kind == LeaseRange {
+			cut.RelErr = 1e-9
+		}
+		positions, partials := wholeLibrary(t, st, cut, tc.kind)
+		for k, part := range partials {
+			for i, pos := range positions[k] {
+				if matched {
+					part.BaseCPIs[i], part.ExpCPIs[i] = base[pos], exp[pos]
+				} else {
+					part.CPIs[i] = base[pos]
+				}
+			}
+		}
+		for seed := int64(0); seed < 100; seed++ {
+			f := newFold(st.Count(), matched, tc.spec.Rule())
+			for _, k := range rand.New(rand.NewSource(seed)).Perm(len(partials)) {
+				if f.add(positions[k], partials[k]) {
+					break
+				}
+			}
+			f.seal()
+			if !f.res.Stopped || f.res.StoppedNoImpact != matched || f.res.Processed != n ||
+				matched && f.res.MP != *serial.Pair(1) || !matched && f.res.Est != *serial.Estimate() {
+				t.Fatalf("%s seed %d: stopped %v at %d, want the serial stop at %d: %+v", tc.name, seed, f.res.Stopped, f.res.Processed, n, f.res)
 			}
 		}
 	}

@@ -175,7 +175,7 @@ func (c *Coordinator) replay(recs []journalRecord) error {
 			// the result it holds was, and none follows the run's end.
 			positions, err := rec.positions(c.st)
 			if err == nil {
-				err = rec.check(len(c.fold.pos), len(positions))
+				err = rec.check(len(c.fold.row), len(positions))
 			}
 			if err == nil && c.finished {
 				err = errors.New("the run had already finished")

@@ -6,20 +6,20 @@
 //
 // The design is a lease-based coordinator. One coordinator owns the run:
 // it partitions the library into leases with an expiry deadline, hands
-// them to whichever worker asks (POST /v1/leases), folds posted partial
-// statistics in completion order (POST /v1/results), applies the §6.1
-// online stopping rule across the whole fleet, and reassigns leases whose
-// workers crashed or stalled past the deadline. Workers are stateless
-// pullers: fetch a lease, fetch the leased bytes through lpserve's raw
-// gzip endpoints, simulate locally, post per-point CPIs back, repeat.
+// them to whichever worker asks (POST /v1/leases), folds posted CPIs in
+// read order (POST /v1/results), applies the §6.1 online stopping rule
+// across the whole fleet, and reassigns leases whose workers crashed or
+// stalled past the deadline. Workers are stateless pullers: fetch a lease,
+// fetch the leased bytes through lpserve's raw gzip endpoints, simulate
+// locally, post per-point CPIs back, repeat.
 //
 // The coordinator is four parts (DESIGN.md §3.5), and each rule of the
 // design is stated at the one that keeps it: the lease table (leases.go)
 // cuts the library into whole shards, or into read-order ranges under a
-// stopping rule; the fold (fold.go) merges partials in completion order,
-// stops by the local runners' sampling.Rule, and refolds a whole-library
-// run in read order, bit-equal to RunFile; the journal (journal.go) makes
-// the run outlive its coordinator; Coordinator composes them.
+// stopping rule; the fold (fold.go) folds a read-order prefix through
+// sampling.Ordered and stops by the local runners' sampling.Rule, where
+// and as RunFile does; the journal (journal.go) makes the run outlive its
+// coordinator; Coordinator composes them.
 package lpcluster
 
 import (
@@ -290,7 +290,7 @@ type RunState struct {
 	Phase  string  `json:"phase"`
 	Epoch  uint64  `json:"epoch"` // coordinator incarnation (>0 after a journal resume)
 
-	Done          int `json:"done"` // positions completed
+	Done          int `json:"done"` // positions accepted, folded or held past a gap
 	ActiveLeases  int `json:"activeLeases"`
 	PendingLeases int `json:"pendingLeases"` // reclaimed, awaiting reassignment
 	Reassigned    int `json:"reassigned"`    // expired leases reissued so far
@@ -303,7 +303,7 @@ type RunState struct {
 	// Estimate so far (live) / final result (Phase == PhaseDone).
 	Stopped         bool    `json:"stopped,omitempty"` // §6.1 rule fired
 	StoppedNoImpact bool    `json:"stoppedNoImpact,omitempty"`
-	N               int     `json:"n,omitempty"`
+	N               int     `json:"n,omitempty"` // positions folded: the read-order prefix
 	Mean            float64 `json:"mean,omitempty"`
 	RelCI           float64 `json:"relCI,omitempty"`
 	BaseMean        float64 `json:"baseMean,omitempty"` // matched mode

@@ -4,11 +4,10 @@ import "math"
 
 // Columns folds k ≥ 1 observations a point, one per configuration. Column
 // 0 folds into an Estimate (§6.1) and each column j ≥ 1 with column 0 into
-// a MatchedPair (§6.2), through their own Add and Merge, so k = 1 is
-// bit-equal to an Estimate and k = 2 to a MatchedPair. Over a shuffled
-// library the points folded so far are an unbiased sub-sample (§6.1), so
-// the fold is valid at every step; it carries the run's stopping rule,
-// asked after every Add and Merge.
+// a MatchedPair (§6.2), through their own Add, so k = 1 is bit-equal to an
+// Estimate and k = 2 to a MatchedPair. Over a shuffled library the points
+// folded so far are an unbiased sub-sample (§6.1), so the fold is valid at
+// every step; it carries the run's stopping rule, asked after every Add.
 type Columns struct {
 	est     Estimate
 	pairs   []MatchedPair // pairs[j-1]: column j against column 0
@@ -49,16 +48,6 @@ func (c *Columns) Add(xs ...float64) (stop, noImpact bool) {
 	return c.rule.Stop(c)
 }
 
-// Merge folds another k-column fold into c (see Estimate.Merge) and
-// returns the rule's verdict.
-func (c *Columns) Merge(other *Columns) (stop, noImpact bool) {
-	c.est.Merge(other.est)
-	for j := range c.pairs {
-		c.pairs[j].Merge(other.pairs[j])
-	}
-	return c.rule.Stop(c)
-}
-
 // Estimate returns column 0's running estimate.
 func (c *Columns) Estimate() *Estimate { return &c.est }
 
@@ -86,6 +75,61 @@ func (c *Columns) RelCI() float64 {
 // requested).
 func (c *Columns) History() []Snapshot { return c.history }
 
+// Ordered is a Columns fed rows in any order: it folds the row put at
+// read-order position pos once every lower one has, so it stops where and
+// as a serial fold does, on a read-order prefix (the §6.1 sample). A row
+// waits in a ring grown only to the widest gap seen; its tag goes to tally.
+type Ordered[T any] struct {
+	*Columns
+	tally func(T)
+	ring  []heldRow[T] // the row put at position p waits at ring[p%len(ring)]
+}
+
+// heldRow is a ring slot: xs is nil until it is first put, pos stale once folded.
+type heldRow[T any] struct {
+	pos int
+	xs  []float64
+	tag T
+}
+
+// Reset makes o, keeping its ring, a fold into the empty columns c that
+// hands each row's tag to tally, if non-nil; a zero Ordered needs it, and
+// Reset(nil, nil) lets go of the last run's columns and tally.
+func (o *Ordered[T]) Reset(c *Columns, tally func(T)) {
+	o.Columns, o.tally = c, tally
+	for i := range o.ring {
+		o.ring[i].pos = -1 // stale
+	}
+}
+
+// Put takes the point at read-order position pos, folds every row that
+// then continues the prefix, and returns the rule's verdict on the last
+// (false if none). Put each position once, and none after the rule fires.
+func (o *Ordered[T]) Put(pos int, tag T, xs ...float64) (stop, noImpact bool) {
+	if n := pos - o.est.N() + 1; n > len(o.ring) {
+		ring := make([]heldRow[T], max(n, 2*len(o.ring))) // no two waiting rows collide
+		for _, h := range o.ring {
+			if h.pos > o.est.N() {
+				ring[h.pos%len(ring)] = h
+			}
+		}
+		o.ring = ring
+	}
+	h := &o.ring[pos%len(o.ring)]
+	h.pos, h.xs, h.tag = pos, append(h.xs[:0], xs...), tag
+	for !stop {
+		h = &o.ring[o.est.N()%len(o.ring)]
+		if h.xs == nil || h.pos != o.est.N() {
+			break
+		}
+		if o.tally != nil {
+			o.tally(h.tag)
+		}
+		stop, noImpact = o.Add(h.xs...)
+	}
+	return stop, noImpact
+}
+
 // MatchedPair accumulates paired observations from a baseline and an
 // experimental configuration measured on the same sample units, building a
 // confidence interval directly on the per-unit delta (§6.2, after Ekman &
@@ -102,14 +146,6 @@ func (mp *MatchedPair) Add(base, exp float64) {
 	mp.Base.Add(base)
 	mp.Exp.Add(exp)
 	mp.Delta.Add(exp - base)
-}
-
-// Merge folds another matched-pair accumulator into mp, composing partial
-// comparisons built on independent workers into one (see Estimate.Merge).
-func (mp *MatchedPair) Merge(other MatchedPair) {
-	mp.Base.Merge(other.Base)
-	mp.Exp.Merge(other.Exp)
-	mp.Delta.Merge(other.Delta)
 }
 
 // N returns the number of pairs.

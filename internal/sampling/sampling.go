@@ -72,25 +72,6 @@ func (e *Estimate) Satisfied(z, relErr float64) bool {
 	return e.n >= MinSampleSize && e.RelCI(z) <= relErr
 }
 
-// Merge folds another estimate into e (the parallel Welford combination of
-// Chan et al.), so partial estimates accumulated independently — on other
-// goroutines or other machines — compose into one fleet-wide estimate
-// without revisiting the observations.
-func (e *Estimate) Merge(other Estimate) {
-	if other.n == 0 {
-		return
-	}
-	if e.n == 0 {
-		*e = other
-		return
-	}
-	n := e.n + other.n
-	d := other.mean - e.mean
-	e.m2 += other.m2 + d*d*float64(e.n)*float64(other.n)/float64(n)
-	e.mean += d * float64(other.n) / float64(n)
-	e.n = n
-}
-
 // String formats the estimate compactly.
 func (e *Estimate) String() string {
 	return fmt.Sprintf("n=%d mean=%.4f ±%.2f%% (99.7%%)", e.n, e.mean, 100*e.RelCI(Z997))

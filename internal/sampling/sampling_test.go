@@ -3,6 +3,7 @@ package sampling
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -49,73 +50,6 @@ func TestEstimateQuickAgainstTwoPass(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEstimateMergeQuickAgainstSerial(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(400)
-		xs := make([]float64, n)
-		var serial Estimate
-		for i := range xs {
-			xs[i] = rng.NormFloat64()*2 + 5
-			serial.Add(xs[i])
-		}
-		// Split into random-size partials and merge them back together.
-		var merged Estimate
-		for start := 0; start < n; {
-			end := start + 1 + rng.Intn(n-start)
-			var part Estimate
-			for _, x := range xs[start:end] {
-				part.Add(x)
-			}
-			merged.Merge(part)
-			start = end
-		}
-		return merged.N() == serial.N() &&
-			math.Abs(merged.Mean()-serial.Mean()) < 1e-9 &&
-			math.Abs(merged.Var()-serial.Var()) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEstimateMergeEmpty(t *testing.T) {
-	var a, b Estimate
-	a.Add(1)
-	a.Add(3)
-	want := a
-	a.Merge(b) // merging an empty estimate is a no-op
-	if a != want {
-		t.Fatalf("merge with empty changed estimate: %+v", a)
-	}
-	b.Merge(a) // merging into an empty estimate copies
-	if b != want {
-		t.Fatalf("merge into empty: %+v, want %+v", b, want)
-	}
-}
-
-func TestMatchedPairMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var serial, left, right MatchedPair
-	for i := 0; i < 100; i++ {
-		b, e := rng.NormFloat64()+2, rng.NormFloat64()+2.1
-		serial.Add(b, e)
-		if i < 37 {
-			left.Add(b, e)
-		} else {
-			right.Add(b, e)
-		}
-	}
-	left.Merge(right)
-	if left.N() != serial.N() || math.Abs(left.MeanDelta()-serial.MeanDelta()) > 1e-9 {
-		t.Fatalf("merged pair n=%d Δ=%v, want n=%d Δ=%v",
-			left.N(), left.MeanDelta(), serial.N(), serial.MeanDelta())
-	}
-	if math.Abs(left.DeltaCI(3)-serial.DeltaCI(3)) > 1e-9 {
-		t.Fatalf("merged ΔCI %v, want %v", left.DeltaCI(3), serial.DeltaCI(3))
 	}
 }
 
@@ -251,48 +185,96 @@ func TestOnlineEstimatorStopsAtTarget(t *testing.T) {
 	}
 }
 
-// TestColumnsQuickMatchesIndependentFolds: k columns fold, serially and
-// split then merged, to the last bit of an Estimate of column 0 and a
-// MatchedPair of each later column against it, folded the same way.
+// TestColumnsQuickMatchesIndependentFolds: k columns fold to the last bit
+// of an Estimate of column 0 and a MatchedPair of each later column against
+// it, folded the same way.
 func TestColumnsQuickMatchesIndependentFolds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k, n := 1+rng.Intn(3), 1+rng.Intn(300)
-		split := rng.Intn(n + 1)
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = make([]float64, k)
-			for j := range rows[i] {
-				rows[i][j] = rng.NormFloat64()*0.3 + 1 + 0.1*float64(j)
+		c := NewColumns(k, Rule{}, false)
+		var est Estimate
+		pairs := make([]MatchedPair, k)
+		for i := 0; i < n; i++ {
+			row := make([]float64, k)
+			for j := range row {
+				row[j] = rng.NormFloat64()*0.3 + 1 + 0.1*float64(j)
 			}
-		}
-		serial, left, right := NewColumns(k, Rule{}, false), NewColumns(k, Rule{}, false), NewColumns(k, Rule{}, false)
-		var est, estL, estR Estimate
-		pairs, pairsL, pairsR := make([]MatchedPair, k), make([]MatchedPair, k), make([]MatchedPair, k)
-		for i, row := range rows {
-			serial.Add(row...)
+			c.Add(row...)
 			est.Add(row[0])
-			half, halfEst, halfPairs := left, &estL, pairsL
-			if i >= split {
-				half, halfEst, halfPairs = right, &estR, pairsR
-			}
-			half.Add(row...)
-			halfEst.Add(row[0])
 			for j := 1; j < k; j++ {
 				pairs[j].Add(row[0], row[j])
-				halfPairs[j].Add(row[0], row[j])
 			}
 		}
-		left.Merge(right)
-		estL.Merge(estR)
-		ok := *serial.Estimate() == est && *left.Estimate() == estL
+		ok := *c.Estimate() == est
 		for j := 1; j < k; j++ {
-			pairsL[j].Merge(pairsR[j])
-			ok = ok && *serial.Pair(j) == pairs[j] && *left.Pair(j) == pairsL[j]
+			ok = ok && *c.Pair(j) == pairs[j]
 		}
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOrderedPutIsTheSerialFold: rows put in any order fold as the serial
+// Add of the same rows in read order does: the same stop, on the same
+// point, with the same columns, history and verdict, and the tags of
+// exactly the folded rows tallied in read order. The rules are an
+// absolute target and a matched screen that fire partway through; the
+// orders range from mild reordering to whole-run shuffles. One Ordered
+// serves every case, Reset between them, as a worker's serves its passes.
+func TestOrderedPutIsTheSerialFold(t *testing.T) {
+	var o Ordered[int]
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k, n := 1+rng.Intn(2), 40+rng.Intn(200)
+		rule := Rule{Z: Z997, RelErr: 0.02 + 0.1*rng.Float64()}
+		if k == 2 {
+			rule = Rule{Z: Z997, NoImpact: 0.01 + 0.1*rng.Float64()}
+		}
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = []float64{1 + 0.3*rng.Float64()}
+			if k == 2 {
+				rows[i] = append(rows[i], rows[i][0]*(1+0.01*rng.NormFloat64()))
+			}
+		}
+		serial := NewColumns(k, rule, true)
+		var stop, noImpact bool
+		folded := n
+		for i, row := range rows {
+			if stop, noImpact = serial.Add(row...); stop {
+				folded = i + 1
+				break
+			}
+		}
+
+		// A window of w positions is put in a random order before the next.
+		var tags []int
+		cols := NewColumns(k, rule, true)
+		o.Reset(cols, func(pos int) { tags = append(tags, pos) })
+		var gotStop, gotNoImpact bool
+		w := 1 + rng.Intn(n)
+	puts:
+		for lo := 0; lo < n; lo += w {
+			for _, i := range rng.Perm(min(w, n-lo)) {
+				if gotStop, gotNoImpact = o.Put(lo+i, lo+i, rows[lo+i]...); gotStop {
+					break puts
+				}
+			}
+		}
+		if gotStop != stop || gotNoImpact != noImpact || len(tags) != folded {
+			return false
+		}
+		for i, pos := range tags {
+			if pos != i {
+				return false
+			}
+		}
+		return reflect.DeepEqual(cols, serial)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -102,15 +102,14 @@ type Rates struct {
 // every endpoint deterministically regardless of how many requests other
 // endpoints absorbed first.
 const (
-	ClassLeases     = "leases"      // POST /v1/leases
-	ClassResults    = "results"     // POST /v1/results
-	ClassRun        = "run"         // GET /v1/run
-	ClassPoints     = "points"      // GET /v1/points
-	ClassStat       = "stat"        // GET /v1/stat
-	ClassShards     = "shards"      // GET /v1/shards
-	ClassShardData  = "shard-data"  // GET /v1/shards/{id}
-	ClassShardIndex = "shard-index" // GET /v1/shards/{id}/index
-	ClassOther      = "other"
+	ClassLeases    = "leases"     // POST /v1/leases
+	ClassResults   = "results"    // POST /v1/results
+	ClassRun       = "run"        // GET /v1/run
+	ClassPoints    = "points"     // GET /v1/points
+	ClassStat      = "stat"       // GET /v1/stat
+	ClassShards    = "shards"     // GET /v1/shards
+	ClassShardData = "shard-data" // GET /v1/shards/{id}
+	ClassOther     = "other"
 )
 
 // ClassOf maps a request path to its schedule class.
@@ -128,8 +127,6 @@ func ClassOf(path string) string {
 		return ClassStat
 	case path == "/v1/shards":
 		return ClassShards
-	case strings.HasPrefix(path, "/v1/shards/") && strings.HasSuffix(path, "/index"):
-		return ClassShardIndex
 	case strings.HasPrefix(path, "/v1/shards/"):
 		return ClassShardData
 	default:
@@ -146,12 +143,11 @@ func ClassOf(path string) string {
 // only abort runs before any invariant is exercised.
 func DefaultRates(delay time.Duration) map[string]Rates {
 	return map[string]Rates{
-		ClassLeases:     {Drop: 0.04, Err500: 0.04, Truncate: 0.015, Corrupt: 0.015},
-		ClassResults:    {Drop: 0.04, DropAfter: 0.05, Dup: 0.05, Delay: 0.03, Err500: 0.04, DelayFor: delay},
-		ClassRun:        {Drop: 0.04, Err500: 0.04, Corrupt: 0.015},
-		ClassPoints:     {Drop: 0.03, Delay: 0.04, Err500: 0.03, Truncate: 0.05, Corrupt: 0.05, DelayFor: delay},
-		ClassShardData:  {Drop: 0.03, Delay: 0.04, Truncate: 0.05, Corrupt: 0.05, DelayFor: delay},
-		ClassShardIndex: {Drop: 0.03, Err500: 0.03, Corrupt: 0.03},
+		ClassLeases:    {Drop: 0.04, Err500: 0.04, Truncate: 0.015, Corrupt: 0.015},
+		ClassResults:   {Drop: 0.04, DropAfter: 0.05, Dup: 0.05, Delay: 0.03, Err500: 0.04, DelayFor: delay},
+		ClassRun:       {Drop: 0.04, Err500: 0.04, Corrupt: 0.015},
+		ClassPoints:    {Drop: 0.03, Delay: 0.04, Err500: 0.03, Truncate: 0.05, Corrupt: 0.05, DelayFor: delay},
+		ClassShardData: {Drop: 0.03, Delay: 0.04, Truncate: 0.05, Corrupt: 0.05, DelayFor: delay},
 	}
 }
 

@@ -79,16 +79,15 @@ func TestScheduleRatesRespected(t *testing.T) {
 
 func TestClassOf(t *testing.T) {
 	cases := map[string]string{
-		"/v1/leases":          ClassLeases,
-		"/v1/results":         ClassResults,
-		"/v1/run":             ClassRun,
-		"/v1/points":          ClassPoints,
-		"/v1/stat":            ClassStat,
-		"/v1/shards":          ClassShards,
-		"/v1/shards/3":        ClassShardData,
-		"/v1/shards/3/index":  ClassShardIndex,
-		"/v1/shards/12/index": ClassShardIndex,
-		"/metrics":            ClassOther,
+		"/v1/leases":    ClassLeases,
+		"/v1/results":   ClassResults,
+		"/v1/run":       ClassRun,
+		"/v1/points":    ClassPoints,
+		"/v1/stat":      ClassStat,
+		"/v1/shards":    ClassShards,
+		"/v1/shards/3":  ClassShardData,
+		"/v1/shards/12": ClassShardData,
+		"/metrics":      ClassOther,
 	}
 	for path, want := range cases {
 		if got := ClassOf(path); got != want {

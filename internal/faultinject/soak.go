@@ -194,7 +194,7 @@ func runSeed(ctx context.Context, opt SoakOptions, bl *baseline, seed uint64) Se
 
 	reg := obs.NewRegistry()
 	coord, err := lpcluster.NewCoordinator(st, opt.spec(),
-		lpcluster.Options{LeaseTTL: opt.LeaseTTL, Metrics: reg})
+		lpcluster.Options{LeasePoints: soakShardPoints, LeaseTTL: opt.LeaseTTL, Metrics: reg})
 	if err != nil {
 		sr.Err = err
 		return sr

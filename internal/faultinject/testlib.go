@@ -12,6 +12,12 @@ import (
 	"livepoints/internal/warm"
 )
 
+// soakShardPoints is the shard size of the library GenLibrary writes, and
+// the size of the range leases a soak's coordinator hands out: a round
+// under a stopping target then folds several leases that faults can
+// reorder, as a whole-library round folds several shards.
+const soakShardPoints = 5
+
 // GenLibrary captures a small real (simulatable) shuffled v2 library
 // into dir and returns its path — the same recipe the cluster tests use,
 // exported so soak harnesses outside this package (and outside the
@@ -35,7 +41,7 @@ func GenLibrary(dir string) (string, error) {
 	}
 	opts := livepoint.CreateOpts{MaxHier: cfg.Hier, Preds: []bpred.Config{cfg.BP}}
 	path := filepath.Join(dir, "lib.lplib")
-	if _, err := lpstore.Create(path, p, design, opts, 0x5EED, lpstore.WriteOpts{ShardPoints: 5}); err != nil {
+	if _, err := lpstore.Create(path, p, design, opts, 0x5EED, lpstore.WriteOpts{ShardPoints: soakShardPoints}); err != nil {
 		return "", err
 	}
 	return path, nil

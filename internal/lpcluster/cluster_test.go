@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,7 +93,13 @@ func testLibrary(t *testing.T) string {
 // server, and dials a client against it.
 func startCluster(t *testing.T, spec RunSpec, opt Options) (*Coordinator, *lpserve.Client) {
 	t.Helper()
-	st, err := lpstore.Open(testLibrary(t))
+	return startClusterOn(t, testLibrary(t), spec, opt)
+}
+
+// startClusterOn is startCluster over the library at lib.
+func startClusterOn(t *testing.T, lib string, spec RunSpec, opt Options) (*Coordinator, *lpserve.Client) {
+	t.Helper()
+	st, err := lpstore.Open(lib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +200,56 @@ func TestClusterParity(t *testing.T) {
 		t.Fatal("whole-library run reported a stopping-rule stop")
 	}
 	// Whole-library runs must have leased shard-major (raw-gzip passthrough).
+	if kinds := issuedKinds(coord); kinds[LeaseShard] == 0 || kinds[LeaseRange] != 0 {
+		t.Fatalf("whole-library run issued leases %v, want shard leases only", kinds)
+	}
+}
+
+// TestClusterParityReshuffled: a whole-library fleet run over an
+// index-reshuffled copy of the test library, whose shards are scattered
+// over the read order, is bit-equal to RunFile on that copy. A shard
+// lease's points arrive in storage order, and the coordinator puts each
+// CPI at its read position through ShardReadPositions.
+func TestClusterParityReshuffled(t *testing.T) {
+	data, err := os.ReadFile(testLibrary(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := filepath.Join(t.TempDir(), "reshuffled.lplib")
+	if err := os.WriteFile(lib, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := lpstore.Shuffle(lib, 11); err != nil {
+		t.Fatal(err)
+	}
+	local, err := livepoint.RunFile(lib, livepoint.RunOpts{Cfg: uarch.Config8Way()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	coord, cl := startClusterOn(t, lib, RunSpec{}, Options{})
+	scattered := false
+	for s := 0; s < coord.st.NumShards(); s++ {
+		spans, err := coord.st.ShardReadOrder(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scattered = scattered || !slices.IsSortedFunc(spans, func(a, b lpstore.Span) int { return int(a.Off - b.Off) })
+	}
+	if !scattered {
+		t.Fatal("every shard of the reshuffled library is read in storage order; the test shows nothing")
+	}
+	runWorkers(t, cl, 2)
+
+	res, ok := coord.Final()
+	if !ok {
+		t.Fatal("run not finished after workers exited")
+	}
+	if res.Processed != local.Processed || !reflect.DeepEqual(res.Est, local.Est) {
+		t.Fatalf("cluster %.12f ±%.12f (n=%d) not bit-equal to local %.12f ±%.12f (n=%d)",
+			res.Est.Mean(), res.Est.RelCI(sampling.Z997), res.Processed,
+			local.Est.Mean(), local.Est.RelCI(sampling.Z997), local.Processed)
+	}
 	if kinds := issuedKinds(coord); kinds[LeaseShard] == 0 || kinds[LeaseRange] != 0 {
 		t.Fatalf("whole-library run issued leases %v, want shard leases only", kinds)
 	}

@@ -15,9 +15,10 @@ import (
 //	POST /v1/results  post a completed lease's partial statistics
 //	GET  /v1/run      run spec + progress + final fleet-wide result
 //
-// Workers fetch leased bytes through the server's existing /v1/shards and
-// /v1/points endpoints, so one listener serves both the library and the
-// coordination protocol.
+// Workers fetch a lease's bytes in one request to the server's existing
+// endpoints, GET /v1/shards/{id} for a shard and GET /v1/points for a
+// range, so one listener serves both the library and the coordination
+// protocol.
 func (c *Coordinator) Mount(s *lpserve.Server) {
 	s.Extend("POST /v1/leases", c.handleLeases)
 	s.Extend("POST /v1/results", c.handleResults)

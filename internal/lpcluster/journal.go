@@ -249,7 +249,7 @@ func openJournal(path string, reg *obs.Registry) (*Journal, []journalRecord, err
 // does not parse, returning the intact records and the byte offset of
 // the last good one.
 func readRecords(f *os.File) ([]journalRecord, int64, error) {
-	br := bufio.NewReaderSize(f, 1<<20)
+	br := bufio.NewReader(f)
 	var recs []journalRecord
 	var good int64
 	for {

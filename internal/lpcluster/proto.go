@@ -161,7 +161,7 @@ type Coverage struct {
 }
 
 // positions returns the read-order positions c covers in st, in the order
-// the lease's CPIs arrive: the shard's own read order, or ascending.
+// the lease's CPIs arrive: the shard's storage order, or ascending.
 func (c Coverage) positions(st *lpstore.Store) ([]int, error) {
 	switch c.Kind {
 	case LeaseShard:
@@ -208,9 +208,9 @@ type LeaseResponse struct {
 }
 
 // Partial is what one completed lease contributes to the run: per-point
-// CPIs in the lease's read order (both configurations for matched mode)
-// plus the worker's summed counters and timings. A Result carries it to the
-// coordinator and the journal records it as it arrived.
+// CPIs in the order Coverage.positions gives (both configurations for
+// matched mode) plus the worker's summed counters and timings. A Result
+// carries it to the coordinator and the journal records it as it arrived.
 type Partial struct {
 	CPIs     []float64 `json:"cpis,omitempty"`     // absolute mode
 	BaseCPIs []float64 `json:"baseCpis,omitempty"` // matched mode

@@ -121,10 +121,11 @@ func TestSoakMatchedProxy(t *testing.T) {
 	runSoak(t, faultinject.SoakOptions{Seeds: seedRange(0xD000, n), Mode: lpcluster.ModeMatched, Proxy: true})
 }
 
-// TestSoakOnlineStopping: §6.1 early-stopping rounds under faults. No
-// bit-equality here — the stop point legitimately depends on fold order
-// — but the accounting (folded == done) and statistical contracts must
-// hold, and nothing may leak.
+// TestSoakOnlineStopping: §6.1 early-stopping rounds under faults. The
+// soak leases ranges of one shard's size, so a stop folds several leases
+// that faults delay, drop and reorder; the fleet still stops where the
+// undisturbed serial run stops, with a bit-equal estimate, the accounting
+// (folded == done) and statistical contracts hold, and nothing leaks.
 func TestSoakOnlineStopping(t *testing.T) {
 	n := seedCount(t, 8)
 	runSoak(t, faultinject.SoakOptions{Seeds: seedRange(0xE000, n), RelErr: 0.5})
@@ -134,12 +135,11 @@ func TestSoakOnlineStopping(t *testing.T) {
 // harness-found bug, so the fixes stay regression-tested independently
 // of how the sweep ranges above evolve:
 //
-//   - seeds 0xA000–0xA003 (absolute/transport) drive corrupt and
-//     truncated /v1/points bodies through the CRC-verify-and-refetch
-//     path (before PointsCRCHeader, a flipped body byte decoded into a
-//     plausible point and folded silently wrong data), plus corrupt
-//     control-plane JSON through the fatal-ProtocolError path (before
-//     the transient() fix, an infinite reconnect loop);
+//   - seeds 0xA000–0xA003 (absolute/transport) are whole-library rounds,
+//     which lease shards: they drive corrupt and truncated
+//     /v1/shards/{id} bodies through the gzip-CRC-and-refetch path, plus
+//     corrupt control-plane JSON through the fatal-ProtocolError path
+//     (before the transient() fix, an infinite reconnect loop);
 //   - seeds 0xD000–0xD001 (matched/proxy) cover duplicated and
 //     post-processing-severed POST /v1/results deliveries against the
 //     coordinator's dedup, where a refold would corrupt the pairing.

@@ -271,9 +271,11 @@ func (w *Worker) pull(ctx context.Context) error {
 	}
 }
 
-// simulate fetches a lease's blobs (raw-gzip shard passthrough for shard
-// leases, one ranged batch for range leases: no lease exceeds
-// MaxBatchPoints) and runs them locally.
+// simulate fetches a lease's blobs in one request (a shard's raw gzip
+// bytes, split in storage order, for shard leases; one ranged batch, in
+// read order, for range leases: no lease exceeds MaxBatchPoints) and runs
+// them locally. The CPIs go back in the order the blobs came, which is
+// the order Coverage.positions gives the coordinator.
 func (w *Worker) simulate(ctx context.Context, l *Lease) (*Result, error) {
 	t0 := time.Now()
 	defer w.body.Release()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -90,7 +91,8 @@ func (e *ProtocolError) Unwrap() error { return e.Err }
 // livepoint.Source, so remote libraries plug into the same runners as
 // local files: a run, serial or parallel, pulls ranged batches, and a
 // cluster worker's shard lease pulls a whole shard (stored gzip bytes,
-// decompressed client-side).
+// decompressed client-side). Both bodies split into points by one rule:
+// the points' own DER framing.
 //
 // Every request runs under a context with a per-attempt timeout and is
 // retried on transient failures with capped exponential backoff; tune
@@ -362,13 +364,15 @@ func (c *Client) FetchBatchInto(ctx context.Context, start, count int, b *Body) 
 	return c.fetchBatch(ctx, start, count, b)
 }
 
-// ShardBlobs fetches one shard — its read-order index, then its stored
-// gzip bytes (the server does byte copies only) — inflates it locally,
-// and returns the shard's point blobs in read order, in a fresh buffer
-// the caller owns. The gzip CRC trailer verifies the shard bytes end to
-// end; a body that fails to inflate or checksum (connection lost
-// mid-stream, bytes damaged en route) is refetched rather than surfaced
-// from a single unlucky attempt.
+// ShardBlobs fetches one shard's stored gzip bytes in one request (the
+// server does byte copies only), inflates them locally, and splits them,
+// as FetchBatch splits a batch, into every point blob the shard holds, in
+// storage order, in a fresh buffer the caller owns; lpstore's
+// ShardReadPositions names the read positions of that order. The gzip CRC
+// trailer verifies the shard bytes end to end; a body that fails to
+// inflate, checksum or split (connection lost mid-stream, bytes damaged
+// en route) is refetched rather than surfaced from a single unlucky
+// attempt.
 func (c *Client) ShardBlobs(ctx context.Context, sh int) ([][]byte, error) {
 	return c.shardBlobs(ctx, sh, &Body{})
 }
@@ -391,11 +395,6 @@ type Body struct {
 	buf    []byte
 	blobs  [][]byte
 	pooled bool // buf is the free list's: read takes it there and keeps room
-
-	// A shard's read-order index as it arrived, and decoded: kept, like
-	// blobs, so that fetch after fetch decodes into the same storage.
-	index bytes.Buffer
-	spans []lpstore.Span
 }
 
 // Release gives the buffer back to lpstore's free list: no blob cut from
@@ -505,32 +504,22 @@ func (c *Client) fetchBatch(ctx context.Context, start, count int, b *Body) ([][
 					&ProtocolError{Err: fmt.Errorf("body crc %08x, server sent %08x", got, want)})
 			}
 		}
-		b.blobs = b.blobs[:0]
-		rest := b.buf
-		for i := 0; i < count; i++ {
-			var blob []byte
-			if blob, rest, err = livepoint.SplitElement(rest); err != nil {
-				return nil, fmt.Errorf("lpserve: %s: point %d: %w", what, i, &ProtocolError{Err: err})
-			}
-			b.blobs = append(b.blobs, blob)
+		if err := b.split(count); err != nil {
+			return nil, fmt.Errorf("lpserve: %s: %w", what, err)
 		}
-		if len(rest) != 0 {
+		if len(b.blobs) != count {
 			return nil, fmt.Errorf("lpserve: %s: %w", what,
-				&ProtocolError{Err: fmt.Errorf("%d bytes after point %d", len(rest), count-1)})
+				&ProtocolError{Err: fmt.Errorf("body holds %d points", len(b.blobs))})
 		}
 		return b.blobs, nil
 	})
 }
 
 // shardBlobs is ShardBlobs into b; what b held before is overwritten.
-// The shard's index and its length header are hints alike: a stream of
-// another length is still read to its end, under fill's rule, and the
-// spans are checked against what arrived.
+// The shard's length header is a hint: a stream of another length is
+// still read to its end, under fill's rule.
 func (c *Client) shardBlobs(ctx context.Context, sh int, b *Body) ([][]byte, error) {
 	return c.refetch(ctx, fmt.Sprintf("shard %d", sh), func() ([][]byte, error) {
-		if err := c.shardIndex(ctx, sh, b); err != nil {
-			return nil, err
-		}
 		resp, err := c.get(ctx, fmt.Sprintf("/v1/shards/%d", sh))
 		if err != nil {
 			return nil, err
@@ -545,34 +534,38 @@ func (c *Client) shardBlobs(ctx context.Context, sh int, b *Body) ([][]byte, err
 		if err := b.fill(declared, d.Fill); err != nil {
 			return nil, fmt.Errorf("lpserve: shard %d: inflating: %w", sh, err)
 		}
-		b.blobs = b.blobs[:0]
-		for _, sp := range b.spans {
-			if sp.Off < 0 || sp.Off+int64(sp.Len) > int64(len(b.buf)) {
-				return nil, fmt.Errorf("lpserve: shard %d: %w", sh, &ProtocolError{
-					Err: fmt.Errorf("span [%d,%d) exceeds shard length %d", sp.Off, sp.Off+int64(sp.Len), len(b.buf))})
-			}
-			b.blobs = append(b.blobs, b.buf[sp.Off:sp.Off+int64(sp.Len)])
+		if err := b.split(math.MaxInt); err != nil {
+			return nil, fmt.Errorf("lpserve: shard %d: %w", sh, err)
 		}
 		return b.blobs, nil
 	})
 }
 
-// shardIndex fetches shard sh's read-order index into b.spans, through
-// b.index: a worker's lease decodes index after index into the same two
-// slices.
-func (c *Client) shardIndex(ctx context.Context, sh int, b *Body) error {
-	path := fmt.Sprintf("/v1/shards/%d/index", sh)
-	resp, err := c.get(ctx, path)
-	if err != nil {
-		return err
+// split cuts b's buffer into the DER elements it holds, in order, as
+// b.blobs: sub-slices of the buffer, no copy. A body that does not end on
+// an element boundary, or holds more than limit elements, is a
+// *ProtocolError. The elements are counted before b.blobs is sized, so
+// that a body of many tiny elements costs one slice header each and no
+// more, and one of too many costs none.
+func (b *Body) split(limit int) error {
+	b.blobs = b.blobs[:0]
+	n := 0
+	for rest := b.buf; len(rest) > 0; n++ {
+		if n == limit {
+			return &ProtocolError{Err: fmt.Errorf("body holds more than %d points", limit)}
+		}
+		var err error
+		if _, rest, err = livepoint.SplitElement(rest); err != nil {
+			return &ProtocolError{Err: fmt.Errorf("point %d at byte %d: %w", n, len(b.buf)-len(rest), err)}
+		}
 	}
-	defer resp.Body.Close()
-	b.index.Reset()
-	if _, err := b.index.ReadFrom(resp.Body); err != nil {
-		return fmt.Errorf("lpserve: GET %s: reading response: %w", path, err)
+	if cap(b.blobs) < n {
+		b.blobs = make([][]byte, 0, n)
 	}
-	if err := json.Unmarshal(b.index.Bytes(), &b.spans); err != nil {
-		return fmt.Errorf("lpserve: GET %s: decoding response: %w", path, &ProtocolError{Err: err})
+	for rest := b.buf; len(rest) > 0; {
+		var blob []byte
+		blob, rest, _ = livepoint.SplitElement(rest)
+		b.blobs = append(b.blobs, blob)
 	}
 	return nil
 }

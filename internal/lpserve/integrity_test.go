@@ -2,8 +2,8 @@ package lpserve
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -14,9 +14,9 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"livepoints/internal/asn1der"
-	"livepoints/internal/lpstore"
 	"livepoints/internal/obs"
 )
 
@@ -253,150 +253,148 @@ func TestShardBlobsCorruptGzipRefetched(t *testing.T) {
 	}
 }
 
-// TestShardBlobsIndexIsOnlyAHint: the shard index sizes the client's
-// inflate buffer, and nothing more. An index that undersells the shard
-// still gets every byte of the blobs it names; one that names a span
-// terabytes past the end is the protocol error it always was, without the
-// client first reserving what it claims.
-func TestShardBlobsIndexIsOnlyAHint(t *testing.T) {
-	st, _ := synthStore(t, 23, 4)
-	inner := NewServerWithMetrics(st, obs.NewRegistry()).Handler()
-	spans, err := st.ShardReadOrder(1)
+// bigShard is one shard of 800 incompressible points of about a kilobyte
+// (a live point is tens of them), inflated, with its points: a declared
+// length is believed up to bodyChunk, so a shard far shorter than that
+// measures the chunk.
+func bigShard(t *testing.T) (data []byte, blobs [][]byte) {
+	t.Helper()
+	big, blobs := synthStoreOf(t, 800, 800, 1000, 200)
+	data, err := big.DecompressShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := st.DecompressShard(1)
-	if err != nil {
+	return data, blobs
+}
+
+// gzipped compresses data as a store's shard stream is compressed.
+func gzipped(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	if _, err := zw.Write(data); err != nil {
 		t.Fatal(err)
 	}
-	var index []lpstore.Span
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return gz.Bytes()
+}
+
+// shardFetches fetches shard 0 from a server that answers with gz and
+// the length header length, once into a fresh body and once into a
+// pooled one that an honest fetch of honest has filled, and calls check
+// with each outcome and the bytes the client allocated for it. One
+// attempt each: a retry repeats the same fetch.
+func shardFetches(t *testing.T, honest, gz []byte, length string, check func(pooled bool, blobs [][]byte, err error, alloc uint64)) {
+	t.Helper()
+	var body []byte
+	var header string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/shards/1/index" {
-			json.NewEncoder(w).Encode(index)
+		if r.URL.Path != "/v1/shards/0" {
+			http.NotFound(w, r)
 			return
 		}
-		inner.ServeHTTP(w, r)
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Header().Set(shardLengthHeader, header)
+		w.Write(body)
 	}))
 	defer ts.Close()
 	c := New(ts.URL)
-	c.Retry = fastRetry
-	c.Metrics = obs.NewRegistry()
-
-	// The span that ends the stream is withheld: the hint is short.
-	last := 0
-	for i, sp := range spans {
-		if sp.Off > spans[last].Off {
-			last = i
-		}
-	}
-	index = append(append([]lpstore.Span{}, spans[:last]...), spans[last+1:]...)
-	blobs, err := c.ShardBlobs(context.Background(), 1)
-	if err != nil {
-		t.Fatalf("index one span short: %v", err)
-	}
-	for i, sp := range index {
-		if !bytes.Equal(blobs[i], data[sp.Off:sp.Off+int64(sp.Len)]) {
-			t.Fatalf("index one span short: blob %d differs", i)
-		}
-	}
-
-	index = append(append([]lpstore.Span{}, spans...), lpstore.Span{Off: 1 << 40, Len: 1 << 30})
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	_, err = c.ShardBlobs(context.Background(), 1)
-	runtime.ReadMemStats(&m1)
-	var pe *ProtocolError
-	if !errors.As(err, &pe) {
-		t.Fatalf("span past the shard's end: %v, want a ProtocolError", err)
-	}
-	if got := m1.TotalAlloc - m0.TotalAlloc; got > 64<<20 {
-		t.Fatalf("the client allocated %d MB on the word of a lying index", got>>20)
-	}
-
-	// On a shard of 800 incompressible points, neither a span a terabyte
-	// past its end nor a length header of a terabyte buys more than a few
-	// times the shard: read into a fresh body, or into a pooled one that
-	// an honest fetch of the shard has filled. One attempt each: a retry
-	// repeats the same fetch. The points are about a kilobyte (a live
-	// point is tens of them): a declared length is believed up to
-	// bodyChunk, so a shard far shorter than that measures the chunk.
-	big, _ := synthStoreOf(t, 800, 800, 1000, 200)
-	bigSpans, err := big.ShardReadOrder(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigData, err := big.DecompressShard(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, n, err := big.ShardRaw(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gz := make([]byte, n)
-	if _, err := io.ReadFull(raw, gz); err != nil {
-		t.Fatal(err)
-	}
-	var bigIndex, length []byte
-	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/shards/0/index":
-			w.Write(bigIndex)
-		case "/v1/shards/0":
-			w.Header().Set("Content-Length", strconv.Itoa(len(gz)))
-			w.Header().Set(shardLengthHeader, string(length))
-			w.Write(gz)
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer ts.Close()
-	c = New(ts.URL)
 	c.Retry = RetryPolicy{}
 	c.Metrics = obs.NewRegistry()
-	honest, _ := json.Marshal(bigSpans)
-	lying, _ := json.Marshal(append(append([]lpstore.Span{}, bigSpans...), lpstore.Span{Off: 1 << 40, Len: 1 << 30}))
-	for _, tc := range []struct {
-		name          string
-		index, length []byte
-		lie           bool // the index names a span past the shard's end
-	}{
-		{"a span at 1<<40", lying, []byte(strconv.Itoa(len(bigData))), true},
-		{"a length header of 1<<40", honest, []byte("1099511627776"), false},
-	} {
-		for _, pooled := range []bool{false, true} {
-			var b Body
-			if pooled {
-				bigIndex, length = honest, []byte(strconv.Itoa(len(bigData)))
-				if _, err := c.ShardBlobsInto(context.Background(), 0, &b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			bigIndex, length = tc.index, tc.length
-			runtime.ReadMemStats(&m0)
-			if pooled {
-				blobs, err = c.ShardBlobsInto(context.Background(), 0, &b)
-			} else {
-				blobs, err = c.ShardBlobs(context.Background(), 0)
-			}
-			runtime.ReadMemStats(&m1)
-			switch {
-			case tc.lie && !errors.As(err, &pe):
-				t.Errorf("%s (pooled %v): %v, want a ProtocolError", tc.name, pooled, err)
-			case !tc.lie && err != nil:
-				t.Errorf("%s (pooled %v): %v", tc.name, pooled, err)
-			case !tc.lie:
-				for i, sp := range bigSpans {
-					if !bytes.Equal(blobs[i], bigData[sp.Off:sp.Off+int64(sp.Len)]) {
-						t.Fatalf("%s (pooled %v): blob %d differs", tc.name, pooled, i)
-					}
-				}
-			}
-			b.Release()
-			if got, want := m1.TotalAlloc-m0.TotalAlloc, 4*uint64(len(bigData)); got >= want {
-				t.Errorf("%s (pooled %v): the client allocated %d bytes for a %d-byte shard, want under %d",
-					tc.name, pooled, got, len(bigData), want)
+	for _, pooled := range []bool{false, true} {
+		var b Body
+		if pooled {
+			body, header = gzipped(t, honest), strconv.Itoa(len(honest))
+			if _, err := c.ShardBlobsInto(context.Background(), 0, &b); err != nil {
+				t.Fatal(err)
 			}
 		}
+		body, header = gz, length
+		var m0, m1 runtime.MemStats
+		var blobs [][]byte
+		var err error
+		runtime.ReadMemStats(&m0)
+		if pooled {
+			blobs, err = c.ShardBlobsInto(context.Background(), 0, &b)
+		} else {
+			blobs, err = c.ShardBlobs(context.Background(), 0)
+		}
+		runtime.ReadMemStats(&m1)
+		check(pooled, blobs, err, m1.TotalAlloc-m0.TotalAlloc)
+		b.Release()
 	}
+}
+
+// TestShardBlobsLengthIsOnlyAHint: the shard's length header sizes the
+// client's inflate buffer, and nothing more. A header of a terabyte buys
+// no more than a few times the shard, read into a fresh body or into a
+// pooled one, and the shard's every point still arrives.
+func TestShardBlobsLengthIsOnlyAHint(t *testing.T) {
+	data, want := bigShard(t)
+	shardFetches(t, data, gzipped(t, data), "1099511627776", func(pooled bool, blobs [][]byte, err error, alloc uint64) {
+		if err != nil {
+			t.Fatalf("pooled %v: %v", pooled, err)
+		}
+		if len(blobs) != len(want) {
+			t.Fatalf("pooled %v: %d blobs, want %d", pooled, len(blobs), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(blobs[i], want[i]) {
+				t.Fatalf("pooled %v: blob %d differs", pooled, i)
+			}
+		}
+		if limit := 4 * uint64(len(data)); alloc >= limit {
+			t.Errorf("pooled %v: the client allocated %d bytes for a %d-byte shard, want under %d",
+				pooled, alloc, len(data), limit)
+		}
+	})
+}
+
+// TestShardBlobsHostileSplits: a shard is split by its points' own DER
+// framing, so an inflated shard that does not end on an element boundary
+// — stray bytes after its last point, or a last element whose header
+// claims a gigabyte that never arrived — is a *ProtocolError, and the
+// client believes no claim enough to allocate more than a few times what
+// arrived.
+func TestShardBlobsHostileSplits(t *testing.T) {
+	data, _ := bigShard(t)
+	claim := append([]byte{0x04, 0x84, 0x40, 0x00, 0x00, 0x00}, bytes.Repeat([]byte{7}, 10)...)
+	for _, tc := range []struct {
+		name string
+		tail []byte
+	}{
+		{"trailing bytes", bytes.Repeat([]byte{0xff}, 7)},
+		{"an element claiming 1 GiB", claim},
+	} {
+		hostile := append(append([]byte{}, data...), tc.tail...)
+		shardFetches(t, data, gzipped(t, hostile), strconv.Itoa(len(hostile)), func(pooled bool, _ [][]byte, err error, alloc uint64) {
+			var pe *ProtocolError
+			if !errors.As(err, &pe) {
+				t.Errorf("%s (pooled %v): %v, want a ProtocolError", tc.name, pooled, err)
+			}
+			if limit := 4 * uint64(len(hostile)); alloc >= limit {
+				t.Errorf("%s (pooled %v): the client allocated %d bytes for a %d-byte shard, want under %d",
+					tc.name, pooled, alloc, len(hostile), limit)
+			}
+		})
+	}
+}
+
+// TestShardBlobsOfTinyElements: a shard is split into as many points as
+// its framing says, however small: a megabyte of two-byte elements (a
+// gzip stream of a kilobyte) costs one slice header a point, counted
+// before the slice is sized, and not the header's growth from appends.
+func TestShardBlobsOfTinyElements(t *testing.T) {
+	data := bytes.Repeat([]byte{0x04, 0x00}, 1<<19)
+	shardFetches(t, data, gzipped(t, data), strconv.Itoa(len(data)), func(pooled bool, blobs [][]byte, err error, alloc uint64) {
+		if err != nil || len(blobs) != 1<<19 {
+			t.Fatalf("pooled %v: %d blobs, %v; want %d", pooled, len(blobs), err, 1<<19)
+		}
+		if perPoint := uint64(unsafe.Sizeof(blobs[0])); alloc >= uint64(len(blobs))*perPoint+3*uint64(len(data)) {
+			t.Errorf("pooled %v: the client allocated %d bytes for %d points of a %d-byte shard, want under a slice header a point and three times the shard",
+				pooled, alloc, len(blobs), len(data))
+		}
+	})
 }

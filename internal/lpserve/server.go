@@ -10,15 +10,16 @@
 //	GET /v1/shards/{id}       one shard's stored gzip bytes, verbatim —
 //	                          the store's compression passes straight
 //	                          through; the server never recompresses
-//	GET /v1/shards/{id}/index the shard's read order as (off,len) spans
-//	                          into its uncompressed stream (JSON []Span)
 //	GET /v1/points?start=&count=
 //	                          ranged batch fetch: concatenated DER blobs
 //	                          at read-order positions [start,start+count)
 //	GET /metrics              Prometheus text-format metrics (internal/obs)
 //
-// Point blobs are self-delimiting DER elements, so batch responses need no
-// framing; clients split them in place with livepoint.SplitElement.
+// Point blobs are self-delimiting DER elements, so neither a batch nor an
+// inflated shard needs framing of its own: clients split both in place
+// with livepoint.SplitElement. A batch holds its points in read order, a
+// shard in storage order; lpstore's ShardReadPositions maps the one onto
+// the other.
 //
 // Every /v1 endpoint — including those a cluster coordinator mounts via
 // Extend — is instrumented: request counts by status, latency histograms,
@@ -100,7 +101,6 @@ func NewServerWithMetrics(st *lpstore.Store, reg *obs.Registry) *Server {
 	s.Extend("GET /v1/stat", s.handleStat)
 	s.Extend("GET /v1/shards", s.handleShards)
 	s.Extend("GET /v1/shards/{id}", s.handleShardData)
-	s.Extend("GET /v1/shards/{id}/index", s.handleShardIndex)
 	s.Extend("GET /v1/points", s.handlePoints)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
@@ -250,19 +250,6 @@ func (s *Server) handleShardData(w http.ResponseWriter, r *http.Request) {
 // another processor than the last one did, and which a collection
 // empties, the list hands a request any buffer an earlier one gave back.
 var copyBufs = make(chan []byte, 8)
-
-func (s *Server) handleShardIndex(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.shardID(w, r)
-	if !ok {
-		return
-	}
-	spans, err := s.st.ShardReadOrder(id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, spans)
-}
 
 func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()

@@ -39,6 +39,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 
 	"livepoints/internal/inflate"
@@ -84,8 +85,8 @@ type pointInfo struct {
 // Span is a point's (offset, length) within its shard's uncompressed
 // stream.
 type Span struct {
-	Off int64 `json:"off"`
-	Len int   `json:"len"`
+	Off int64
+	Len int
 }
 
 // Info summarizes a written v2 library.
@@ -122,9 +123,10 @@ type Store struct {
 	points       []pointInfo // indexed by physical point id (storage order)
 	order        []uint32    // read position -> physical point id
 
-	shardOrderOnce sync.Once
-	shardOrder     [][]uint32 // per shard: physical ids in read order
-	lastRead       []int      // per shard: the read position of its last point
+	lastRead []int // per shard: the read position of its last point
+
+	shardPosOnce sync.Once
+	shardPos     [][]int // per shard: its points' read positions, in storage order
 
 	shared *shardTable // every reader's inflated shards (cache.go)
 }
@@ -183,6 +185,10 @@ func openFile(f *os.File, path string) (*Store, error) {
 	st := &Store{path: path, f: f}
 	if err := st.decodeIndex(idx, idxOff); err != nil {
 		return nil, fmt.Errorf("lpstore: %s: %w", path, err)
+	}
+	st.lastRead = make([]int, len(st.shards))
+	for i, phys := range st.order {
+		st.lastRead[st.points[phys].shard] = i
 	}
 	st.shared = newShardTable(len(st.shards))
 	return st, nil
@@ -300,51 +306,47 @@ func (st *Store) inflateShard(s int, buf []byte) ([]byte, error) {
 	return buf[:n], nil
 }
 
-// buildShardOrder partitions the read-order permutation by shard, and
-// finds where each shard is read for the last time, once.
-func (st *Store) buildShardOrder() {
-	st.shardOrderOnce.Do(func() {
-		st.shardOrder = make([][]uint32, len(st.shards))
-		st.lastRead = make([]int, len(st.shards))
-		for i, phys := range st.order {
-			s := st.points[phys].shard
-			st.shardOrder[s] = append(st.shardOrder[s], phys)
-			st.lastRead[s] = i
-		}
-	})
-}
-
 // ShardReadOrder returns shard s's points as (offset, length) spans within
 // the shard's uncompressed stream, in the library's read order restricted
 // to that shard.
 func (st *Store) ShardReadOrder(s int) ([]Span, error) {
-	if s < 0 || s >= len(st.shards) {
-		return nil, fmt.Errorf("lpstore: shard %d out of range [0,%d)", s, len(st.shards))
+	pos, err := st.ShardReadPositions(s)
+	if err != nil {
+		return nil, err
 	}
-	st.buildShardOrder()
-	spans := make([]Span, len(st.shardOrder[s]))
-	for i, phys := range st.shardOrder[s] {
-		p := st.points[phys]
+	slices.Sort(pos)
+	spans := make([]Span, len(pos))
+	for i, at := range pos {
+		p := st.points[st.order[at]]
 		spans[i] = Span{Off: p.off, Len: p.len}
 	}
 	return spans, nil
 }
 
-// ShardReadPositions returns the global read-order positions of shard s's
-// points, in the shard's read order — parallel to ShardReadOrder's spans.
-// Cluster coordinators use it to map a shard lease's results back onto
-// library positions.
+// ShardReadPositions returns the read-order positions of shard s's points
+// in storage order, the order a shard's stream holds them, in a fresh
+// slice. A cluster coordinator maps a shard lease's CPIs, which arrive in
+// that order, onto library positions through it. On a library written in
+// read order (Write, Create) the positions ascend; on an index-reshuffled
+// one they are scattered.
 func (st *Store) ShardReadPositions(s int) ([]int, error) {
 	if s < 0 || s >= len(st.shards) {
 		return nil, fmt.Errorf("lpstore: shard %d out of range [0,%d)", s, len(st.shards))
 	}
-	pos := make([]int, 0, st.shards[s].points)
-	for i, phys := range st.order {
-		if st.points[phys].shard == s {
-			pos = append(pos, i)
+	st.shardPosOnce.Do(func() { // invert the read order, once
+		readPos := make([]int, len(st.order))
+		for i, phys := range st.order {
+			readPos[phys] = i
 		}
-	}
-	return pos, nil
+		st.shardPos = make([][]int, len(st.shards))
+		for i, sh := range st.shards {
+			st.shardPos[i] = make([]int, 0, sh.points)
+		}
+		for phys, p := range st.points {
+			st.shardPos[p.shard] = append(st.shardPos[p.shard], readPos[phys])
+		}
+	})
+	return slices.Clone(st.shardPos[s]), nil
 }
 
 // PointBlob returns the encoded live-point at read-order position i:
@@ -394,7 +396,6 @@ func (st *Store) Blobs(start, count int) ([][]byte, error) {
 // Source returns a sequential livepoint.Source over the whole store in
 // read order. Closing it does not close the store.
 func (st *Store) Source() livepoint.Source {
-	st.buildShardOrder()
 	return &storeSource{st: st}
 }
 
